@@ -32,10 +32,6 @@ def is_prefix(u, v):
     return len(u) <= len(v) and v[: len(u)] == u
 
 
-def _word_key(w):
-    return (len(w), w)
-
-
 class Clopen:
     """A clopen subset of A^N as a canonical reduced prefix antichain."""
 
@@ -73,10 +69,6 @@ class Clopen:
     def contains_word(self, w):
         """True iff the cylinder of w lies inside this set."""
         return any(is_prefix(u, w) for u in self.antichain)
-
-    def meets_word(self, w):
-        """True iff the cylinder of w intersects this set."""
-        return any(is_prefix(u, w) or is_prefix(w, u) for u in self.antichain)
 
     def union(self, other):
         self._check(other)
@@ -134,39 +126,39 @@ class Clopen:
 
 
 def normalize(words, d):
-    """Canonical Clopen with the same union of cylinders as the given words."""
+    """Canonical Clopen with the same union of cylinders as the given words.
+
+    One sweep in lexicographic order, where a word comes right after its
+    prefixes and a sibling family is contiguous once absorbed words are
+    dropped: a word with a kept prefix is absorbed, and a word completing a
+    sibling family replaces it by the parent, which may complete the
+    parent's family in turn.  A merged parent never needs re-absorbing,
+    because a prefix of it would have absorbed its children.
+    """
     pool = set()
     for w in words:
         w = tuple(w)
-        if any(not (0 <= x < d) for x in w):
-            raise LetterOutOfRange(f"letter out of range in {w}")
+        for x in w:
+            if not 0 <= x < d:
+                raise LetterOutOfRange(f"letter out of range in {w}")
         pool.add(w)
+    if len(pool) == 1 and d > 1:
+        return Clopen(d, tuple(pool))
 
-    # prefix absorption: keep only words with no proper prefix in the pool
-    for w in sorted(pool, key=len):
-        if w in pool and any(w[:k] in pool for k in range(len(w))):
-            pool.discard(w)
-
-    # reduce full sibling families bottom-up, re-absorbing as we go
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(pool, key=len, reverse=True):
-            if not w or w not in pool:
-                continue
+    kept = []
+    for w in sorted(pool):
+        if kept and w[: len(kept[-1])] == kept[-1]:
+            continue
+        kept.append(w)
+        while w and w[-1] == d - 1 and len(kept) >= d:
             parent = w[:-1]
-            if all(parent + (x,) in pool for x in range(d)):
-                for x in range(d):
-                    pool.discard(parent + (x,))
-                pool.add(parent)
-                changed = True
-        # absorption can only be needed right after a reduction step
-        if changed:
-            for w in sorted(pool, key=len):
-                if w in pool and any(w[:k] in pool for k in range(len(w))):
-                    pool.discard(w)
-
-    return Clopen(d, tuple(sorted(pool, key=_word_key)))
+            if any(kept[x - d] != parent + (x,) for x in range(d - 1)):
+                break
+            del kept[-d:]
+            kept.append(parent)
+            w = parent
+    kept.sort(key=len)  # stable: lexicographic within each length
+    return Clopen(d, tuple(kept))
 
 
 def empty(d):

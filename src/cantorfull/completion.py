@@ -231,6 +231,7 @@ def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_B
             exprs.append(found)
         if ok:
             expr = Join(tuple(exprs))
-            assert eq(evaluate(expr, table), h)
+            if not eq(evaluate(expr, table), h):
+                raise CantorError("piecewise expression does not re-evaluate to h")
             return certs.witness(expr, bounds, nodes)
     return certs.exhausted(bounds, nodes)

@@ -6,6 +6,8 @@ decide; the operations certify finite shadows at explicit depth and length
 bounds and report three-valued certificates that re-verify.
 """
 
+from itertools import chain
+
 from . import certs
 from . import pmap as _pmap
 from .clopen import atoms, cylinder, is_partition, part_of, union_all
@@ -26,7 +28,11 @@ from .pmap import (
 
 
 class DynContext:
-    """A table of units, optionally closed under star."""
+    """A table of units, optionally closed under star.
+
+    The context keeps one ball of distinct unit words, grown a level at a
+    time as the searches ask for longer words; see _unit_word_levels.
+    """
 
     def __init__(self, table, symmetric=True):
         self.table = table
@@ -44,8 +50,32 @@ class DynContext:
                 if not any(eq(inv, u) for u in units):
                     units.append(inv)
                     names.append(f"{name}^-1")
-        self.units = units
-        self.names = names
+        self.units = tuple(units)
+        self.names = tuple(names)
+        self._levels = []
+        self._dedup = Dedup()
+
+    def _grow(self):
+        """Append the next level of the word ball."""
+        levels = self._levels
+        try:
+            if not levels:
+                start = one(self.d)
+                self._dedup.add(start)
+                levels.append(((start, ()),))
+                return
+            nxt = []
+            for m, word in levels[-1]:
+                for name, g in zip(self.names, self.units):
+                    rep, _, new = self._dedup.add(compose(g, m))
+                    if new:
+                        nxt.append((rep, (name,) + word))
+            levels.append(tuple(nxt))
+        except BaseException:
+            # a level cut short leaves words in the Dedup that no level holds
+            self._levels = []
+            self._dedup = Dedup()
+            raise
 
 
 def _image_closure(ctx, start, steps):
@@ -62,25 +92,16 @@ def _image_closure(ctx, start, steps):
 
 
 def _unit_word_levels(ctx, max_len):
-    """Distinct unit words level by level: yields the new words per length."""
-    dedup = Dedup()
-    start = one(ctx.d)
-    dedup.add(start)
-    frontier = [(start, [])]
-    yield list(frontier)
-    for _ in range(max_len):
-        nxt = []
-        for m, word in frontier:
-            for name, g in zip(ctx.names, ctx.units):
-                rep, _, new = dedup.add(compose(g, m))
-                if new:
-                    nxt.append((rep, [name] + word))
-        frontier = nxt
-        yield nxt
+    """Distinct unit words level by level: yields the new (map, word) pairs
+    per length, words as name tuples, from the ball kept on ctx."""
+    for n in range(max_len + 1):
+        if n == len(ctx._levels):
+            ctx._grow()
+        yield ctx._levels[n]
 
 
 def _unit_words(ctx, max_len):
-    """Distinct unit words with their name lists, in BFS order."""
+    """Distinct unit words with their name tuples, in BFS order."""
     out = []
     for level in _unit_word_levels(ctx, max_len):
         out.extend(level)
@@ -161,9 +182,9 @@ def separating_translate(ctx, parts, c1, c2, word_len):
         for alpha in parts:
             t = image_clopen(m, alpha)
             if c1.leq(t) and t.meet(c2).is_empty():
-                return {"word": word, "part": str(alpha), "translate": str(t)}
+                return {"word": list(word), "part": str(alpha), "translate": str(t)}
             if c2.leq(t) and t.meet(c1).is_empty():
-                return {"word": word, "part": str(alpha), "translate": str(t)}
+                return {"word": list(word), "part": str(alpha), "translate": str(t)}
     return None
 
 
@@ -327,7 +348,7 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
         if pick(0):
             return certs.witness(
                 {
-                    "words": [w for _, w in chosen],
+                    "words": [list(w) for _, w in chosen],
                     "images": [str(c) for c, _ in chosen],
                 },
                 bounds,
@@ -362,39 +383,37 @@ def split_unit(g, ctx, word_len=4, max_depth=6):
         raise IdentityInput("cannot split the identity")
     bounds = {"word_len": word_len, "max_depth": max_depth}
     nodes = 0
-    cached_levels = []
-    level_source = _unit_word_levels(ctx, word_len)
+    # the moved cylinders are scanned once, for Z and for every search of Y
+    source = _moved_cylinders(g, max_depth)
+    moved = []
 
-    def lazy_words():
+    def moved_cylinders():
         i = 0
         while True:
-            while i < len(cached_levels):
-                yield from cached_levels[i]
-                i += 1
-            try:
-                cached_levels.append(next(level_source))
-            except StopIteration:
-                return
+            if i == len(moved):
+                c = next(source, None)
+                if c is None:
+                    return
+                moved.append(c)
+            yield moved[i]
+            i += 1
 
-    for z in _moved_cylinders(g, max_depth):
+    for z in moved_cylinders():
         gz = image_clopen(g, z)
-        if z.union(gz).complement().is_empty():
+        z_gz = z.union(gz)
+        if z_gz.complement().is_empty():
             continue
-        for h, word in lazy_words():
+        for h, _ in chain.from_iterable(_unit_word_levels(ctx, word_len)):
             nodes += 1
             hz = image_clopen(h, z)
-            if not hz.meet(z.union(gz)).is_empty():
+            if not hz.meet(z_gz).is_empty():
                 continue
             ghz = image_clopen(g, hz)
-            if not ghz.meet(z.union(gz).union(hz)).is_empty():
+            if not ghz.meet(z_gz.union(hz)).is_empty():
                 continue
             four = union_all([z, gz, hz, ghz], g.d)
             rest = four.complement()
-            fixed1 = None
-            for y in _moved_cylinders(g, max_depth):
-                if y.leq(rest):
-                    fixed1 = y
-                    break
+            fixed1 = next((y for y in moved_cylinders() if y.leq(rest)), None)
             if fixed1 is None:
                 continue
             g1 = join(
@@ -405,9 +424,12 @@ def split_unit(g, ctx, word_len=4, max_depth=6):
                 ]
             )
             g2 = compose(star(g1), g)
-            assert eq(compose(g1, g2), g)
-            assert eq(restrict(g1, fixed1), as_idempotent(fixed1))
-            assert eq(restrict(g2, z), as_idempotent(z))
+            if not (
+                eq(compose(g1, g2), g)
+                and eq(restrict(g1, fixed1), as_idempotent(fixed1))
+                and eq(restrict(g2, z), as_idempotent(z))
+            ):
+                raise CantorError("split_unit built factors that do not re-verify")
             return certs.witness(
                 {"g1": g1, "g2": g2, "fixed1": fixed1, "fixed2": z},
                 bounds,

@@ -218,10 +218,6 @@ class CombinedSection(FactoredSection):
         self.model = _Symbols(self.g_cols, i1, self.h_cols, i2)
         self._sub_words = {}
 
-    def _side_letter(self, side, sub_perm):
-        """(side, sub-column permutation) as an abstract letter."""
-        return (side, sub_perm)
-
     def _abstract(self, letter):
         side, sub_perm = letter
         return self.model.generator(side, sub_perm)

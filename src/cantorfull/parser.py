@@ -154,12 +154,6 @@ class Parser:
             factors = factors + self._tail_factor(toks)
         return TailElement(self.d, factors)
 
-    def parse_tail(self, text):
-        toks = _Tokens(text)
-        t = self._tailexpr(toks)
-        toks.expect("eof")
-        return t
-
     # -- elements
 
     def _branch(self, toks):

@@ -370,20 +370,24 @@ def eval_at(f, w):
 
 
 def image_clopen(f, c):
-    """The image f(c & dom f) as a clopen set."""
-    return ran(restrict(f, c))
+    """The image f(c & dom f) as a clopen set.
 
-
-def expand_to_depth(f, n):
-    """Equivalent table whose domain prefixes all have length >= n."""
-    out = []
-    for b in f.branches:
-        if len(b.dom) >= n:
-            out.append(b)
-        else:
-            for w in _clopen.Clopen(f.d, (b.dom,)).words_at_depth(n):
-                out.append(_refine_branch(b, w))
-    return PartialMap(f.d, out)
+    Equal to ran(restrict(f, c)), read off the branches without building
+    the restricted map: a word of c inside a branch domain maps through the
+    branch, and a branch domain inside a word of c contributes its range.
+    """
+    if f.d != c.d:
+        raise AlphabetMismatch(f"alphabet {f.d} vs {c.d}")
+    words = []
+    for w in c.antichain:
+        for b in f.branches:
+            if is_prefix(b.dom, w):
+                # domains form an antichain, so no other branch meets [w]
+                words.append(b.ran + _tails.apply_prefix(b.tail, w[len(b.dom) :])[0])
+                break
+            if is_prefix(w, b.dom):
+                words.append(b.ran)
+    return normalize(words, f.d)
 
 
 def _tail_fingerprint(t):

@@ -36,6 +36,13 @@ def brute_words(c, n):
     return out
 
 
+def depth_words(words, d, n):
+    """The depth-n words below the listed words, by raw expansion."""
+    from itertools import product
+
+    return {w + t for w in words for t in product(range(d), repeat=n - len(w))}
+
+
 def test_normalize_covers_full_space():
     assert C("{00, 01, 1}") == full(2)
     assert str(C("{00, 01, 1}")) == "{~}"
@@ -55,14 +62,22 @@ def test_normalize_derived_example():
 
 def test_normalize_is_retraction():
     rng = random.Random(7)
-    for _ in range(200):
+    for _ in range(600):
+        d = rng.choice((2, 3))
         words = [
-            tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
+            tuple(rng.randrange(d) for _ in range(rng.randrange(6)))
             for _ in range(rng.randrange(8))
         ]
-        c = normalize(words, 2)
-        again = normalize(c.antichain, 2)
+        # duplicates, extensions of listed words and whole sibling families
+        for w in rng.sample(words, min(len(words), 2)):
+            words.append(w)
+            words.append(w + (rng.randrange(d),))
+            words.extend(w[:-1] + (x,) for x in range(d))
+        rng.shuffle(words)
+        c = normalize(words, d)
+        again = normalize(c.antichain, d)
         assert c == again
+        assert depth_words(c.antichain, d, 6) == depth_words(words, d, 6)
         # canonical invariants
         for i, u in enumerate(c.antichain):
             for j, v in enumerate(c.antichain):
@@ -71,7 +86,7 @@ def test_normalize_is_retraction():
         for u in c.antichain:
             if u:
                 parent = u[:-1]
-                assert not all(parent + (x,) in c.antichain for x in range(2))
+                assert not all(parent + (x,) in c.antichain for x in range(d))
         assert list(c.antichain) == sorted(c.antichain, key=lambda w: (len(w), w))
 
 

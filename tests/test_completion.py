@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cantorfull import completion
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.completion import (
     ElementLeaf,
@@ -17,7 +18,7 @@ from cantorfull.completion import (
     evaluate,
     piecewise_member,
 )
-from cantorfull.errors import IncompatibleJoin, NotAUnit, UnknownGenerator
+from cantorfull.errors import CantorError, IncompatibleJoin, NotAUnit, UnknownGenerator
 from cantorfull.pmap import (
     as_idempotent,
     compose,
@@ -174,6 +175,12 @@ def test_piecewise_member_three_cycle_over_transpositions():
     cert = piecewise_member(h, table, word_len=2, depth=2)
     assert cert.is_witness()
     assert eq(evaluate(cert.witness, table), h)
+
+
+def test_piecewise_member_rejects_expression_that_does_not_reevaluate(monkeypatch):
+    monkeypatch.setattr(completion, "evaluate", lambda expr, table: zero(2))
+    with pytest.raises(CantorError):
+        piecewise_member(SWAP, TABLE, word_len=1, depth=1)
 
 
 def test_piecewise_member_not_a_unit():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cantorfull import dynamics
 from cantorfull.clopen import atoms, cylinder, full, normalize
 from cantorfull.completion import GeneratorTable
 from cantorfull.dynamics import (
@@ -16,7 +17,7 @@ from cantorfull.dynamics import (
     split_unit,
     subshift_code,
 )
-from cantorfull.errors import EmptyInput, IdentityInput, NotPartwiseStabilizing
+from cantorfull.errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from cantorfull.families import higman_thompson
 from cantorfull.pmap import Branch, PartialMap, compose, eq, one
 from cantorfull.tails import adding_machine, state
@@ -194,6 +195,60 @@ def test_split_unit_with_fixed_clopen():
     cert = split_unit(g, ctx)
     assert cert.is_witness()
     assert eq(compose(cert.witness["g1"], cert.witness["g2"]), g)
+
+
+def test_split_unit_rejects_factors_that_do_not_reverify(monkeypatch):
+    # a broken join makes g1 the identity, so g2 = g does not fix Z
+    monkeypatch.setattr(dynamics, "join", lambda elems: one(2))
+    with pytest.raises(CantorError):
+        split_unit(pm(2, "0->1", "1->0"), v2_ctx())
+
+
+def test_word_ball_grows_on_demand():
+    ctx = v2_ctx()
+    longest = 0
+    for max_len in (0, 1, 3, 2):
+        got = list(dynamics._unit_word_levels(ctx, max_len))
+        longest = max(longest, max_len)
+        assert len(got) == max_len + 1
+        assert len(ctx._levels) == longest + 1
+    fresh = list(dynamics._unit_word_levels(v2_ctx(), 3))
+    assert [[(m.branches, w) for m, w in level] for level in ctx._levels] == [
+        [(m.branches, w) for m, w in level] for level in fresh
+    ]
+    # each word names its map, the leftmost unit applied last
+    for level in fresh:
+        for m, word in level:
+            g = one(2)
+            for name in word:
+                g = compose(g, ctx.units[ctx.names.index(name)])
+            assert eq(g, m)
+    # a search that stops early does not build the longer levels
+    ctx = v2_ctx()
+    assert split_unit(pm(2, "0->1", "1->0"), ctx, word_len=4).is_witness()
+    assert len(ctx._levels) < 5
+
+
+def test_word_ball_survives_interrupted_growth(monkeypatch):
+    ctx = v2_ctx()
+    list(dynamics._unit_word_levels(ctx, 1))
+    calls = []
+
+    def interrupted(g, m):
+        calls.append(g)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return compose(g, m)
+
+    monkeypatch.setattr(dynamics, "compose", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        list(dynamics._unit_word_levels(ctx, 2))
+    monkeypatch.undo()
+    got = list(dynamics._unit_word_levels(ctx, 2))
+    fresh = list(dynamics._unit_word_levels(v2_ctx(), 2))
+    assert [[w for _, w in level] for level in got] == [
+        [w for _, w in level] for level in fresh
+    ]
 
 
 def test_split_unit_random_words():

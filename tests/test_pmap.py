@@ -5,7 +5,8 @@ import pytest
 
 from cantorfull import pmap, tails
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
-from cantorfull.errors import IncompatiblePair
+from cantorfull.errors import AlphabetMismatch, IncompatiblePair
+from cantorfull.families import higman_thompson, rover_units
 from cantorfull.pmap import (
     Branch,
     Dedup,
@@ -370,6 +371,48 @@ def test_image_clopen():
     f = pm(2, "0->10", "10->0", "11->11")
     assert image_clopen(f, clo("{00}")) == clo("{100}")
     assert image_clopen(f, full(2)) == full(2)
+    with pytest.raises(AlphabetMismatch):
+        image_clopen(f, full(3))
+
+
+def random_depth_perm(rng, k):
+    """A depth_perm tail from random letter permutations at every node."""
+    perms = {}
+    for n in range(k):
+        for u in product(range(2), repeat=n):
+            perms[u] = rng.sample(range(2), 2)
+    assign = {
+        w: tuple(perms[w[:j]][x] for j, x in enumerate(w))
+        for w in product(range(2), repeat=k)
+    }
+    return tails.depth_perm(k, assign)
+
+
+def test_image_clopen_matches_restricted_range():
+    rng = random.Random(31)
+    v2 = list(higman_thompson(2).table.mapping.values())
+    rover = list(rover_units().table.mapping.values())
+
+    def unit_word(units):
+        f = one(2)
+        for _ in range(rng.randrange(1, 5)):
+            f = compose(f, rng.choice(units))
+        return f
+
+    maps = [unit_word(v2) for _ in range(25)] + [unit_word(rover) for _ in range(25)]
+    maps += [
+        PartialMap(2, [Branch((), (), random_depth_perm(rng, rng.randrange(1, 4)))])
+        for _ in range(20)
+    ]
+    maps += [random_pmap(rng, 2) for _ in range(20)]
+    for f in maps:
+        for _ in range(10):
+            words = [
+                tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
+                for _ in range(rng.randrange(5))
+            ]
+            c = normalize(words, 2)
+            assert image_clopen(f, c) == ran(restrict(f, c))
 
 
 def test_dedup():
