@@ -85,6 +85,16 @@ class Clopen:
                     words.append(u)
         return normalize(words, self.d)
 
+    def disjoint(self, other):
+        """True iff the sets do not meet: two cylinders meet exactly when
+        one word is a prefix of the other, so no meet is normalized."""
+        self._check(other)
+        return not any(
+            is_prefix(u, v) or is_prefix(v, u)
+            for u in self.antichain
+            for v in other.antichain
+        )
+
     def complement(self):
         out = []
 

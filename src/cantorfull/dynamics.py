@@ -139,9 +139,9 @@ def _separates_at(translates, cells):
         for j in range(len(cells)):
             if i == j:
                 continue
-            if hulls[i] is not None and hulls[i].meet(cells[j]).is_empty():
+            if hulls[i] is not None and hulls[i].disjoint(cells[j]):
                 continue
-            if hulls[j] is not None and hulls[j].meet(cells[i]).is_empty():
+            if hulls[j] is not None and hulls[j].disjoint(cells[i]):
                 continue
             if i < j:
                 bad.append((i, j))
@@ -338,7 +338,7 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
                 return True
             for i in range(start, len(candidates)):
                 img, _ = candidates[i]
-                if all(img.meet(c[0]).is_empty() for c in chosen):
+                if all(img.disjoint(c[0]) for c in chosen):
                     chosen.append(candidates[i])
                     if pick(i + 1):
                         return True
@@ -367,7 +367,7 @@ def _moved_cylinders(g, max_depth):
     for depth in range(1, max_depth + 1):
         for w in iproduct(range(g.d), repeat=depth):
             c = cylinder(w, g.d)
-            if image_clopen(g, c).meet(c).is_empty():
+            if image_clopen(g, c).disjoint(c):
                 yield c
 
 
@@ -406,10 +406,10 @@ def split_unit(g, ctx, word_len=4, max_depth=6):
         for h, _ in chain.from_iterable(_unit_word_levels(ctx, word_len)):
             nodes += 1
             hz = image_clopen(h, z)
-            if not hz.meet(z_gz).is_empty():
+            if not hz.disjoint(z_gz):
                 continue
             ghz = image_clopen(g, hz)
-            if not ghz.meet(z_gz.union(hz)).is_empty():
+            if not (ghz.disjoint(z_gz) and ghz.disjoint(hz)):
                 continue
             four = union_all([z, gz, hz, ghz], g.d)
             rest = four.complement()

@@ -25,10 +25,19 @@ from .pmap import compose, eq, one
 
 
 def word_product(word, sections, d):
-    """Compose the units named by a word of (section_index, perm) pairs."""
+    """Compose the units named by a word of (section_index, perm) pairs.
+
+    A witness word repeats a few letters many times, so each distinct letter
+    is built by element once per call.
+    """
+    units = {}
     acc = one(d)
     for idx, perm in word:
-        acc = compose(acc, element(sections[idx], perm))
+        letter = (idx, tuple(perm))
+        u = units.get(letter)
+        if u is None:
+            u = units[letter] = element(sections[idx], perm)
+        acc = compose(acc, u)
     return acc
 
 

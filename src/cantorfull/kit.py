@@ -13,13 +13,15 @@ from . import certs
 from . import pmap as _pmap
 from .clopen import atoms, is_partition, part_of
 from .errors import CantorError, KitConstructionFailed, NotInAlt
-from .factor import KitSection, combine_factored
+from .factor import KitSection, combine_factored, word_product
 from .msec import (
+    _extend_over_words,
+    _extension_words,
+    _unit_words,
     alt_perms,
     build,
     element,
     embed_subperm,
-    extend_degree,
     identity_perm,
     is_even,
     restrict_msec,
@@ -34,22 +36,7 @@ def derive_transporters(table, parts, word_len=2):
     The result is symmetric (closed under star) and deduped by eq, in
     deterministic word-then-part order.
     """
-    units = list(table.mapping.values())
-    d = table.d
-    words = [_pmap.one(d)]
-    dedup = Dedup()
-    dedup.add(words[0])
-    frontier = list(words)
-    for _ in range(word_len):
-        nxt = []
-        for m in frontier:
-            for u in units:
-                rep, _, new = dedup.add(compose(m, u))
-                if new:
-                    nxt.append(rep)
-        words.extend(nxt)
-        frontier = nxt
-
+    words = _unit_words(list(table.mapping.values()), word_len, table.d)
     out = Dedup()
     result = []
     for w in words:
@@ -229,6 +216,7 @@ class GeneratingKit:
             pd, pr = _part_pair(self.parts, a)
             self._by_dom_part.setdefault(pd, []).append((idx, pr))
         self.sections = []
+        self._extension_word_list = None
         self._section_lookup = {}
         self._t_dedup = Dedup()
         self.T = []
@@ -249,6 +237,13 @@ class GeneratingKit:
             else:
                 raise CantorError(f"family is not symmetric: no star for element {idx}")
         return lookup
+
+    def _degree_extension_words(self):
+        """The unit words degree extension tries, built once per kit on
+        first use rather than on every extension."""
+        if self._extension_word_list is None:
+            self._extension_word_list = _extension_words(self.table, 3, self.d)
+        return self._extension_word_list
 
     def star_index(self, idx):
         return self._star_of[idx]
@@ -445,11 +440,9 @@ def _wordify(kit, m, budget, max_len):
 
 def _try_combine(fs_a, cols_a, fs_b, cols_b):
     """combine_factored, or None when the support condition fails."""
-    from .errors import CantorError as _CE
-
     try:
         return combine_factored(fs_a, cols_a, fs_b, cols_b)
-    except _CE:
+    except CantorError:
         return None
 
 
@@ -644,10 +637,8 @@ def express(
             word.extend(_factor_five_cover(kit, sec5, rho, budget, word_len))
     except _Exhausted as stop:
         return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    got = _pmap.one(kit.d)
-    for sec_idx, pi in word:
-        got = compose(got, element(kit.sections[sec_idx][0], pi))
-    if not eq(got, target):
+    sections = [section for section, _ in kit.sections]
+    if not eq(word_product(word, sections, kit.d), target):
         return certs.exhausted(bounds, budget.nodes, detail="verification failed")
     return certs.witness({"word": word}, bounds, budget.nodes)
 
@@ -677,7 +668,7 @@ def _extend_to_five(kit, msec_witness, budget):
             out.append((s, s.base))
             continue
         remaining = max(0, budget.limit - budget.nodes)
-        cert = extend_degree(s, kit.table, word_len=3, node_budget=remaining)
+        cert = _extend_over_words(s, kit._degree_extension_words(), 3, 3, remaining)
         budget.tick(cert.nodes_explored)
         if not cert.is_witness():
             raise _Exhausted("degree extension failed: " + (cert.detail or "no witness"))
@@ -816,7 +807,6 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
     Only even cylinder permutations are handled; everything else is an honest
     ExhaustedAtBound.
     """
-    from .msec import is_even as _perm_even
     from .pmap import prefix_exchange
 
     bounds = {"word_len": word_len, "node_budget": node_budget}
@@ -830,7 +820,7 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
     family = sorted(table, key=lambda w: (len(w), w))
     index = {w: i for i, w in enumerate(family)}
     perm = tuple(index[table[w]] for w in family)
-    if not _perm_even(perm):
+    if not is_even(perm):
         return certs.exhausted(bounds, 0, detail="odd cylinder permutation")
 
     moved = [i for i in range(len(family)) if perm[i] != i]
@@ -887,10 +877,8 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
         if not cert.is_witness():
             return certs.exhausted(bounds, nodes, detail=cert.detail or "piece failed")
         word = word + cert.witness["word"]
-    got = _pmap.one(kit.d)
-    for sec_idx, pi in word:
-        got = compose(got, element(kit.sections[sec_idx][0], pi))
-    if not eq(got, target):
+    sections = [section for section, _ in kit.sections]
+    if not eq(word_product(word, sections, kit.d), target):
         return certs.exhausted(bounds, nodes, detail="verification failed")
     return certs.witness({"word": word}, bounds, nodes)
 

@@ -23,7 +23,7 @@ from .errors import (
     OverlappingIdempotents,
     SupportsOverlapElsewhere,
 )
-from .pmap import as_idempotent, compose, eq, join, leq, restrict, star
+from .pmap import PartialMap, as_idempotent, compose, eq, join, leq, restrict, star
 
 # -- permutation helpers (tuples pi with pi[i] the image of i) -----------------
 
@@ -89,13 +89,14 @@ def perm_order(p):
 class Multisection:
     """Base clopen e_1 with transporters f_i : e_1 -> e_i, f_1 the identity."""
 
-    __slots__ = ("d", "base", "transporters", "idems")
+    __slots__ = ("d", "base", "transporters", "idems", "_off_support")
 
     def __init__(self, base, transporters):
         self.d = base.d
         self.base = base
         self.transporters = tuple(transporters)
         self.idems = tuple(_pmap.ran(f) for f in self.transporters)
+        self._off_support = None
         if base.is_empty():
             raise EmptyRestriction("multisection base is empty")
         if not eq(self.transporters[0], as_idempotent(base)):
@@ -105,7 +106,7 @@ class Multisection:
                 raise DomainMismatch(f"transporter {i} has domain {_pmap.dom(f)}, not {base}")
         for i in range(len(self.idems)):
             for j in range(i + 1, len(self.idems)):
-                if not self.idems[i].meet(self.idems[j]).is_empty():
+                if not self.idems[i].disjoint(self.idems[j]):
                     raise OverlappingIdempotents(f"idempotents {i} and {j} overlap")
 
     @property
@@ -114,6 +115,12 @@ class Multisection:
 
     def support(self):
         return union_all(self.idems, self.d)
+
+    def off_support(self):
+        """The identity on the complement of the support (cached)."""
+        if self._off_support is None:
+            self._off_support = as_idempotent(self.support().complement())
+        return self._off_support
 
     def transporter_between(self, i, j):
         """The unique element f_ij with domain e_i and range e_j."""
@@ -137,14 +144,18 @@ def element(s, pi):
     """The unit h_pi acting as f_pi(i) f_i* on each e_i, identity elsewhere."""
     if len(pi) != s.degree:
         raise CantorError(f"permutation of length {len(pi)} for degree {s.degree}")
-    parts = [
-        compose(s.transporters[pi[i]], star(s.transporters[i]))
+    # the parts f_pi(i) f_i* have the pairwise disjoint domains e_i and
+    # ranges e_pi(i), checked in the Multisection constructor, and the
+    # identity off the support misses both, so the parts are compatible and
+    # their branches glue without join's pairwise checks; the PartialMap
+    # constructor still rejects any overlap of domains or of ranges
+    branches = [
+        b
         for i in range(s.degree)
+        for b in compose(s.transporters[pi[i]], star(s.transporters[i])).branches
     ]
-    comp = s.support().complement()
-    if not comp.is_empty():
-        parts.append(as_idempotent(comp))
-    return join(parts)
+    branches.extend(s.off_support().branches)
+    return PartialMap(s.d, branches)
 
 
 def sym_group(s):
@@ -208,7 +219,7 @@ def cover_of(s, subdivision):
         if not part.leq(s.base):
             raise BadSubdivision(f"part {i} is not below the base")
         for j in range(i + 1, len(subdivision)):
-            if not part.meet(subdivision[j]).is_empty():
+            if not part.disjoint(subdivision[j]):
                 raise BadSubdivision(f"parts {i} and {j} overlap")
     if union_all(subdivision, s.d) != s.base:
         raise BadSubdivision("subdivision does not cover the base")
@@ -286,6 +297,12 @@ def _unit_words(units, max_len, d):
     return out
 
 
+def _extension_words(table, word_len, d):
+    """The words extend_degree tries: distinct unit words up to word_len."""
+    units = list(table.mapping.values()) if hasattr(table, "mapping") else list(table)
+    return _unit_words(units, word_len, d) if units else []
+
+
 def extend_degree(
     s, table, word_len=3, split_depth=3, node_budget=certs.DEFAULT_NODE_BUDGET
 ):
@@ -296,10 +313,14 @@ def extend_degree(
     idempotents; pieces are split into child cylinders when no word works at
     their current depth.
     """
-    units = list(table.mapping.values()) if hasattr(table, "mapping") else list(table)
+    words = _extension_words(table, word_len, s.d)
+    return _extend_over_words(s, words, word_len, split_depth, node_budget)
+
+
+def _extend_over_words(s, words, word_len, split_depth, node_budget):
+    """extend_degree's search over a given list of unit words."""
     bounds = {"word_len": word_len, "split_depth": split_depth, "node_budget": node_budget}
     d = s.d
-    words = _unit_words(units, word_len, d) if units else []
     max_depth = max((len(w) for w in s.base.antichain), default=0) + split_depth
 
     queue = [_clopen.Clopen(d, (w,)) for w in s.base.antichain]
@@ -317,7 +338,7 @@ def extend_degree(
             img = _pmap.ran(restrict(w, piece))
             if img.is_empty():
                 continue
-            if all(img.meet(e).is_empty() for e in r.idems):
+            if all(img.disjoint(e) for e in r.idems):
                 found = build(piece, list(r.transporters[1:]) + [restrict(w, piece)])
                 break
         if found is not None:

@@ -168,6 +168,26 @@ def test_boolean_laws_random():
         assert a.leq(b) == a.meet(b.complement()).is_empty()
 
 
+def test_disjoint_matches_empty_meet():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for d in (2, 3):
+        for _ in range(600):
+            a = random_clopen(rng, d, 5)
+            b = random_clopen(rng, d, 5)
+            if rng.random() < 0.3:
+                b = b.meet(a.complement())  # force many disjoint pairs
+            expected = a.meet(b).is_empty()
+            assert a.disjoint(b) == expected
+            assert b.disjoint(a) == expected
+            seen[expected] += 1
+    assert min(seen.values()) > 100
+    assert C("{0}").disjoint(empty(2)) and empty(2).disjoint(full(2))
+    assert not C("{01}").disjoint(full(2))
+    with pytest.raises(AlphabetMismatch):
+        C("{0}", d=2).disjoint(C("{1}", d=3))
+
+
 def test_zero_and_one_flow_through():
     a = C("{01}")
     assert a.union(empty(2)) == a

@@ -43,6 +43,20 @@ def test_factor_disjoint_two_piece_cover():
         assert eq(word_product(cert.witness["word"], cov.pieces, 2), target)
 
 
+def test_word_product_with_repeated_letters():
+    s = five_section()
+    cov = cover_of(s, [clo("{0000}"), clo("{0001}")])
+    rng = random.Random(8)
+    letters = [(k, pi) for k in range(2) for pi in alt_perms(5)[:4]]
+    word = [rng.choice(letters) for _ in range(40)]
+    word += [(k, list(pi)) for k, pi in word[:3]]  # a list perm names the same letter
+    folded = one(2)
+    for k, pi in word:
+        folded = compose(folded, element(cov.pieces[k], pi))
+    assert len(set((k, tuple(pi)) for k, pi in word)) < len(word)
+    assert word_product(word, cov.pieces, 2) == folded
+
+
 def test_factor_trivial_cover():
     s = five_section()
     cov = cover_of(s, [s.base])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cantorfull.clopen import atoms, cylinder
+from cantorfull.clopen import atoms, cylinder, part_of
 from cantorfull.completion import GeneratorTable
 from cantorfull.errors import KitConstructionFailed
 from cantorfull.factor import word_product
@@ -16,10 +16,20 @@ from cantorfull.kit import (
     express,
     verify_separating,
 )
-from cantorfull.msec import alt_perms, build, cycle_perm, element, identity_perm
-from cantorfull.pmap import compose, dom, eq, is_unit, one, ran, restrict
+from cantorfull import kit as kit_module
+from cantorfull import msec as msec_module
+from cantorfull.msec import (
+    alt_perms,
+    build,
+    cycle_perm,
+    element,
+    extend_degree,
+    identity_perm,
+)
+from cantorfull.pmap import Dedup, compose, dom, eq, is_unit, one, ran, restrict, star
 
 from oracles import clo, pm
+from test_msec import random_three_section
 
 
 SIGMA_TABLE = GeneratorTable(2, {"s": pm(2, "0->1", "1->0")})
@@ -36,6 +46,42 @@ def test_derive_transporters_sigma():
     assert len(fam) == 2
     assert any(eq(t, pm(2, "0->1")) for t in fam)
     assert any(eq(t, pm(2, "1->0")) for t in fam)
+
+
+def test_derive_transporters_matches_word_loop():
+    fam = higman_thompson(2)
+    parts = atoms(3, 2)
+    units = list(fam.table.mapping.values())
+    # reference: the breadth-first loop over distinct unit words, inline
+    words = [one(2)]
+    dedup = Dedup()
+    dedup.add(words[0])
+    frontier = list(words)
+    for _ in range(2):
+        nxt = []
+        for m in frontier:
+            for u in units:
+                rep, _, new = dedup.add(compose(m, u))
+                if new:
+                    nxt.append(rep)
+        words.extend(nxt)
+        frontier = nxt
+    out = Dedup()
+    expected = []
+    for w in words:
+        for e in parts:
+            t = restrict(w, e)
+            if t.is_zero():
+                continue
+            pd, pr = part_of(parts, dom(t)), part_of(parts, ran(t))
+            if pd is None or pr is None or pd == pr:
+                continue
+            for candidate in (t, star(t)):
+                rep, _, new = out.add(candidate)
+                if new:
+                    expected.append(rep)
+    got = derive_transporters(fam.table, parts, word_len=2)
+    assert repr(got) == repr(expected)
 
 
 def test_build_T_sigma():
@@ -166,6 +212,97 @@ def test_express_exhausts_gracefully():
     target = element(n, pi)
     cert = express(target, bare, n, pi, node_budget=1)
     assert cert.is_exhausted()
+
+
+def searched_three_cycles(kit, count, seed=4):
+    """3-sections on depth-4 cylinders that no kit section contains, so that
+    express searches rather than looks the answer up."""
+    rng = random.Random(seed)
+    units = list(kit.table.mapping.values())
+    out = []
+    while len(out) < count:
+        n = random_three_section(rng, units, 4)
+        if not any(
+            section.base == n.base and all(e in section.idems for e in n.idems)
+            for section, _ in kit.sections
+        ):
+            out.append(n)
+    return out
+
+
+def test_express_rechecks_every_letter(monkeypatch):
+    fam, kit = desk()
+    n = searched_three_cycles(kit, 1)[0]
+    pi = cycle_perm(3, [0, 1, 2])
+    target = element(n, pi)
+    honest = kit_module._factor_five_cover
+    changed = []
+
+    def tampered(*args):
+        word = honest(*args)
+        # change one occurrence of a repeated letter to another even
+        # permutation of its section: a letter memo keyed on less than the
+        # whole letter would reuse the old unit and pass the wrong word
+        for k in range(len(word) - 1, -1, -1):
+            if word.count(word[k]) > 1:
+                idx, perm = word[k]
+                other = next(p for p in alt_perms(5) if p not in (perm, identity_perm(5)))
+                word[k] = (idx, other)
+                changed.append(k)
+                return word
+        raise AssertionError("witness word repeats no letter")
+
+    assert express(target, kit, n, pi).is_witness()
+    monkeypatch.setattr(kit_module, "_factor_five_cover", tampered)
+    cert = express(target, kit, n, pi)
+    assert changed
+    assert cert.is_exhausted()
+    assert cert.detail == "verification failed"
+
+
+def test_express_on_one_kit_matches_fresh_kits(monkeypatch):
+    fam = higman_thompson(2)
+    pi = cycle_perm(3, [0, 1, 2])
+    built = []
+    honest = kit_module._extension_words
+    monkeypatch.setattr(
+        kit_module, "_extension_words", lambda *a: built.append(a) or honest(*a)
+    )
+    shared = build_kit(fam.table, atoms(3, 2))
+    assert not built  # the word list is not built with the kit
+    for n in searched_three_cycles(shared, 2):
+        target = element(n, pi)
+        again = express(target, shared, n, pi)
+        fresh = express(target, build_kit(fam.table, atoms(3, 2)), n, pi)
+        assert again.is_witness(), again.detail
+        assert again.to_json() == fresh.to_json()
+    # one word list for the shared kit and one for each fresh kit
+    assert len(built) == 3
+
+
+def test_kit_extension_matches_public_extend_degree(monkeypatch):
+    fam, kit = desk()
+    n = searched_three_cycles(kit, 1)[0]
+    pi = cycle_perm(3, [0, 1, 2])
+    calls = []
+    honest = kit_module._extend_over_words
+
+    def spy(s, words, word_len, split_depth, node_budget):
+        cert = honest(s, words, word_len, split_depth, node_budget)
+        calls.append((s, words, node_budget, cert))
+        return cert
+
+    monkeypatch.setattr(kit_module, "_extend_over_words", spy)
+    assert express(element(n, pi), kit, n, pi).is_witness()
+    assert calls
+    monkeypatch.setattr(msec_module, "_extend_over_words", spy)
+    for s, words, node_budget, cert in calls[:]:
+        public = extend_degree(s, fam.table, word_len=3, node_budget=node_budget)
+        assert calls[-1][1] == words  # the same word list, built afresh
+        assert public.to_json() == cert.to_json()
+        assert [sec.transporters for sec in public.witness["sections"]] == [
+            sec.transporters for sec in cert.witness["sections"]
+        ]
 
 
 def test_express_unit_branchwise_three_cycle():

@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 
 from cantorfull.clopen import atoms, cylinder, full, normalize
+from cantorfull.families import higman_thompson, rover_units
+from cantorfull.kit import build_kit
 from cantorfull.errors import (
     BadSubdivision,
     DomainMismatch,
@@ -32,7 +34,18 @@ from cantorfull.msec import (
     sym_group,
     sym_perms,
 )
-from cantorfull.pmap import compose, eq, eval_at, is_unit, one, ran, restrict, star
+from cantorfull.pmap import (
+    as_idempotent,
+    compose,
+    eq,
+    eval_at,
+    is_unit,
+    join,
+    one,
+    ran,
+    restrict,
+    star,
+)
 
 from oracles import clo, pm
 
@@ -117,6 +130,53 @@ def test_element_supported_on_idempotents():
     h = element(s, cycle_perm(3, [0, 1, 2]))
     comp = s.support().complement()
     assert eq(restrict(h, comp), restrict(one(2), comp))
+
+
+def joined_element(s, pi):
+    """element(s, pi) the way join defines it: the parts f_pi(i) f_i* and
+    the identity off the support, glued after pairwise compatibility checks."""
+    parts = [
+        compose(s.transporters[pi[i]], star(s.transporters[i]))
+        for i in range(s.degree)
+    ]
+    comp = s.support().complement()
+    if not comp.is_empty():
+        parts.append(as_idempotent(comp))
+    return join(parts)
+
+
+def random_three_section(rng, units, depth):
+    """A 3-section on a random depth-n cylinder with unit-word transporters."""
+    while True:
+        c = cylinder(tuple(rng.randrange(2) for _ in range(depth)), 2)
+        maps, images = [], [c]
+        for _ in range(2):
+            m = compose(rng.choice(units), rng.choice(units))
+            r = restrict(m, c)
+            if any(not ran(r).disjoint(x) for x in images):
+                break
+            maps.append(r)
+            images.append(ran(r))
+        if len(maps) == 2:
+            return build(c, maps)
+
+
+def test_element_is_join_of_parts():
+    rng = random.Random(11)
+    v2 = list(higman_thompson(2).table.mapping.values())
+    sections = [three_section()] + [random_three_section(rng, v2, 3) for _ in range(4)]
+    kit = build_kit(higman_thompson(2).table, atoms(3, 2))
+    sections += [section for section, _ in kit.sections[:2]]
+    rover = list(rover_units().table.mapping.values())
+    decorated = []
+    while len(decorated) < 4:
+        s = random_three_section(rng, rover, 2)
+        if any(b.tail.factors for f in s.transporters for b in f.branches):
+            decorated.append(s)
+    sections += decorated
+    for s in sections:
+        for pi in sym_perms(s.degree):
+            assert element(s, pi) == joined_element(s, pi)  # structurally
 
 
 def test_sym_alt_groups():
