@@ -307,7 +307,7 @@ def is_partition_of(parts, base):
     if union_all(parts, parts[0].d) != base:
         return False
     return all(
-        parts[i].meet(parts[j]).is_empty()
+        parts[i].disjoint(parts[j])
         for i in range(len(parts))
         for j in range(i + 1, len(parts))
     )

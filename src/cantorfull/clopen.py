@@ -205,7 +205,7 @@ def is_partition(parts):
             raise AlphabetMismatch("mixed alphabets in partition")
         if p.is_empty():
             return False
-        if not p.meet(covered).is_empty():
+        if not p.disjoint(covered):
             return False
         covered = covered.union(p)
     return covered.is_full()

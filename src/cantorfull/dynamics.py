@@ -181,9 +181,9 @@ def separating_translate(ctx, parts, c1, c2, word_len):
     for m, word in _unit_words(ctx, word_len):
         for alpha in parts:
             t = image_clopen(m, alpha)
-            if c1.leq(t) and t.meet(c2).is_empty():
+            if c1.leq(t) and t.disjoint(c2):
                 return {"word": list(word), "part": str(alpha), "translate": str(t)}
-            if c2.leq(t) and t.meet(c1).is_empty():
+            if c2.leq(t) and t.disjoint(c1):
                 return {"word": list(word), "part": str(alpha), "translate": str(t)}
     return None
 
@@ -218,7 +218,7 @@ def minimal_certificate(ctx, depth, word_len):
         reach = _image_closure(ctx, alpha, word_len)
         nodes += 1
         for beta in cells:
-            if reach.meet(beta).is_empty():
+            if reach.disjoint(beta):
                 return certs.refuted(
                     {"pair": [str(alpha), str(beta)]}, bounds, nodes
                 )

@@ -86,7 +86,7 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
 
     nodes = 0
     disjoint = all(
-        pieces[i].base.meet(pieces[j].base).is_empty()
+        pieces[i].base.disjoint(pieces[j].base)
         for i in range(len(pieces))
         for j in range(i + 1, len(pieces))
     )
@@ -101,10 +101,9 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
                 word = [(k, pi)]
                 covered = b
                 continue
-            if b.meet(covered.complement()).is_empty():
+            if b.leq(covered):
                 continue
-            overlap = covered.meet(b)
-            if overlap.is_empty():
+            if covered.disjoint(b):
                 word = word + [(k, pi)]
             else:
                 a1, a2 = _commutator_product_pair(pi)
@@ -371,7 +370,7 @@ def combine_factored(fs_g, g_cols, fs_h, h_cols):
         (i, j)
         for i, a in enumerate(g_sub.idems)
         for j, b in enumerate(h_sub.idems)
-        if not a.meet(b).is_empty()
+        if not a.disjoint(b)
     ]
     (i_sub, j_sub) = overlaps[0]
     return CombinedSection(

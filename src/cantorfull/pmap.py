@@ -9,7 +9,9 @@ this is the unique minimal tree-pair form).  Semantic equality is decided by
 eq(), never by comparing table shapes.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import clopen as _clopen
 from . import tails as _tails
@@ -31,6 +33,13 @@ class Branch:
         return f"[{s}]"
 
 
+_dom_of = attrgetter("dom")
+
+
+def _dom_len(b):
+    return len(b.dom)
+
+
 class PartialMap:
     """An element of PHomeo_c(X); the empty table is 0, [~ -> ~ : 1] is 1."""
 
@@ -44,12 +53,20 @@ class PartialMap:
                 b = Branch(tuple(dom), tuple(ran), tail)
             if b.tail.d != d:
                 raise AlphabetMismatch(f"tail alphabet {b.tail.d} in context {d}")
-            tail = TailElement(d, free_reduce(b.tail.factors))
-            table.append(Branch(b.dom, b.ran, tail))
-        table = _greedy_merge(d, table)
-        table.sort(key=lambda b: (len(b.dom), b.dom))
+            factors = b.tail.factors
+            if factors:
+                reduced = free_reduce(factors)
+                # free reduction only drops factors: equal length means unchanged
+                if len(reduced) != len(factors):
+                    b = Branch(b.dom, b.ran, TailElement(d, reduced))
+            table.append(b)
+        # merging a complete sibling family keeps both sides antichains, so
+        # checking the input is checking the result
+        table.sort(key=_dom_of)
         _check_antichain(d, [b.dom for b in table], "domain")
         _check_antichain(d, [b.ran for b in table], "range")
+        table = _greedy_merge(d, table)
+        table.sort(key=_dom_len)  # stable: lexicographic within each length
         self.d = d
         self.branches = tuple(table)
         self._dom = None
@@ -85,19 +102,20 @@ class PartialMap:
 
 
 def _check_antichain(d, words, which):
-    seen = set()
-    for w in words:
-        for x in w:
-            if not 0 <= x < d:
+    """Raise unless the words use letters below d and no word is a prefix of
+    another.  In lexicographic order a word's extensions follow it directly,
+    so comparing each word with the next one finds every comparable pair."""
+    letters = set().union(*words)
+    if letters and (min(letters) < 0 or max(letters) >= d):
+        for w in words:
+            if any(not 0 <= x < d for x in w):
                 raise CantorError(f"letter out of range in {which} word {w}")
-        seen.add(w)
-    if len(seen) != len(words):
-        raise CantorError(f"duplicate {which} prefixes")
-    ordered = sorted(words, key=len)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1 :]:
-            if is_prefix(u, v):
-                raise CantorError(f"{which} prefixes {u} and {v} are comparable")
+    ordered = sorted(words)
+    for u, v in zip(ordered, ordered[1:]):
+        if v[: len(u)] == u:
+            if u == v:
+                raise CantorError(f"duplicate {which} prefixes")
+            raise CantorError(f"{which} prefixes {u} and {v} are comparable")
 
 
 def _merge_candidates(d, child_tails):
@@ -126,50 +144,50 @@ def _merge_candidates(d, child_tails):
 
 
 def _greedy_merge(d, table):
-    table = list(table)
-    changed = True
-    while changed:
-        changed = False
-        by_dom = {b.dom: b for b in table}
-        parents = {b.dom[:-1] for b in table if b.dom}
-        for u in sorted(parents, key=len, reverse=True):
-            family = []
-            for x in range(d):
-                b = by_dom.get(u + (x,))
-                if b is None:
-                    break
-                family.append(b)
-            if len(family) != d:
-                continue
-            # range prefixes must form a complete sibling family v.rho(x)
-            if any(not b.ran for b in family):
-                continue
-            v = family[0].ran[:-1]
-            if any(b.ran[:-1] != v for b in family):
-                continue
-            rho = tuple(b.ran[-1] for b in family)
-            if sorted(rho) != list(range(d)):
-                continue
-            merged = None
-            for cand in _merge_candidates(d, [b.tail for b in family]):
-                if cand.root_perm() != rho:
-                    continue
-                ok = True
-                for x in range(d):
-                    section = cand.apply_letter(x)[1]
-                    if reduction_key(section) != reduction_key(family[x].tail):
-                        ok = False
-                        break
-                if ok:
-                    merged = Branch(u, v, cand)
-                    break
-            if merged is not None:
-                for b in family:
-                    table.remove(b)
-                table.append(merged)
-                changed = True
+    """Merge complete sibling families into their parents, deepest first.
+
+    The table must be sorted by domain and its domains an antichain.  One
+    sweep in lexicographic order keeps the table sorted: a family is
+    contiguous, it is complete when its last child arrives, and by then every
+    child is final, so each parent is tried once and a merge at u can only
+    make u's own family mergeable in turn.
+    """
+    kept = []
+    for b in table:
+        kept.append(b)
+        u = b.dom
+        while u and u[-1] == d - 1 and len(kept) >= d:
+            u = u[:-1]
+            family = kept[-d:]
+            if any(family[x].dom != u + (x,) for x in range(d - 1)):
                 break
-    return table
+            merged = _merge_family(d, u, family)
+            if merged is None:
+                break
+            kept[-d:] = [merged]
+    return kept
+
+
+def _merge_family(d, u, family):
+    """The branch at u that expands verbatim to the family, or None."""
+    # range prefixes must form a complete sibling family v.rho(x)
+    if any(not b.ran for b in family):
+        return None
+    v = family[0].ran[:-1]
+    if any(b.ran[:-1] != v for b in family):
+        return None
+    rho = tuple(b.ran[-1] for b in family)
+    if sorted(rho) != list(range(d)):
+        return None
+    for cand in _merge_candidates(d, [b.tail for b in family]):
+        if cand.root_perm() != rho:
+            continue
+        if all(
+            reduction_key(cand.apply_letter(x)[1]) == reduction_key(family[x].tail)
+            for x in range(d)
+        ):
+            return Branch(u, v, cand)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +225,30 @@ def _check_context(f, g):
 def compose(f, g):
     """The partial homeomorphism x -> f(g(x)) on g^{-1}(dom f & ran g)."""
     _check_context(f, g)
+    # f's domains in lexicographic order: an antichain, so at most the one
+    # just before ran's insertion point is a prefix of ran, and otherwise the
+    # domains properly extending ran follow it as one run
+    fbs = sorted(f.branches, key=_dom_of)
+    doms = [b.dom for b in fbs]
+    n = len(doms)
     out = []
     for gb in g.branches:
-        for fb in f.branches:
-            if is_prefix(fb.dom, gb.ran):
-                # g lands inside this f branch
-                v1 = gb.ran[len(fb.dom) :]
-                img, s_res = _tails.apply_prefix(fb.tail, v1)
-                out.append(Branch(gb.dom, fb.ran + img, _tails.compose(s_res, gb.tail)))
-            elif is_prefix(gb.ran, fb.dom) and fb.dom != gb.ran:
-                # only the part of the g branch mapping into [fb.dom] survives
-                p1 = fb.dom[len(gb.ran) :]
-                w0, _ = _tails.apply_prefix(_tails.invert(gb.tail), p1)
-                t_res = _tails.apply_prefix(gb.tail, w0)[1]
-                out.append(Branch(gb.dom + w0, fb.ran, _tails.compose(fb.tail, t_res)))
+        r = gb.ran
+        i = bisect_right(doms, r)
+        if i and doms[i - 1] == r[: len(doms[i - 1])]:
+            # g lands inside this f branch
+            fb = fbs[i - 1]
+            img, s_res = _tails.apply_prefix(fb.tail, r[len(fb.dom) :])
+            out.append(Branch(gb.dom, fb.ran + img, _tails.compose(s_res, gb.tail)))
+            continue
+        k = len(r)
+        while i < n and doms[i][:k] == r:
+            # only the part of the g branch mapping into [fb.dom] survives
+            fb = fbs[i]
+            w0, _ = _tails.apply_prefix(_tails.invert(gb.tail), fb.dom[k:])
+            t_res = _tails.apply_prefix(gb.tail, w0)[1]
+            out.append(Branch(gb.dom + w0, fb.ran, _tails.compose(fb.tail, t_res)))
+            i += 1
     return PartialMap(f.d, out)
 
 

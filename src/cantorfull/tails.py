@@ -200,6 +200,13 @@ def apply_prefix(t, w):
 
     For every suffix z, t(w.z) = image . residual(z).
     """
+    if not t.factors:
+        # the identity fixes w, and each of its sections is the identity
+        w = tuple(w)
+        for x in w:
+            if not 0 <= x < t.d:
+                raise LetterOutOfRange(f"letter {x}")
+        return w, t
     image = []
     for x in w:
         y, t = t.apply_letter(x)

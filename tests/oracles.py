@@ -16,6 +16,11 @@ SHALLOW = "shallow"
 
 def tail_walk(t, w):
     """Image of the word w under the tail t, letter by letter."""
+    return tail_section(t, w)[0]
+
+
+def tail_section(t, w):
+    """Image of w under t, and the factor word t acts by after w."""
     factors = list(t.factors)
     out = []
     for x in w:
@@ -29,7 +34,7 @@ def tail_walk(t, w):
                 factors[i] = (machine, machine.transition[s][y], -1)
             x = y
         out.append(x)
-    return tuple(out)
+    return tuple(out), tuple(factors)
 
 
 def oracle_image(f, w):
@@ -54,6 +59,29 @@ def oracle_compose_image(f, g, w):
     if mid is None or mid == SHALLOW:
         return mid
     return oracle_image(f, mid)
+
+
+def pair_scan_compose(f, g):
+    """x -> f(g(x)) by testing every pair of branches.
+
+    A reference for pmap.compose: each output branch is built the same way,
+    with tails walked by tail_section instead of the library's tail calls.
+    """
+    out = []
+    for gb in g.branches:
+        for fb in f.branches:
+            if gb.ran[: len(fb.dom)] == fb.dom:
+                img, res = tail_section(fb.tail, gb.ran[len(fb.dom) :])
+                tail = TailElement(f.d, res + gb.tail.factors)
+                out.append(Branch(gb.dom, fb.ran + img, tail))
+            elif fb.dom[: len(gb.ran)] == gb.ran:
+                inverse = TailElement(
+                    g.d, [(m, s, -e) for m, s, e in reversed(gb.tail.factors)]
+                )
+                w0 = tail_walk(inverse, fb.dom[len(gb.ran) :])
+                res = tail_section(gb.tail, w0)[1]
+                out.append(Branch(gb.dom + w0, fb.ran, TailElement(f.d, fb.tail.factors + res)))
+    return PartialMap(f.d, out)
 
 
 def pm(d, *specs):

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from cantorfull import pmap, tails
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
-from cantorfull.errors import AlphabetMismatch, IncompatiblePair
+from cantorfull.errors import AlphabetMismatch, CantorError, IncompatiblePair
 from cantorfull.families import higman_thompson, rover_units
 from cantorfull.pmap import (
     Branch,
@@ -31,7 +36,17 @@ from cantorfull.pmap import (
 )
 from cantorfull.tails import grigorchuk, state, word
 
-from oracles import ADD2, GRI, clo, oracle_compose_image, oracle_image, pm, random_pmap
+from oracles import (
+    ADD2,
+    GRI,
+    clo,
+    oracle_compose_image,
+    oracle_image,
+    pair_scan_compose,
+    pm,
+    random_pmap,
+    random_tail,
+)
 
 SWAP = pm(2, "0->1", "1->0")
 
@@ -263,6 +278,126 @@ def test_no_merge_for_genuinely_split_map():
     assert len(f.branches) == 3
 
 
+def test_merge_cascades_identity_to_one():
+    t = tails.trivial(2)
+    f = PartialMap(2, [Branch(w, w, t) for w in product(range(2), repeat=3)])
+    assert f.branches == one(2).branches
+    assert pm(2, "0->0", "10->10", "110->110", "111->111").branches == one(2).branches
+
+
+def test_merge_cascades_odometer_to_root():
+    a = state(ADD2, "a")
+    expanded = []
+    for w in product(range(2), repeat=2):
+        img, section = tails.apply_prefix(a, w)
+        expanded.append(Branch(w, img, section))
+    f = PartialMap(2, expanded)
+    assert f.branches == (Branch((), (), a),)
+
+
+def test_merge_only_where_a_complete_family_exists():
+    t = tails.trivial(2)
+    f = pm(2, "00->00", "01->01", "10->110", "110->10", "111->111")
+    assert f.branches == (
+        Branch((0,), (0,), t),
+        Branch((1, 0), (1, 1, 0), t),
+        Branch((1, 1, 0), (1, 0), t),
+        Branch((1, 1, 1), (1, 1, 1), t),
+    )
+    # complete domain families that stay split: ranges that are not
+    # siblings, and swapped sibling ranges, which no trivial tail produces
+    assert len(pm(2, "00->00", "01->10").branches) == 2
+    assert len(pm(2, "00->01", "01->00").branches) == 2
+
+
+# -- constructor checks ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        # 00 and one of the 01 branches form a mergeable family
+        ("00->00", "01->01", "01->10"),
+        ("00->00", "01->10", "01->01"),
+        ("1->1", "00->00", "01->01", "01->01"),
+        ("00->00", "01->01", "10->10", "10->11"),
+    ],
+)
+def test_constructor_rejects_duplicate_domains(specs):
+    with pytest.raises(CantorError):
+        pm(2, *specs)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        # 0 and 001 are comparable, with 11 between them in (length, word) order
+        ("0->00", "11->01", "001->1"),
+        ("00->0", "01->11", "1->001"),
+        # 01 and 0111, with 000 and 001 between them
+        ("1->11", "000->10", "001->00", "01->010", "0111->011"),
+        ("11->1", "10->000", "00->001", "010->01", "011->0111"),
+        ("0->00", "00->01"),
+        ("00->0", "01->00"),
+    ],
+)
+def test_constructor_rejects_comparable_words(specs):
+    with pytest.raises(CantorError, match="comparable|duplicate"):
+        pm(2, *specs)
+
+
+@pytest.mark.parametrize(
+    "dom, ran",
+    [((2,), (0,)), ((0, -1), (0,)), ((0,), (2,)), ((0,), (0, -1))],
+)
+def test_constructor_rejects_letters_out_of_range(dom, ran):
+    t = tails.trivial(2)
+    with pytest.raises(CantorError, match="out of range"):
+        PartialMap(2, [Branch(dom, ran, t), Branch((1,), (1,), t)])
+
+
+def test_constructor_checks_survive_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from cantorfull.errors import AlphabetMismatch, CantorError
+        from cantorfull.pmap import Branch, PartialMap
+        from cantorfull.tails import trivial
+
+        t = trivial(2)
+        bad = [
+            [((0,), (0, 0)), ((1, 1), (0, 1)), ((0, 0, 1), (1,))],
+            [((0, 0), (0,)), ((0, 1), (1, 1)), ((1,), (0, 0, 1))],
+            [((0, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 1), (1, 0))],
+            [((2,), (0,))],
+            [((0,), (2,))],
+        ]
+        for table in bad:
+            try:
+                PartialMap(2, [Branch(u, v, t) for u, v in table])
+            except AlphabetMismatch:
+                sys.exit(f"wrong error for {table}")
+            except CantorError:
+                continue
+            sys.exit(f"accepted {table}")
+        try:
+            PartialMap(2, [Branch((), (), trivial(3))])
+        except AlphabetMismatch:
+            pass
+        else:
+            sys.exit("accepted a tail over 3 letters")
+        print("checked, optimize", sys.flags.optimize)
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "checked, optimize 1"
+
+
 # -- inverse monoid laws on random samples -------------------------------------
 
 
@@ -351,13 +486,39 @@ def test_leq_implies_compatible_and_join_laws():
         assert eq(join([x, x]), x)
 
 
+def fitted_pmap(rng, g, kinds):
+    """A map whose domains sit on g's ranges: some equal a range of g, some
+    are several extensions of one range, and some ranges get nothing."""
+    d = g.d
+    doms = []
+    for b in g.branches:
+        kind = rng.randrange(3)
+        if kind == 0:
+            doms.append(b.ran)
+        elif kind == 1:
+            ext = list(product(range(d), repeat=rng.choice((1, 2))))
+            doms += [b.ran + w for w in rng.sample(ext, rng.randrange(2, min(len(ext), 3) + 1))]
+    rans = rng.sample(list(product(range(d), repeat=5 if d == 2 else 3)), len(doms))
+    return PartialMap(d, [Branch(u, v, random_tail(rng, d, kinds)) for u, v in zip(doms, rans)])
+
+
 def test_operation_outputs_agree_with_eval_oracle():
     rng = random.Random(105)
-    for _ in range(40):
-        d = 2
-        f = random_pmap(rng, d, maxdepth=2, maxsize=3)
-        g = random_pmap(rng, d, maxdepth=2, maxsize=3)
+    kinds = ("trivial", "adding", "grigorchuk")
+    equal_ranges = several_extensions = 0
+    for i in range(200):
+        d = (2, 3)[i % 2]
+        g = random_pmap(rng, d, maxdepth=5, maxsize=8, kinds=kinds)
+        if i % 3 == 0:
+            f = fitted_pmap(rng, g, kinds)
+        else:
+            f = random_pmap(rng, d, maxdepth=5, maxsize=8, kinds=kinds)
+        doms = [b.dom for b in f.branches]
+        for gb in g.branches:
+            equal_ranges += gb.ran in doms
+            several_extensions += sum(len(u) > len(gb.ran) and u[: len(gb.ran)] == gb.ran for u in doms) > 1
         h = compose(f, g)
+        assert h == pair_scan_compose(f, g)
         for w in product(range(d), repeat=6):
             assert oracle_image(h, w) == oracle_compose_image(f, g, w)
         s = star(f)
@@ -365,6 +526,7 @@ def test_operation_outputs_agree_with_eval_oracle():
             img = oracle_image(f, w)
             if img not in (None, "shallow"):
                 assert oracle_image(s, img) == w
+    assert equal_ranges >= 30 and several_extensions >= 30
 
 
 def test_image_clopen():
