@@ -9,6 +9,7 @@ usage errors.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import certs, dynamics, factor, kit, msec, pmap
 from .clopen import atoms, is_partition, word_from_text
@@ -225,12 +226,7 @@ def cmd_bi(session, args):
     h = session.element(args.element)
     cert = piecewise_member(h, session.table, args.len, args.depth, node_budget=args.budget)
     if cert.is_witness():
-        cert = certs.Certificate(
-            cert.status,
-            witness=expr_to_text(cert.witness),
-            bounds=cert.bounds,
-            nodes_explored=cert.nodes_explored,
-        )
+        cert = replace(cert, witness=expr_to_text(cert.witness))
     return emit_cert(args, "bi member", cert)
 
 
@@ -265,15 +261,10 @@ def cmd_msec(session, args):
         cert = msec.extend_degree(s, session.table, word_len=args.len, node_budget=args.budget)
         extra = ""
         if cert.is_witness():
-            cert = certs.Certificate(
-                cert.status,
-                witness={
-                    "pieces": [str(c) for c in cert.witness["subdivision"]],
-                    "degrees": [sec.degree for sec in cert.witness["sections"]],
-                },
-                bounds=cert.bounds,
-                nodes_explored=cert.nodes_explored,
-            )
+            cert = replace(cert, witness={
+                "pieces": [str(c) for c in cert.witness["subdivision"]],
+                "degrees": [sec.degree for sec in cert.witness["sections"]],
+            })
             extra = f"{len(cert.witness['pieces'])} pieces"
         return emit_cert(args, "msec extend", cert, extra)
     if args.action == "factor":
@@ -288,15 +279,10 @@ def cmd_msec(session, args):
         target = msec.element(s, pi)
         cert = factor.factor_over_cover(target, pi, cov, node_budget=args.budget)
         if cert.is_witness():
-            cert = certs.Certificate(
-                cert.status,
-                witness={
-                    "word": [[k, list(p)] for k, p in cert.witness["word"]],
-                    "pieces": cert.witness["pieces"],
-                },
-                bounds=cert.bounds,
-                nodes_explored=cert.nodes_explored,
-            )
+            cert = replace(cert, witness={
+                "word": [[k, list(p)] for k, p in cert.witness["word"]],
+                "pieces": cert.witness["pieces"],
+            })
         return emit_cert(args, "msec factor", cert)
     raise CantorError(f"unknown msec action {args.action!r}")
 
@@ -341,12 +327,7 @@ def cmd_genkit(session, args):
         target = msec.element(witness_msec, pi)
         cert = kit.express(target, built, witness_msec, pi, node_budget=args.budget)
         if cert.is_witness():
-            cert = certs.Certificate(
-                cert.status,
-                witness={"word": [[k, list(p)] for k, p in cert.witness["word"]]},
-                bounds=cert.bounds,
-                nodes_explored=cert.nodes_explored,
-            )
+            cert = replace(cert, witness={"word": [[k, list(p)] for k, p in cert.witness["word"]]})
         return emit_cert(args, "genkit express", cert)
     raise CantorError(f"unknown genkit action {args.action!r}")
 
@@ -388,17 +369,12 @@ def cmd_dyn(session, args):
         cert = dynamics.split_unit(g, ctx, word_len=args.len)
         if cert.is_witness():
             w = cert.witness
-            cert = certs.Certificate(
-                cert.status,
-                witness={
-                    "g1": element_to_text(w["g1"]),
-                    "g2": element_to_text(w["g2"]),
-                    "fixed1": str(w["fixed1"]),
-                    "fixed2": str(w["fixed2"]),
-                },
-                bounds=cert.bounds,
-                nodes_explored=cert.nodes_explored,
-            )
+            cert = replace(cert, witness={
+                "g1": element_to_text(w["g1"]),
+                "g2": element_to_text(w["g2"]),
+                "fixed1": str(w["fixed1"]),
+                "fixed2": str(w["fixed2"]),
+            })
         return emit_cert(args, "dyn split", cert)
     if args.action == "rigid":
         g = session.element(args.element)
@@ -417,7 +393,6 @@ def _common(sub, budget=True):
     sub.add_argument("-d", "--alphabet", type=int, default=2, help="alphabet size")
     sub.add_argument("--gens", help="generator family (name[:params]) or file")
     sub.add_argument("--machines", help="file of Mealy machine definitions")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized utilities")
     if budget:
         sub.add_argument("--budget", type=int, default=certs.DEFAULT_NODE_BUDGET)
 

@@ -137,23 +137,9 @@ def _letters(table):
 
 def _words_up_to(table, word_len):
     """Distinct-by-eq generator words of length <= word_len with expressions."""
-    dedup = Dedup()
-    frontier = [(one(table.d), Product(()))]
-    dedup.add(frontier[0][0], frontier[0][1])
-    words = [frontier[0]]
     letters = _letters(table)
-    for _ in range(word_len):
-        nxt = []
-        for m, expr in frontier:
-            for lm, lexpr in letters:
-                prod = _pmap.compose(m, lm)
-                children = (expr.children if isinstance(expr, Product) else (expr,)) + (lexpr,)
-                rep, pexpr, new = dedup.add(prod, Product(children))
-                if new:
-                    nxt.append((rep, pexpr))
-        words.extend(nxt)
-        frontier = nxt
-    return words
+    ball = _pmap.word_ball([m for m, _ in letters], word_len, table.d)
+    return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in ball]
 
 
 def depth_clopens(d, depth):

@@ -5,6 +5,11 @@ overlapping pieces only ever obstruct the middle of a diagonal, and the
 obstruction is killed by commutators, which vanish on the parts two factor
 groups do not share.  All constructions are solved in an exact abstract model
 of the moved clopen pieces and the emitted word is re-verified by eq.
+
+A factored section is a KitSection or a CombinedSection.  Both carry their
+multisection as .msec and answer word_for(pi) with a tuple of
+(section_index, permutation) kit letters whose product is
+element(self.msec, pi), for every even pi.
 """
 
 from functools import lru_cache
@@ -19,6 +24,7 @@ from .msec import (
     is_even,
     perm_compose,
     perm_inverse,
+    pivot_three_cycles,
     sub_section,
 )
 from .pmap import compose, eq, one
@@ -128,21 +134,11 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
 # factored sections: alternating elements with words over a kit
 
 
-class FactoredSection:
-    """A 5-section together with words over kit generators for Alt elements."""
-
-    def __init__(self, msec):
-        self.msec = msec
-
-    def word_for(self, pi):
-        raise NotImplementedError
-
-
-class KitSection(FactoredSection):
+class KitSection:
     """A section whose Alt elements are kit generators themselves."""
 
     def __init__(self, msec, kit_index):
-        super().__init__(msec)
+        self.msec = msec
         self.kit_index = kit_index
 
     def word_for(self, pi):
@@ -202,7 +198,7 @@ class _Symbols:
         return identity_perm(len(self.symbols))
 
 
-class CombinedSection(FactoredSection):
+class CombinedSection:
     """combine() of two factored sections; Alt words via cross 3-cycles.
 
     A 3-cycle of combined columns through the base with one column from each
@@ -211,7 +207,7 @@ class CombinedSection(FactoredSection):
     """
 
     def __init__(self, msec, g, g_cols, i1, h, h_cols, i2):
-        super().__init__(msec)
+        self.msec = msec
         self.g, self.h = g, h
         self.g_cols, self.h_cols = tuple(g_cols), tuple(h_cols)
         self.i1, self.i2 = i1, i2
@@ -283,37 +279,9 @@ class CombinedSection(FactoredSection):
     def _letters_for(self, pi):
         if pi in self._sub_words:
             return self._sub_words[pi]
-        # pi as transpositions (cycle by cycle), each rewritten through
-        # column 0 via (a b) = (0 a)(0 b)(0 a), then consecutive pairs give
-        # 3-cycles through the base via (0 x)(0 y) = (0 y x)
-        transpositions = []
-        seen = [False] * len(pi)
-        for start in range(len(pi)):
-            if seen[start] or pi[start] == start:
-                seen[start] = True
-                continue
-            cycle = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j)
-                j = pi[j]
-            for other in reversed(cycle[1:]):
-                transpositions.append((cycle[0], other))
-        through_zero = []
-        for a, b in transpositions:
-            if a == 0:
-                through_zero.append(b)
-            elif b == 0:
-                through_zero.append(a)
-            else:
-                through_zero.extend((a, b, a))
-        if len(through_zero) % 2:
-            raise NotInAlt(f"{pi} is odd")
+        # pi as 3-cycles through column 0, the base
         letters = []
-        for x, y in zip(through_zero[0::2], through_zero[1::2]):
-            if x == y:
-                continue
+        for y, x in pivot_three_cycles(pi, 0):
             letters.extend(self._cycle_word(y, x))
         if self._evaluate(letters) != self._target_model(pi):
             raise CantorError("cycle decomposition failed the abstract check")

@@ -17,16 +17,16 @@ from .factor import KitSection, combine_factored, word_product
 from .msec import (
     _extend_over_words,
     _extension_words,
-    _unit_words,
     alt_perms,
     build,
     element,
     embed_subperm,
     identity_perm,
     is_even,
+    pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, compose, dom, eq, fingerprint, is_unit, ran, restrict, star
+from .pmap import Dedup, compose, dom, eq, fingerprint, is_unit, ran, restrict, star, word_ball
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -36,17 +36,13 @@ def derive_transporters(table, parts, word_len=2):
     The result is symmetric (closed under star) and deduped by eq, in
     deterministic word-then-part order.
     """
-    words = _unit_words(list(table.mapping.values()), word_len, table.d)
+    ball = word_ball(list(table.mapping.values()), word_len, table.d)
     out = Dedup()
     result = []
-    for w in words:
+    for w, _ in ball:
         for e in parts:
             t = restrict(w, e)
-            if t.is_zero():
-                continue
-            pd = part_of(parts, dom(t))
-            pr = part_of(parts, ran(t))
-            if pd is None or pr is None or pd == pr:
+            if t.is_zero() or not _separated(parts, t):
                 continue
             for candidate in (t, star(t)):
                 rep, _, new = out.add(candidate)
@@ -57,6 +53,12 @@ def derive_transporters(table, parts, word_len=2):
 
 def _part_pair(parts, m):
     return part_of(parts, dom(m)), part_of(parts, ran(m))
+
+
+def _separated(parts, m):
+    """Domain and range inside single, different parts."""
+    pd, pr = _part_pair(parts, m)
+    return pd is not None and pr is not None and pd != pr
 
 
 def verify_separating(family, parts, n_orbit, depth=None):
@@ -165,34 +167,11 @@ def verify_separating(family, parts, n_orbit, depth=None):
 def build_T(family, parts, max_products=3):
     """Products of at most max_products family elements whose domain and range
     lie inside single, distinct parts; deduped by eq."""
-    if max_products < 1:
+    if not family:
         return []
-    dedup = Dedup()
-    result = []
-    frontier = list(family)
-    for m in family:
-        rep, _, new = dedup.add(m)
-        if new:
-            result.append(rep)
-    current = list(family)
-    for _ in range(max_products - 1):
-        nxt = []
-        for m in current:
-            for a in family:
-                p = compose(m, a)
-                if p.is_zero():
-                    continue
-                rep, _, new = dedup.add(p)
-                if new:
-                    nxt.append(rep)
-        result.extend(nxt)
-        current = nxt
-    out = []
-    for m in result:
-        pd, pr = _part_pair(parts, m)
-        if pd is not None and pr is not None and pd != pr:
-            out.append(m)
-    return out
+    # a zero product enters the ball once and is dropped: it lies in no part
+    ball = word_ball(family, max_products, family[0].d)[1:]
+    return [m for m, _ in ball if _separated(parts, m)]
 
 
 class GeneratingKit:
@@ -482,7 +461,7 @@ def _combine_with_spares(fs_a, need_a, fs_b, need_b, min_side=3):
 
 
 def _factored_for_word(kit, word, budget):
-    """FactoredSection containing the word's product as a column transporter.
+    """Factored section containing the word's product as a column transporter.
 
     Returns (section, col_from, col_to): the product, restricted to the
     section's pullback, is transporter_between(col_from, col_to).  Words of
@@ -577,8 +556,7 @@ def _find_base_word(kit, c, budget, max_len=3):
                 if not c.leq(dom(step)):
                     continue
                 new_word = (idx,) + word
-                pd, pr = _part_pair(kit.parts, step)
-                if pd is not None and pr is not None and pd != pr and dom(step) == c:
+                if _separated(kit.parts, step) and dom(step) == c:
                     return list(new_word)
                 fp = fingerprint(step)
                 if fp not in seen:
@@ -828,39 +806,11 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
         return certs.witness({"word": []}, bounds, 0)
     base_idx = moved[0]
 
-    # perm as a product of 3-cycles through the first moved cylinder
-    transpositions = []
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = perm[j]
-        for other in reversed(cycle[1:]):
-            transpositions.append((cycle[0], other))
-    through = []
-    for a, b in transpositions:
-        if a == base_idx:
-            through.append(b)
-        elif b == base_idx:
-            through.append(a)
-        else:
-            through.extend((a, b, a))
-    if len(through) % 2:
-        return certs.exhausted(bounds, 0, detail="odd cylinder permutation")
-
     word = []
     nodes = 0
     base = family[base_idx]
-    for x, y in zip(through[0::2], through[1::2]):
-        if x == y:
-            continue
-        # the pair is the 3-cycle (base y x)
+    # perm as a product of 3-cycles (base y x) through the first moved cylinder
+    for y, x in pivot_three_cycles(perm, base_idx):
         u, v = family[y], family[x]
         section = build(
             _clopen_of(kit.d, base),

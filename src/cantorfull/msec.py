@@ -20,6 +20,7 @@ from .errors import (
     DomainMismatch,
     EmptyIntersection,
     EmptyRestriction,
+    NotInAlt,
     OverlappingIdempotents,
     SupportsOverlapElsewhere,
 )
@@ -73,6 +74,38 @@ def cycle_perm(n, cycle):
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
         out[i] = j
     return tuple(out)
+
+
+def pivot_three_cycles(perm, pivot):
+    """perm as 3-cycles (pivot y x), listed as (y, x) in composition order.
+
+    Each cycle is split into transpositions, each transposition is rewritten
+    through the pivot by (a b) = (p a)(p b)(p a), and consecutive pairs of
+    pivot transpositions give (p x)(p y) = (p y x).
+    """
+    through = []
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cycle = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = perm[j]
+        a = cycle[0]
+        for b in reversed(cycle[1:]):
+            if a == pivot:
+                through.append(b)
+            elif b == pivot:
+                through.append(a)
+            else:
+                through.extend((a, b, a))
+    if len(through) % 2:
+        raise NotInAlt(f"{perm} is odd")
+    return [(y, x) for x, y in zip(through[0::2], through[1::2]) if x != y]
 
 
 def perm_order(p):
@@ -276,31 +309,10 @@ def sub_section(s, indices):
     return Multisection(s.base, [s.transporters[i] for i in indices])
 
 
-def _unit_words(units, max_len, d):
-    """Distinct-by-eq products of the given units up to the length bound."""
-    from .pmap import Dedup, one
-
-    dedup = Dedup()
-    start = one(d)
-    dedup.add(start)
-    out = [start]
-    frontier = [start]
-    for _ in range(max_len):
-        nxt = []
-        for m in frontier:
-            for u in units:
-                rep, _, new = dedup.add(compose(m, u))
-                if new:
-                    nxt.append(rep)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def _extension_words(table, word_len, d):
     """The words extend_degree tries: distinct unit words up to word_len."""
     units = list(table.mapping.values()) if hasattr(table, "mapping") else list(table)
-    return _unit_words(units, word_len, d) if units else []
+    return [m for m, _ in _pmap.word_ball(units, word_len, d)] if units else []
 
 
 def extend_degree(

@@ -469,3 +469,25 @@ class Dedup:
     def __contains__(self, m):
         key = fingerprint(m)
         return any(eq(other, m) for other, _ in self._buckets.get(key, ()))
+
+
+def word_ball(letters, max_len, d):
+    """Products of the letters up to max_len, deduped by Dedup, in BFS order.
+
+    Returns (map, word) pairs, the identity (word ()) first; word is a tuple
+    of letter indices, and each level extends the last on the right.
+    """
+    dedup = Dedup()
+    frontier = [(one(d), ())]
+    dedup.add(frontier[0][0])
+    ball = list(frontier)
+    for _ in range(max_len):
+        nxt = []
+        for m, word in frontier:
+            for i, a in enumerate(letters):
+                p = compose(m, a)
+                if dedup.add(p)[2]:
+                    nxt.append((p, word + (i,)))
+        ball.extend(nxt)
+        frontier = nxt
+    return ball

@@ -9,9 +9,8 @@ is a finite search.
 
 from itertools import product
 
+from .certs import DEFAULT_NODE_BUDGET
 from .errors import AlphabetMismatch, BudgetExceeded, CantorError, LetterOutOfRange
-
-DEFAULT_NODE_BUDGET = 100_000
 
 
 class MealyMachine:

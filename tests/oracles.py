@@ -2,13 +2,15 @@
 
 These re-derive the intended semantics directly from machine tables and
 branch prefixes, without calling the library's apply/compose/eval paths, so
-they can arbitrate the library's outputs.
+they can arbitrate the library's outputs.  The two search references,
+right_extending_words and nonzero_products, are the exception: they compose
+with the library and pin the order and the duplicates of its word searches.
 """
 
 import random
 
-from cantorfull.clopen import normalize, word_from_text
-from cantorfull.pmap import Branch, PartialMap
+from cantorfull.clopen import normalize, part_of, word_from_text
+from cantorfull.pmap import Branch, PartialMap, compose, dom, eq, fingerprint, one, ran
 from cantorfull.tails import TailElement, adding_machine, grigorchuk, state, trivial
 
 SHALLOW = "shallow"
@@ -82,6 +84,55 @@ def pair_scan_compose(f, g):
                 res = tail_section(gb.tail, w0)[1]
                 out.append(Branch(gb.dom + w0, fb.ran, TailElement(f.d, fb.tail.factors + res)))
     return PartialMap(f.d, out)
+
+
+def _first_eq(seen, m):
+    """The first member of seen with m's fingerprint that eq says equals m,
+    by a linear scan: the duplicates Dedup finds, without its buckets."""
+    key = fingerprint(m)
+    return next((x for x in seen if fingerprint(x) == key and eq(x, m)), None)
+
+
+def right_extending_words(letters, max_len, d):
+    """Letter products up to max_len, breadth first, without duplicates.
+
+    A reference for pmap.word_ball: each level extends the last one on the
+    right, and duplicates are found by scanning everything kept so far.
+    """
+    ball = [(one(d), ())]
+    frontier = ball
+    for _ in range(max_len):
+        nxt = []
+        for m, word in frontier:
+            for i, a in enumerate(letters):
+                p = compose(m, a)
+                if _first_eq([x for x, _ in ball + nxt], p) is None:
+                    nxt.append((p, word + (i,)))
+        ball = ball + nxt
+        frontier = nxt
+    return ball
+
+
+def nonzero_products(family, parts, max_products):
+    """A reference for kit.build_T: family products of length 1..max_products,
+    zero products skipped, duplicates found by a linear scan, then kept when
+    their domain and range lie inside single, distinct parts."""
+    kept = []
+    level = list(family)
+    for n in range(max_products):
+        nxt = []
+        for m in level:
+            for p in [m] if n == 0 else [compose(m, a) for a in family]:
+                if not p.is_zero() and _first_eq(kept + nxt, p) is None:
+                    nxt.append(p)
+        kept += nxt
+        level = nxt
+    out = []
+    for m in kept:
+        pd, pr = part_of(parts, dom(m)), part_of(parts, ran(m))
+        if pd is not None and pr is not None and pd != pr:
+            out.append(m)
+    return out
 
 
 def pm(d, *specs):

@@ -207,6 +207,7 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 3
     assert main(["eq", "[0->"]) == 3
     assert main(["eq", "[0->1,1->0]"]) == 3
+    assert main(["eq", "[0->1,1->0]", "[1->0,0->1]", "--seed", "1"]) == 3
 
 
 def test_generator_file(tmp_path, capsys):

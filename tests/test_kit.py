@@ -28,7 +28,7 @@ from cantorfull.msec import (
 )
 from cantorfull.pmap import Dedup, compose, dom, eq, is_unit, one, ran, restrict, star
 
-from oracles import clo, pm
+from oracles import clo, nonzero_products, pm, right_extending_words
 from test_msec import random_three_section
 
 
@@ -52,20 +52,7 @@ def test_derive_transporters_matches_word_loop():
     fam = higman_thompson(2)
     parts = atoms(3, 2)
     units = list(fam.table.mapping.values())
-    # reference: the breadth-first loop over distinct unit words, inline
-    words = [one(2)]
-    dedup = Dedup()
-    dedup.add(words[0])
-    frontier = list(words)
-    for _ in range(2):
-        nxt = []
-        for m in frontier:
-            for u in units:
-                rep, _, new = dedup.add(compose(m, u))
-                if new:
-                    nxt.append(rep)
-        words.extend(nxt)
-        frontier = nxt
+    words = [m for m, _ in right_extending_words(units, 2, 2)]
     out = Dedup()
     expected = []
     for w in words:
@@ -93,6 +80,15 @@ def test_build_T_sigma():
 
     for t in T:
         assert part_of(PARTS1, dom(t)) != part_of(PARTS1, ran(t))
+
+
+def test_build_T_with_zero_products():
+    parts = atoms(3, 2)
+    fam = derive_transporters(higman_thompson(2).table, parts, word_len=2)[:8]
+    assert any(compose(a, b).is_zero() for a in fam for b in fam)
+    T = build_T(fam, parts, max_products=3)
+    assert [m.branches for m in T] == [m.branches for m in nonzero_products(fam, parts, 3)]
+    assert not any(m.is_zero() for m in T)
 
 
 def test_build_T_empty_family():

@@ -11,6 +11,7 @@ from cantorfull.errors import (
     DomainMismatch,
     EmptyIntersection,
     EmptyRestriction,
+    NotInAlt,
     SupportsOverlapElsewhere,
 )
 from cantorfull.msec import (
@@ -29,6 +30,7 @@ from cantorfull.msec import (
     perm_compose,
     perm_inverse,
     perm_order,
+    pivot_three_cycles,
     restrict_msec,
     sub_section,
     sym_group,
@@ -66,6 +68,22 @@ def test_perm_helpers():
     assert len(sym_perms(3)) == 6
     assert len(alt_perms(3)) == 3
     assert embed_subperm((1, 0), (0, 2), 4) == (2, 1, 0, 3)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_pivot_three_cycles(n):
+    for perm in alt_perms(n):
+        for pivot in range(n):
+            acc = identity_perm(n)
+            for y, x in pivot_three_cycles(perm, pivot):
+                assert len({pivot, y, x}) == 3
+                acc = perm_compose(acc, cycle_perm(n, [pivot, y, x]))
+            assert acc == perm
+    for perm in sym_perms(n):
+        if not is_even(perm):
+            for pivot in range(n):
+                with pytest.raises(NotInAlt):
+                    pivot_three_cycles(perm, pivot)
 
 
 def test_build_examples():

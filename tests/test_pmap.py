@@ -11,7 +11,8 @@ import pytest
 from cantorfull import pmap, tails
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.errors import AlphabetMismatch, CantorError, IncompatiblePair
-from cantorfull.families import higman_thompson, rover_units
+from cantorfull.completion import _letters
+from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
 from cantorfull.pmap import (
     Branch,
     Dedup,
@@ -32,6 +33,7 @@ from cantorfull.pmap import (
     ran,
     restrict,
     star,
+    word_ball,
     zero,
 )
 from cantorfull.tails import grigorchuk, state, word
@@ -46,6 +48,7 @@ from oracles import (
     pm,
     random_pmap,
     random_tail,
+    right_extending_words,
 )
 
 SWAP = pm(2, "0->1", "1->0")
@@ -601,3 +604,41 @@ def test_corestrict():
     assert eq(lhs, compose(as_idempotent(e), f))
     assert ran(lhs).leq(e)
     assert eq(lhs, restrict(f, dom(corestrict(e, f))))
+
+
+# -- word_ball ------------------------------------------------------------------
+
+WORD_BALLS = [
+    ("V2 units", list(higman_thompson(2).table.mapping.values()), 2),
+    ("Grigorchuk letters", [m for m, _ in _letters(grigorchuk_units().table)], 3),
+    ("rover units", list(rover_units().table.mapping.values()), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "letters, max_len", [c[1:] for c in WORD_BALLS], ids=[c[0] for c in WORD_BALLS]
+)
+def test_word_ball_matches_reference(letters, max_len):
+    ball = word_ball(letters, max_len, 2)
+    reference = right_extending_words(letters, max_len, 2)
+    assert [(m.branches, w) for m, w in ball] == [(m.branches, w) for m, w in reference]
+    assert ball[0] == (one(2), ())
+    for m, w in ball:
+        acc = one(2)
+        for i in w:
+            acc = compose(acc, letters[i])
+        assert eq(acc, m)
+    # Dedup merges eq-equal maps that share a fingerprint; the fingerprint is
+    # exact for trivial tails only, so only there must no two maps be eq
+    exact = all(not b.tail.factors for m in letters for b in m.branches)
+    for i, (m, _) in enumerate(ball):
+        for x, _ in ball[:i]:
+            if exact or pmap.fingerprint(x) == pmap.fingerprint(m):
+                assert not eq(x, m)
+
+
+def test_word_ball_edges():
+    assert word_ball([], 3, 2) == [(one(2), ())]
+    assert word_ball([SWAP], 0, 2) == [(one(2), ())]
+    # the swap is an involution: its square is the identity, already kept
+    assert word_ball([SWAP], 4, 2) == [(one(2), ()), (SWAP, (0,))]
