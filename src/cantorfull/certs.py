@@ -14,6 +14,29 @@ EXHAUSTED = "exhausted_at_bound"
 DEFAULT_NODE_BUDGET = 100_000
 
 
+class GiveUp(Exception):
+    """A bounded search stops without an answer; the message is the
+    certificate's detail."""
+
+
+class Budget:
+    """The nodes one bounded search has examined, against its limit.
+
+    A search that runs inside another spends from its caller's budget, so
+    nodes_explored counts every candidate examined once, and the first node
+    over the limit stops the whole search with the detail "node budget".
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.nodes = 0
+
+    def tick(self, n=1):
+        self.nodes += n
+        if self.nodes > self.limit:
+            raise GiveUp("node budget")
+
+
 @dataclass
 class Certificate:
     status: str

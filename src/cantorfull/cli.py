@@ -270,12 +270,7 @@ def cmd_msec(session, args):
     if args.action == "factor":
         s = session.msec(args.msec)
         pi = session.perm(args.perm, s.degree)
-        parts = [session.clopen(t) for t in args.parts]
-        cov = (
-            cover_of(s, parts)
-            if is_partition_of(parts, s.base)
-            else msec.overlapping_cover(s, parts)
-        )
+        cov = msec.overlapping_cover(s, [session.clopen(t) for t in args.parts])
         target = msec.element(s, pi)
         cert = factor.factor_over_cover(target, pi, cov, node_budget=args.budget)
         if cert.is_witness():
@@ -285,18 +280,6 @@ def cmd_msec(session, args):
             })
         return emit_cert(args, "msec factor", cert)
     raise CantorError(f"unknown msec action {args.action!r}")
-
-
-def is_partition_of(parts, base):
-    from .clopen import union_all
-
-    if union_all(parts, parts[0].d) != base:
-        return False
-    return all(
-        parts[i].disjoint(parts[j])
-        for i in range(len(parts))
-        for j in range(i + 1, len(parts))
-    )
 
 
 def cmd_genkit(session, args):
@@ -388,13 +371,11 @@ def cmd_dyn(session, args):
 # -- argument wiring ---------------------------------------------------------------
 
 
-def _common(sub, budget=True):
+def _common(sub):
     sub.add_argument("--json", action="store_true", help="emit the JSON certificate schema")
     sub.add_argument("-d", "--alphabet", type=int, default=2, help="alphabet size")
     sub.add_argument("--gens", help="generator family (name[:params]) or file")
     sub.add_argument("--machines", help="file of Mealy machine definitions")
-    if budget:
-        sub.add_argument("--budget", type=int, default=certs.DEFAULT_NODE_BUDGET)
 
 
 def build_arg_parser():
@@ -456,6 +437,11 @@ def build_arg_parser():
     p.add_argument("--element", help="unit for split/rigid")
     p.set_defaults(fn=cmd_dyn)
 
+    for name in ("bi", "msec", "genkit", "dyn"):
+        subs.choices[name].add_argument(
+            "--budget", type=int, default=certs.DEFAULT_NODE_BUDGET,
+            help="node budget of bi member, msec extend, msec factor, genkit express and dyn orbit",
+        )
     return top
 
 

@@ -196,28 +196,24 @@ def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_B
         raise NotAUnit("piecewise membership is defined for units")
     bounds = {"word_len": word_len, "depth": depth, "node_budget": node_budget}
     words = _words_up_to(table, word_len)
-    nodes = 0
-    for n in range(depth + 1):
-        parts = [c for c in atoms(n, table.d)]
-        exprs = []
-        ok = True
-        for alpha in parts:
-            target = restrict(h, alpha)
-            found = None
-            for m, expr in words:
-                nodes += 1
-                if nodes > node_budget:
-                    return certs.exhausted(bounds, nodes, detail="node budget")
-                if eq(restrict(m, alpha), target):
-                    found = Restrict(expr, alpha)
+    budget = certs.Budget(node_budget)
+    try:
+        for n in range(depth + 1):
+            exprs = []
+            for alpha in atoms(n, table.d):
+                target = restrict(h, alpha)
+                for m, expr in words:
+                    budget.tick()
+                    if eq(restrict(m, alpha), target):
+                        exprs.append(Restrict(expr, alpha))
+                        break
+                else:  # no word agrees with h on alpha: try the next depth
                     break
-            if found is None:
-                ok = False
-                break
-            exprs.append(found)
-        if ok:
-            expr = Join(tuple(exprs))
-            if not eq(evaluate(expr, table), h):
-                raise CantorError("piecewise expression does not re-evaluate to h")
-            return certs.witness(expr, bounds, nodes)
-    return certs.exhausted(bounds, nodes)
+            else:
+                expr = Join(tuple(exprs))
+                if not eq(evaluate(expr, table), h):
+                    raise CantorError("piecewise expression does not re-evaluate to h")
+                return certs.witness(expr, bounds, budget.nodes)
+    except certs.GiveUp as stop:
+        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
+    return certs.exhausted(bounds, budget.nodes)

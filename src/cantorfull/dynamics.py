@@ -28,13 +28,13 @@ from .pmap import (
 
 
 class DynContext:
-    """A table of units, optionally closed under star.
+    """A table of units, closed under star.
 
     The context keeps one ball of distinct unit words, grown a level at a
     time as the searches ask for longer words; see _unit_word_levels.
     """
 
-    def __init__(self, table, symmetric=True):
+    def __init__(self, table):
         self.table = table
         self.d = table.d
         units = []
@@ -44,12 +44,11 @@ class DynContext:
                 raise CantorError(f"generator {name} is not a unit")
             units.append(m)
             names.append(name)
-        if symmetric:
-            for name, m in table.items():
-                inv = star(m)
-                if not any(eq(inv, u) for u in units):
-                    units.append(inv)
-                    names.append(f"{name}^-1")
+        for name, m in table.items():
+            inv = star(m)
+            if not any(eq(inv, u) for u in units):
+                units.append(inv)
+                names.append(f"{name}^-1")
         self.units = tuple(units)
         self.names = tuple(names)
         self._levels = []
@@ -318,14 +317,15 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
         raise CantorError("k must be positive")
     bounds = {"k": k, "word_len": word_len, "node_budget": node_budget}
     base = cylinder(tuple(u), ctx.d)
-    nodes = 0
+    budget = certs.Budget(node_budget)
     candidates = []
     seen = set()
     for level in _unit_word_levels(ctx, word_len):
         for m, word in level:
-            nodes += 1
-            if nodes > node_budget:
-                return certs.exhausted(bounds, nodes, detail="node budget")
+            try:
+                budget.tick()
+            except certs.GiveUp as stop:
+                return certs.exhausted(bounds, budget.nodes, detail=str(stop))
             img = image_clopen(m, base)
             if img.antichain not in seen:
                 seen.add(img.antichain)
@@ -352,9 +352,9 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
                     "images": [str(c) for c, _ in chosen],
                 },
                 bounds,
-                nodes,
+                budget.nodes,
             )
-    return certs.exhausted(bounds, nodes)
+    return certs.exhausted(bounds, budget.nodes)
 
 
 # -- constructive splitting ---------------------------------------------------------

@@ -90,44 +90,46 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
     if pi == identity_perm(parent.degree):
         return certs.witness({"word": [], "pieces": len(pieces)}, bounds, 0)
 
-    nodes = 0
     disjoint = all(
         pieces[i].base.disjoint(pieces[j].base)
         for i in range(len(pieces))
         for j in range(i + 1, len(pieces))
     )
-    if disjoint:
-        word = [(k, pi) for k in range(len(pieces))]
-    else:
-        word = []
-        covered = None
-        for k, piece in enumerate(pieces):
-            b = piece.base
-            if covered is None:
-                word = [(k, pi)]
-                covered = b
-                continue
-            if b.leq(covered):
-                continue
-            if covered.disjoint(b):
-                word = word + [(k, pi)]
-            else:
-                a1, a2 = _commutator_product_pair(pi)
-                correction = []
-                for a in (a1, a2):
-                    correction += (
-                        [(k, a)] + word + [(k, perm_inverse(a))] + inverse_word(word)
-                    )
-                word = word + [(k, pi)] + correction
-            covered = covered.union(b)
-
-    nodes = len(word)
-    if nodes > node_budget:
-        return certs.exhausted(bounds, nodes, detail="witness word over budget")
+    # the word grows fivefold with each overlapping piece, so its letters are
+    # counted against the budget before they are built
+    budget = certs.Budget(node_budget)
+    try:
+        if disjoint:
+            budget.tick(len(pieces))
+            word = [(k, pi) for k in range(len(pieces))]
+        else:
+            budget.tick()
+            word = [(0, pi)]
+            covered = pieces[0].base
+            for k, piece in enumerate(pieces[1:], 1):
+                b = piece.base
+                if b.leq(covered):
+                    continue
+                if covered.disjoint(b):
+                    budget.tick()
+                    word = word + [(k, pi)]
+                else:
+                    # (k, pi) and two commutators of 2 + 2 len(word) letters
+                    budget.tick(5 + 4 * len(word))
+                    a1, a2 = _commutator_product_pair(pi)
+                    correction = []
+                    for a in (a1, a2):
+                        correction += (
+                            [(k, a)] + word + [(k, perm_inverse(a))] + inverse_word(word)
+                        )
+                    word = word + [(k, pi)] + correction
+                covered = covered.union(b)
+    except certs.GiveUp as stop:
+        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
     got = word_product(word, pieces, parent.d)
     if not eq(got, target):
-        return certs.exhausted(bounds, nodes, detail="construction failed verification")
-    return certs.witness({"word": word, "pieces": len(pieces)}, bounds, nodes)
+        return certs.exhausted(bounds, budget.nodes, detail="construction failed verification")
+    return certs.witness({"word": word, "pieces": len(pieces)}, bounds, budget.nodes)
 
 
 # ---------------------------------------------------------------------------

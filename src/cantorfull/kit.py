@@ -11,6 +11,7 @@ witness re-evaluates to its target by eq.
 
 from . import certs
 from . import pmap as _pmap
+from .certs import GiveUp
 from .clopen import atoms, is_partition, part_of
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
@@ -61,17 +62,16 @@ def _separated(parts, m):
     return pd is not None and pr is not None and pd != pr
 
 
-def verify_separating(family, parts, n_orbit, depth=None):
+def verify_separating(family, parts, n_orbit):
     """Check the four separation conditions for a transporter family.
 
-    depth bounds the sampled orbit depth and word lengths (default: the depth
-    of the partition).  Returns a per-condition report with witnesses.
+    The depth of the partition bounds the sampled orbit depth and word
+    lengths.  Returns a per-condition report with witnesses.
     """
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
     d = parts[0].d
-    if depth is None:
-        depth = max(len(w) for p in parts for w in p.antichain)
+    depth = max(len(w) for p in parts for w in p.antichain)
     report = {"n_orbit": n_orbit, "depth": depth}
 
     # (2) every element has domain and range inside single, different parts
@@ -294,34 +294,18 @@ class GeneratingKit:
         return out
 
 
-def build_kit(table, parts, family=None, n_orbit=5, eager_products=1, word_len=2):
-    """Derive (if needed) and verify a separating family, then build the kit."""
-    if family is None:
-        family = derive_transporters(table, parts, word_len=word_len)
-    report = verify_separating(family, parts, n_orbit)
+def build_kit(table, parts, word_len=2):
+    """Derive and verify a separating family, then build the kit."""
+    family = derive_transporters(table, parts, word_len=word_len)
+    report = verify_separating(family, parts, n_orbit=5)
     if not (report["condition2"]["ok"] and report["condition3"]["ok"]):
         first = (report["condition2"]["failures"] or report["condition3"]["failures"])[0]
         raise KitConstructionFailed(first, None)
-    return GeneratingKit(table, parts, family, eager_products=eager_products)
+    return GeneratingKit(table, parts, family)
 
 
 # ---------------------------------------------------------------------------
 # expressing alternating units over the kit
-
-
-class _Exhausted(Exception):
-    pass
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self, n=1):
-        self.nodes += n
-        if self.nodes > self.limit:
-            raise _Exhausted("node budget exhausted")
 
 
 def _wordify_cylinder(kit, m, budget, max_len):
@@ -473,10 +457,10 @@ def _factored_for_word(kit, word, budget):
     budget.tick()
     m = kit.word_element(word)
     if m.is_zero():
-        raise _Exhausted("zero product while factoring a word")
+        raise GiveUp("zero product while factoring a word")
     pd, pr = _part_pair(kit.parts, m)
     if pd is None or pr is None:
-        raise _Exhausted("word product does not respect the partition")
+        raise GiveUp("word product does not respect the partition")
 
     if pd == pr:
         # detour: m = (m a*) a with a leaving the shared part
@@ -495,7 +479,7 @@ def _factored_for_word(kit, word, budget):
             c_from = combined.combined_col("h", a_from)
             c_to = combined.combined_col("g", s_to)
             return _checked_piece(kit, m, combined, c_from, c_to)
-        raise _Exhausted(f"no detour transporter out of part {pd}")
+        raise GiveUp(f"no detour transporter out of part {pd}")
 
     if len(word) <= 3:
         return kit.section_for_word(word)
@@ -520,14 +504,14 @@ def _factored_for_word(kit, word, budget):
         c_from = combined.combined_col("g", t_from)
         c_to = combined.combined_col("h", h_to)
         return _checked_piece(kit, m, combined, c_from, c_to)
-    raise _Exhausted(f"no splice transporter out of part {p_star}")
+    raise GiveUp(f"no splice transporter out of part {p_star}")
 
 
 def _checked_piece(kit, m, fs, c_from, c_to):
     """Verify the factored section carries the word's product where claimed."""
     piece = fs.msec.transporter_between(c_from, c_to)
     if not eq(piece, restrict(m, fs.msec.idems[c_from])):
-        raise _Exhausted("glued section does not carry the word product")
+        raise GiveUp("glued section does not carry the word product")
     return fs, c_from, c_to
 
 
@@ -574,9 +558,9 @@ def _shrink_to_base(kit, fs, col_from, col_to, c, shrinker, budget):
     sfs, _, _ = shrinker
     combined, _, _ = _combine_with_spares(fs, {col_from, col_to}, sfs, {0})
     if combined is None:
-        raise _Exhausted("could not shrink a transporter section to the target base")
+        raise GiveUp("could not shrink a transporter section to the target base")
     if combined.msec.base != c:
-        raise _Exhausted("shrink combine did not land on the target base")
+        raise GiveUp("shrink combine did not land on the target base")
     return combined, combined.combined_col("g", col_to)
 
 
@@ -597,32 +581,42 @@ def express(
     ExhaustedAtBound.
     """
     bounds = {"word_len": word_len, "node_budget": node_budget}
-    budget = _Budget(node_budget)
     if not is_even(perm):
         raise NotInAlt(f"{perm} is odd")
     if not eq(target, element(msec_witness, perm)):
         raise NotInAlt("target does not match the witnessing multisection element")
-    if perm == identity_perm(msec_witness.degree):
-        return certs.witness({"word": []}, bounds, 0)
-    direct = _direct_word(kit, target, msec_witness, perm)
-    if direct is not None:
-        return certs.witness({"word": direct}, bounds, len(kit.sections))
+    budget = certs.Budget(node_budget)
     try:
-        pieces = _extend_to_five(kit, msec_witness, budget)
-        word = []
-        for sec5, _piece in pieces:
-            rho = embed_subperm(perm, tuple(range(msec_witness.degree)), 5)
-            word.extend(_factor_five_cover(kit, sec5, rho, budget, word_len))
-    except _Exhausted as stop:
+        word = _express_word(target, kit, msec_witness, perm, budget, word_len)
+    except GiveUp as stop:
         return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    sections = [section for section, _ in kit.sections]
-    if not eq(word_product(word, sections, kit.d), target):
-        return certs.exhausted(bounds, budget.nodes, detail="verification failed")
     return certs.witness({"word": word}, bounds, budget.nodes)
 
 
+def _express_word(target, kit, msec_witness, perm, budget, word_len):
+    """express's word for target = element(msec_witness, perm), re-verified."""
+    if perm == identity_perm(msec_witness.degree):
+        return []
+    direct = _direct_word(kit, target, msec_witness, perm)
+    if direct is not None:
+        return direct
+    rho = embed_subperm(perm, tuple(range(msec_witness.degree)), 5)
+    word = []
+    for sec5 in _extend_to_five(kit, msec_witness, budget):
+        word.extend(_factor_five_cover(kit, sec5, rho, budget, word_len))
+    _verify_word(kit, word, target)
+    return word
+
+
+def _verify_word(kit, word, target):
+    sections = [section for section, _ in kit.sections]
+    if not eq(word_product(word, sections, kit.d), target):
+        raise GiveUp("verification failed")
+
+
 def _direct_word(kit, target, msec_witness, perm):
-    """Length-one word when the witness columns embed into a kit section."""
+    """Length-one word when the witness columns embed into a kit section;
+    a lookup, so it spends no nodes."""
     for idx, (section, _) in enumerate(kit.sections):
         if section.base != msec_witness.base:
             continue
@@ -643,14 +637,15 @@ def _extend_to_five(kit, msec_witness, budget):
     while pending:
         s = pending.pop(0)
         if s.degree >= 5:
-            out.append((s, s.base))
+            out.append(s)
             continue
-        remaining = max(0, budget.limit - budget.nodes)
-        cert = _extend_over_words(s, kit._degree_extension_words(), 3, 3, remaining)
-        budget.tick(cert.nodes_explored)
-        if not cert.is_witness():
-            raise _Exhausted("degree extension failed: " + (cert.detail or "no witness"))
-        pending.extend(cert.witness["sections"])
+        try:
+            sections, _ = _extend_over_words(s, kit._degree_extension_words(), 3, budget)
+        except GiveUp as stop:
+            if budget.nodes > budget.limit:
+                raise
+            raise GiveUp(f"degree extension failed: {stop}") from None
+        pending.extend(sections)
     return out
 
 
@@ -664,8 +659,9 @@ def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
     """
     try:
         return _factor_five(kit, section, rho, budget, word_len)
-    except _Exhausted:
-        if split_left <= 0:
+    except GiveUp:
+        # a run-out ends the search; only a dead end is worth a subdivision
+        if split_left <= 0 or budget.nodes > budget.limit:
             raise
     out = []
     for w in section.base.antichain:
@@ -687,10 +683,10 @@ def _factor_five(kit, section, rho, budget, word_len):
         m_k = section.transporters[k]
         word = _wordify(kit, m_k, budget, word_len)
         if word is None:
-            raise _Exhausted(f"transporter {k} is not a short family word")
+            raise GiveUp(f"transporter {k} is not a short family word")
         fs, col_from, col_to = _factored_for_word(kit, word, budget)
         if not c.leq(fs.msec.idems[col_from]):
-            raise _Exhausted("factored section does not cover the target base")
+            raise GiveUp("factored section does not cover the target base")
         factored.append((fs, col_from, col_to))
 
     need_shrink = any(
@@ -701,7 +697,7 @@ def _factor_five(kit, section, rho, budget, word_len):
     if need_shrink:
         base_word = _find_base_word(kit, c, budget)
         if base_word is None:
-            raise _Exhausted("no kit section based exactly at the target base")
+            raise GiveUp("no kit section based exactly at the target base")
         shrinker = kit.section_for_word(base_word)
 
     shrunk = []
@@ -720,7 +716,7 @@ def _factor_five(kit, section, rho, budget, word_len):
             fs_a, set([0] + tos_a), fs_b, set([0] + tos_b)
         )
         if combined is None:
-            raise _Exhausted("could not glue transporter sections at the base")
+            raise GiveUp("could not glue transporter sections at the base")
         tos = [combined.combined_col("g", t) for t in tos_a]
         tos += [combined.combined_col("h", t) for t in tos_b]
         return combined, tos
@@ -806,31 +802,27 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
         return certs.witness({"word": []}, bounds, 0)
     base_idx = moved[0]
 
-    word = []
-    nodes = 0
     base = family[base_idx]
-    # perm as a product of 3-cycles (base y x) through the first moved cylinder
-    for y, x in pivot_three_cycles(perm, base_idx):
-        u, v = family[y], family[x]
-        section = build(
-            _clopen_of(kit.d, base),
-            [
-                prefix_exchange(kit.d, [(base, u)]),
-                prefix_exchange(kit.d, [(base, v)]),
-            ],
-        )
-        pi = (1, 2, 0)
-        piece = element(section, pi)
-        cert = express(piece, kit, section, pi, word_len=word_len,
-                       node_budget=max(1, node_budget - nodes))
-        nodes += cert.nodes_explored
-        if not cert.is_witness():
-            return certs.exhausted(bounds, nodes, detail=cert.detail or "piece failed")
-        word = word + cert.witness["word"]
-    sections = [section for section, _ in kit.sections]
-    if not eq(word_product(word, sections, kit.d), target):
-        return certs.exhausted(bounds, nodes, detail="verification failed")
-    return certs.witness({"word": word}, bounds, nodes)
+    budget = certs.Budget(node_budget)
+    word = []
+    try:
+        # perm as a product of 3-cycles (base y x) through the first moved cylinder
+        for y, x in pivot_three_cycles(perm, base_idx):
+            u, v = family[y], family[x]
+            section = build(
+                _clopen_of(kit.d, base),
+                [
+                    prefix_exchange(kit.d, [(base, u)]),
+                    prefix_exchange(kit.d, [(base, v)]),
+                ],
+            )
+            pi = (1, 2, 0)
+            piece = element(section, pi)
+            word += _express_word(piece, kit, section, pi, budget, word_len)
+        _verify_word(kit, word, target)
+    except GiveUp as stop:
+        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
+    return certs.witness({"word": word}, bounds, budget.nodes)
 
 
 def _clopen_of(d, word):

@@ -214,14 +214,9 @@ class Cover:
 
     __slots__ = ("parent", "pieces")
 
-    def __init__(self, parent, pieces, verify=True):
-        self.parent = parent
+    def __init__(self, parent, pieces):
+        s = self.parent = parent
         self.pieces = tuple(pieces)
-        if verify:
-            self._verify()
-
-    def _verify(self):
-        s = self.parent
         for k, piece in enumerate(self.pieces):
             if piece.degree != s.degree:
                 raise BadSubdivision(f"piece {k} has degree {piece.degree}")
@@ -325,28 +320,33 @@ def extend_degree(
     idempotents; pieces are split into child cylinders when no word works at
     their current depth.
     """
-    words = _extension_words(table, word_len, s.d)
-    return _extend_over_words(s, words, word_len, split_depth, node_budget)
-
-
-def _extend_over_words(s, words, word_len, split_depth, node_budget):
-    """extend_degree's search over a given list of unit words."""
     bounds = {"word_len": word_len, "split_depth": split_depth, "node_budget": node_budget}
+    words = _extension_words(table, word_len, s.d)
+    budget = certs.Budget(node_budget)
+    try:
+        sections, subdivision = _extend_over_words(s, words, split_depth, budget)
+    except certs.GiveUp as stop:
+        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
+    return certs.witness(
+        {"sections": sections, "subdivision": subdivision}, bounds, budget.nodes
+    )
+
+
+def _extend_over_words(s, words, split_depth, budget):
+    """extend_degree's search over a given list of unit words, spending from
+    budget: the extended sections and the subdivision they sit on."""
     d = s.d
     max_depth = max((len(w) for w in s.base.antichain), default=0) + split_depth
 
     queue = [_clopen.Clopen(d, (w,)) for w in s.base.antichain]
     sections = []
     subdivision = []
-    nodes = 0
     while queue:
         piece = queue.pop(0)
         r = restrict_msec(s, piece)
         found = None
         for w in words:
-            nodes += 1
-            if nodes > node_budget:
-                return certs.exhausted(bounds, nodes, detail="node budget")
+            budget.tick()
             img = _pmap.ran(restrict(w, piece))
             if img.is_empty():
                 continue
@@ -359,14 +359,10 @@ def _extend_over_words(s, words, word_len, split_depth, node_budget):
             continue
         word0 = piece.antichain[0]
         if len(word0) >= max_depth:
-            return certs.exhausted(
-                bounds, nodes, detail=f"no extension found on {piece} at max depth"
-            )
+            raise certs.GiveUp(f"no extension found on {piece} at max depth")
         for x in range(d):
             queue.append(_clopen.Clopen(d, (word0 + (x,),)))
-    return certs.witness(
-        {"sections": sections, "subdivision": subdivision}, bounds, nodes
-    )
+    return sections, subdivision
 
 
 def embed_subperm(pi, indices, degree):

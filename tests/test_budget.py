@@ -1,0 +1,156 @@
+"""Every bounded search spends one node budget the same way: a Witness never
+reports more nodes than its budget, and a run-out stops at the first node
+over it with the detail "node budget"."""
+
+import json
+import random
+
+import pytest
+
+from cantorfull import factor as factor_module
+from cantorfull.certs import DEFAULT_NODE_BUDGET
+from cantorfull.cli import main
+from cantorfull.clopen import atoms, normalize
+from cantorfull.completion import piecewise_member
+from cantorfull.dynamics import DynContext, orbit_lower_bound
+from cantorfull.factor import factor_over_cover
+from cantorfull.families import higman_thompson
+from cantorfull.kit import build_kit, express, express_unit
+from cantorfull.msec import build, cycle_perm, element, extend_degree, overlapping_cover
+from cantorfull.pmap import compose, restrict
+
+from oracles import clo, pm
+from test_msec import random_three_section
+
+FAM = higman_thompson(2)
+PI3 = cycle_perm(3, [0, 1, 2])
+README_KIT_ARGS = ("--gens", "higman_thompson:2", "--partition", "atoms:3")
+README_MSEC = "msec({0000}; s00_01@{0000}, s00_10@{0000})"
+
+
+@pytest.fixture(scope="module")
+def kit():
+    return build_kit(FAM.table, atoms(3, 2))
+
+
+def searched_three_cycle():
+    """A 3-section on a depth-4 cylinder that no kit section contains."""
+    return random_three_section(random.Random(2), list(FAM.table.mapping.values()), 4)
+
+
+def contained_three_cycle():
+    """The README's 3-section, which a kit section contains."""
+    c = clo("{0000}")
+    return build(c, [restrict(FAM.table["s00_01"], c), restrict(FAM.table["s00_10"], c)])
+
+
+def five_section():
+    return build(clo("{000}"), [pm(2, f"000->{w}") for w in ("001", "010", "011", "100")])
+
+
+def budgeted_searches(kit, node_budget):
+    """(name, certificate) for each search that takes node_budget."""
+    searched, contained = searched_three_cycle(), contained_three_cycle()
+    s5 = five_section()
+    pi5 = (1, 2, 0, 3, 4)
+    overlapping = overlapping_cover(s5, [clo("{0000, 00010}"), clo("{0001}")])
+    three_cycle = pm(
+        2, "000->011", "011->110", "110->000", "001->001", "010->010", "10->10", "111->111"
+    )
+    table = FAM.table
+    return [
+        ("express searched", express(element(searched, PI3), kit, searched, PI3,
+                                     node_budget=node_budget)),
+        ("express contained", express(element(contained, PI3), kit, contained, PI3,
+                                      node_budget=node_budget)),
+        ("express_unit", express_unit(three_cycle, kit, node_budget=node_budget)),
+        ("extend_degree", extend_degree(
+            build(clo("{00}"), [pm(2, "00->01"), pm(2, "00->10")]), table,
+            node_budget=node_budget)),
+        ("piecewise_member", piecewise_member(
+            compose(table["s00_01"], table["s00_10"]), table, 2, 2, node_budget=node_budget)),
+        ("orbit_lower_bound", orbit_lower_bound(
+            DynContext(table), (0,), 5, 4, node_budget=node_budget)),
+        ("factor_over_cover", factor_over_cover(
+            element(s5, pi5), pi5, overlapping, node_budget=node_budget)),
+    ]
+
+
+@pytest.mark.parametrize("node_budget", [1, 3, 50, 400, DEFAULT_NODE_BUDGET])
+def test_budget_contract(kit, node_budget):
+    statuses = {}
+    for name, cert in budgeted_searches(kit, node_budget):
+        assert cert.bounds["node_budget"] == node_budget, name
+        if cert.is_witness():
+            assert cert.nodes_explored <= node_budget, name
+        else:
+            assert cert.is_exhausted(), name
+            assert cert.detail == "node budget", (name, cert.detail)
+            if name == "factor_over_cover":
+                # letters are counted a whole step of the word at a time
+                assert cert.nodes_explored > node_budget, name
+            else:
+                assert cert.nodes_explored == node_budget + 1, name
+        statuses[name] = cert.status
+    # both sides of the contract are exercised: at budget 1 only the
+    # kit-section lookup answers, at the default every search does
+    witnesses = [name for name, status in statuses.items() if status == "witness"]
+    if node_budget == 1:
+        assert witnesses == ["express contained"]
+    if node_budget == DEFAULT_NODE_BUDGET:
+        assert witnesses == list(statuses)
+
+
+def test_kit_section_lookup_spends_no_nodes(capsys):
+    code = main(["genkit", "express", *README_KIT_ARGS, "--msec", README_MSEC,
+                 "--perm", "1,2,0", "--budget", "3", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["status"] == "witness"
+    assert payload["nodes_explored"] == 0
+
+
+def test_run_out_is_not_retried_on_a_subdivision(kit):
+    n = searched_three_cycle()
+    cert = express(element(n, PI3), kit, n, PI3, node_budget=50)
+    assert cert.is_exhausted()
+    assert cert.detail == "node budget"
+    assert cert.nodes_explored == 51
+
+
+def test_cover_word_is_counted_before_it_is_built(monkeypatch):
+    s5 = five_section()
+    under = [(0, 0, 0) + tuple(int(x) for x in f"{i:03b}") for i in range(8)]
+    pieces = [normalize([under[0]], 2)]
+    pieces += [normalize([under[i], under[i + 1]], 2) for i in range(7)]
+    cover = overlapping_cover(s5, pieces)
+    pi = (1, 2, 0, 3, 4)
+    built = []
+    honest = factor_module.inverse_word
+    monkeypatch.setattr(
+        factor_module, "inverse_word", lambda word: built.append(len(word)) or honest(word)
+    )
+    cert = factor_over_cover(element(s5, pi), pi, cover, node_budget=1000)
+    assert cert.is_exhausted()
+    assert cert.detail == "node budget"
+    # the word grows 1, 10, 55, 280 and would reach 175,780 letters; the
+    # step to 1405 is counted and not built
+    assert cert.nodes_explored == 1405
+    assert max(built) == 55
+
+
+def test_express_unit_pieces_share_one_budget():
+    # a double transposition of cylinders: two 3-cycle pieces, each searched
+    h = pm(
+        2, "000->011", "011->000", "110->101", "101->110",
+        "001->001", "010->010", "100->100", "111->111",
+    )
+    # fresh kits, so that the second search finds no section the first built
+    full = express_unit(h, build_kit(FAM.table, atoms(3, 2)))
+    assert full.is_witness()
+    short = express_unit(
+        h, build_kit(FAM.table, atoms(3, 2)), node_budget=full.nodes_explored - 1
+    )
+    assert short.is_exhausted()
+    assert short.detail == "node budget"
+    assert short.nodes_explored == full.nodes_explored

@@ -210,6 +210,21 @@ def test_usage_errors(capsys):
     assert main(["eq", "[0->1,1->0]", "[1->0,0->1]", "--seed", "1"]) == 3
 
 
+def test_budget_only_on_budgeted_commands(capsys):
+    assert main(["eq", "[0->1,1->0]", "[1->0,0->1]", "--budget", "5"]) == 3
+    argv = ["bi", "member", "cyc", "--gens", "higman_thompson:2", "--len", "1", "--depth", "1"]
+    assert main(argv + ["--budget", "1"]) == 2
+
+
+def test_msec_factor_usage_errors(capsys):
+    argv = ["msec", "factor", "msec({000}; [000->001], [000->010], [000->011], [000->100])",
+            "--perm", "1,2,0,3,4"]
+    assert main(argv + ["--parts", "{0000}", "{}", "{0001}"]) == 3
+    assert "restriction to the empty set" in capsys.readouterr().err
+    assert main(argv + ["--parts", "{0000}"]) == 3
+    assert main(argv) == 3
+
+
 def test_generator_file(tmp_path, capsys):
     gens = tmp_path / "gens.txt"
     gens.write_text("sw = [0->1, 1->0]\nid2 = 1\n")

@@ -283,21 +283,24 @@ def test_kit_extension_matches_public_extend_degree(monkeypatch):
     calls = []
     honest = kit_module._extend_over_words
 
-    def spy(s, words, word_len, split_depth, node_budget):
-        cert = honest(s, words, word_len, split_depth, node_budget)
-        calls.append((s, words, node_budget, cert))
-        return cert
+    def spy(s, words, split_depth, budget):
+        before = budget.nodes
+        sections, subdivision = honest(s, words, split_depth, budget)
+        calls.append((s, words, sections, subdivision, budget.nodes - before))
+        return sections, subdivision
 
     monkeypatch.setattr(kit_module, "_extend_over_words", spy)
     assert express(element(n, pi), kit, n, pi).is_witness()
     assert calls
     monkeypatch.setattr(msec_module, "_extend_over_words", spy)
-    for s, words, node_budget, cert in calls[:]:
-        public = extend_degree(s, fam.table, word_len=3, node_budget=node_budget)
+    for s, words, sections, subdivision, nodes in calls[:]:
+        public = extend_degree(s, fam.table, word_len=3)
         assert calls[-1][1] == words  # the same word list, built afresh
-        assert public.to_json() == cert.to_json()
+        assert public.is_witness()
+        assert public.nodes_explored == nodes
+        assert public.witness["subdivision"] == subdivision
         assert [sec.transporters for sec in public.witness["sections"]] == [
-            sec.transporters for sec in cert.witness["sections"]
+            sec.transporters for sec in sections
         ]
 
 
