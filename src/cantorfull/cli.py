@@ -28,7 +28,9 @@ EXIT_USAGE = 3
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse's own report, with the usage exit code
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

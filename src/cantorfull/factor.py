@@ -4,7 +4,9 @@ Both factorizations rest on the perfectness of small alternating groups:
 overlapping pieces only ever obstruct the middle of a diagonal, and the
 obstruction is killed by commutators, which vanish on the parts two factor
 groups do not share.  All constructions are solved in an exact abstract model
-of the moved clopen pieces and the emitted word is re-verified by eq.
+of the moved clopen pieces.  Every witness word is re-verified on another
+path: word_product multiplies its letters with pmap.product, and eq compares
+the result with the target.
 
 A factored section is a KitSection or a CombinedSection.  Both carry their
 multisection as .msec and answer word_for(pi) with a tuple of
@@ -27,24 +29,24 @@ from .msec import (
     pivot_three_cycles,
     sub_section,
 )
-from .pmap import compose, eq, one
+from .pmap import eq, product
 
 
 def word_product(word, sections, d):
-    """Compose the units named by a word of (section_index, perm) pairs.
+    """The product of the units named by a word of (section_index, perm) pairs.
 
     A witness word repeats a few letters many times, so each distinct letter
-    is built by element once per call.
+    is built by element once per call, and product sorts it once.
     """
     units = {}
-    acc = one(d)
+    letters = []
     for idx, perm in word:
         letter = (idx, tuple(perm))
         u = units.get(letter)
         if u is None:
             u = units[letter] = element(sections[idx], perm)
-        acc = compose(acc, u)
-    return acc
+        letters.append(u)
+    return product(d, letters)
 
 
 def inverse_word(word):

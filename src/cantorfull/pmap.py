@@ -46,25 +46,9 @@ class PartialMap:
     __slots__ = ("d", "branches", "_dom", "_ran", "_all_trivial")
 
     def __init__(self, d, branches):
-        table = []
-        for b in branches:
-            if not isinstance(b, Branch):
-                dom, ran, tail = b
-                b = Branch(tuple(dom), tuple(ran), tail)
-            if b.tail.d != d:
-                raise AlphabetMismatch(f"tail alphabet {b.tail.d} in context {d}")
-            factors = b.tail.factors
-            if factors:
-                reduced = free_reduce(factors)
-                # free reduction only drops factors: equal length means unchanged
-                if len(reduced) != len(factors):
-                    b = Branch(b.dom, b.ran, TailElement(d, reduced))
-            table.append(b)
         # merging a complete sibling family keeps both sides antichains, so
         # checking the input is checking the result
-        table.sort(key=_dom_of)
-        _check_antichain(d, [b.dom for b in table], "domain")
-        _check_antichain(d, [b.ran for b in table], "range")
+        table = _checked_table(d, branches)
         table = _greedy_merge(d, table)
         table.sort(key=_dom_len)  # stable: lexicographic within each length
         self.d = d
@@ -99,6 +83,32 @@ class PartialMap:
         if self._ran is None:
             self._ran = normalize([b.ran for b in self.branches], self.d)
         return self._ran
+
+
+def _checked_table(d, branches):
+    """The branches as a checked table sorted by domain, tails freely reduced.
+
+    Raises unless every tail is over the alphabet d and the domains and the
+    ranges are antichains of words over it.  No sibling family is merged.
+    """
+    table = []
+    for b in branches:
+        if not isinstance(b, Branch):
+            dom, ran, tail = b
+            b = Branch(tuple(dom), tuple(ran), tail)
+        if b.tail.d != d:
+            raise AlphabetMismatch(f"tail alphabet {b.tail.d} in context {d}")
+        factors = b.tail.factors
+        if factors:
+            reduced = free_reduce(factors)
+            # free reduction only drops factors: equal length means unchanged
+            if len(reduced) != len(factors):
+                b = Branch(b.dom, b.ran, TailElement(d, reduced))
+        table.append(b)
+    table.sort(key=_dom_of)
+    _check_antichain(d, [b.dom for b in table], "domain")
+    _check_antichain(d, [b.ran for b in table], "range")
+    return table
 
 
 def _check_antichain(d, words, which):
@@ -222,17 +232,23 @@ def _check_context(f, g):
         raise AlphabetMismatch(f"alphabet {f.d} vs {g.d}")
 
 
-def compose(f, g):
-    """The partial homeomorphism x -> f(g(x)) on g^{-1}(dom f & ran g)."""
-    _check_context(f, g)
-    # f's domains in lexicographic order: an antichain, so at most the one
-    # just before ran's insertion point is a prefix of ran, and otherwise the
-    # domains properly extending ran follow it as one run
+def _by_dom(f):
+    """f's branches in lexicographic domain order, and those domains."""
     fbs = sorted(f.branches, key=_dom_of)
-    doms = [b.dom for b in fbs]
+    return fbs, [b.dom for b in fbs]
+
+
+def _compose_branches(fbs, doms, gbranches):
+    """The branches of f.g, from f's branches and domains as _by_dom gives
+    them and g's branches in any order.
+
+    f's domains are an antichain in lexicographic order, so at most the one
+    just before ran's insertion point is a prefix of ran, and otherwise the
+    domains properly extending ran follow it as one run.
+    """
     n = len(doms)
     out = []
-    for gb in g.branches:
+    for gb in gbranches:
         r = gb.ran
         i = bisect_right(doms, r)
         if i and doms[i - 1] == r[: len(doms[i - 1])]:
@@ -249,7 +265,42 @@ def compose(f, g):
             t_res = _tails.apply_prefix(gb.tail, w0)[1]
             out.append(Branch(gb.dom + w0, fb.ran, _tails.compose(fb.tail, t_res)))
             i += 1
-    return PartialMap(f.d, out)
+    return out
+
+
+def compose(f, g):
+    """The partial homeomorphism x -> f(g(x)) on g^{-1}(dom f & ran g)."""
+    _check_context(f, g)
+    return PartialMap(f.d, _compose_branches(*_by_dom(f), g.branches))
+
+
+def product(d, maps):
+    """The product maps[0].maps[1]. ... , equal by eq to the compose fold.
+
+    Composes right to left on raw branch lists, sorting each distinct map's
+    branches once.  Every intermediate table gets the constructor's checks;
+    sibling families are merged once, when the last table becomes a
+    PartialMap.  Over trivial tails the result is the fold's table, since
+    semi-canonical form is canonical there; over automaton tails the merge
+    may pick another, eq-equal, table.
+    """
+    for m in maps:
+        if m.d != d:
+            raise AlphabetMismatch(f"alphabet {m.d} in context {d}")
+    if not maps:
+        return one(d)
+    by_dom = {}
+    table = maps[-1].branches
+    for i in range(len(maps) - 2, -1, -1):
+        f = maps[i]
+        sorted_f = by_dom.get(id(f))
+        if sorted_f is None:
+            sorted_f = by_dom[id(f)] = _by_dom(f)
+        table = _compose_branches(*sorted_f, table)
+        if i:
+            # the last table is checked by the constructor below
+            table = _checked_table(d, table)
+    return PartialMap(d, table)
 
 
 def star(f):

@@ -217,6 +217,11 @@ def compose(s, t):
     """The automorphism x -> s(t(x))."""
     if s.d != t.d:
         raise AlphabetMismatch(f"alphabet {s.d} vs {t.d}")
+    # elements are immutable, so composing with the empty word returns the other
+    if not t.factors:
+        return s
+    if not s.factors:
+        return t
     return TailElement(s.d, s.factors + t.factors)
 
 

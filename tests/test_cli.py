@@ -208,6 +208,15 @@ def test_usage_errors(capsys):
     assert main(["eq", "[0->"]) == 3
     assert main(["eq", "[0->1,1->0]"]) == 3
     assert main(["eq", "[0->1,1->0]", "[1->0,0->1]", "--seed", "1"]) == 3
+    capsys.readouterr()
+    # the usage line is followed by argparse's message
+    assert main(["eq", "[0->1]"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cfl eq")
+    assert "cfl eq: error: the following arguments are required: right" in err
+    assert main(["bi", "member", "x", "--len", "abc"]) == 3
+    err = capsys.readouterr().err
+    assert "cfl bi: error: argument --len: invalid int value: 'abc'" in err
 
 
 def test_budget_only_on_budgeted_commands(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cantorfull import factor as factor_module
 from cantorfull.completion import GeneratorTable
 from cantorfull.errors import NotInAlt
 from cantorfull.factor import (
@@ -83,6 +84,21 @@ def test_factor_overlapping_cover():
         word = cert.witness["word"]
         assert len(word) <= 40
         assert eq(word_product(word, cov.pieces, 2), target)
+
+
+def test_factor_overlapping_cover_verifies_its_construction(monkeypatch):
+    s = five_section()
+    cov = overlapping_cover(s, [clo("{0000, 00010}"), clo("{0001}")])
+    pi = cycle_perm(5, [0, 1, 2])
+    target = element(s, pi)
+    assert factor_over_cover(target, pi, cov).is_witness()
+    # the identity pair leaves the shared cells uncorrected, so the emitted
+    # word misses the target and only the re-check can tell
+    ident = identity_perm(5)
+    monkeypatch.setattr(factor_module, "_commutator_product_pair", lambda p: (ident, ident))
+    cert = factor_over_cover(target, pi, cov)
+    assert cert.is_exhausted()
+    assert cert.detail == "construction failed verification"
 
 
 def test_factor_rejects_odd_permutation():

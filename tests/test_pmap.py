@@ -363,6 +363,7 @@ def test_constructor_checks_survive_python_O():
     script = textwrap.dedent(
         """
         import sys
+        from cantorfull import pmap
         from cantorfull.errors import AlphabetMismatch, CantorError
         from cantorfull.pmap import Branch, PartialMap
         from cantorfull.tails import trivial
@@ -389,6 +390,28 @@ def test_constructor_checks_survive_python_O():
             pass
         else:
             sys.exit("accepted a tail over 3 letters")
+
+        # product checks each intermediate table: [1 -> 2], added at the
+        # second step, is dropped again by the last letter
+        e0 = PartialMap(2, [Branch((0,), (0,), t)])
+        honest = pmap._compose_branches
+        calls = []
+
+        def faulty(*args):
+            calls.append(None)
+            out = honest(*args)
+            return out + [Branch((1,), (2,), t)] if len(calls) == 2 else out
+
+        pmap._compose_branches = faulty
+        try:
+            pmap.product(2, [e0, pmap.one(2), pmap.one(2), e0])
+        except AlphabetMismatch:
+            sys.exit("wrong error for the faulty product")
+        except CantorError as err:
+            if "out of range" not in str(err):
+                sys.exit(f"wrong message for the faulty product: {err}")
+        else:
+            sys.exit("accepted a faulty intermediate table")
         print("checked, optimize", sys.flags.optimize)
         """
     )
@@ -399,6 +422,92 @@ def test_constructor_checks_survive_python_O():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.strip() == "checked, optimize 1"
+
+
+# -- product ---------------------------------------------------------------------
+
+
+def compose_fold(maps, d):
+    acc = one(d)
+    for m in maps:
+        acc = compose(acc, m)
+    return acc
+
+
+def units_and_stars(units):
+    units = list(units)
+    return units + [star(u) for u in units]
+
+
+@pytest.mark.parametrize("d, seed", [(2, 70), (3, 71)])
+def test_product_matches_compose_fold_on_higman_thompson_words(d, seed):
+    rng = random.Random(seed)
+    letters = units_and_stars(higman_thompson(d).table.mapping.values())
+    for _ in range(40):
+        # repeated objects exercise the per-map sorting memo
+        word = [rng.choice(letters) for _ in range(rng.randrange(1, 30))]
+        assert pmap.product(d, word) == compose_fold(word, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_product_matches_compose_fold_through_zero(d):
+    rng = random.Random(72 + d)
+    zero_partway = 0
+    for _ in range(150):
+        word = [random_pmap(rng, d, kinds=("trivial",)) for _ in range(rng.randrange(2, 7))]
+        got = pmap.product(d, word)
+        assert got == compose_fold(word, d)
+        # right-to-left, some proper suffix of the word already multiplies to 0
+        zero_partway += any(compose_fold(word[k:], d).is_zero() for k in range(1, len(word)))
+    assert zero_partway >= 20
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        units_and_stars(rover_units().table.mapping.values()),
+        [m for m, _ in _letters(grigorchuk_units().table)],
+    ],
+    ids=["rover units", "Grigorchuk letters"],
+)
+def test_product_matches_compose_fold_by_eq_over_automaton_tails(letters):
+    rng = random.Random(73)
+    for _ in range(40):
+        word = [rng.choice(letters) for _ in range(rng.randrange(1, 12))]
+        assert eq(pmap.product(2, word), compose_fold(word, 2))
+
+
+def test_product_edges():
+    assert pmap.product(2, []) == one(2)
+    assert pmap.product(3, []) == one(3)
+    f = pm(2, "0->10", "10->0", "11->11")
+    assert pmap.product(2, [f]) == f
+    assert pmap.product(2, [zero(2)]) == zero(2)
+    with pytest.raises(AlphabetMismatch):
+        pmap.product(2, [f, one(3)])
+    with pytest.raises(AlphabetMismatch):
+        pmap.product(3, [f])
+
+
+def test_product_checks_every_intermediate_table(monkeypatch):
+    # at the second step a faulty branch loop adds [1 -> 2]; the last letter
+    # [0 -> 0] drops it, so a check made only at the end would miss it
+    e0 = pm(2, "0->0")
+    bad = Branch((1,), (2,), tails.trivial(2))
+    assert pmap._compose_branches(*pmap._by_dom(e0), [bad]) == []
+    assert pmap.product(2, [e0, one(2), one(2), e0]) == e0
+    honest = pmap._compose_branches
+    calls = []
+
+    def faulty(*args):
+        calls.append(None)
+        out = honest(*args)
+        return out + [bad] if len(calls) == 2 else out
+
+    monkeypatch.setattr(pmap, "_compose_branches", faulty)
+    with pytest.raises(CantorError, match="out of range"):
+        pmap.product(2, [e0, one(2), one(2), e0])
+    assert len(calls) == 2
 
 
 # -- inverse monoid laws on random samples -------------------------------------
