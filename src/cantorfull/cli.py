@@ -18,7 +18,7 @@ from .errors import CantorError, ParseError
 from .families import FAMILY_BUILDERS, family_by_name
 from .msec import build, cover_of
 from .parser import Parser, element_to_text, expr_to_text, registry_from_machines
-from .tails import adding_machine, grigorchuk, parse_machines
+from .tails import TailElement, adding_machine, free_reduce, grigorchuk, parse_machines
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -42,7 +42,11 @@ def default_registry(d):
 
 
 class Session:
-    """Parsed context shared by one invocation."""
+    """Parsed context shared by one invocation.
+
+    Output names each tail factor by the first registry name of its
+    (machine, state), so printed elements parse back in the same session.
+    """
 
     def __init__(self, args):
         self.d = args.alphabet
@@ -53,6 +57,9 @@ class Session:
                 for name, machine in parse_machines(fh.read()).items():
                     for s in machine.states:
                         registry[f"{name}.{s}"] = (machine, s)
+        self.names = {}
+        for name, pair in registry.items():
+            self.names.setdefault(pair, name)
         self.parser = Parser(self.d, registry)
         if getattr(args, "gens", None):
             self.load_gens(args.gens)
@@ -80,6 +87,9 @@ class Session:
     def element(self, text):
         """Evaluate an expression (or literal) against the generator table."""
         return evaluate(self.parser.parse_expr(text), self.table)
+
+    def text(self, m):
+        return element_to_text(m, self.names)
 
     def clopen(self, text):
         return self.parser.parse_clopen(text)
@@ -160,21 +170,21 @@ def cmd_normalize(session, args):
 
 def cmd_compose(session, args):
     out = pmap.compose(session.element(args.left), session.element(args.right))
-    return emit_value(args, "compose", element_to_text(out))
+    return emit_value(args, "compose", session.text(out))
 
 
 def cmd_star(session, args):
-    return emit_value(args, "star", element_to_text(pmap.star(session.element(args.element))))
+    return emit_value(args, "star", session.text(pmap.star(session.element(args.element))))
 
 
 def cmd_join(session, args):
     out = pmap.join([session.element(t) for t in args.elements])
-    return emit_value(args, "join", element_to_text(out))
+    return emit_value(args, "join", session.text(out))
 
 
 def cmd_restrict(session, args):
     out = pmap.restrict(session.element(args.element), session.clopen(args.clopen))
-    return emit_value(args, "restrict", element_to_text(out))
+    return emit_value(args, "restrict", session.text(out))
 
 
 def cmd_eq(session, args):
@@ -195,8 +205,9 @@ def cmd_compat(session, args):
 def cmd_eval(session, args):
     r = pmap.eval_at(session.element(args.element), word_from_text(args.word))
     if r.kind == pmap.IMAGE:
-        text = f"{''.join(map(str, r.prefix)) or '~'} : {r.residual}"
-        payload = {"op": "eval", "kind": r.kind, "prefix": list(r.prefix), "residual": str(r.residual)}
+        residual = TailElement(r.residual.d, free_reduce(r.residual.factors)).to_text(session.names)
+        text = f"{''.join(map(str, r.prefix)) or '~'} : {residual}"
+        payload = {"op": "eval", "kind": r.kind, "prefix": list(r.prefix), "residual": residual}
         return emit(args, EXIT_OK, f"eval: {text}", payload)
     return emit(args, EXIT_REFUTED, f"eval: {r.kind}", {"op": "eval", "kind": r.kind})
 
@@ -206,12 +217,12 @@ def cmd_gen(session, args):
         names = sorted(FAMILY_BUILDERS)
         return emit_value(args, "gen list", ", ".join(names), names)
     fam = family_by_name(args.name)
-    lines = [f"{name} = {element_to_text(m)}" for name, m in fam.table.items()]
+    lines = [f"{name} = {session.text(m)}" for name, m in fam.table.items()]
     payload = {
         "name": fam.name,
         "parameters": fam.parameters,
         "notes": fam.notes,
-        "generators": {name: element_to_text(m) for name, m in fam.table.items()},
+        "generators": {name: session.text(m) for name, m in fam.table.items()},
     }
     return emit(args, EXIT_OK, "\n".join(lines), payload)
 
@@ -220,7 +231,7 @@ def cmd_bi(session, args):
     if args.action == "enumerate":
         rows = []
         for m, expr in bi_enumerate(session.table, args.len, args.arity, args.depth):
-            rows.append((element_to_text(m), expr_to_text(expr)))
+            rows.append((session.text(m), expr_to_text(expr, session.names)))
             if args.limit and len(rows) >= args.limit:
                 break
         text = "\n".join(f"{e}\t{x}" for e, x in rows)
@@ -228,7 +239,7 @@ def cmd_bi(session, args):
     h = session.element(args.element)
     cert = piecewise_member(h, session.table, args.len, args.depth, node_budget=args.budget)
     if cert.is_witness():
-        cert = replace(cert, witness=expr_to_text(cert.witness))
+        cert = replace(cert, witness=expr_to_text(cert.witness, session.names))
     return emit_cert(args, "bi member", cert)
 
 
@@ -244,7 +255,7 @@ def cmd_msec(session, args):
     if args.action == "element":
         s = session.msec(args.msec)
         pi = session.perm(args.perm, s.degree)
-        return emit_value(args, "msec element", element_to_text(msec.element(s, pi)))
+        return emit_value(args, "msec element", session.text(msec.element(s, pi)))
     if args.action == "cover":
         s = session.msec(args.msec)
         parts = [session.clopen(t) for t in args.parts]
@@ -355,8 +366,8 @@ def cmd_dyn(session, args):
         if cert.is_witness():
             w = cert.witness
             cert = replace(cert, witness={
-                "g1": element_to_text(w["g1"]),
-                "g2": element_to_text(w["g2"]),
+                "g1": session.text(w["g1"]),
+                "g2": session.text(w["g2"]),
                 "fixed1": str(w["fixed1"]),
                 "fixed2": str(w["fixed2"]),
             })
@@ -365,7 +376,7 @@ def cmd_dyn(session, args):
         g = session.element(args.element)
         parts = session.partition(args.partition)
         factors = dynamics.rigid_parts(g, parts)
-        lines = [element_to_text(f) for f in factors]
+        lines = [session.text(f) for f in factors]
         return emit(args, EXIT_OK, "\n".join(lines), {"op": "dyn rigid", "factors": lines})
     raise CantorError(f"unknown dyn action {args.action!r}")
 

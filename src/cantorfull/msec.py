@@ -108,14 +108,6 @@ def pivot_three_cycles(perm, pivot):
     return [(y, x) for x, y in zip(through[0::2], through[1::2]) if x != y]
 
 
-def perm_order(p):
-    n, q = 1, p
-    while q != identity_perm(len(p)):
-        q = perm_compose(p, q)
-        n += 1
-    return n
-
-
 # -- multisections --------------------------------------------------------------
 
 

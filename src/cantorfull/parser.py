@@ -5,11 +5,13 @@
     word     := digit+ | "~"
     tailexpr := factor ("*" factor)*
     factor   := name ("^-1")? | "1"
+    name     := part ("." part)*      # part: a letter or "_", then letters, digits, "_"
     clopen   := "{" (word ("," word)*)? "}"
 
 Expressions reuse the element grammar with operators "*" (product), "^-1"
 (star), "|" (join) and "@{...}" (restrict); bare names refer to generators.
-Printing and parsing round-trip up to eq.
+Printing and parsing round-trip up to eq when the printer is given the names
+of the parser's registry.
 """
 
 from . import completion as _completion
@@ -18,6 +20,10 @@ from .clopen import normalize, word_to_text
 from .errors import CantorError, ParseError
 from .pmap import Branch, PartialMap
 from .tails import TailElement, trivial
+
+
+def _name_char(ch):
+    return ch.isalnum() or ch == "_"
 
 
 class _Tokens:
@@ -63,7 +69,9 @@ class _Tokens:
                     self._advance(j - self.pos)
                 elif ch.isalpha() or ch == "_":
                     j = self.pos
-                    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    while j < len(text) and (
+                        _name_char(text[j]) or text[j] == "." and _name_char(text[j + 1 : j + 2])
+                    ):
                         j += 1
                     self.items.append(("name", text[self.pos : j], here))
                     self._advance(j - self.pos)
@@ -243,7 +251,9 @@ class Parser:
 # -- printing ------------------------------------------------------------------
 
 
-def element_to_text(m):
+def element_to_text(m, names=None):
+    """Text of m; names maps (machine, state) to the name a tail factor is
+    printed under (see TailElement.to_text)."""
     if m.is_zero():
         return "0"
     if m.branches == _pmap.one(m.d).branches:
@@ -252,28 +262,28 @@ def element_to_text(m):
     for b in m.branches:
         s = f"{word_to_text(b.dom)}->{word_to_text(b.ran)}"
         if b.tail.factors:
-            s += f":{b.tail}"
+            s += f":{b.tail.to_text(names)}"
         bits.append(s)
     return "[" + ", ".join(bits) + "]"
 
 
-def expr_to_text(node):
+def expr_to_text(node, names=None):
     if isinstance(node, _completion.GeneratorRef):
         return node.name
     if isinstance(node, _completion.IdempotentLeaf):
         return str(node.clopen)
     if isinstance(node, _completion.ElementLeaf):
-        return element_to_text(node.element)
+        return element_to_text(node.element, names)
     if isinstance(node, _completion.Product):
         if not node.children:
             return "1"
-        return "(" + " * ".join(expr_to_text(c) for c in node.children) + ")"
+        return "(" + " * ".join(expr_to_text(c, names) for c in node.children) + ")"
     if isinstance(node, _completion.Star):
-        return expr_to_text(node.child) + "^-1"
+        return expr_to_text(node.child, names) + "^-1"
     if isinstance(node, _completion.Join):
-        return "(" + " | ".join(expr_to_text(c) for c in node.children) + ")"
+        return "(" + " | ".join(expr_to_text(c, names) for c in node.children) + ")"
     if isinstance(node, _completion.Restrict):
-        return expr_to_text(node.child) + "@" + str(node.clopen)
+        return expr_to_text(node.child, names) + "@" + str(node.clopen)
     raise CantorError(f"unknown expression node {node!r}")
 
 

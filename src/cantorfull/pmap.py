@@ -17,7 +17,7 @@ from . import clopen as _clopen
 from . import tails as _tails
 from .clopen import is_prefix, normalize
 from .errors import AlphabetMismatch, CantorError, IncompatiblePair
-from .tails import TailElement, free_reduce, reduction_key
+from .tails import TailElement, free_reduce
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,10 @@ def _merge_candidates(d, child_tails):
     out = []
 
     def add(factors):
-        t = TailElement(d, free_reduce(factors))
-        key = tuple(map(_tails._factor_key, t.factors))
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
+        factors = free_reduce(factors)
+        if factors not in seen:
+            seen.add(factors)
+            out.append(TailElement(d, factors))
 
     add(())
     for t in child_tails:
@@ -193,7 +192,7 @@ def _merge_family(d, u, family):
         if cand.root_perm() != rho:
             continue
         if all(
-            reduction_key(cand.apply_letter(x)[1]) == reduction_key(family[x].tail)
+            free_reduce(cand.apply_letter(x)[1].factors) == free_reduce(family[x].tail.factors)
             for x in range(d)
         ):
             return Branch(u, v, cand)
@@ -474,7 +473,7 @@ def _tail_fingerprint(t):
         return ()
     if _tails.is_identity(t):
         return ()
-    return reduction_key(t)
+    return free_reduce(t.factors)
 
 
 def fingerprint(f):

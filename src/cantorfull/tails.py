@@ -5,6 +5,13 @@ left-to-right function composition (the rightmost factor is applied to the
 input first).  Elements are never synthesized into new machine states; the
 identity problem is decided by closing the factor word under sections, which
 is a finite search.
+
+A machine is identified by its tables (alphabet, outputs, transitions); its
+name is only for text.  A factor (machine, state, exp) is therefore its own
+key: two differently built machines with the same name are never confused,
+and equal tables under different names are one machine.  The identity
+decisions are memoized in a process-wide cache of at most
+IDENTITY_CACHE_SIZE entries, emptied when it fills.
 """
 
 from itertools import product
@@ -17,7 +24,8 @@ class MealyMachine:
     """Finite invertible letter transducer.
 
     output[s] is a permutation of the alphabet (as a tuple), transition[s][x]
-    the state entered after transducing letter x in state s.
+    the state entered after transducing letter x in state s.  Equality and
+    hashing read the tables only; name is for display.
     """
 
     __slots__ = ("name", "d", "states", "transition", "output", "trivial_states", "_hash")
@@ -38,8 +46,7 @@ class MealyMachine:
                     raise CantorError(f"transition target {t} is not a state")
         self.trivial_states = self._find_trivial_states()
         self._hash = hash(
-            (self.name, self.d, tuple(sorted(self.transition.items())),
-             tuple(sorted(self.output.items())))
+            (self.d, tuple(sorted(self.transition.items())), tuple(sorted(self.output.items())))
         )
 
     def _find_trivial_states(self):
@@ -58,7 +65,6 @@ class MealyMachine:
     def __eq__(self, other):
         return (
             isinstance(other, MealyMachine)
-            and self.name == other.name
             and self.d == other.d
             and self.transition == other.transition
             and self.output == other.output
@@ -85,43 +91,36 @@ def parse_machines(text):
     Format, one machine per block:
         machine NAME D
         state S perm p0 .. p(D-1) to T0 .. T(D-1)
+    A repeated machine or state name, or any other line, raises CantorError.
     """
-    machines = {}
-    name = d = None
-    transition = {}
-    output = {}
-
-    def flush():
-        if name is not None:
-            machines[name] = MealyMachine(name, d, transition, output)
-
+    blocks = {}
+    d = None
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "machine":
-            flush()
-            name, d = tokens[1], int(tokens[2])
-            transition, output = {}, {}
-        elif tokens[0] == "state":
-            s = tokens[1]
-            if tokens[2] != "perm" or tokens[3 + d] != "to":
-                raise CantorError(f"malformed state line: {raw!r}")
-            output[s] = tuple(int(t) for t in tokens[3 : 3 + d])
-            transition[s] = tuple(tokens[4 + d : 4 + 2 * d])
+        if tokens[0] == "machine" and len(tokens) == 3 and tokens[2].isdecimal():
+            if tokens[1] in blocks:
+                raise CantorError(f"machine {tokens[1]} is defined twice")
+            d, transition, output = blocks[tokens[1]] = (int(tokens[2]), {}, {})
+        elif (
+            tokens[0] == "state"
+            and d is not None
+            and len(tokens) == 4 + 2 * d
+            and tokens[2] == "perm"
+            and tokens[3 + d] == "to"
+            and all(p.isdecimal() for p in tokens[3 : 3 + d])
+        ):
+            if tokens[1] in output:
+                raise CantorError(f"state {tokens[1]} is defined twice")
+            output[tokens[1]] = tuple(map(int, tokens[3 : 3 + d]))
+            transition[tokens[1]] = tuple(tokens[4 + d :])
         else:
             raise CantorError(f"malformed machine line: {raw!r}")
-    flush()
-    return machines
+    return {name: MealyMachine(name, *block) for name, block in blocks.items()}
 
 
-# a factor is (machine, state, exp) with exp in {+1, -1}
-
-
-def _factor_key(f):
-    m, s, e = f
-    return (m.name, s, e)
+# a factor is (machine, state, exp) with exp in {+1, -1}, keyed by itself
 
 
 def _apply_letter(factor, x):
@@ -150,25 +149,24 @@ class TailElement:
 
     def __eq__(self, other):
         # structural equality; use is_identity(quotient) for semantic equality
-        return (
-            isinstance(other, TailElement)
-            and self.d == other.d
-            and tuple(map(_factor_key, self.factors)) == tuple(map(_factor_key, other.factors))
-        )
+        return isinstance(other, TailElement) and self.d == other.d and self.factors == other.factors
 
     def __hash__(self):
-        return hash((self.d, tuple(map(_factor_key, self.factors))))
+        return hash((self.d, self.factors))
 
     def __repr__(self):
         return f"TailElement({self})"
 
     def __str__(self):
+        return self.to_text()
+
+    def to_text(self, names=None):
+        """The factor word as text; each state prints as names[(machine, state)]
+        when names has it, else by its bare state name."""
         if not self.factors:
             return "1"
-        bits = []
-        for m, s, e in self.factors:
-            bits.append(s if e == 1 else f"{s}^-1")
-        return "*".join(bits)
+        names = names or {}
+        return "*".join(names.get((m, s), s) + ("" if e == 1 else "^-1") for m, s, e in self.factors)
 
     def is_trivial_word(self):
         """True iff the factor word is syntactically trivial after free reduction."""
@@ -245,15 +243,16 @@ def free_reduce(factors):
     return tuple(stack)
 
 
-def reduced(t):
-    return TailElement(t.d, free_reduce(t.factors))
+IDENTITY_CACHE_SIZE = 1 << 15
 
-
-def reduction_key(t):
-    return tuple(map(_factor_key, free_reduce(t.factors)))
-
-
+# free-reduced factor word -> whether it acts as the identity
 _identity_cache = {}
+
+
+def _remember(factors, answer):
+    if len(_identity_cache) >= IDENTITY_CACHE_SIZE:
+        _identity_cache.clear()
+    _identity_cache[factors] = answer
 
 
 def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
@@ -265,21 +264,19 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
     raises BudgetExceeded rather than guessing.
     """
     ident = tuple(range(t.d))
-    start = reduced(t)
-    start_key = (t.d, reduction_key(start))
-    cached = _identity_cache.get(start_key)
+    start = free_reduce(t.factors)
+    cached = _identity_cache.get(start)
     if cached is not None:
         return cached
 
-    seen = {start_key}
+    seen = {start}
     unknown = []
     queue = [start]
     nodes = 0
     answer = True
     while queue:
-        node = queue.pop()
-        key = (t.d, reduction_key(node))
-        cached = _identity_cache.get(key)
+        factors = queue.pop()
+        cached = _identity_cache.get(factors)
         if cached is False:
             answer = False
             break
@@ -288,22 +285,22 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"identity check exceeded {node_budget} nodes")
+        node = TailElement(t.d, factors)
         if node.root_perm() != ident:
             answer = False
             break
-        unknown.append(key)
+        unknown.append(factors)
         for x in range(t.d):
-            section = reduced(node.apply_letter(x)[1])
-            skey = (t.d, reduction_key(section))
-            if skey not in seen:
-                seen.add(skey)
+            section = free_reduce(node.apply_letter(x)[1].factors)
+            if section not in seen:
+                seen.add(section)
                 queue.append(section)
 
     if answer:
-        for key in unknown:
-            _identity_cache[key] = True
+        for factors in unknown:
+            _remember(factors, True)
     else:
-        _identity_cache[start_key] = False
+        _remember(start, False)
     return answer
 
 

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from cantorfull.cli import main
+from cantorfull.cli import Session, build_arg_parser, main
 from cantorfull.parser import Parser
-from cantorfull.pmap import eq
+from cantorfull.pmap import Branch, PartialMap, compose, eq, eval_at, star
 
 from oracles import pm
 
@@ -275,3 +275,62 @@ def test_certificate_json_schema(capsys):
         code, payload = run_json(capsys, *argv)
         payload.pop("op")
         jsonschema.validate(payload, CERT_SCHEMA)
+
+
+MACHINES = """\
+# foo.x swaps the first letter; bar.y is an odometer carrying on 0
+machine foo 2
+state x perm 1 0 to e e
+state e perm 0 1 to e e
+machine bar 2
+state y perm 1 0 to y e
+state e perm 0 1 to e e
+"""
+
+
+def machines_file(tmp_path, text=MACHINES):
+    path = tmp_path / "machines.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_machine_states_are_named_machine_dot_state(tmp_path, capsys):
+    machines = machines_file(tmp_path)
+    assert run(capsys, "eq", "[~->~:foo.x]", "1", "--machines", machines) == (1, "eq: False\n")
+    assert run(capsys, "eq", "[~->~:foo.x*foo.x]", "1", "--machines", machines) == (0, "eq: True\n")
+    code, _ = run(capsys, "eq", "[~->~:bar.y*foo.x]", "[0->0:bar.e, 1->1:bar.y]", "--machines", machines)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("state x perm 1 0 to x x\n", "malformed machine line"),
+        ("machine foo two\n", "malformed machine line"),
+        ("machine foo 2\nstate x perm 1 0\n", "malformed machine line"),
+        (MACHINES + "machine foo 2\nstate e perm 0 1 to e e\n", "machine foo is defined twice"),
+    ],
+    ids=["state-first", "alphabet", "short-state", "machine-twice"],
+)
+def test_malformed_machine_files_are_usage_errors(tmp_path, capsys, text, message):
+    assert main(["eq", "1", "1", "--machines", machines_file(tmp_path, text)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tail", ["adder", "bar.y", "a*bar.y^-1*foo.x"])
+def test_printed_tails_parse_back(tmp_path, capsys, tail):
+    opts = ["--machines", machines_file(tmp_path)]
+    session = Session(build_arg_parser().parse_args(["eq", "1", "1", *opts]))
+    x, y = f"[0->1:{tail}, 1->0]", f"[~->~:{tail}]"
+    code, payload = run_json(capsys, "compose", x, y, *opts)
+    assert code == 0
+    assert eq(session.parser.parse_element(payload["value"]), compose(session.element(x), session.element(y)))
+    code, payload = run_json(capsys, "star", x, *opts)
+    assert code == 0
+    assert eq(session.parser.parse_element(payload["value"]), star(session.element(x)))
+    for w in ("011", "000", "1"):
+        code, payload = run_json(capsys, "eval", y, w, *opts)
+        assert code == 0
+        residual = eval_at(session.element(y), tuple(map(int, w))).residual
+        printed = session.parser.parse_element(f"[~->~:{payload['residual']}]")
+        assert eq(printed, PartialMap(2, [Branch((), (), residual)]))

@@ -29,7 +29,6 @@ from cantorfull.msec import (
     is_even,
     perm_compose,
     perm_inverse,
-    perm_order,
     pivot_three_cycles,
     restrict_msec,
     sub_section,
@@ -64,7 +63,6 @@ def test_perm_helpers():
     p = cycle_perm(3, [0, 1, 2])
     assert p == (1, 2, 0)
     assert perm_compose(p, perm_inverse(p)) == identity_perm(3)
-    assert perm_order(p) == 3
     assert len(sym_perms(3)) == 6
     assert len(alt_perms(3)) == 3
     assert embed_subperm((1, 0), (0, 2), 4) == (2, 1, 0, 3)

@@ -2,8 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantorfull import tails
+from cantorfull import pmap, tails
 from cantorfull.errors import CantorError
 from cantorfull.tails import (
     TailElement,
@@ -20,6 +22,8 @@ from cantorfull.tails import (
     trivial,
     word,
 )
+
+from oracles import tail_section, tail_walk
 
 GRI = grigorchuk()
 ADD2 = adding_machine(2)
@@ -237,6 +241,101 @@ def test_machine_text_roundtrip():
 def test_parse_machines_rejects_garbage():
     with pytest.raises(CantorError):
         parse_machines("machine m 2\nstate s perm 0 1 oops e e")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "state s perm 1 0 to s s",  # no machine yet
+        "machine m two\nstate s perm 1 0 to s s",
+        "machine m 2\nstate s perm 1 0",
+        "machine m 2\nstate s perm 1 x to s s",
+        "machine m 2\nstate s perm 1 0 to s s\nstate s perm 0 1 to s s",
+        "machine m 2\nstate s perm 1 0 to s s\nmachine m 2\nstate s perm 0 1 to s s",
+    ],
+    ids=["state-first", "alphabet", "short-state", "perm-letter", "state-twice", "machine-twice"],
+)
+def test_parse_machines_rejects_malformed_lines(text):
+    with pytest.raises(CantorError):
+        parse_machines(text)
+
+
+# -- machine identity ---------------------------------------------------------
+
+INVOLUTION = {(0, 0): (1, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
+ORDER_FOUR = {(0, 0): (1, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)}
+
+
+def test_same_named_machines_are_told_apart():
+    # both machines are named depthperm2; their tables differ
+    inv, ord4 = depth_perm(2, INVOLUTION), depth_perm(2, ORDER_FOUR)
+    assert inv.factors[0][0].name == ord4.factors[0][0].name
+    assert inv != ord4
+    for first, second in ((inv, ord4), (ord4, inv)):
+        # the first call leaves its answer in the cache for the second
+        assert is_identity(compose(first, first)) == (first is inv)
+        assert is_identity(compose(second, second)) == (second is inv)
+    units = [pmap.PartialMap(2, [pmap.Branch((), (), t)]) for t in (inv, ord4)]
+    assert not pmap.eq(*(pmap.compose(u, u) for u in units))
+
+
+def test_machines_are_identified_by_their_tables():
+    renamed = parse_machines(GRI.to_text().replace("grigorchuk", "other"))["other"]
+    assert renamed == GRI and hash(renamed) == hash(GRI)
+    assert word(renamed, "b*c") == word(GRI, "b*c")
+    assert is_identity(compose(word(renamed, "b*c"), word(GRI, "d")))
+
+
+def _tree_perm(k, perms):
+    """The depth-k assignment whose letter permutation below the i-th prefix
+    (in length-then-lexicographic order) is perms[i]."""
+    prefixes = [w for n in range(k) for w in product(range(2), repeat=n)]
+    below = dict(zip(prefixes, perms))
+    return {
+        w: tuple(below[w[:i]][w[i]] for i in range(k)) for w in product(range(2), repeat=k)
+    }
+
+
+def _depth_perms(k):
+    perm = st.sampled_from([(0, 1), (1, 0)])
+    return st.lists(perm, min_size=2**k - 1, max_size=2**k - 1).map(
+        lambda perms: depth_perm(k, _tree_perm(k, perms))
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), _depth_perms(k), _depth_perms(k))))
+def test_default_named_depth_perms_against_tail_walks(case):
+    # the identity cache is never cleared: answers for one machine must not
+    # leak to another machine of the same name
+    k, s, t = case
+    words = list(product(range(2), repeat=k))
+    both = compose(s, t)
+    for w in words:
+        assert tail_walk(both, w) == tail_walk(s, tail_walk(t, w))
+        # below depth k every tail acts trivially
+        assert is_identity(TailElement(2, tail_section(both, w)[1]))
+    assert is_identity(s) == all(tail_walk(s, w) == w for w in words)
+    assert is_identity(compose(s, s)) == all(tail_walk(s, tail_walk(s, w)) == w for w in words)
+    assert is_identity(both) == all(tail_walk(both, w) == w for w in words)
+    assert tails.equal(s, t) == all(tail_walk(s, w) == tail_walk(t, w) for w in words)
+
+
+def test_identity_cache_is_bounded(monkeypatch):
+    cases = [
+        (word(GRI, "*".join(["a", "b"] * 8)), False),
+        (word(GRI, "*".join(["a", "b"] * 16)), True),
+        (word(GRI, "b*c*d"), True),
+        (word(GRI, "a*c*a*d"), False),
+        (compose(depth_perm(2, ORDER_FOUR), depth_perm(2, ORDER_FOUR)), False),
+        (compose(depth_perm(2, INVOLUTION), depth_perm(2, INVOLUTION)), True),
+    ]
+    monkeypatch.setattr(tails, "IDENTITY_CACHE_SIZE", 4)
+    monkeypatch.setattr(tails, "_identity_cache", {})
+    for _ in range(3):
+        for t, truth in cases:
+            assert is_identity(t) == truth
+            assert len(tails._identity_cache) <= 4
 
 
 def test_identity_check_budget_guard():
