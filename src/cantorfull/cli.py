@@ -65,14 +65,12 @@ class Session:
             self.load_gens(args.gens)
 
     def load_gens(self, spec):
-        try:
-            fam = family_by_name(spec)
-            self.table = fam.table
-            self.d = fam.table.d
+        # a family name takes precedence over a file of that name
+        if spec.partition(":")[0] in FAMILY_BUILDERS:
+            self.table = family_by_name(spec).table
+            self.d = self.table.d
             self.parser = Parser(self.d, self.parser.registry)
             return
-        except CantorError:
-            pass
         mapping = {}
         with open(spec) as fh:
             text = fh.read()
@@ -86,17 +84,17 @@ class Session:
 
     def element(self, text):
         """Evaluate an expression (or literal) against the generator table."""
-        return evaluate(self.parser.parse_expr(text), self.table)
+        return evaluate(self.parser.parse_expr(_given(text, "element")), self.table)
 
     def text(self, m):
         return element_to_text(m, self.names)
 
     def clopen(self, text):
-        return self.parser.parse_clopen(text)
+        return self.parser.parse_clopen(_given(text, "clopen"))
 
     def partition(self, spec):
         if spec.startswith("atoms:"):
-            return atoms(int(spec.split(":", 1)[1]), self.d)
+            return atoms(_count(spec.split(":", 1)[1], "atom depth"), self.d)
         parts = [self.clopen(p) for p in spec.split(";")]
         if not is_partition(parts):
             raise CantorError(f"{spec!r} is not a partition")
@@ -104,20 +102,46 @@ class Session:
 
     def msec(self, spec):
         """Multisection literal: msec(<clopen>; <element>, <element>, ...)."""
-        spec = spec.strip()
+        spec = _given(spec, "multisection literal").strip()
         if not (spec.startswith("msec(") and spec.endswith(")")):
             raise CantorError("multisection literal must be msec(e1; f2, ...)")
         body = spec[5:-1]
         base_text, _, maps_text = body.partition(";")
         base = self.clopen(base_text.strip())
-        maps = [self.element(t.strip()) for t in maps_text.split(",") if t.strip()]
+        maps = [self.element(t.strip()) for t in _top_level_split(maps_text) if t.strip()]
         return build(base, maps)
 
     def perm(self, spec, degree):
-        pi = tuple(int(x) for x in spec.replace(",", " ").split())
+        words = _given(spec, "permutation (--perm)").replace(",", " ").split()
+        pi = tuple(_count(x, "permutation entry") for x in words)
         if sorted(pi) != list(range(degree)):
             raise CantorError(f"{spec!r} is not a permutation of 0..{degree - 1}")
         return pi
+
+
+def _given(value, what):
+    if value is None:
+        raise CantorError(f"missing {what}")
+    return value
+
+
+def _count(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise CantorError(f"{what} {text!r} is not a number") from None
+
+
+def _top_level_split(text):
+    """text split at the commas outside (), [] and {}."""
+    parts, depth = [""], 0
+    for ch in text:
+        depth += (ch in "([{") - (ch in ")]}")
+        if ch == "," and not depth:
+            parts.append("")
+        else:
+            parts[-1] += ch
+    return parts
 
 
 def emit(args, exit_code, text, payload):
@@ -216,7 +240,7 @@ def cmd_gen(session, args):
     if args.action == "list":
         names = sorted(FAMILY_BUILDERS)
         return emit_value(args, "gen list", ", ".join(names), names)
-    fam = family_by_name(args.name)
+    fam = family_by_name(_given(args.name, "family name"))
     lines = [f"{name} = {session.text(m)}" for name, m in fam.table.items()]
     payload = {
         "name": fam.name,

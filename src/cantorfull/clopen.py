@@ -9,7 +9,7 @@ set; the antichain {()} (the empty word) is the whole space.
 from functools import reduce
 from itertools import product
 
-from .errors import AlphabetMismatch, LetterOutOfRange
+from .errors import AlphabetMismatch, CantorError, LetterOutOfRange
 
 Word = tuple  # tuple of ints < d
 
@@ -18,6 +18,8 @@ def word_from_text(text):
     """Parse a word literal: a digit string, or "~" for the empty word."""
     if text == "~":
         return ()
+    if text.strip("0123456789"):
+        raise CantorError(f"word {text!r} is not a digit string or ~")
     return tuple(int(ch) for ch in text)
 
 
@@ -190,7 +192,7 @@ def union_all(clopens, d):
 def atoms(n, d):
     """The d^n depth-n cylinders in lexicographic order."""
     if n < 0:
-        raise ValueError("depth must be nonnegative")
+        raise CantorError("depth must be nonnegative")
     return [Clopen(d, (w,)) for w in product(range(d), repeat=n)]
 
 

@@ -1,7 +1,7 @@
 """Expression trees over named generators and the bounded Boolean completion.
 
-Elements of the completion are finite compatible joins of restrictions of
-generator words; bi_enumerate lists them up to explicit bounds and
+Elements of the completion are finite joins of restrictions of generator
+words; bi_enumerate lists them up to explicit bounds and
 piecewise_member searches for a piecewise expression of a unit.  Exact
 membership is not attempted: ExhaustedAtBound is an honest third answer.
 """
@@ -12,8 +12,8 @@ from itertools import combinations
 from . import certs
 from . import pmap as _pmap
 from .clopen import Clopen, atoms, normalize
-from .errors import CantorError, IncompatibleJoin, NotAUnit, UnknownGenerator
-from .pmap import Dedup, PartialMap, compatible, eq, one, restrict, star, zero
+from .errors import CantorError, IncompatibleJoin, IncompatiblePair, NotAUnit, UnknownGenerator
+from .pmap import Dedup, PartialMap, eq, one, restrict, star, zero
 
 
 class GeneratorTable:
@@ -87,7 +87,8 @@ class Restrict:
 
 
 def evaluate(expr, table):
-    """The element denoted by expr; join children are verified compatible."""
+    """The element denoted by expr; a join whose children do not glue raises
+    IncompatibleJoin at the path of its first incompatible pair."""
 
     def go(node, path):
         if isinstance(node, GeneratorRef):
@@ -107,11 +108,10 @@ def evaluate(expr, table):
             return restrict(go(node.child, path + (0,)), node.clopen)
         if isinstance(node, Join):
             parts = [go(child, path + (i,)) for i, child in enumerate(node.children)]
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    if not compatible(parts[i], parts[j]):
-                        raise IncompatibleJoin(path + (i, j))
-            return _pmap.join(parts) if parts else zero(table.d)
+            try:
+                return _pmap.join(parts) if parts else zero(table.d)
+            except IncompatiblePair as err:
+                raise IncompatibleJoin(path + (err.i, err.j)) from None
         raise CantorError(f"unknown expression node {node!r}")
 
     return go(expr, ())
@@ -176,13 +176,10 @@ def bi_enumerate(table, word_len, join_arity, depth):
     for arity in range(1, join_arity + 1):
         for combo in combinations(range(len(pieces)), arity):
             parts = [pieces[i] for i in combo]
-            if any(
-                not compatible(parts[i][0], parts[j][0])
-                for i in range(arity)
-                for j in range(i + 1, arity)
-            ):
+            try:
+                m = _pmap.join([p[0] for p in parts])
+            except IncompatiblePair:
                 continue
-            m = _pmap.join([p[0] for p in parts])
             expr = parts[0][1] if arity == 1 else Join(tuple(p[1] for p in parts))
             rep, expr, new = seen.add(m, expr)
             if new:

@@ -99,14 +99,6 @@ def _unit_word_levels(ctx, max_len):
         yield ctx._levels[n]
 
 
-def _unit_words(ctx, max_len):
-    """Distinct unit words with their name tuples, in BFS order."""
-    out = []
-    for level in _unit_word_levels(ctx, max_len):
-        out.extend(level)
-    return out
-
-
 # -- expansivity ----------------------------------------------------------------
 
 
@@ -177,7 +169,7 @@ def expansive_certificate(ctx, parts, depth, word_len):
 
 def separating_translate(ctx, parts, c1, c2, word_len):
     """A translate containing one cylinder and missing the other, if any."""
-    for m, word in _unit_words(ctx, word_len):
+    for m, word in chain.from_iterable(_unit_word_levels(ctx, word_len)):
         for alpha in parts:
             t = image_clopen(m, alpha)
             if c1.leq(t) and t.disjoint(c2):
@@ -227,29 +219,38 @@ def minimal_certificate(ctx, depth, word_len):
 # -- compressibility ---------------------------------------------------------------
 
 
-def compress_search(ctx, y, z, word_len):
-    """Witness(word) with w(Y) a proper subset of Z."""
-    if y.is_empty() or z.is_empty():
-        raise EmptyInput("compression needs nonempty clopens")
-    bounds = {"word_len": word_len}
-    seen = set()
-    frontier = [(y, [])]
-    seen.add(y.antichain)
-    nodes = 0
-    for _ in range(word_len + 1):
+def _image_levels(ctx, y, max_len):
+    """Distinct images of y under unit words, level by word length up to
+    max_len: yields each level as (image, word) pairs, word a list of unit
+    names with the last one applied first."""
+    seen = {y.antichain}
+    level = [(y, [])]
+    yield level
+    for _ in range(max_len):
         nxt = []
-        for img, word in frontier:
-            nodes += 1
-            if img.leq(z) and img != z:
-                return certs.witness(
-                    {"word": word, "image": str(img)}, bounds, nodes
-                )
+        for img, word in level:
             for name, g in zip(ctx.names, ctx.units):
                 grown = image_clopen(g, img)
                 if grown.antichain not in seen:
                     seen.add(grown.antichain)
                     nxt.append((grown, [name] + word))
-        frontier = nxt
+        level = nxt
+        yield level
+
+
+def compress_search(ctx, y, z, word_len):
+    """Witness(word) with w(Y) a proper subset of Z."""
+    if y.is_empty() or z.is_empty():
+        raise EmptyInput("compression needs nonempty clopens")
+    bounds = {"word_len": word_len}
+    nodes = 0
+    for level in _image_levels(ctx, y, word_len):
+        for img, word in level:
+            nodes += 1
+            if img.leq(z) and img != z:
+                return certs.witness(
+                    {"word": word, "image": str(img)}, bounds, nodes
+                )
     return certs.exhausted(bounds, nodes)
 
 
@@ -269,27 +270,14 @@ def fully_compressible_sample(ctx, depth, word_len):
     checked = 0
     for y in subsets:
         missing = set(range(len(subsets)))
-        seen = {y.antichain}
-        frontier = [y]
-        for idx, z in enumerate(subsets):
-            if y.leq(z) and y != z:
-                missing.discard(idx)
-        for _ in range(word_len):
+        for level in _image_levels(ctx, y, word_len):
+            for img, _ in level:
+                for idx in list(missing):
+                    z = subsets[idx]
+                    if img.leq(z) and img != z:
+                        missing.discard(idx)
             if not missing:
                 break
-            nxt = []
-            for img in frontier:
-                for g in ctx.units:
-                    grown = image_clopen(g, img)
-                    if grown.antichain in seen:
-                        continue
-                    seen.add(grown.antichain)
-                    nxt.append(grown)
-                    for idx in list(missing):
-                        z = subsets[idx]
-                        if grown.leq(z) and grown != z:
-                            missing.discard(idx)
-            frontier = nxt
         checked += len(subsets)
         for idx in sorted(missing):
             failures.append((str(y), str(subsets[idx])))

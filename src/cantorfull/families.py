@@ -7,12 +7,13 @@ reproducibility rather than minimality.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from inspect import signature
+from itertools import permutations, product
 
 from .clopen import cylinder, union_all, word_to_text
 from .completion import GeneratorTable
 from .errors import CantorError
-from .pmap import Branch, PartialMap
+from .pmap import Branch, PartialMap, as_idempotent, join
 from .tails import grigorchuk, state, trivial
 
 
@@ -117,7 +118,7 @@ def depth_aut_units(k, d=2):
     if k < 1:
         raise CantorError("depth must be at least 1")
     nodes = [w for l in range(k) for w in product(range(d), repeat=l)]
-    perms = list(_all_perms(d))
+    perms = list(permutations(range(d)))
     total = len(perms) ** len(nodes)
     if total > 20000:
         raise CantorError(f"depth-{k} automorphism family has {total} elements")
@@ -136,24 +137,16 @@ def depth_aut_units(k, d=2):
     )
 
 
-def _all_perms(d):
-    from itertools import permutations
-
-    return permutations(range(d))
-
-
 def rist_generators(u, inner):
     """The inner family conjugated into the cylinder of u, extended by the
     identity elsewhere: generators of a rigid stabilizer."""
     u = tuple(u)
     d = inner.table.d
-    comp = cylinder(u, d).complement()
-    t = trivial(d)
+    off = as_idempotent(cylinder(u, d).complement())
     mapping = {}
     for name, g in inner.table.items():
-        branches = [Branch(u + b.dom, u + b.ran, b.tail) for b in g.branches]
-        branches += [Branch(w, w, t) for w in comp.antichain]
-        mapping[f"r{word_to_text(u)}_{name}"] = PartialMap(d, branches)
+        inside = PartialMap(d, [Branch(u + b.dom, u + b.ran, b.tail) for b in g.branches])
+        mapping[f"r{word_to_text(u)}_{name}"] = join([inside, off])
     return NamedFamily(
         "rist",
         {"prefix": word_to_text(u), "inner": inner.name},
@@ -164,16 +157,21 @@ def rist_generators(u, inner):
 
 FAMILY_BUILDERS = {
     "higman_thompson": higman_thompson,
-    "grigorchuk": lambda: grigorchuk_units(),
-    "rover": lambda: rover_units(),
+    "grigorchuk": grigorchuk_units,
+    "rover": rover_units,
     "depth_aut": depth_aut_units,
 }
 
 
 def family_by_name(spec):
     """Family from a CLI-style spec like "higman_thompson:2" or "grigorchuk"."""
-    parts = spec.split(":")
-    name, args = parts[0], [int(x) for x in parts[1:]]
+    name, *params = spec.split(":")
     if name not in FAMILY_BUILDERS:
         raise CantorError(f"unknown family {name!r}")
-    return FAMILY_BUILDERS[name](*args)
+    builder = FAMILY_BUILDERS[name]
+    try:
+        args = [int(x) for x in params]
+        signature(builder).bind(*args)
+    except (TypeError, ValueError):
+        raise CantorError(f"bad parameters {params} for family {name!r}") from None
+    return builder(*args)

@@ -12,7 +12,7 @@ witness re-evaluates to its target by eq.
 from . import certs
 from . import pmap as _pmap
 from .certs import GiveUp
-from .clopen import atoms, is_partition, part_of
+from .clopen import atoms, cylinder, is_partition, part_of
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import (
@@ -196,7 +196,6 @@ class GeneratingKit:
             self._by_dom_part.setdefault(pd, []).append((idx, pr))
         self.sections = []
         self._extension_word_list = None
-        self._section_lookup = {}
         self._t_dedup = Dedup()
         self.T = []
         for m in build_T(self.A, self.parts, max_products=eager_products):
@@ -401,18 +400,6 @@ def _wordify(kit, m, budget, max_len):
     return None
 
 
-def _try_combine(fs_a, cols_a, fs_b, cols_b):
-    """combine_factored, or None when the support condition fails."""
-    try:
-        return combine_factored(fs_a, cols_a, fs_b, cols_b)
-    except CantorError:
-        return None
-
-
-def _spare_candidates(fs, taken):
-    return [j for j in range(fs.msec.degree) if j not in taken]
-
-
 def _cols_tuple(needed):
     """Sub-column tuple: 0 first, the rest sorted and deduped."""
     rest = sorted(set(needed) - {0})
@@ -425,7 +412,7 @@ def _combine_with_spares(fs_a, need_a, fs_b, need_b, min_side=3):
 
     def options(fs, base):
         missing = max(0, min_side - len(base))
-        pool = _spare_candidates(fs, set(base))
+        pool = [j for j in range(fs.msec.degree) if j not in base]
         if missing == 0:
             return [()]
         return list(combinations(pool, missing))
@@ -438,9 +425,10 @@ def _combine_with_spares(fs_a, need_a, fs_b, need_b, min_side=3):
             cols_b = _cols_tuple(set(base_b) | set(sb))
             if len(cols_a) < min_side or len(cols_b) < min_side:
                 continue
-            combined = _try_combine(fs_a, cols_a, fs_b, cols_b)
-            if combined is not None:
-                return combined, cols_a, cols_b
+            try:
+                return combine_factored(fs_a, cols_a, fs_b, cols_b), cols_a, cols_b
+            except CantorError:
+                continue  # the support condition fails
     return None, None, None
 
 
@@ -666,7 +654,7 @@ def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
     out = []
     for w in section.base.antichain:
         for x in range(kit.d):
-            child = _clopen_of(kit.d, tuple(w) + (x,))
+            child = cylinder(tuple(w) + (x,), kit.d)
             sub = restrict_msec(section, child)
             out.extend(
                 _factor_five_cover(kit, sub, rho, budget, word_len, split_left - 1)
@@ -738,7 +726,6 @@ def _cylinder_permutation(target, max_refine=8):
     genuinely automaton tails) do not stabilize and yield None.
     """
     from . import tails as _tails
-    from .clopen import Clopen
 
     d = target.d
     words = {b.dom for b in target.branches}
@@ -765,7 +752,7 @@ def _cylinder_permutation(target, max_refine=8):
             splitters = [u for u in refined if u != w and u[: len(w)] == w]
             if splitters:
                 depth = max(len(u) for u in splitters)
-                final.update(Clopen(d, (w,)).words_at_depth(depth))
+                final.update(cylinder(w, d).words_at_depth(depth))
             else:
                 final.add(w)
         if final == words:
@@ -810,7 +797,7 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
         for y, x in pivot_three_cycles(perm, base_idx):
             u, v = family[y], family[x]
             section = build(
-                _clopen_of(kit.d, base),
+                cylinder(base, kit.d),
                 [
                     prefix_exchange(kit.d, [(base, u)]),
                     prefix_exchange(kit.d, [(base, v)]),
@@ -823,9 +810,3 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
     except GiveUp as stop:
         return certs.exhausted(bounds, budget.nodes, detail=str(stop))
     return certs.witness({"word": word}, bounds, budget.nodes)
-
-
-def _clopen_of(d, word):
-    from .clopen import Clopen
-
-    return Clopen(d, (tuple(word),))

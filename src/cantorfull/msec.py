@@ -24,7 +24,7 @@ from .errors import (
     OverlappingIdempotents,
     SupportsOverlapElsewhere,
 )
-from .pmap import PartialMap, as_idempotent, compose, eq, join, leq, restrict, star
+from .pmap import as_idempotent, compose, eq, join, leq, restrict, star
 
 # -- permutation helpers (tuples pi with pi[i] the image of i) -----------------
 
@@ -169,18 +169,8 @@ def element(s, pi):
     """The unit h_pi acting as f_pi(i) f_i* on each e_i, identity elsewhere."""
     if len(pi) != s.degree:
         raise CantorError(f"permutation of length {len(pi)} for degree {s.degree}")
-    # the parts f_pi(i) f_i* have the pairwise disjoint domains e_i and
-    # ranges e_pi(i), checked in the Multisection constructor, and the
-    # identity off the support misses both, so the parts are compatible and
-    # their branches glue without join's pairwise checks; the PartialMap
-    # constructor still rejects any overlap of domains or of ranges
-    branches = [
-        b
-        for i in range(s.degree)
-        for b in compose(s.transporters[pi[i]], star(s.transporters[i])).branches
-    ]
-    branches.extend(s.off_support().branches)
-    return PartialMap(s.d, branches)
+    parts = [compose(s.transporters[pi[i]], star(s.transporters[i])) for i in range(s.degree)]
+    return join(parts + [s.off_support()])
 
 
 def sym_group(s):

@@ -22,6 +22,9 @@ from .pmap import Branch, PartialMap
 from .tails import TailElement, trivial
 
 
+_DIGITS = "0123456789"  # str.isdigit also takes "²", which int() rejects
+
+
 def _name_char(ch):
     return ch.isalnum() or ch == "_"
 
@@ -61,9 +64,9 @@ class _Tokens:
                     self._advance(len(sym))
                     break
             else:
-                if ch.isdigit():
+                if ch in _DIGITS:
                     j = self.pos
-                    while j < len(text) and text[j].isdigit():
+                    while j < len(text) and text[j] in _DIGITS:
                         j += 1
                     self.items.append(("digits", text[self.pos : j], here))
                     self._advance(j - self.pos)

@@ -379,24 +379,35 @@ def compatible(x, y):
 
 
 def disjoint(x, y):
-    return compose(star(x), y).is_zero() and compose(x, star(y)).is_zero()
+    """x and y are orthogonal, x*y = 0 = xy*: disjoint domains and ranges."""
+    return dom(x).disjoint(dom(y)) and ran(x).disjoint(ran(y))
 
 
 def join(elems):
-    """Least upper bound of pairwise compatible elements."""
+    """Least upper bound of pairwise compatible elements.
+
+    Orthogonal elements are always compatible, and their join is the union
+    of their tables: the inputs are pairwise orthogonal exactly when the
+    constructor accepts their concatenated table, whose domains and ranges
+    must be antichains.  Inputs that overlap are proved compatible pair by
+    pair (the first failing pair raises IncompatiblePair(i, j)) and glued
+    keeping the shallowest of the branches whose domains are comparable.
+    """
     elems = list(elems)
     if not elems:
         raise CantorError("join of no elements has no context")
     d = elems[0].d
     for m in elems:
         _check_context(elems[0], m)
+    pool = [b for m in elems for b in m.branches]
+    try:
+        return PartialMap(d, pool)
+    except CantorError:
+        pass  # two inputs' domains or ranges meet
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             if not compatible(elems[i], elems[j]):
                 raise IncompatiblePair(i, j)
-    pool = []
-    for m in elems:
-        pool.extend(m.branches)
     pool.sort(key=lambda b: (len(b.dom), b.dom))
     kept = []
     kept_doms = set()
@@ -494,7 +505,6 @@ class Dedup:
 
     def __init__(self):
         self._buckets = {}
-        self.items = []
 
     def add(self, m, payload=None):
         key = fingerprint(m)
@@ -503,7 +513,6 @@ class Dedup:
             if eq(other, m):
                 return other, other_payload, False
         bucket.append((m, payload))
-        self.items.append((m, payload))
         return m, payload, True
 
     def find(self, m):
@@ -512,9 +521,6 @@ class Dedup:
             if eq(other, m):
                 return other, payload
         return None
-
-    def __len__(self):
-        return len(self.items)
 
     def __contains__(self, m):
         key = fingerprint(m)

@@ -91,7 +91,9 @@ def parse_machines(text):
     Format, one machine per block:
         machine NAME D
         state S perm p0 .. p(D-1) to T0 .. T(D-1)
-    A repeated machine or state name, or any other line, raises CantorError.
+    A repeated machine or state name, a name that the element grammar cannot
+    read as a name part (so NAME.S could not be written), or any other line
+    raises CantorError.
     """
     blocks = {}
     d = None
@@ -100,6 +102,7 @@ def parse_machines(text):
         if not tokens:
             continue
         if tokens[0] == "machine" and len(tokens) == 3 and tokens[2].isdecimal():
+            _check_name_part("machine", tokens[1])
             if tokens[1] in blocks:
                 raise CantorError(f"machine {tokens[1]} is defined twice")
             d, transition, output = blocks[tokens[1]] = (int(tokens[2]), {}, {})
@@ -111,6 +114,7 @@ def parse_machines(text):
             and tokens[3 + d] == "to"
             and all(p.isdecimal() for p in tokens[3 : 3 + d])
         ):
+            _check_name_part("state", tokens[1])
             if tokens[1] in output:
                 raise CantorError(f"state {tokens[1]} is defined twice")
             output[tokens[1]] = tuple(map(int, tokens[3 : 3 + d]))
@@ -118,6 +122,11 @@ def parse_machines(text):
         else:
             raise CantorError(f"malformed machine line: {raw!r}")
     return {name: MealyMachine(name, *block) for name, block in blocks.items()}
+
+
+def _check_name_part(kind, name):
+    if not (name[0].isalpha() or name[0] == "_") or not name.replace("_", "a").isalnum():
+        raise CantorError(f"{kind} name {name!r} is not a letter or _ then letters, digits or _")
 
 
 # a factor is (machine, state, exp) with exp in {+1, -1}, keyed by itself
@@ -286,12 +295,13 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
         if nodes > node_budget:
             raise BudgetExceeded(f"identity check exceeded {node_budget} nodes")
         node = TailElement(t.d, factors)
-        if node.root_perm() != ident:
+        images = [node.apply_letter(x) for x in range(t.d)]
+        if tuple(y for y, _ in images) != ident:
             answer = False
             break
         unknown.append(factors)
-        for x in range(t.d):
-            section = free_reduce(node.apply_letter(x)[1].factors)
+        for _, residual in images:
+            section = free_reduce(residual.factors)
             if section not in seen:
                 seen.add(section)
                 queue.append(section)

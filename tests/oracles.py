@@ -3,14 +3,26 @@
 These re-derive the intended semantics directly from machine tables and
 branch prefixes, without calling the library's apply/compose/eval paths, so
 they can arbitrate the library's outputs.  The two search references,
-right_extending_words and nonzero_products, are the exception: they compose
+right_extending_words and nonzero_products, are exceptions: they compose
 with the library and pin the order and the duplicates of its word searches.
+So is reference_join, the join that proves every pair compatible.
 """
 
 import random
 
-from cantorfull.clopen import normalize, part_of, word_from_text
-from cantorfull.pmap import Branch, PartialMap, compose, dom, eq, fingerprint, one, ran
+from cantorfull.clopen import is_prefix, normalize, part_of, word_from_text
+from cantorfull.errors import CantorError, IncompatiblePair
+from cantorfull.pmap import (
+    Branch,
+    PartialMap,
+    compatible,
+    compose,
+    dom,
+    eq,
+    fingerprint,
+    one,
+    ran,
+)
 from cantorfull.tails import TailElement, adding_machine, grigorchuk, state, trivial
 
 SHALLOW = "shallow"
@@ -133,6 +145,32 @@ def nonzero_products(family, parts, max_products):
         if pd is not None and pr is not None and pd != pr:
             out.append(m)
     return out
+
+
+def reference_join(elems):
+    """The join by pairwise proof: every pair is checked with compatible
+    (the first failing pair raises IncompatiblePair(i, j)), then the pooled
+    branches are glued keeping the shallowest of comparable domains."""
+    elems = list(elems)
+    if not elems:
+        raise CantorError("join of no elements has no context")
+    d = elems[0].d
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if not compatible(elems[i], elems[j]):
+                raise IncompatiblePair(i, j)
+    pool = [b for m in elems for b in m.branches]
+    pool.sort(key=lambda b: (len(b.dom), b.dom))
+    kept = []
+    kept_doms = set()
+    for b in pool:
+        if b.dom in kept_doms:
+            continue
+        if any(is_prefix(k.dom, b.dom) for k in kept):
+            continue
+        kept.append(b)
+        kept_doms.add(b.dom)
+    return PartialMap(d, kept)
 
 
 def pm(d, *specs):

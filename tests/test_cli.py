@@ -219,6 +219,47 @@ def test_usage_errors(capsys):
     assert "cfl bi: error: argument --len: invalid int value: 'abc'" in err
 
 
+MSEC = "msec({00}; [00->01], [00->10])"
+HT2 = ["--gens", "higman_thompson:2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "[0->1]", "abc"],
+        ["dyn", "orbit", *HT2, "--prefix", "0x"],
+        ["msec", "element", MSEC, "--perm", "a,b"],
+        ["genkit", "verify", *HT2, "--partition", "atoms:x"],
+        ["genkit", "verify", *HT2, "--partition", "atoms:-1"],
+        ["dyn", "minimal", *HT2, "--depth", "-1"],
+        ["gen", "show", "higman_thompson:x"],
+        ["gen", "show", "grigorchuk:1"],
+        ["gen", "show", "higman_thompson:2:3:4"],
+        ["eq", "1", "1", "--gens", "higman_thompson:x"],
+        ["normalize", "{\u00b2}"],
+        ["dyn", "split", *HT2],
+        ["msec", "element", MSEC],
+        ["msec", "combine", MSEC],
+        ["genkit", "express", *HT2, "--perm", "1,2,0"],
+        ["bi", "member", *HT2],
+        ["dyn", "compress", *HT2, "--target", "{0}"],
+        ["dyn", "compress", *HT2, "--source", "{0}"],
+        ["gen", "show"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip()
+
+
+def test_msec_literal_maps_may_have_several_branches(capsys):
+    split = run_json(capsys, "msec", "build", "msec({0}; [00->10, 01->11])")
+    joined = run_json(capsys, "msec", "build", "msec({0}; ([00->10] | [01->11]))")
+    assert split == joined and split[0] == 0
+
+
 def test_budget_only_on_budgeted_commands(capsys):
     assert main(["eq", "[0->1,1->0]", "[1->0,0->1]", "--budget", "5"]) == 3
     argv = ["bi", "member", "cyc", "--gens", "higman_thompson:2", "--len", "1", "--depth", "1"]
@@ -309,8 +350,10 @@ def test_machine_states_are_named_machine_dot_state(tmp_path, capsys):
         ("machine foo two\n", "malformed machine line"),
         ("machine foo 2\nstate x perm 1 0\n", "malformed machine line"),
         (MACHINES + "machine foo 2\nstate e perm 0 1 to e e\n", "machine foo is defined twice"),
+        ("machine foo 2\nstate x-1 perm 1 0 to x-1 x-1\n", "state name 'x-1'"),
+        ("machine f-o 2\nstate x perm 1 0 to x x\n", "machine name 'f-o'"),
     ],
-    ids=["state-first", "alphabet", "short-state", "machine-twice"],
+    ids=["state-first", "alphabet", "short-state", "machine-twice", "state-name", "machine-name"],
 )
 def test_malformed_machine_files_are_usage_errors(tmp_path, capsys, text, message):
     assert main(["eq", "1", "1", "--machines", machines_file(tmp_path, text)]) == 3

@@ -74,6 +74,11 @@ def test_evaluate_incompatible_join_path():
     with pytest.raises(IncompatibleJoin) as exc:
         evaluate(expr, TABLE)
     assert exc.value.path == (0, 1)
+    # child 0 is orthogonal to both others; children 1 and 2 disagree on [1]
+    three = Join(tuple(ElementLeaf(pm(2, c)) for c in ("00->00", "1->1", "1->01")))
+    with pytest.raises(IncompatibleJoin) as exc:
+        evaluate(Product((ElementLeaf(one(2)), three)), TABLE)
+    assert exc.value.path == (1, 1, 2)
 
 
 def test_depth_clopens():

@@ -46,8 +46,10 @@ from oracles import (
     oracle_image,
     pair_scan_compose,
     pm,
+    random_antichain,
     random_pmap,
     random_tail,
+    reference_join,
     right_extending_words,
 )
 
@@ -163,6 +165,17 @@ def test_disjoint_implies_compatible():
     assert compatible(x, y)
 
 
+def test_disjoint_is_orthogonality():
+    rng = random.Random(83)
+    verdicts = set()
+    for _ in range(200):
+        x, y = random_pmap(rng, 2), random_pmap(rng, 2)
+        orthogonal = compose(star(x), y).is_zero() and compose(x, star(y)).is_zero()
+        assert disjoint(x, y) == orthogonal
+        verdicts.add(orthogonal)
+    assert verdicts == {True, False}
+
+
 def test_incompatible_pair():
     assert not compatible(pm(2, "0->0"), pm(2, "0->1"))
     assert compatible(pm(2, "0->1"), pm(2, "0->1"))
@@ -193,6 +206,60 @@ def test_join_absorbs_restrictions():
     r = restrict(f, clo("{01}"))
     assert eq(join([f, r]), f)
     assert leq(r, join([f, r]))
+
+
+JOIN_FAMILIES = {"V2": lambda: higman_thompson(2), "rover": rover_units}
+
+
+@pytest.mark.parametrize("family, seed", [("V2", 80), ("rover", 81)])
+def test_join_of_orthogonal_pieces_is_the_union_of_tables(monkeypatch, family, seed):
+    units = list(JOIN_FAMILIES[family]().table.mapping.values())
+    letters = units + [star(u) for u in units]
+    rng = random.Random(seed)
+
+    def no_pairwise_proof(x, y):
+        raise AssertionError("orthogonal inputs were proved compatible pair by pair")
+
+    for _ in range(30):
+        u = one(2)
+        for _ in range(rng.randrange(1, 4)):
+            u = compose(u, rng.choice(letters))
+        # a unit restricted to the parts of a partition: disjoint domains,
+        # and disjoint ranges because a unit is injective
+        groups = {}
+        for cell in atoms(rng.randrange(1, 4), 2):
+            groups.setdefault(rng.randrange(4), []).append(cell.antichain[0])
+        pieces = [restrict(u, normalize(ws, 2)) for ws in groups.values()]
+        pieces = rng.sample(pieces, rng.randrange(1, len(pieces) + 1))
+        expected = reference_join(pieces)
+        with monkeypatch.context() as patch:
+            patch.setattr(pmap, "compatible", no_pairwise_proof)
+            assert join(pieces) == expected
+
+
+def test_join_of_overlapping_inputs_matches_reference():
+    rng = random.Random(82)
+    outcomes = set()
+    for _ in range(150):
+        f = random_pmap(rng, 2)
+        # restrictions of one map overlap and glue; a random map mostly does not
+        elems = []
+        for _ in range(rng.randrange(2, 4)):
+            c = normalize(random_antichain(rng, 2, 3, 3), 2)
+            elems.append(restrict(f, c) if rng.random() < 0.7 else random_pmap(rng, 2))
+        if all(disjoint(x, y) for i, x in enumerate(elems) for y in elems[i + 1 :]):
+            continue
+        try:
+            expected = reference_join(elems)
+        except IncompatiblePair as err:
+            with pytest.raises(IncompatiblePair) as exc:
+                join(elems)
+            assert (exc.value.i, exc.value.j) == (err.i, err.j)
+            outcomes.add("incompatible")
+        else:
+            assert join(elems) == expected
+            outcomes.add("glued")
+    assert outcomes == {"incompatible", "glued"}
 
 
 # -- eq -----------------------------------------------------------------------

@@ -252,8 +252,14 @@ def test_parse_machines_rejects_garbage():
         "machine m 2\nstate s perm 1 x to s s",
         "machine m 2\nstate s perm 1 0 to s s\nstate s perm 0 1 to s s",
         "machine m 2\nstate s perm 1 0 to s s\nmachine m 2\nstate s perm 0 1 to s s",
+        "machine m 2\nstate x-1 perm 1 0 to x-1 x-1",
+        "machine f-o 2\nstate s perm 1 0 to s s",
+        "machine m 2\nstate 1x perm 1 0 to 1x 1x",
     ],
-    ids=["state-first", "alphabet", "short-state", "perm-letter", "state-twice", "machine-twice"],
+    ids=[
+        "state-first", "alphabet", "short-state", "perm-letter", "state-twice", "machine-twice",
+        "state-name", "machine-name", "state-name-digit-first",
+    ],
 )
 def test_parse_machines_rejects_malformed_lines(text):
     with pytest.raises(CantorError):
@@ -336,6 +342,25 @@ def test_identity_cache_is_bounded(monkeypatch):
         for t, truth in cases:
             assert is_identity(t) == truth
             assert len(tails._identity_cache) <= 4
+
+
+def test_identity_check_reads_each_node_once(monkeypatch):
+    # (ab)^16 = 1 in the Grigorchuk group; the closure visits 10 nodes, and
+    # each node's root permutation and sections come from one letter sweep
+    calls = []
+    apply_letter = TailElement.apply_letter
+
+    def counted(self, x):
+        calls.append(x)
+        return apply_letter(self, x)
+
+    monkeypatch.setattr(tails, "_identity_cache", {})
+    monkeypatch.setattr(TailElement, "apply_letter", counted)
+    assert is_identity(word(GRI, "*".join(["a", "b"] * 16)))
+    assert len(calls) == 20
+    # the cache now holds every node, so a second decision reads no letter
+    assert is_identity(word(GRI, "*".join(["a", "b"] * 16)))
+    assert len(calls) == 20
 
 
 def test_identity_check_budget_guard():
