@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from . import certs, dynamics, factor, kit, msec, pmap
 from .clopen import atoms, is_partition, word_from_text
@@ -50,6 +51,8 @@ class Session:
 
     def __init__(self, args):
         self.d = args.alphabet
+        if self.d < 2:
+            raise CantorError("alphabet size must be at least 2")
         self.table = GeneratorTable(self.d, {})
         registry = default_registry(self.d)
         if getattr(args, "machines", None):
@@ -415,7 +418,9 @@ def _common(sub):
     sub.add_argument("--machines", help="file of Mealy machine definitions")
 
 
+@cache
 def build_arg_parser():
+    """The cfl parser, built once per process: no handler mutates a default."""
     top = _ArgumentParser(prog="cfl", description=__doc__)
     subs = top.add_subparsers(dest="command", required=True)
 

@@ -27,7 +27,7 @@ from .msec import (
     pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, compose, dom, eq, fingerprint, is_unit, ran, restrict, star, word_ball
+from .pmap import Dedup, compose, dom, eq, fingerprint, image_clopen, is_unit, ran, restrict, star, word_ball
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -41,10 +41,11 @@ def derive_transporters(table, parts, word_len=2):
     out = Dedup()
     result = []
     for w, _ in ball:
-        for e in parts:
-            t = restrict(w, e)
-            if t.is_zero() or not _separated(parts, t):
+        for i, e in enumerate(parts):
+            # the restriction's domain lies in part i, so only its image decides
+            if part_of(parts, image_clopen(w, e)) in (None, i):
                 continue
+            t = restrict(w, e)
             for candidate in (t, star(t)):
                 rep, _, new = out.add(candidate)
                 if new:
@@ -88,7 +89,7 @@ def verify_separating(family, parts, n_orbit):
         targets = set()
         for a in family:
             if e.leq(dom(a)):
-                pr = part_of(parts, ran(restrict(a, e)))
+                pr = part_of(parts, image_clopen(a, e))
                 if pr is not None and pr != i:
                     targets.add(pr)
         if len(targets) < n_orbit - 1:
@@ -108,7 +109,7 @@ def verify_separating(family, parts, n_orbit):
             for piece in frontier:
                 for a in family:
                     if piece.leq(dom(a)):
-                        img = ran(restrict(a, piece))
+                        img = image_clopen(a, piece)
                         if img.antichain not in seen_pieces:
                             seen_pieces.add(img.antichain)
                             nxt.append(img)
@@ -247,13 +248,13 @@ class GeneratingKit:
         for a_idx, a_pr in self._by_dom_part.get(pd, ()):
             if a_pr in used:
                 continue
-            if not base.leq(dom(self.A[a_idx])):
+            a = self.A[a_idx]
+            if not base.leq(dom(a)):
                 continue
-            piece = restrict(self.A[a_idx], base)
-            pr_piece = part_of(self.parts, ran(piece))
+            pr_piece = part_of(self.parts, image_clopen(a, base))
             if pr_piece is None or pr_piece in used:
                 continue
-            maps.append(piece)
+            maps.append(a if dom(a) == base else restrict(a, base))
             used.add(pr_piece)
             if len(maps) == 4:
                 break

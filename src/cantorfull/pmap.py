@@ -16,7 +16,7 @@ from operator import attrgetter
 from . import clopen as _clopen
 from . import tails as _tails
 from .clopen import is_prefix, normalize
-from .errors import AlphabetMismatch, CantorError, IncompatiblePair
+from .errors import AlphabetMismatch, CantorError, IncompatiblePair, LetterOutOfRange
 from .tails import TailElement, free_reduce
 
 
@@ -446,7 +446,8 @@ def eval_at(f, w):
 
     Image(prefix, residual) with f(w.z) = prefix.residual(z) when a single
     branch covers [w]; TooShallow when w is a proper prefix of some branch
-    domain; Undefined when [w] misses dom(f).
+    domain; Undefined when [w] misses dom(f).  A letter outside the alphabet
+    raises LetterOutOfRange.
     """
     w = tuple(w)
     for b in f.branches:
@@ -455,6 +456,8 @@ def eval_at(f, w):
             return EvalResult(IMAGE, b.ran + img, res)
     if any(is_prefix(w, b.dom) for b in f.branches):
         return EvalResult(TOO_SHALLOW)
+    if any(not 0 <= x < f.d for x in w):
+        raise LetterOutOfRange(f"letter out of range in {w}")
     return EvalResult(UNDEFINED)
 
 

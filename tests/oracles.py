@@ -5,12 +5,14 @@ branch prefixes, without calling the library's apply/compose/eval paths, so
 they can arbitrate the library's outputs.  The two search references,
 right_extending_words and nonzero_products, are exceptions: they compose
 with the library and pin the order and the duplicates of its word searches.
-So is reference_join, the join that proves every pair compatible.
+So is reference_join, the join that proves every pair compatible, and
+reference_part_of, which scans the parts with Clopen.leq where part_of
+looks words up in an index.
 """
 
 import random
 
-from cantorfull.clopen import is_prefix, normalize, part_of, word_from_text
+from cantorfull.clopen import is_prefix, normalize, word_from_text
 from cantorfull.errors import CantorError, IncompatiblePair
 from cantorfull.pmap import (
     Branch,
@@ -98,6 +100,14 @@ def pair_scan_compose(f, g):
     return PartialMap(f.d, out)
 
 
+def reference_part_of(parts, c):
+    """A reference for clopen.part_of: the first part that contains c,
+    found by a containment scan over every part."""
+    if c.is_empty():
+        return None
+    return next((i for i, p in enumerate(parts) if c.leq(p)), None)
+
+
 def _first_eq(seen, m):
     """The first member of seen with m's fingerprint that eq says equals m,
     by a linear scan: the duplicates Dedup finds, without its buckets."""
@@ -141,7 +151,7 @@ def nonzero_products(family, parts, max_products):
         level = nxt
     out = []
     for m in kept:
-        pd, pr = part_of(parts, dom(m)), part_of(parts, ran(m))
+        pd, pr = reference_part_of(parts, dom(m)), reference_part_of(parts, ran(m))
         if pd is not None and pr is not None and pd != pr:
             out.append(m)
     return out

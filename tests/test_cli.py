@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +249,8 @@ HT2 = ["--gens", "higman_thompson:2"]
         ["dyn", "compress", *HT2, "--target", "{0}"],
         ["dyn", "compress", *HT2, "--source", "{0}"],
         ["gen", "show"],
+        ["eq", "1", "1", "-d", "0"],
+        ["eval", "[0->1]", "5"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -252,6 +258,48 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
+
+
+def test_letters_and_alphabets_are_checked(capsys):
+    assert main(["eq", "1", "1", "-d", "1"]) == 3
+    assert "alphabet size must be at least 2" in capsys.readouterr().err
+    for word in ("5", "15", "2"):
+        assert main(["eval", "[0->1]", word]) == 3
+        assert "out of range" in capsys.readouterr().err
+    assert run(capsys, "eval", "[0->1]", "2", "-d", "3") == (1, "eval: undefined\n")
+    assert main(["dyn", "code", *HT2, "--words", "cyc", "--prefix", "7"]) == 3
+
+
+def _fresh_process(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "cantorfull.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout
+
+
+def test_parser_is_built_once_and_defaults_stay_fresh(capsys):
+    dyn_code = ["dyn", "code", *HT2, "--partition", "atoms:1", "--prefix", "00", "--json"]
+    factor = ["msec", "factor", "msec({000}; [000->001], [000->010], [000->011], [000->100])",
+              "--perm", "1,2,0,3,4", "--json"]
+    # each command without its list option runs twice, so a handler that
+    # mutated the shared default would change the second answer
+    sequence = [
+        dyn_code + ["--words", "cyc", "1"],
+        dyn_code,
+        dyn_code,
+        factor + ["--parts", "{0000}", "{0001}"],
+        factor,
+        factor,
+    ]
+    assert build_arg_parser() is build_arg_parser()
+    fresh = {}
+    for argv in sequence:
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = _fresh_process(argv)
+        assert run(capsys, *argv) == fresh[tuple(argv)]
+    assert [exit_code for exit_code, _ in fresh.values()] == [0, 0, 0, 3]
 
 
 def test_msec_literal_maps_may_have_several_branches(capsys):

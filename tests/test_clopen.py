@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorfull import clopen
 from cantorfull.clopen import (
@@ -15,6 +18,8 @@ from cantorfull.clopen import (
             word_from_text,
 )
 from cantorfull.errors import AlphabetMismatch, LetterOutOfRange
+
+from oracles import reference_part_of
 
 
 def C(text, d=2):
@@ -140,6 +145,43 @@ def test_part_of_examples():
     assert part_of([C("{0}"), C("{1}")], C("{01}")) == 0
     assert part_of([C("{00}"), C("{01}"), C("{1}")], C("{0}")) is None
     assert part_of([C("{0}"), C("{1}")], empty(2)) is None
+    assert part_of([C("{0, 11}"), C("{10}")], C("{00, 110}")) == 0
+    assert part_of([C("{0, 11}"), C("{10}")], C("{00, 10}")) is None
+    assert part_of([full(3)], C("{2, 01}", d=3)) == 0
+
+
+def test_part_of_matches_reference_scan():
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.data())
+    def check(data):
+        d = data.draw(st.sampled_from((2, 3)))
+        # a partition by random splitting, its cells grouped into parts
+        cells = [()]
+        for _ in range(data.draw(st.integers(0, 8))):
+            w = cells.pop(data.draw(st.integers(0, len(cells) - 1)))
+            cells += [w + (x,) for x in range(d)] if len(w) < 4 else [w]
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(cells), max_size=len(cells)))
+        parts = [normalize([w for w, k in zip(cells, labels) if k == j], d) for j in sorted(set(labels))]
+        # words near the cells, mostly near one: a cell, cut short (which may
+        # straddle) or extended
+        home = data.draw(st.sampled_from(cells))
+        letters = st.lists(st.integers(0, d - 1), max_size=2).map(tuple)
+        near = st.tuples(st.sampled_from([home] * 3 + cells), st.integers(0, 1), letters)
+        words = data.draw(st.lists(near, max_size=4))
+        c = normalize([w[: len(w) - cut] + ext for w, cut, ext in words], d)
+        expected = reference_part_of(parts, c)
+        assert part_of(parts, c) == expected
+        if c.is_empty():
+            seen["empty"] += 1
+        elif expected is None:
+            seen["straddles"] += 1
+        elif len(c.antichain) > 1 and any(len(p.antichain) > 1 for p in parts):
+            seen["several words inside a several-word part"] += 1
+
+    check()
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
 
 
 def random_clopen(rng, d, maxdepth):
