@@ -42,6 +42,15 @@ def default_registry(d):
     return registry
 
 
+def _checked_alphabet(d):
+    """d itself, when it is an alphabet whose words print as digit strings."""
+    if not 2 <= d <= 10:
+        raise CantorError(
+            f"alphabet size must be at least 2 and at most 10 (words are digit strings), not {d}"
+        )
+    return d
+
+
 class Session:
     """Parsed context shared by one invocation.
 
@@ -50,9 +59,7 @@ class Session:
     """
 
     def __init__(self, args):
-        self.d = args.alphabet
-        if self.d < 2:
-            raise CantorError("alphabet size must be at least 2")
+        self.d = _checked_alphabet(args.alphabet)
         self.table = GeneratorTable(self.d, {})
         registry = default_registry(self.d)
         if getattr(args, "machines", None):
@@ -71,7 +78,7 @@ class Session:
         # a family name takes precedence over a file of that name
         if spec.partition(":")[0] in FAMILY_BUILDERS:
             self.table = family_by_name(spec).table
-            self.d = self.table.d
+            self.d = _checked_alphabet(self.table.d)
             self.parser = Parser(self.d, self.parser.registry)
             return
         mapping = {}
@@ -389,7 +396,7 @@ def cmd_dyn(session, args):
         return emit_cert(args, "dyn orbit", cert)
     if args.action == "split":
         g = session.element(args.element)
-        cert = dynamics.split_unit(g, ctx, word_len=args.len)
+        cert = dynamics.split_unit(g)
         if cert.is_witness():
             w = cert.witness
             cert = replace(cert, witness={

@@ -6,11 +6,11 @@ decide; the operations certify finite shadows at explicit depth and length
 bounds and report three-valued certificates that re-verify.
 """
 
-from itertools import chain
+from itertools import chain, product
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import atoms, cylinder, is_partition, part_of, union_all
+from .clopen import atoms, cylinder, is_partition, normalize, part_of, union_all
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
     Dedup,
@@ -348,66 +348,58 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
 # -- constructive splitting ---------------------------------------------------------
 
 
-def _moved_cylinders(g, max_depth):
-    """Cylinders whose image under g is disjoint from them, shallowest first."""
-    from itertools import product as iproduct
-
+def _moved_cylinders(g, region, max_depth):
+    """The cylinders c inside region, of depth 1..max_depth, with g(c) and c
+    disjoint: yields (c, g(c)), shallowest first and lexicographic within a
+    depth (the extensions of the region's words, taken in lexicographic
+    order, are lexicographic, because the words are an antichain)."""
     for depth in range(1, max_depth + 1):
-        for w in iproduct(range(g.d), repeat=depth):
-            c = cylinder(w, g.d)
-            if image_clopen(g, c).disjoint(c):
-                yield c
+        for u in sorted(w for w in region.antichain if len(w) <= depth):
+            for tail in product(range(g.d), repeat=depth - len(u)):
+                c = cylinder(u + tail, g.d)
+                gc = image_clopen(g, c)
+                if gc.disjoint(c):
+                    yield c, gc
 
 
-def split_unit(g, ctx, word_len=4, max_depth=6):
+def split_unit(g, ctx=None, word_len=None, max_depth=6):
     """Split a non-identity unit as g = g1 g2 with each factor fixing a
     nonempty clopen pointwise.
 
-    g1 is the displayed piecewise element: g on Z and hZ, the inverse on gZ
-    and ghZ, the identity elsewhere; g2 fixes Z and g1 fixes a neighbourhood
-    of a point still moved by g outside the four pieces.
+    g1 is the displayed piecewise element: g on Z and Y, the inverse on gZ
+    and gY, the identity elsewhere; g2 fixes Z and g1 fixes a neighbourhood
+    of a point still moved by g outside the four pieces.  Z is a moved
+    cylinder, and Y a moved cylinder outside Z, gZ and g^-1 Z, so the four
+    pieces are pairwise disjoint and g1 lies in the full group whatever Y
+    is: no unit words are searched.  ctx and word_len are not read;
+    they are accepted so that callers which still pass them keep working.
     """
     if eq(g, one(g.d)):
         raise IdentityInput("cannot split the identity")
-    bounds = {"word_len": word_len, "max_depth": max_depth}
+    bounds = {"max_depth": max_depth}
     nodes = 0
-    # the moved cylinders are scanned once, for Z and for every search of Y
-    source = _moved_cylinders(g, max_depth)
-    moved = []
-
-    def moved_cylinders():
-        i = 0
-        while True:
-            if i == len(moved):
-                c = next(source, None)
-                if c is None:
-                    return
-                moved.append(c)
-            yield moved[i]
-            i += 1
-
-    for z in moved_cylinders():
-        gz = image_clopen(g, z)
+    g_inv = star(g)
+    # a moved cylinder misses every point g fixes, so no scan need enter a
+    # branch on which g is the identity
+    moving = normalize(
+        [b.dom for b in g.branches if b.dom != b.ran or not b.tail.is_trivial_word()],
+        g.d,
+    )
+    for z, gz in _moved_cylinders(g, moving, max_depth):
         z_gz = z.union(gz)
-        if z_gz.complement().is_empty():
-            continue
-        for h, _ in chain.from_iterable(_unit_word_levels(ctx, word_len)):
+        free = moving.meet(z_gz.union(image_clopen(g_inv, z)).complement())
+        for y, gy in _moved_cylinders(g, free, max_depth):
             nodes += 1
-            hz = image_clopen(h, z)
-            if not hz.disjoint(z_gz):
-                continue
-            ghz = image_clopen(g, hz)
-            if not (ghz.disjoint(z_gz) and ghz.disjoint(hz)):
-                continue
-            four = union_all([z, gz, hz, ghz], g.d)
-            rest = four.complement()
-            fixed1 = next((y for y in moved_cylinders() if y.leq(rest)), None)
+            rest = union_all([z_gz, y, gy], g.d).complement()
+            fixed1 = next(
+                (c for c, _ in _moved_cylinders(g, rest.meet(moving), max_depth)), None
+            )
             if fixed1 is None:
                 continue
             g1 = join(
                 [
-                    restrict(g, z.union(hz)),
-                    restrict(star(g), gz.union(ghz)),
+                    restrict(g, z.union(y)),
+                    restrict(g_inv, gz.union(gy)),
                     as_idempotent(rest),
                 ]
             )

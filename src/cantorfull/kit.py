@@ -456,9 +456,10 @@ def _factored_for_word(kit, word, budget):
         for a_idx, a_pr in kit._by_dom_part.get(pd, ()):
             if a_pr == pd or a_pr == pr:
                 continue
-            sfs, s_from, s_to = _factored_for_word(
-                kit, list(word) + [kit.star_index(a_idx)], budget
-            )
+            detour = list(word) + [kit.star_index(a_idx)]
+            if kit.word_element(detour).is_zero():
+                continue
+            sfs, s_from, s_to = _factored_for_word(kit, detour, budget)
             afs, a_from, a_to = kit.section_for_word([a_idx])
             combined, cols_s, cols_a = _combine_with_spares(
                 sfs, {s_from, s_to}, afs, {a_from, a_to}

@@ -5,25 +5,34 @@ branch prefixes, without calling the library's apply/compose/eval paths, so
 they can arbitrate the library's outputs.  The two search references,
 right_extending_words and nonzero_products, are exceptions: they compose
 with the library and pin the order and the duplicates of its word searches.
-So is reference_join, the join that proves every pair compatible, and
+So is reference_join, the join that proves every pair compatible,
 reference_part_of, which scans the parts with Clopen.leq where part_of
-looks words up in an index.
+looks words up in an index, and reference_split_unit, the split that
+searches unit words h for its second piece hZ.
 """
 
 import random
+from itertools import chain, product
 
-from cantorfull.clopen import is_prefix, normalize, word_from_text
-from cantorfull.errors import CantorError, IncompatiblePair
+from cantorfull import certs
+from cantorfull.clopen import cylinder, is_prefix, normalize, union_all, word_from_text
+from cantorfull.dynamics import _unit_word_levels
+from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
 from cantorfull.pmap import (
     Branch,
     PartialMap,
+    as_idempotent,
     compatible,
     compose,
     dom,
     eq,
     fingerprint,
+    image_clopen,
+    join,
     one,
     ran,
+    restrict,
+    star,
 )
 from cantorfull.tails import TailElement, adding_machine, grigorchuk, state, trivial
 
@@ -181,6 +190,59 @@ def reference_join(elems):
         kept.append(b)
         kept_doms.add(b.dom)
     return PartialMap(d, kept)
+
+
+def reference_split_unit(g, ctx, word_len=4, max_depth=6):
+    """A reference for dynamics.split_unit: Z is a moved cylinder and the
+    second piece is hZ for the first unit word h of ctx's ball, up to
+    word_len, with hZ, gZ, ghZ and Z pairwise disjoint; the factors are
+    built and re-verified as split_unit does."""
+    if eq(g, one(g.d)):
+        raise IdentityInput("cannot split the identity")
+    moved = [
+        c
+        for depth in range(1, max_depth + 1)
+        for w in product(range(g.d), repeat=depth)
+        for c in [cylinder(w, g.d)]
+        if image_clopen(g, c).disjoint(c)
+    ]
+    bounds = {"word_len": word_len, "max_depth": max_depth}
+    nodes = 0
+    for z in moved:
+        gz = image_clopen(g, z)
+        z_gz = z.union(gz)
+        if z_gz.complement().is_empty():
+            continue
+        for h, _ in chain.from_iterable(_unit_word_levels(ctx, word_len)):
+            nodes += 1
+            hz = image_clopen(h, z)
+            if not hz.disjoint(z_gz):
+                continue
+            ghz = image_clopen(g, hz)
+            if not (ghz.disjoint(z_gz) and ghz.disjoint(hz)):
+                continue
+            rest = union_all([z, gz, hz, ghz], g.d).complement()
+            fixed1 = next((y for y in moved if y.leq(rest)), None)
+            if fixed1 is None:
+                continue
+            g1 = join(
+                [
+                    restrict(g, z.union(hz)),
+                    restrict(star(g), gz.union(ghz)),
+                    as_idempotent(rest),
+                ]
+            )
+            g2 = compose(star(g1), g)
+            if not (
+                eq(compose(g1, g2), g)
+                and eq(restrict(g1, fixed1), as_idempotent(fixed1))
+                and eq(restrict(g2, z), as_idempotent(z))
+            ):
+                raise CantorError("reference split built factors that do not re-verify")
+            return certs.witness(
+                {"g1": g1, "g2": g2, "fixed1": fixed1, "fixed2": z}, bounds, nodes
+            )
+    return certs.exhausted(bounds, nodes)
 
 
 def pm(d, *specs):

@@ -308,7 +308,6 @@ def test_criterion_09_constructive_splitting():
     rng = random.Random(90)
     fam = higman_thompson(2)
     units = list(fam.table.mapping.values())
-    ctx = DynContext(fam.table)
     done = 0
     while done < 200:
         g = one(2)
@@ -316,7 +315,7 @@ def test_criterion_09_constructive_splitting():
             g = compose(g, units[rng.randrange(len(units))])
         if eq(g, one(2)):
             continue
-        cert = split_unit(g, ctx)
+        cert = split_unit(g)
         assert cert.is_witness(), cert.detail
         w = cert.witness
         assert eq(compose(w["g1"], w["g2"]), g)

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from cantorfull import cli
 from cantorfull.cli import Session, build_arg_parser, main
+from cantorfull.completion import GeneratorTable
+from cantorfull.families import NamedFamily
 from cantorfull.parser import Parser
 from cantorfull.pmap import Branch, PartialMap, compose, eq, eval_at, star
 
@@ -250,6 +253,8 @@ HT2 = ["--gens", "higman_thompson:2"]
         ["dyn", "compress", *HT2, "--source", "{0}"],
         ["gen", "show"],
         ["eq", "1", "1", "-d", "0"],
+        ["eq", "1", "1", "-d", "11"],
+        ["normalize", "{0}", "-d", "1000000"],
         ["eval", "[0->1]", "5"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -260,9 +265,19 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert "Traceback" not in err and err.strip()
 
 
-def test_letters_and_alphabets_are_checked(capsys):
+def test_letters_and_alphabets_are_checked(capsys, monkeypatch):
     assert main(["eq", "1", "1", "-d", "1"]) == 3
     assert "alphabet size must be at least 2" in capsys.readouterr().err
+    # a word over more than ten letters would not print as a digit string:
+    # [0->1:adder] takes 09 to 1 followed by the letter 10
+    assert main(["eval", "[0->1:adder]", "09", "-d", "12"]) == 3
+    assert "at most 10" in capsys.readouterr().err
+    assert run(capsys, "eval", "[0->1:adder]", "09", "-d", "10") == (0, "eval: 10 : adder\n")
+    # the same bound holds for an alphabet set by a family
+    eleven = NamedFamily("higman_thompson", {"d": 11}, GeneratorTable(11, {}))
+    monkeypatch.setattr(cli, "family_by_name", lambda spec: eleven)
+    assert main(["eq", "1", "1", "--gens", "higman_thompson:11"]) == 3
+    assert "at most 10" in capsys.readouterr().err
     for word in ("5", "15", "2"):
         assert main(["eval", "[0->1]", word]) == 3
         assert "out of range" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -18,11 +19,18 @@ from cantorfull.dynamics import (
     subshift_code,
 )
 from cantorfull.errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
-from cantorfull.families import higman_thompson
-from cantorfull.pmap import Branch, PartialMap, compose, eq, one
+from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
+from cantorfull.pmap import Branch, PartialMap, compose, eq, image_clopen, one
 from cantorfull.tails import adding_machine, state
 
-from oracles import clo, pm
+from oracles import (
+    SHALLOW,
+    clo,
+    oracle_compose_image,
+    oracle_image,
+    pm,
+    reference_split_unit,
+)
 
 
 def v2_ctx():
@@ -173,9 +181,8 @@ def test_orbit_k1_identity_word():
 
 
 def test_split_unit_sigma():
-    ctx = v2_ctx()
     g = pm(2, "0->1", "1->0")
-    cert = split_unit(g, ctx)
+    cert = split_unit(g)
     assert cert.is_witness()
     w = cert.witness
     assert eq(compose(w["g1"], w["g2"]), g)
@@ -185,14 +192,13 @@ def test_split_unit_sigma():
 
 def test_split_unit_identity_raises():
     with pytest.raises(IdentityInput):
-        split_unit(one(2), v2_ctx())
+        split_unit(one(2))
 
 
 def test_split_unit_with_fixed_clopen():
     # g already fixes {1} pointwise; splitting still works
-    ctx = v2_ctx()
     g = pm(2, "00->01", "01->00", "1->1")
-    cert = split_unit(g, ctx)
+    cert = split_unit(g)
     assert cert.is_witness()
     assert eq(compose(cert.witness["g1"], cert.witness["g2"]), g)
 
@@ -201,7 +207,7 @@ def test_split_unit_rejects_factors_that_do_not_reverify(monkeypatch):
     # a broken join makes g1 the identity, so g2 = g does not fix Z
     monkeypatch.setattr(dynamics, "join", lambda elems: one(2))
     with pytest.raises(CantorError):
-        split_unit(pm(2, "0->1", "1->0"), v2_ctx())
+        split_unit(pm(2, "0->1", "1->0"))
 
 
 def test_word_ball_grows_on_demand():
@@ -225,7 +231,7 @@ def test_word_ball_grows_on_demand():
             assert eq(g, m)
     # a search that stops early does not build the longer levels
     ctx = v2_ctx()
-    assert split_unit(pm(2, "0->1", "1->0"), ctx, word_len=4).is_witness()
+    assert orbit_lower_bound(ctx, (0,), k=2, word_len=4).is_witness()
     assert len(ctx._levels) < 5
 
 
@@ -251,20 +257,84 @@ def test_word_ball_survives_interrupted_growth(monkeypatch):
     ]
 
 
-def test_split_unit_random_words():
-    ctx = v2_ctx()
-    units = list(ctx.table.mapping.values())
+def random_v2_units():
+    """The 25 random V2 words of length 1-4 that split_unit is tested on,
+    identities dropped."""
+    units = list(higman_thompson(2).table.mapping.values())
     rng = random.Random(77)
+    out = []
     for _ in range(25):
         g = one(2)
         for _ in range(rng.randrange(1, 5)):
             g = compose(g, units[rng.randrange(len(units))])
-        if eq(g, one(2)):
-            continue
-        cert = split_unit(g, ctx)
+        if not eq(g, one(2)):
+            out.append(g)
+    return out
+
+
+def test_moved_cylinders_in_order():
+    # every cylinder of depth 1..4 inside the region that g moves off itself,
+    # shallowest first and lexicographic within a depth
+    regions = [full(2), clo("{1, 01}"), clo("{0010, 011, 1}"), clo("{}")]
+    for g in random_v2_units()[:8]:
+        for region in regions:
+            expected = [
+                (c, image_clopen(g, c))
+                for depth in range(1, 5)
+                for w in product(range(2), repeat=depth)
+                for c in [cylinder(w, 2)]
+                if c.leq(region) and image_clopen(g, c).disjoint(c)
+            ]
+            assert list(dynamics._moved_cylinders(g, region, 4)) == expected
+
+
+def test_split_unit_random_words():
+    for g in random_v2_units():
+        cert = split_unit(g)
         assert cert.is_witness(), cert.detail
         w = cert.witness
         assert eq(compose(w["g1"], w["g2"]), g)
+
+
+def _agrees(left, right, w, extra=2):
+    """left and right give the same image word on every word below w, read
+    where both images are defined and `extra` letters deeper; each takes a
+    word to its image word, to SHALLOW, or to None off its domain."""
+    a, b = left(w), right(w)
+    if a == SHALLOW or b == SHALLOW:
+        return all(_agrees(left, right, w + (x,), extra) for x in range(2))
+    return a is not None and all(
+        left(w + t) == right(w + t) for t in product(range(2), repeat=extra)
+    )
+
+
+def test_split_unit_splits_wherever_the_word_search_did():
+    # the reference searches unit words of length <= 2 over each unit's own
+    # table; every witness is re-checked pointwise through the oracles
+    adder = PartialMap(2, [Branch((), (), state(adding_machine(2), "a"))])
+    v2 = v2_ctx()
+    cases = [(g, v2) for g in random_v2_units()]
+    cases.append((adder, DynContext(GeneratorTable(2, {"a": adder}))))
+    for fam in (grigorchuk_units(), rover_units()):
+        ctx = DynContext(fam.table)
+        cases += [(g, ctx) for g in fam.table.mapping.values()]
+    assert len(cases) == 45
+    for g, ctx in cases:
+        cert = split_unit(g)
+        if reference_split_unit(g, ctx, word_len=2).is_witness():
+            assert cert.is_witness(), cert.detail
+        if not cert.is_witness():
+            continue
+        assert cert.nodes_explored <= 3
+        w = cert.witness
+        g1, g2 = w["g1"], w["g2"]
+        assert _agrees(
+            lambda u: oracle_compose_image(g1, g2, u), lambda u: oracle_image(g, u), ()
+        )
+        for fixed, f in ((w["fixed1"], g1), (w["fixed2"], g2)):
+            assert not fixed.is_empty()
+            for u in fixed.antichain:
+                assert _agrees(lambda v: oracle_image(f, v), lambda v: v, u)
 
 
 # -- rigid decomposition ---------------------------------------------------------------
@@ -297,8 +367,6 @@ def test_compress_witness_reverifies():
     ctx = v2_ctx()
     cert = compress_search(ctx, clo("{0}"), clo("{11}"), word_len=4)
     assert cert.is_witness()
-    from cantorfull.pmap import image_clopen
-
     img = clo("{0}")
     for name in reversed(cert.witness["word"]):
         g = ctx.units[ctx.names.index(name)]

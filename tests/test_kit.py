@@ -211,6 +211,14 @@ def test_express_exhausts_gracefully():
     assert cert.is_exhausted()
 
 
+def in_a_section(kit, n):
+    """True iff a kit section has n's base and all of n's idempotents."""
+    return any(
+        section.base == n.base and all(e in section.idems for e in n.idems)
+        for section, _ in kit.sections
+    )
+
+
 def searched_three_cycles(kit, count, seed=4):
     """3-sections on depth-4 cylinders that no kit section contains, so that
     express searches rather than looks the answer up."""
@@ -219,12 +227,50 @@ def searched_three_cycles(kit, count, seed=4):
     out = []
     while len(out) < count:
         n = random_three_section(rng, units, 4)
-        if not any(
-            section.base == n.base and all(e in section.idems for e in n.idems)
-            for section, _ in kit.sections
-        ):
+        if not in_a_section(kit, n):
             out.append(n)
     return out
+
+
+def criterion_07_three_section(rng, units):
+    """Criterion 07's sampler: a 3-section on a cylinder of depth 4, 4 or 5
+    whose transporters are units or products of two units."""
+    while True:
+        c = cylinder(tuple(rng.randrange(2) for _ in range(rng.choice((4, 4, 5)))), 2)
+        maps, images = [], [c]
+        for _ in range(2):
+            m = units[rng.randrange(len(units))]
+            if rng.random() < 0.6:
+                m = compose(m, units[rng.randrange(len(units))])
+            r = restrict(m, c)
+            if any(not ran(r).disjoint(x) for x in images):
+                break
+            maps.append(r)
+            images.append(ran(r))
+        if len(maps) == 2:
+            return build(c, maps)
+
+
+def test_express_skips_zero_detours():
+    # the first searched 3-cycle of criterion 07's sampler over the Röver
+    # units, seeds 2 and 5: a detour whose product is zero ended the search
+    # with "zero product while factoring a word" instead of trying the next
+    fam = rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    units = list(fam.table.mapping.values())
+    pi = cycle_perm(3, [0, 1, 2])
+    for seed in (2, 5):
+        rng = random.Random(seed)
+        n = criterion_07_three_section(rng, units)
+        while in_a_section(kit, n):
+            n = criterion_07_three_section(rng, units)
+        target = element(n, pi)
+        cert = express(target, kit, n, pi, node_budget=100_000)
+        assert cert.is_witness(), (seed, cert.detail)
+        got = one(2)
+        for idx, perm in cert.witness["word"]:
+            got = compose(got, element(kit.sections[idx][0], perm))
+        assert eq(got, target)
 
 
 def test_express_rechecks_every_letter(monkeypatch):
