@@ -329,9 +329,9 @@ class CombinedSection:
 def combine_factored(fs_g, g_cols, fs_h, h_cols):
     """Combine sub-sections of two factored sections into a factored section.
 
-    The sub-columns must include the bases (index 0) and the parents' supports
-    restricted to those columns must meet in exactly one idempotent pair; the
-    underlying combine() verifies this.
+    Each column tuple is headed by its sub-section's base (see sub_section),
+    and the parents' supports restricted to those columns must meet in
+    exactly one idempotent pair; the underlying combine() verifies this.
     """
     from .msec import combine
 

@@ -9,6 +9,7 @@ reproducibility rather than minimality.
 from dataclasses import dataclass
 from inspect import signature
 from itertools import permutations, product
+from math import factorial
 
 from .clopen import cylinder, union_all, word_to_text
 from .completion import GeneratorTable
@@ -67,14 +68,15 @@ def higman_thompson(d, k=None):
     if k >= 2:
         cyc = [Branch(roots[i], roots[(i + 1) % k], trivial(d)) for i in range(k)]
         mapping["cyc"] = PartialMap(d, cyc)
+    seen = set(mapping.values())
     for i, u in enumerate(words):
         for v in words[i + 1 :]:
             if u[: len(v)] == v or v[: len(u)] == u:
                 continue
             unit = _swap_unit(d, u, v)
-            name = f"s{word_to_text(u)}_{word_to_text(v)}"
-            if not any(unit == other for other in mapping.values()):
-                mapping[name] = unit
+            if unit not in seen:
+                seen.add(unit)
+                mapping[f"s{word_to_text(u)}_{word_to_text(v)}"] = unit
     table = GeneratorTable(d, mapping)
     return NamedFamily(
         "higman_thompson",
@@ -118,10 +120,13 @@ def depth_aut_units(k, d=2):
     if k < 1:
         raise CantorError("depth must be at least 1")
     nodes = [w for l in range(k) for w in product(range(d), repeat=l)]
+    # sized before any permutation is listed: d! of them grow fast, and the
+    # size is named as a power, which may have too many digits to print
+    if factorial(d) ** len(nodes) > 20000:
+        raise CantorError(
+            f"depth-{k} automorphism family has {factorial(d)}^{len(nodes)} elements"
+        )
     perms = list(permutations(range(d)))
-    total = len(perms) ** len(nodes)
-    if total > 20000:
-        raise CantorError(f"depth-{k} automorphism family has {total} elements")
     mapping = {}
     for combo in product(range(len(perms)), repeat=len(nodes)):
         assign = dict(zip(nodes, (perms[i] for i in combo)))

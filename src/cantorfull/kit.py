@@ -2,12 +2,17 @@
 five-sections around it, and expressing alternating units over the kit.
 
 The pipeline derives from a unit table a symmetric family A of part-to-part
-transporters, checks the separation conditions, surrounds each short product
-of A-elements with a 5-section, and expresses alternating units by peeling
-words down to 3-letter pieces and gluing the pieces' sections along shared
-idempotents.  All searches are deterministic and budget-guarded, and every
-witness re-evaluates to its target by eq.
+transporters, checks the separation conditions, and surrounds restrictions of
+short products of A-elements with 5-sections.  It expresses an alternating
+unit by writing each transporter of a 5-section around it as a family word,
+factoring the word's product restricted to the section's base c (words are
+peeled down to 3-letter pieces, each with the kit section at the clopen it
+acts on), and gluing the pieces' sections along shared idempotents, the four
+transporters' along c.  All searches are deterministic and budget-guarded,
+and every witness re-evaluates to its target by eq.
 """
+
+from itertools import combinations
 
 from . import certs
 from . import pmap as _pmap
@@ -179,10 +184,11 @@ class GeneratingKit:
     """Separating family, its transporter products, and their 5-sections.
 
     Sections are populated on demand: the transporter set T of short products
-    is unbounded in practice (every restriction of a short word), so the kit
-    deduplicates and surrounds exactly the elements the caller consults.
-    sections[i] is a (Multisection, provenance) pair; K is materialized
-    lazily as the deduped alternating elements of the built sections.
+    is unbounded in practice (every restriction of a short word to a clopen),
+    so the kit deduplicates and surrounds exactly the elements the caller
+    consults, each at its own domain.  sections[i] is a (Multisection, T[i])
+    pair, T[i] the transporter in column 1; K is materialized lazily as the
+    deduped alternating elements of the built sections.
     """
 
     def __init__(self, table, parts, family, eager_products=1):
@@ -234,7 +240,7 @@ class GeneratingKit:
             m = compose(m, self.A[idx])
         return m
 
-    def _ensure_section(self, m, provenance=None):
+    def _ensure_section(self, m):
         """Section index surrounding the transporter m, building it if new."""
         pd, pr = _part_pair(self.parts, m)
         if pd is None or pr is None or pd == pr:
@@ -264,18 +270,14 @@ class GeneratingKit:
         idx = len(self.sections)
         self._t_dedup.add(m, idx)
         self.T.append(m)
-        self.sections.append((section, provenance))
+        self.sections.append((section, m))
         return idx
 
-    def section_for_word(self, word):
-        """KitSection for a word of <= 3 family indices with distinct parts."""
-        if not 1 <= len(word) <= 3:
-            raise CantorError(f"kit sections cover words of length 1..3, got {len(word)}")
-        m = self.word_element(word)
-        if m.is_zero():
-            raise CantorError("zero product has no section")
-        idx = self._ensure_section(m, provenance=tuple(word))
-        return KitSection(self.sections[idx][0], idx), 0, 1
+    def section_for(self, m):
+        """KitSection around the separated transporter m: its base is dom(m),
+        and its column 1 carries m."""
+        idx = self._ensure_section(m)
+        return KitSection(self.sections[idx][0], idx)
 
     def alt_elements(self, limit=None):
         """Deduped alternating elements of the built sections (the set K)."""
@@ -401,157 +403,87 @@ def _wordify(kit, m, budget, max_len):
     return None
 
 
-def _cols_tuple(needed):
-    """Sub-column tuple: 0 first, the rest sorted and deduped."""
-    rest = sorted(set(needed) - {0})
-    return (0,) + tuple(rest)
+def _combine_with_spares(fs_a, cols_a, fs_b, cols_b, min_side=3):
+    """combine_factored over two column tuples, each headed by its
+    sub-section's base, padded with spare columns until the support rule
+    holds; None when no padding does."""
 
+    def options(fs, cols):
+        pool = [j for j in range(fs.msec.degree) if j not in cols]
+        return [cols + extra for extra in combinations(pool, max(0, min_side - len(cols)))]
 
-def _combine_with_spares(fs_a, need_a, fs_b, need_b, min_side=3):
-    """Try spare columns until a combine_factored satisfies the support rule."""
-    from itertools import combinations
-
-    def options(fs, base):
-        missing = max(0, min_side - len(base))
-        pool = [j for j in range(fs.msec.degree) if j not in base]
-        if missing == 0:
-            return [()]
-        return list(combinations(pool, missing))
-
-    base_a = _cols_tuple(need_a)
-    base_b = _cols_tuple(need_b)
-    for sa in options(fs_a, base_a):
-        for sb in options(fs_b, base_b):
-            cols_a = _cols_tuple(set(base_a) | set(sa))
-            cols_b = _cols_tuple(set(base_b) | set(sb))
-            if len(cols_a) < min_side or len(cols_b) < min_side:
-                continue
+    for padded_a in options(fs_a, cols_a):
+        for padded_b in options(fs_b, cols_b):
             try:
-                return combine_factored(fs_a, cols_a, fs_b, cols_b), cols_a, cols_b
+                return combine_factored(fs_a, padded_a, fs_b, padded_b)
             except CantorError:
                 continue  # the support condition fails
-    return None, None, None
+    return None
 
 
-def _factored_for_word(kit, word, budget):
-    """Factored section containing the word's product as a column transporter.
+def _factored_for_word(kit, word, c, budget):
+    """Factored section carrying the word's product, restricted to c, as a
+    column transporter.
 
-    Returns (section, col_from, col_to): the product, restricted to the
-    section's pullback, is transporter_between(col_from, col_to).  Words of
-    length three or less with separated parts are kit sections; longer words
-    peel a three-letter head through a fresh part and glue the head's section
-    onto the recursively factored tail; same-part words take a detour through
-    another part first.
+    Returns (section, col_from, col_to): the idempotent of col_from is
+    exactly c, and transporter_between(col_from, col_to) is the product
+    restricted to c.  A word of three letters or less with separated parts
+    gets the kit section around that restriction.  A longer word factors its
+    tail at c and a three-letter head at the tail's image, through a fresh
+    part, and glues the two.  A same-part word takes a detour through a
+    family element a that carries c out of the part: the detour word + [a*]
+    is factored at a(c), a's section is built at c, and the two are glued.
     """
     budget.tick()
-    m = kit.word_element(word)
-    if m.is_zero():
-        raise GiveUp("zero product while factoring a word")
+    m = restrict(kit.word_element(word), c)
     pd, pr = _part_pair(kit.parts, m)
     if pd is None or pr is None:
         raise GiveUp("word product does not respect the partition")
 
     if pd == pr:
-        # detour: m = (m a*) a with a leaving the shared part
         for a_idx, a_pr in kit._by_dom_part.get(pd, ()):
-            if a_pr == pd or a_pr == pr:
+            a = kit.A[a_idx]
+            if a_pr == pd or not c.leq(dom(a)):
                 continue
+            a_c = restrict(a, c)
             detour = list(word) + [kit.star_index(a_idx)]
-            if kit.word_element(detour).is_zero():
-                continue
-            sfs, s_from, s_to = _factored_for_word(kit, detour, budget)
-            afs, a_from, a_to = kit.section_for_word([a_idx])
-            combined, cols_s, cols_a = _combine_with_spares(
-                sfs, {s_from, s_to}, afs, {a_from, a_to}
-            )
+            sfs, s_from, s_to = _factored_for_word(kit, detour, ran(a_c), budget)
+            combined = _combine_with_spares(sfs, (s_from, s_to), kit.section_for(a_c), (0, 1))
             if combined is None:
                 continue
-            c_from = combined.combined_col("h", a_from)
+            c_from = combined.combined_col("h", 0)
             c_to = combined.combined_col("g", s_to)
-            return _checked_piece(kit, m, combined, c_from, c_to)
+            return _checked_piece(m, combined, c_from, c_to)
         raise GiveUp(f"no detour transporter out of part {pd}")
 
     if len(word) <= 3:
-        return kit.section_for_word(word)
+        return kit.section_for(m), 0, 1
 
-    # peel the two outermost letters through a fresh part
+    # splice the two outermost letters through a fresh part
     j0, j1 = word[0], word[1]
+    inner = image_clopen(kit.word_element(word[2:]), c)
     p_star = part_of(kit.parts, dom(kit.A[j1]))
     for a_idx, a_pr in kit._by_dom_part.get(p_star, ()):
-        if a_pr in (pd, pr):
+        if a_pr in (pd, pr) or not inner.leq(dom(kit.A[a_idx])):
             continue
         head = [j0, j1, kit.star_index(a_idx)]
         tail = [a_idx] + list(word[2:])
-        if kit.word_element(head).is_zero() or kit.word_element(tail).is_zero():
-            continue
-        hfs, h_from, h_to = kit.section_for_word(head)
-        tfs, t_from, t_to = _factored_for_word(kit, tail, budget)
-        combined, _, _ = _combine_with_spares(
-            tfs, {t_from, t_to}, hfs, {h_from, h_to}
-        )
+        tfs, t_from, t_to = _factored_for_word(kit, tail, c, budget)
+        hfs, h_from, h_to = _factored_for_word(kit, head, tfs.msec.idems[t_to], budget)
+        combined = _combine_with_spares(tfs, (t_from, t_to), hfs, (h_from, h_to))
         if combined is None:
             continue
         c_from = combined.combined_col("g", t_from)
         c_to = combined.combined_col("h", h_to)
-        return _checked_piece(kit, m, combined, c_from, c_to)
+        return _checked_piece(m, combined, c_from, c_to)
     raise GiveUp(f"no splice transporter out of part {p_star}")
 
 
-def _checked_piece(kit, m, fs, c_from, c_to):
-    """Verify the factored section carries the word's product where claimed."""
-    piece = fs.msec.transporter_between(c_from, c_to)
-    if not eq(piece, restrict(m, fs.msec.idems[c_from])):
+def _checked_piece(m, fs, c_from, c_to):
+    """Verify the factored section carries m where claimed."""
+    if not eq(fs.msec.transporter_between(c_from, c_to), m):
         raise GiveUp("glued section does not carry the word product")
     return fs, c_from, c_to
-
-
-def _find_base_word(kit, c, budget, max_len=3):
-    """A short family word whose product's domain is exactly the clopen c.
-
-    Only words whose running domain still contains c can reach one with
-    domain exactly c, so everything else is pruned.
-    """
-    p0 = part_of(kit.parts, c)
-    states = [((), None)]
-    seen = set()
-    for _ in range(max_len):
-        nxt = []
-        for word, cur in states:
-            for idx, a in enumerate(kit.A):
-                budget.tick()
-                if not word:
-                    if part_of(kit.parts, dom(a)) != p0:
-                        continue
-                    step = a
-                else:
-                    step = compose(a, cur)
-                    if step.is_zero():
-                        continue
-                if not c.leq(dom(step)):
-                    continue
-                new_word = (idx,) + word
-                if _separated(kit.parts, step) and dom(step) == c:
-                    return list(new_word)
-                fp = fingerprint(step)
-                if fp not in seen:
-                    seen.add(fp)
-                    nxt.append((new_word, step))
-        states = nxt
-    return None
-
-
-def _shrink_to_base(kit, fs, col_from, col_to, c, shrinker, budget):
-    """Combine with a section based exactly at c so the piece starts at c."""
-    from_piece = fs.msec.idems[col_from]
-    if from_piece == c and col_from == 0:
-        return fs, col_to
-    sfs, _, _ = shrinker
-    combined, _, _ = _combine_with_spares(fs, {col_from, col_to}, sfs, {0})
-    if combined is None:
-        raise GiveUp("could not shrink a transporter section to the target base")
-    if combined.msec.base != c:
-        raise GiveUp("shrink combine did not land on the target base")
-    return combined, combined.combined_col("g", col_to)
 
 
 def express(
@@ -667,56 +599,29 @@ def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
 def _factor_five(kit, section, rho, budget, word_len):
     """Word over kit sections for element(section, rho), section of degree 5."""
     c = section.base
-    # express each transporter as a restricted family word
-    factored = []
+    # each transporter as a restricted family word, factored at c
+    pieces = []
     for k in range(1, 5):
-        m_k = section.transporters[k]
-        word = _wordify(kit, m_k, budget, word_len)
+        word = _wordify(kit, section.transporters[k], budget, word_len)
         if word is None:
             raise GiveUp(f"transporter {k} is not a short family word")
-        fs, col_from, col_to = _factored_for_word(kit, word, budget)
-        if not c.leq(fs.msec.idems[col_from]):
-            raise GiveUp("factored section does not cover the target base")
-        factored.append((fs, col_from, col_to))
+        fs, c_col, to_col = _factored_for_word(kit, word, c, budget)
+        pieces.append((fs, c_col, [to_col]))
 
-    need_shrink = any(
-        fs.msec.idems[col_from] != c or col_from != 0
-        for fs, col_from, _ in factored
-    )
-    shrinker = None
-    if need_shrink:
-        base_word = _find_base_word(kit, c, budget)
-        if base_word is None:
-            raise GiveUp("no kit section based exactly at the target base")
-        shrinker = kit.section_for_word(base_word)
-
-    shrunk = []
-    for fs, col_from, col_to in factored:
-        if fs.msec.idems[col_from] == c and col_from == 0:
-            shrunk.append((fs, col_to))
-        else:
-            shrunk.append(_shrink_to_base(kit, fs, col_from, col_to, c, shrinker, budget))
-
-    # glue the four sections pairwise along the common base, then glue the
-    # pairs; the pairs' kept columns are exactly the base and the transporter
-    # images, so the final combine needs no spare columns at all
+    # glue the four sections pairwise along their c columns, then glue the
+    # pairs, whose base is c; the pairs' kept columns are exactly c and the
+    # transporter images, so the final combine needs no spare columns at all
     def glue(left, right):
-        (fs_a, tos_a), (fs_b, tos_b) = left, right
-        combined, _, _ = _combine_with_spares(
-            fs_a, set([0] + tos_a), fs_b, set([0] + tos_b)
-        )
+        (fs_a, c_a, tos_a), (fs_b, c_b, tos_b) = left, right
+        combined = _combine_with_spares(fs_a, (c_a, *tos_a), fs_b, (c_b, *tos_b))
         if combined is None:
             raise GiveUp("could not glue transporter sections at the base")
         tos = [combined.combined_col("g", t) for t in tos_a]
         tos += [combined.combined_col("h", t) for t in tos_b]
-        return combined, tos
+        return combined, 0, tos
 
-    pair_a = glue((shrunk[0][0], [shrunk[0][1]]), (shrunk[1][0], [shrunk[1][1]]))
-    pair_b = glue((shrunk[2][0], [shrunk[2][1]]), (shrunk[3][0], [shrunk[3][1]]))
-    acc, to_cols = glue(pair_a, pair_b)
-
-    cols = (0,) + tuple(to_cols)
-    full = embed_subperm(rho, cols, acc.msec.degree)
+    acc, _, to_cols = glue(glue(pieces[0], pieces[1]), glue(pieces[2], pieces[3]))
+    full = embed_subperm(rho, (0, *to_cols), acc.msec.degree)
     return list(acc.word_for(full))
 
 

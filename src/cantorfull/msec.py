@@ -280,10 +280,14 @@ def combine(s1, s2):
 
 
 def sub_section(s, indices):
-    """The multisection on a subset of the idempotents (base index included)."""
-    if indices[0] != 0:
-        raise CantorError("sub-sections keep the base as index 0")
-    return Multisection(s.base, [s.transporters[i] for i in indices])
+    """The multisection on a subset of the idempotents, based at indices[0].
+
+    Its transporters are transporter_between(indices[0], i), so its
+    alternating elements are the parent's elements that fix every idempotent
+    left out, whichever column heads the tuple.
+    """
+    b = indices[0]
+    return Multisection(s.idems[b], [s.transporter_between(b, i) for i in indices])
 
 
 def _extension_words(table, word_len, d):

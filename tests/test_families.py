@@ -1,5 +1,6 @@
 import pytest
 
+from cantorfull import families
 from cantorfull.clopen import cylinder, full
 from cantorfull.errors import CantorError
 from cantorfull.families import (
@@ -10,7 +11,7 @@ from cantorfull.families import (
     rist_generators,
     rover_units,
 )
-from cantorfull.pmap import compose, eq, eval_at, is_unit, one, star
+from cantorfull.pmap import PartialMap, compose, eq, eval_at, is_unit, one, star
 
 from oracles import clo, pm
 
@@ -49,6 +50,19 @@ def test_higman_thompson_k_must_fit():
     assert len({str(u) for u in fam.table.mapping}) == len(fam.table.mapping)
 
 
+def test_higman_thompson_dedups_without_pairwise_comparison(monkeypatch):
+    # each new swap is looked up once, not compared with every unit kept so
+    # far (340,725 comparisons for d = 6 when it was)
+    calls = []
+    honest = PartialMap.__eq__
+    monkeypatch.setattr(
+        PartialMap, "__eq__", lambda self, other: calls.append(1) or honest(self, other)
+    )
+    fam = higman_thompson(6)
+    assert len(fam.table) == 826
+    assert len(calls) < 2000
+
+
 def test_grigorchuk_relations():
     fam = grigorchuk_units()
     a, b, c, d = (fam.table[x] for x in "abcd")
@@ -73,6 +87,18 @@ def test_depth_aut_units():
     assert any(eq(u, pm(2, "0->1", "1->0")) for u in units)
     fam2 = depth_aut_units(2)
     assert len(fam2.table) == 8
+
+
+def test_depth_aut_units_refuses_before_listing_permutations(monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("permutations listed before the size check")
+
+    monkeypatch.setattr(families, "permutations", unlisted)
+    with pytest.raises(CantorError):
+        depth_aut_units(1, 11)
+    # 2^16383 elements: a size too long to print in decimal
+    with pytest.raises(CantorError, match=r"2\^16383"):
+        depth_aut_units(14)
 
 
 def test_rist_generators():

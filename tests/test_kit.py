@@ -258,19 +258,54 @@ def test_express_skips_zero_detours():
     fam = rover_units()
     kit = build_kit(fam.table, atoms(3, 2))
     units = list(fam.table.mapping.values())
-    pi = cycle_perm(3, [0, 1, 2])
     for seed in (2, 5):
         rng = random.Random(seed)
         n = criterion_07_three_section(rng, units)
         while in_a_section(kit, n):
             n = criterion_07_three_section(rng, units)
-        target = element(n, pi)
-        cert = express(target, kit, n, pi, node_budget=100_000)
-        assert cert.is_witness(), (seed, cert.detail)
-        got = one(2)
-        for idx, perm in cert.witness["word"]:
-            got = compose(got, element(kit.sections[idx][0], perm))
-        assert eq(got, target)
+        express_and_recheck(kit, n)
+
+
+def express_and_recheck(kit, n):
+    """express the 3-cycle of n over the kit; assert a witness whose word
+    word_product re-evaluates to the target."""
+    pi = cycle_perm(3, [0, 1, 2])
+    target = element(n, pi)
+    cert = express(target, kit, n, pi, node_budget=100_000)
+    assert cert.is_witness(), cert.detail
+    sections = [section for section, _ in kit.sections]
+    assert eq(word_product(cert.witness["word"], sections, kit.d), target)
+    return cert
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("v2", 54), ("v2", 135), ("v2", 263), ("v2", 330), ("rover", 361), ("rover", 679)],
+)
+def test_express_factors_at_the_target_base(family, seed):
+    # the first draw of criterion 07's sampler: a same-part transporter whose
+    # detour section was built around the whole word product, with a column
+    # that missed the target base ("factored section does not cover the
+    # target base"); factored at the base, each is a witness
+    fam = higman_thompson(2) if family == "v2" else rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    n = criterion_07_three_section(random.Random(seed), list(fam.table.mapping.values()))
+    assert not in_a_section(kit, n)
+    express_and_recheck(kit, n)
+
+
+def test_rover_twin_of_criterion_07():
+    # criterion 07's pipeline over the Röver units: 20 3-cycles that no kit
+    # section contains when drawn, each expressed and re-verified
+    fam = rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    units = list(fam.table.mapping.values())
+    rng = random.Random(71)
+    for _ in range(20):
+        n = criterion_07_three_section(rng, units)
+        while in_a_section(kit, n):
+            n = criterion_07_three_section(rng, units)
+        express_and_recheck(kit, n)
 
 
 def test_express_rechecks_every_letter(monkeypatch):
@@ -313,12 +348,21 @@ def test_express_on_one_kit_matches_fresh_kits(monkeypatch):
     )
     shared = build_kit(fam.table, atoms(3, 2))
     assert not built  # the word list is not built with the kit
+
+    def letters(kit, cert):
+        # a kit numbers its sections in the order it builds them, so a
+        # letter is compared by its section's transporters, not its index
+        return [(kit.sections[idx][0].transporters, perm) for idx, perm in cert.witness["word"]]
+
     for n in searched_three_cycles(shared, 2):
         target = element(n, pi)
         again = express(target, shared, n, pi)
-        fresh = express(target, build_kit(fam.table, atoms(3, 2)), n, pi)
+        fresh_kit = build_kit(fam.table, atoms(3, 2))
+        fresh = express(target, fresh_kit, n, pi)
         assert again.is_witness(), again.detail
-        assert again.to_json() == fresh.to_json()
+        assert fresh.is_witness(), fresh.detail
+        assert again.nodes_explored == fresh.nodes_explored
+        assert letters(shared, again) == letters(fresh_kit, fresh)
     # one word list for the shared kit and one for each fresh kit
     assert len(built) == 3
 

@@ -310,3 +310,10 @@ def test_sub_section():
     # alt elements of the sub-section are alt elements of the parent
     pi = cycle_perm(3, [0, 1, 2])
     assert eq(element(s3, pi), element(s5, embed_subperm(pi, (0, 2, 4), 5)))
+    # a sub-section based at a non-zero column
+    r3 = sub_section(s5, (2, 0, 4))
+    assert r3.base == s5.idems[2]
+    assert r3.idems == (s5.idems[2], s5.idems[0], s5.idems[4])
+    assert eq(r3.transporters[1], s5.transporter_between(2, 0))
+    for pi in alt_perms(3):
+        assert eq(element(r3, pi), element(s5, embed_subperm(pi, (2, 0, 4), 5)))

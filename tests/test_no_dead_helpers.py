@@ -1,0 +1,43 @@
+"""No dead helpers: every private function, method or class in the package is
+named somewhere in the package outside its own definition, so a helper whose
+last caller is deleted goes with it."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorfull"
+
+
+def names_in(node):
+    """Every name a node mentions: variables, attributes and imports."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+    return out
+
+
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_private_helper_is_used():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(names_in(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # a recursive call inside the helper's own body is not a use
+            if private(node.name) and everywhere[node.name] == names_in(node)[node.name]:
+                dead.append(f"{module}:{node.lineno} {node.name}")
+    assert not dead, f"private helpers named nowhere else: {dead}"
