@@ -138,8 +138,8 @@ def _letters(table):
 def _words_up_to(table, word_len):
     """Distinct-by-eq generator words of length <= word_len with expressions."""
     letters = _letters(table)
-    ball = _pmap.word_ball([m for m, _ in letters], word_len, table.d)
-    return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in ball]
+    words = _pmap.WordBall([m for m, _ in letters], table.d).words(word_len)
+    return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in words]
 
 
 def depth_clopens(d, depth):

@@ -6,14 +6,14 @@ decide; the operations certify finite shadows at explicit depth and length
 bounds and report three-valued certificates that re-verify.
 """
 
-from itertools import chain, product
+from itertools import product
 
 from . import certs
 from . import pmap as _pmap
 from .clopen import atoms, cylinder, is_partition, normalize, part_of, union_all
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
-    Dedup,
+    WordBall,
     as_idempotent,
     compose,
     eq,
@@ -30,8 +30,9 @@ from .pmap import (
 class DynContext:
     """A table of units, closed under star.
 
-    The context keeps one ball of distinct unit words, grown a level at a
-    time as the searches ask for longer words; see _unit_word_levels.
+    The context keeps one WordBall of distinct unit words, grown a level at
+    a time as the searches ask for longer words.  Its words are tuples of
+    indices into units; names spells a word where a witness prints it.
     """
 
     def __init__(self, table):
@@ -51,30 +52,7 @@ class DynContext:
                 names.append(f"{name}^-1")
         self.units = tuple(units)
         self.names = tuple(names)
-        self._levels = []
-        self._dedup = Dedup()
-
-    def _grow(self):
-        """Append the next level of the word ball."""
-        levels = self._levels
-        try:
-            if not levels:
-                start = one(self.d)
-                self._dedup.add(start)
-                levels.append(((start, ()),))
-                return
-            nxt = []
-            for m, word in levels[-1]:
-                for name, g in zip(self.names, self.units):
-                    rep, _, new = self._dedup.add(compose(g, m))
-                    if new:
-                        nxt.append((rep, (name,) + word))
-            levels.append(tuple(nxt))
-        except BaseException:
-            # a level cut short leaves words in the Dedup that no level holds
-            self._levels = []
-            self._dedup = Dedup()
-            raise
+        self.ball = WordBall(self.units, self.d)
 
 
 def _image_closure(ctx, start, steps):
@@ -90,22 +68,13 @@ def _image_closure(ctx, start, steps):
     return u
 
 
-def _unit_word_levels(ctx, max_len):
-    """Distinct unit words level by level: yields the new (map, word) pairs
-    per length, words as name tuples, from the ball kept on ctx."""
-    for n in range(max_len + 1):
-        if n == len(ctx._levels):
-            ctx._grow()
-        yield ctx._levels[n]
-
-
 # -- expansivity ----------------------------------------------------------------
 
 
 def _translate_levels(ctx, parts, max_len):
     """New distinct translate clopens w(alpha), level by word length."""
     seen = set()
-    for level in _unit_word_levels(ctx, max_len):
+    for level in ctx.ball.levels(max_len):
         fresh = []
         for m, word in level:
             for alpha in parts:
@@ -169,13 +138,12 @@ def expansive_certificate(ctx, parts, depth, word_len):
 
 def separating_translate(ctx, parts, c1, c2, word_len):
     """A translate containing one cylinder and missing the other, if any."""
-    for m, word in chain.from_iterable(_unit_word_levels(ctx, word_len)):
+    for m, word in ctx.ball.words(word_len):
         for alpha in parts:
             t = image_clopen(m, alpha)
-            if c1.leq(t) and t.disjoint(c2):
-                return {"word": list(word), "part": str(alpha), "translate": str(t)}
-            if c2.leq(t) and t.disjoint(c1):
-                return {"word": list(word), "part": str(alpha), "translate": str(t)}
+            if (c1.leq(t) and t.disjoint(c2)) or (c2.leq(t) and t.disjoint(c1)):
+                names = [ctx.names[i] for i in word]
+                return {"word": names, "part": str(alpha), "translate": str(t)}
     return None
 
 
@@ -308,7 +276,7 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
     budget = certs.Budget(node_budget)
     candidates = []
     seen = set()
-    for level in _unit_word_levels(ctx, word_len):
+    for level in ctx.ball.levels(word_len):
         for m, word in level:
             try:
                 budget.tick()
@@ -336,7 +304,7 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
         if pick(0):
             return certs.witness(
                 {
-                    "words": [list(w) for _, w in chosen],
+                    "words": [[ctx.names[i] for i in w] for _, w in chosen],
                     "images": [str(c) for c, _ in chosen],
                 },
                 bounds,

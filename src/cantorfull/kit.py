@@ -22,7 +22,6 @@ from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import (
     _extend_over_words,
-    _extension_words,
     alt_perms,
     build,
     element,
@@ -32,7 +31,7 @@ from .msec import (
     pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, compose, dom, eq, fingerprint, image_clopen, is_unit, ran, restrict, star, word_ball
+from .pmap import Dedup, WordBall, compose, dom, eq, fingerprint, image_clopen, is_unit, ran, restrict, star
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -42,10 +41,9 @@ def derive_transporters(table, parts, word_len=2):
     The result is symmetric (closed under star) and deduped by eq, in
     deterministic word-then-part order.
     """
-    ball = word_ball(list(table.mapping.values()), word_len, table.d)
     out = Dedup()
     result = []
-    for w, _ in ball:
+    for w, _ in WordBall(table.mapping.values(), table.d).words(word_len):
         for i, e in enumerate(parts):
             # the restriction's domain lies in part i, so only its image decides
             if part_of(parts, image_clopen(w, e)) in (None, i):
@@ -175,9 +173,10 @@ def build_T(family, parts, max_products=3):
     lie inside single, distinct parts; deduped by eq."""
     if not family:
         return []
-    # a zero product enters the ball once and is dropped: it lies in no part
-    ball = word_ball(family, max_products, family[0].d)[1:]
-    return [m for m, _ in ball if _separated(parts, m)]
+    # _separated drops the identity (the empty word), which keeps every part,
+    # and a zero product, which lies in no part
+    ball = WordBall(family, family[0].d)
+    return [m for m, _ in ball.words(max_products) if _separated(parts, m)]
 
 
 class GeneratingKit:
@@ -188,7 +187,8 @@ class GeneratingKit:
     so the kit deduplicates and surrounds exactly the elements the caller
     consults, each at its own domain.  sections[i] is a (Multisection, T[i])
     pair, T[i] the transporter in column 1; K is materialized lazily as the
-    deduped alternating elements of the built sections.
+    deduped alternating elements of the built sections.  ball, the WordBall
+    of the table's units that degree extension reads, starts unbuilt.
     """
 
     def __init__(self, table, parts, family, eager_products=1):
@@ -202,33 +202,23 @@ class GeneratingKit:
             pd, pr = _part_pair(self.parts, a)
             self._by_dom_part.setdefault(pd, []).append((idx, pr))
         self.sections = []
-        self._extension_word_list = None
+        self.ball = WordBall(table.mapping.values(), self.d)
         self._t_dedup = Dedup()
         self.T = []
         for m in build_T(self.A, self.parts, max_products=eager_products):
             self._ensure_section(m)
 
     def _pair_stars(self):
+        family = Dedup()
+        for idx, a in enumerate(self.A):
+            family.add(a, idx)
         lookup = {}
-        by_key = {}
         for idx, a in enumerate(self.A):
-            by_key.setdefault(fingerprint(a), []).append(idx)
-        for idx, a in enumerate(self.A):
-            sa = star(a)
-            for j in by_key.get(fingerprint(sa), []):
-                if eq(self.A[j], sa):
-                    lookup[idx] = j
-                    break
-            else:
+            hit = family.find(star(a))
+            if hit is None:
                 raise CantorError(f"family is not symmetric: no star for element {idx}")
+            lookup[idx] = hit[1]
         return lookup
-
-    def _degree_extension_words(self):
-        """The unit words degree extension tries, built once per kit on
-        first use rather than on every extension."""
-        if self._extension_word_list is None:
-            self._extension_word_list = _extension_words(self.table, 3, self.d)
-        return self._extension_word_list
 
     def star_index(self, idx):
         return self._star_of[idx]
@@ -562,7 +552,7 @@ def _extend_to_five(kit, msec_witness, budget):
             out.append(s)
             continue
         try:
-            sections, _ = _extend_over_words(s, kit._degree_extension_words(), 3, budget)
+            sections, _ = _extend_over_words(s, kit.ball, 3, 3, budget)
         except GiveUp as stop:
             if budget.nodes > budget.limit:
                 raise

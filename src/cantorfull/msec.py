@@ -290,12 +290,6 @@ def sub_section(s, indices):
     return Multisection(s.idems[b], [s.transporter_between(b, i) for i in indices])
 
 
-def _extension_words(table, word_len, d):
-    """The words extend_degree tries: distinct unit words up to word_len."""
-    units = list(table.mapping.values()) if hasattr(table, "mapping") else list(table)
-    return [m for m, _ in _pmap.word_ball(units, word_len, d)] if units else []
-
-
 def extend_degree(
     s, table, word_len=3, split_depth=3, node_budget=certs.DEFAULT_NODE_BUDGET
 ):
@@ -304,13 +298,13 @@ def extend_degree(
     For each subdivision piece, a bounded word search over the table's units
     looks for an extra transporter whose image misses the restricted section's
     idempotents; pieces are split into child cylinders when no word works at
-    their current depth.
+    their current depth.  The words come from a WordBall, identity first.
     """
     bounds = {"word_len": word_len, "split_depth": split_depth, "node_budget": node_budget}
-    words = _extension_words(table, word_len, s.d)
+    ball = _pmap.WordBall(table.mapping.values(), s.d)
     budget = certs.Budget(node_budget)
     try:
-        sections, subdivision = _extend_over_words(s, words, split_depth, budget)
+        sections, subdivision = _extend_over_words(s, ball, word_len, split_depth, budget)
     except certs.GiveUp as stop:
         return certs.exhausted(bounds, budget.nodes, detail=str(stop))
     return certs.witness(
@@ -318,9 +312,9 @@ def extend_degree(
     )
 
 
-def _extend_over_words(s, words, split_depth, budget):
-    """extend_degree's search over a given list of unit words, spending from
-    budget: the extended sections and the subdivision they sit on."""
+def _extend_over_words(s, ball, word_len, split_depth, budget):
+    """extend_degree's search over ball's words up to word_len, spending
+    from budget: the extended sections and the subdivision they sit on."""
     d = s.d
     max_depth = max((len(w) for w in s.base.antichain), default=0) + split_depth
 
@@ -331,7 +325,7 @@ def _extend_over_words(s, words, split_depth, budget):
         piece = queue.pop(0)
         r = restrict_msec(s, piece)
         found = None
-        for w in words:
+        for w, _ in ball.words(word_len):
             budget.tick()
             img = _pmap.ran(restrict(w, piece))
             if img.is_empty():

@@ -530,23 +530,52 @@ class Dedup:
         return any(eq(other, m) for other, _ in self._buckets.get(key, ()))
 
 
-def word_ball(letters, max_len, d):
-    """Products of the letters up to max_len, deduped by Dedup, in BFS order.
+class WordBall:
+    """Distinct products of the letters, grown a level at a time on demand.
 
-    Returns (map, word) pairs, the identity (word ()) first; word is a tuple
-    of letter indices, and each level extends the last on the right.
+    Level n holds the (map, word) pairs first reached at length n; word is
+    a tuple of letter indices, and map is the product of those letters, the
+    last applied first.  The order is breadth first, each level extending the
+    last on the right, deduped by Dedup, the identity (word ()) first.  A
+    level is built only when a reader asks for it.
     """
-    dedup = Dedup()
-    frontier = [(one(d), ())]
-    dedup.add(frontier[0][0])
-    ball = list(frontier)
-    for _ in range(max_len):
-        nxt = []
-        for m, word in frontier:
-            for i, a in enumerate(letters):
-                p = compose(m, a)
-                if dedup.add(p)[2]:
-                    nxt.append((p, word + (i,)))
-        ball.extend(nxt)
-        frontier = nxt
-    return ball
+
+    def __init__(self, letters, d):
+        self.letters = tuple(letters)
+        self.d = d
+        self._levels = []
+        self._dedup = Dedup()
+
+    def _grow(self):
+        """Append the next level."""
+        levels = self._levels
+        try:
+            if not levels:
+                start = one(self.d)
+                self._dedup.add(start)
+                levels.append(((start, ()),))
+                return
+            nxt = []
+            for m, word in levels[-1]:
+                for i, a in enumerate(self.letters):
+                    p = compose(m, a)
+                    if self._dedup.add(p)[2]:
+                        nxt.append((p, word + (i,)))
+            levels.append(tuple(nxt))
+        except BaseException:
+            # a level cut short leaves words in the Dedup that no level holds
+            self._levels = []
+            self._dedup = Dedup()
+            raise
+
+    def levels(self, max_len):
+        """Yield the levels of lengths 0..max_len, each a tuple of pairs."""
+        for n in range(max_len + 1):
+            while n >= len(self._levels):
+                self._grow()
+            yield self._levels[n]
+
+    def words(self, max_len):
+        """Yield the (map, word) pairs of length <= max_len in ball order."""
+        for level in self.levels(max_len):
+            yield from level

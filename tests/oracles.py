@@ -12,11 +12,10 @@ searches unit words h for its second piece hZ.
 """
 
 import random
-from itertools import chain, product
+from itertools import product
 
 from cantorfull import certs
 from cantorfull.clopen import cylinder, is_prefix, normalize, union_all, word_from_text
-from cantorfull.dynamics import _unit_word_levels
 from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
 from cantorfull.pmap import (
     Branch,
@@ -127,7 +126,7 @@ def _first_eq(seen, m):
 def right_extending_words(letters, max_len, d):
     """Letter products up to max_len, breadth first, without duplicates.
 
-    A reference for pmap.word_ball: each level extends the last one on the
+    A reference for pmap.WordBall: each level extends the last one on the
     right, and duplicates are found by scanning everything kept so far.
     """
     ball = [(one(d), ())]
@@ -213,7 +212,7 @@ def reference_split_unit(g, ctx, word_len=4, max_depth=6):
         z_gz = z.union(gz)
         if z_gz.complement().is_empty():
             continue
-        for h, _ in chain.from_iterable(_unit_word_levels(ctx, word_len)):
+        for h, _ in ctx.ball.words(word_len):
             nodes += 1
             hz = image_clopen(h, z)
             if not hz.disjoint(z_gz):

@@ -72,6 +72,11 @@ def test_separating_translate_on_demand():
     c1, c2 = cylinder((0, 0), 2), cylinder((0, 1), 2)
     hit = separating_translate(ctx, atoms(1, 2), c1, c2, word_len=3)
     assert hit is not None
+    # the printed word carries the printed part onto the printed translate
+    part = next(p for p in atoms(1, 2) if str(p) == hit["part"])
+    t = image_clopen(unit_word(ctx, hit["word"]), part)
+    assert str(t) == hit["translate"]
+    assert (c1.leq(t) and t.disjoint(c2)) or (c2.leq(t) and t.disjoint(c1))
 
 
 # -- coding ----------------------------------------------------------------------
@@ -166,6 +171,33 @@ def test_orbit_lower_bound_v2():
     assert len(cert.witness["words"]) == 5
 
 
+def unit_word(ctx, names):
+    """The product of the named units of ctx, the last applied first."""
+    g = one(ctx.d)
+    for name in names:
+        g = compose(g, ctx.units[ctx.names.index(name)])
+    return g
+
+
+@pytest.mark.parametrize(
+    "fam", [higman_thompson(2), rover_units()], ids=["V2", "rover"]
+)
+def test_orbit_witness_words_carry_the_cylinder(fam):
+    ctx = DynContext(fam.table)
+    base = cylinder((0,), 2)
+    for k, word_len in ((4, 3), (5, 6), (6, 4)):
+        cert = orbit_lower_bound(ctx, (0,), k=k, word_len=word_len)
+        assert cert.is_witness()
+        words, images = cert.witness["words"], cert.witness["images"]
+        assert len(words) == len(images) == k
+        carried = [image_clopen(unit_word(ctx, w), base) for w in words]
+        assert [str(c) for c in carried] == images
+        assert all(len(w) <= word_len for w in words)
+        for i, c in enumerate(carried):
+            assert not c.is_empty()
+            assert all(c.disjoint(x) for x in carried[:i])
+
+
 def test_orbit_identity_exhausts():
     cert = orbit_lower_bound(identity_ctx(), (0,), k=2, word_len=3)
     assert cert.is_exhausted()
@@ -210,51 +242,11 @@ def test_split_unit_rejects_factors_that_do_not_reverify(monkeypatch):
         split_unit(pm(2, "0->1", "1->0"))
 
 
-def test_word_ball_grows_on_demand():
-    ctx = v2_ctx()
-    longest = 0
-    for max_len in (0, 1, 3, 2):
-        got = list(dynamics._unit_word_levels(ctx, max_len))
-        longest = max(longest, max_len)
-        assert len(got) == max_len + 1
-        assert len(ctx._levels) == longest + 1
-    fresh = list(dynamics._unit_word_levels(v2_ctx(), 3))
-    assert [[(m.branches, w) for m, w in level] for level in ctx._levels] == [
-        [(m.branches, w) for m, w in level] for level in fresh
-    ]
-    # each word names its map, the leftmost unit applied last
-    for level in fresh:
-        for m, word in level:
-            g = one(2)
-            for name in word:
-                g = compose(g, ctx.units[ctx.names.index(name)])
-            assert eq(g, m)
+def test_orbit_search_grows_only_the_levels_it_reads():
     # a search that stops early does not build the longer levels
     ctx = v2_ctx()
     assert orbit_lower_bound(ctx, (0,), k=2, word_len=4).is_witness()
-    assert len(ctx._levels) < 5
-
-
-def test_word_ball_survives_interrupted_growth(monkeypatch):
-    ctx = v2_ctx()
-    list(dynamics._unit_word_levels(ctx, 1))
-    calls = []
-
-    def interrupted(g, m):
-        calls.append(g)
-        if len(calls) == 5:
-            raise KeyboardInterrupt
-        return compose(g, m)
-
-    monkeypatch.setattr(dynamics, "compose", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        list(dynamics._unit_word_levels(ctx, 2))
-    monkeypatch.undo()
-    got = list(dynamics._unit_word_levels(ctx, 2))
-    fresh = list(dynamics._unit_word_levels(v2_ctx(), 2))
-    assert [[w for _, w in level] for level in got] == [
-        [w for _, w in level] for level in fresh
-    ]
+    assert len(ctx.ball._levels) < 5
 
 
 def random_v2_units():

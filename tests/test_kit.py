@@ -18,6 +18,7 @@ from cantorfull.kit import (
 )
 from cantorfull import kit as kit_module
 from cantorfull import msec as msec_module
+from cantorfull import pmap as pmap_module
 from cantorfull.msec import (
     alt_perms,
     build,
@@ -235,8 +236,9 @@ def searched_three_cycles(kit, count, seed=4):
 def criterion_07_three_section(rng, units):
     """Criterion 07's sampler: a 3-section on a cylinder of depth 4, 4 or 5
     whose transporters are units or products of two units."""
+    d = units[0].d
     while True:
-        c = cylinder(tuple(rng.randrange(2) for _ in range(rng.choice((4, 4, 5)))), 2)
+        c = cylinder(tuple(rng.randrange(d) for _ in range(rng.choice((4, 4, 5)))), d)
         maps, images = [], [c]
         for _ in range(2):
             m = units[rng.randrange(len(units))]
@@ -249,6 +251,29 @@ def criterion_07_three_section(rng, units):
             images.append(ran(r))
         if len(maps) == 2:
             return build(c, maps)
+
+
+def test_first_express_on_a_v3_kit_reads_few_words(monkeypatch):
+    # a fresh V3 kit's first searched express used to build every distinct
+    # unit word up to length 3 (57,102 maps, about 6 s) and read 24 of them
+    fam = higman_thompson(3)
+    kit = build_kit(fam.table, atoms(2, 3))
+    rng = random.Random(0)
+    units = list(fam.table.mapping.values())
+    n = criterion_07_three_section(rng, units)
+    while in_a_section(kit, n):
+        n = criterion_07_three_section(rng, units)
+    honest = pmap_module.Dedup.add
+    adds = []
+
+    def counted(self, m, payload=None):
+        adds.append(m)
+        return honest(self, m, payload)
+
+    monkeypatch.setattr(pmap_module.Dedup, "add", counted)
+    express_and_recheck(kit, n)
+    assert len(adds) < 5_000
+    assert len(kit.ball._levels) <= 2
 
 
 def test_express_skips_zero_detours():
@@ -338,16 +363,11 @@ def test_express_rechecks_every_letter(monkeypatch):
     assert cert.detail == "verification failed"
 
 
-def test_express_on_one_kit_matches_fresh_kits(monkeypatch):
+def test_express_on_one_kit_matches_fresh_kits():
     fam = higman_thompson(2)
     pi = cycle_perm(3, [0, 1, 2])
-    built = []
-    honest = kit_module._extension_words
-    monkeypatch.setattr(
-        kit_module, "_extension_words", lambda *a: built.append(a) or honest(*a)
-    )
     shared = build_kit(fam.table, atoms(3, 2))
-    assert not built  # the word list is not built with the kit
+    assert shared.ball._levels == []  # no word level is built with the kit
 
     def letters(kit, cert):
         # a kit numbers its sections in the order it builds them, so a
@@ -363,8 +383,8 @@ def test_express_on_one_kit_matches_fresh_kits(monkeypatch):
         assert fresh.is_witness(), fresh.detail
         assert again.nodes_explored == fresh.nodes_explored
         assert letters(shared, again) == letters(fresh_kit, fresh)
-    # one word list for the shared kit and one for each fresh kit
-    assert len(built) == 3
+        # the shared kit reads its ball as far as a fresh kit's express does
+        assert len(shared.ball._levels) >= len(fresh_kit.ball._levels) > 0
 
 
 def test_kit_extension_matches_public_extend_degree(monkeypatch):
@@ -374,19 +394,25 @@ def test_kit_extension_matches_public_extend_degree(monkeypatch):
     calls = []
     honest = kit_module._extend_over_words
 
-    def spy(s, words, split_depth, budget):
+    def spy(s, ball, word_len, split_depth, budget):
         before = budget.nodes
-        sections, subdivision = honest(s, words, split_depth, budget)
-        calls.append((s, words, sections, subdivision, budget.nodes - before))
+        sections, subdivision = honest(s, ball, word_len, split_depth, budget)
+        calls.append((s, ball, word_len, sections, subdivision, budget.nodes - before))
         return sections, subdivision
 
     monkeypatch.setattr(kit_module, "_extend_over_words", spy)
     assert express(element(n, pi), kit, n, pi).is_witness()
     assert calls
     monkeypatch.setattr(msec_module, "_extend_over_words", spy)
-    for s, words, sections, subdivision, nodes in calls[:]:
+    for s, ball, word_len, sections, subdivision, nodes in calls[:]:
+        assert ball is kit.ball and word_len == 3
         public = extend_degree(s, fam.table, word_len=3)
-        assert calls[-1][1] == words  # the same word list, built afresh
+        # a ball of its own over the same units, read up to the same length
+        public_ball = calls[-1][1]
+        assert public_ball is not kit.ball and calls[-1][2] == word_len
+        assert [(m.branches, w) for m, w in public_ball.words(word_len)] == [
+            (m.branches, w) for m, w in kit.ball.words(word_len)
+        ]
         assert public.is_witness()
         assert public.nodes_explored == nodes
         assert public.witness["subdivision"] == subdivision

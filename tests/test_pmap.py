@@ -33,7 +33,7 @@ from cantorfull.pmap import (
     ran,
     restrict,
     star,
-    word_ball,
+    WordBall,
     zero,
 )
 from cantorfull.tails import grigorchuk, state, word
@@ -782,22 +782,27 @@ def test_corestrict():
     assert eq(lhs, restrict(f, dom(corestrict(e, f))))
 
 
-# -- word_ball ------------------------------------------------------------------
+# -- WordBall -------------------------------------------------------------------
 
+# letters, the longest word, and an order in which readers grow the ball
 WORD_BALLS = [
-    ("V2 units", list(higman_thompson(2).table.mapping.values()), 2),
-    ("Grigorchuk letters", [m for m, _ in _letters(grigorchuk_units().table)], 3),
-    ("rover units", list(rover_units().table.mapping.values()), 2),
+    ("V2 units", list(higman_thompson(2).table.mapping.values()), 2, (1, 0, 2)),
+    ("Grigorchuk letters", [m for m, _ in _letters(grigorchuk_units().table)], 3, (2, 0, 3, 1)),
+    ("rover units", list(rover_units().table.mapping.values()), 2, (0, 2, 1)),
 ]
 
 
+def ball_tables(pairs):
+    return [(m.branches, w) for m, w in pairs]
+
+
 @pytest.mark.parametrize(
-    "letters, max_len", [c[1:] for c in WORD_BALLS], ids=[c[0] for c in WORD_BALLS]
+    "letters, max_len", [c[1:3] for c in WORD_BALLS], ids=[c[0] for c in WORD_BALLS]
 )
 def test_word_ball_matches_reference(letters, max_len):
-    ball = word_ball(letters, max_len, 2)
+    ball = list(WordBall(letters, 2).words(max_len))
     reference = right_extending_words(letters, max_len, 2)
-    assert [(m.branches, w) for m, w in ball] == [(m.branches, w) for m, w in reference]
+    assert ball_tables(ball) == ball_tables(reference)
     assert ball[0] == (one(2), ())
     for m, w in ball:
         acc = one(2)
@@ -813,8 +818,50 @@ def test_word_ball_matches_reference(letters, max_len):
                 assert not eq(x, m)
 
 
+@pytest.mark.parametrize(
+    "letters, max_len, order", [c[1:] for c in WORD_BALLS], ids=[c[0] for c in WORD_BALLS]
+)
+def test_word_ball_grows_on_demand(letters, max_len, order):
+    ball = WordBall(letters, 2)
+    assert ball._levels == []
+    longest = 0
+    for n in order:
+        got = list(ball.levels(n))
+        longest = max(longest, n)
+        assert len(got) == n + 1
+        assert len(ball._levels) == longest + 1
+    fresh = list(WordBall(letters, 2).levels(max_len))
+    assert [ball_tables(level) for level in ball.levels(max_len)] == [
+        ball_tables(level) for level in fresh
+    ]
+    assert len(ball._levels) == max_len + 1
+
+
+def test_word_ball_survives_interrupted_growth(monkeypatch):
+    letters = WORD_BALLS[0][1]
+    ball = WordBall(letters, 2)
+    list(ball.levels(1))
+    honest = pmap.compose
+    calls = []
+
+    def interrupted(f, g):
+        calls.append(f)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return honest(f, g)
+
+    monkeypatch.setattr(pmap, "compose", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        list(ball.levels(2))
+    monkeypatch.undo()
+    # a level cut short is not kept, and its words do not shadow the rebuild
+    assert ball._levels == []
+    got = list(ball.words(2))
+    assert ball_tables(got) == ball_tables(WordBall(letters, 2).words(2))
+
+
 def test_word_ball_edges():
-    assert word_ball([], 3, 2) == [(one(2), ())]
-    assert word_ball([SWAP], 0, 2) == [(one(2), ())]
+    assert list(WordBall([], 2).words(3)) == [(one(2), ())]
+    assert list(WordBall([SWAP], 2).words(0)) == [(one(2), ())]
     # the swap is an involution: its square is the identity, already kept
-    assert word_ball([SWAP], 4, 2) == [(one(2), ()), (SWAP, (0,))]
+    assert list(WordBall([SWAP], 2).words(4)) == [(one(2), ()), (SWAP, (0,))]
