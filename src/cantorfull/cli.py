@@ -181,9 +181,10 @@ def emit_cert(args, op, cert, extra_text=""):
 
 def emit_bool(args, op, value, detail=""):
     text = f"{op}: {value}" + (f" ({detail})" if detail else "")
-    return emit(
-        args, EXIT_OK if value else EXIT_REFUTED, text, {"op": op, "result": value}
-    )
+    payload = {"op": op, "result": value}
+    if detail:
+        payload["detail"] = detail
+    return emit(args, EXIT_OK if value else EXIT_REFUTED, text, payload)
 
 
 def emit_value(args, op, text_value, payload_value=None):

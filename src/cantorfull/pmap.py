@@ -327,20 +327,45 @@ def corestrict(e, f):
     return compose(as_idempotent(e), f)
 
 
-def _refine_branch(b, target):
-    """The branch restricted to dom cylinder target (an extension of b.dom)."""
-    w = target[len(b.dom) :]
-    img, res = _tails.apply_prefix(b.tail, w)
-    return Branch(target, b.ran + img, res)
+def _sides(m):
+    """m's branches as (dom, ran, tail) triples."""
+    return [(b.dom, b.ran, b.tail) for b in m.branches]
+
+
+def _inverse_sides(m):
+    """The branches of star(m) as (dom, ran, tail) triples, built without
+    the constructor: each branch's sides swapped and its tail inverted."""
+    return [(b.ran, b.dom, _tails.invert(b.tail)) for b in m.branches]
+
+
+def _agree(xbs, ybs):
+    """Whether the maps with these (dom, ran, tail) branches agree wherever
+    their domains meet.
+
+    Two branches with comparable domains are refined to the deeper domain;
+    they agree there iff the refined range prefixes coincide verbatim and
+    the tail quotient acts as the identity.
+    """
+    for xdom, xran, xtail in xbs:
+        for ydom, yran, ytail in ybs:
+            if is_prefix(xdom, ydom):
+                img, xtail_at = _tails.apply_prefix(xtail, ydom[len(xdom) :])
+                xran_at, yran_at, ytail_at = xran + img, yran, ytail
+            elif is_prefix(ydom, xdom):
+                img, ytail_at = _tails.apply_prefix(ytail, xdom[len(ydom) :])
+                xran_at, yran_at, xtail_at = xran, yran + img, xtail
+            else:
+                continue
+            if xran_at != yran_at:
+                return False
+            if not _tails.equal(xtail_at, ytail_at):
+                return False
+    return True
 
 
 def eq(x, y):
-    """Exact equality as partial homeomorphisms.
-
-    Both tables are refined to the common domain antichain; they are equal iff
-    the refined range prefixes coincide verbatim and each tail quotient acts
-    as the identity.
-    """
+    """Exact equality as partial homeomorphisms: equal domains, on which
+    the two tables agree."""
     _check_context(x, y)
     if x.branches == y.branches:
         return True
@@ -349,33 +374,34 @@ def eq(x, y):
         return False
     if x.dom_clopen() != y.dom_clopen():
         return False
-    for xb in x.branches:
-        for yb in y.branches:
-            if is_prefix(xb.dom, yb.dom):
-                rx, ry = _refine_branch(xb, yb.dom), yb
-            elif is_prefix(yb.dom, xb.dom):
-                rx, ry = xb, _refine_branch(yb, xb.dom)
-            else:
-                continue
-            if rx.ran != ry.ran:
-                return False
-            if not _tails.equal(rx.tail, ry.tail):
-                return False
-    return True
+    return _agree(_sides(x), _sides(y))
 
 
 def leq(x, y):
-    """The natural partial order: x = y restricted to dom(x)."""
-    return eq(x, restrict(y, dom(x)))
+    """The natural partial order, x = y restricted to dom(x): dom(x) lies in
+    dom(y) and the two tables agree on it."""
+    _check_context(x, y)
+    return x.dom_clopen().leq(y.dom_clopen()) and _agree(_sides(x), _sides(y))
 
 
 def is_idempotent(m):
-    return eq(m, compose(m, m)) and eq(m, star(m))
+    """m is the identity on its domain: every branch maps its domain
+    cylinder onto itself by an identity-acting tail."""
+    return all(
+        b.dom == b.ran and (not b.tail.factors or _tails.is_identity(b.tail))
+        for b in m.branches
+    )
 
 
 def compatible(x, y):
-    """x*y and xy* are both idempotents, so x and y glue to a partial map."""
-    return is_idempotent(compose(star(x), y)) and is_idempotent(compose(x, star(y)))
+    """x and y glue to a partial map: x*y and xy* are idempotents.
+
+    Read off the branch tables without building a map: x and y agree where
+    their domains meet (xy* is idempotent), and x* and y* agree where their
+    ranges meet (x*y is idempotent).
+    """
+    _check_context(x, y)
+    return _agree(_sides(x), _sides(y)) and _agree(_inverse_sides(x), _inverse_sides(y))
 
 
 def disjoint(x, y):
@@ -390,8 +416,9 @@ def join(elems):
     of their tables: the inputs are pairwise orthogonal exactly when the
     constructor accepts their concatenated table, whose domains and ranges
     must be antichains.  Inputs that overlap are proved compatible pair by
-    pair (the first failing pair raises IncompatiblePair(i, j)) and glued
-    keeping the shallowest of the branches whose domains are comparable.
+    pair, each proof read off the two branch tables by compatible (the first
+    failing pair raises IncompatiblePair(i, j)), and glued keeping the
+    shallowest of the branches whose domains are comparable.
     """
     elems = list(elems)
     if not elems:

@@ -5,10 +5,13 @@ branch prefixes, without calling the library's apply/compose/eval paths, so
 they can arbitrate the library's outputs.  The two search references,
 right_extending_words and nonzero_products, are exceptions: they compose
 with the library and pin the order and the duplicates of its word searches.
-So is reference_join, the join that proves every pair compatible,
-reference_part_of, which scans the parts with Clopen.leq where part_of
-looks words up in an index, and reference_split_unit, the split that
-searches unit words h for its second piece hZ.
+So are reference_compatible, reference_leq and reference_is_idempotent,
+the compose/star/eq forms of the proofs pmap reads off branch tables;
+reference_join, the join that proves every pair compatible with
+reference_compatible; reference_part_of, which scans the parts with
+Clopen.leq where part_of looks words up in an index; and
+reference_split_unit, the split that searches unit words h for its second
+piece hZ.
 """
 
 import random
@@ -21,7 +24,6 @@ from cantorfull.pmap import (
     Branch,
     PartialMap,
     as_idempotent,
-    compatible,
     compose,
     dom,
     eq,
@@ -165,17 +167,36 @@ def nonzero_products(family, parts, max_products):
     return out
 
 
+def reference_is_idempotent(m):
+    """A reference for pmap.is_idempotent: m = mm and m = m*."""
+    return eq(m, compose(m, m)) and eq(m, star(m))
+
+
+def reference_leq(x, y):
+    """A reference for pmap.leq: x = y restricted to dom(x)."""
+    return eq(x, restrict(y, dom(x)))
+
+
+def reference_compatible(x, y):
+    """A reference for pmap.compatible: x*y and xy* are both idempotents,
+    proved through compose, star and eq."""
+    return reference_is_idempotent(compose(star(x), y)) and reference_is_idempotent(
+        compose(x, star(y))
+    )
+
+
 def reference_join(elems):
-    """The join by pairwise proof: every pair is checked with compatible
-    (the first failing pair raises IncompatiblePair(i, j)), then the pooled
-    branches are glued keeping the shallowest of comparable domains."""
+    """The join by pairwise proof: every pair is checked with
+    reference_compatible (the first failing pair raises
+    IncompatiblePair(i, j)), then the pooled branches are glued keeping the
+    shallowest of comparable domains."""
     elems = list(elems)
     if not elems:
         raise CantorError("join of no elements has no context")
     d = elems[0].d
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if not compatible(elems[i], elems[j]):
+            if not reference_compatible(elems[i], elems[j]):
                 raise IncompatiblePair(i, j)
     pool = [b for m in elems for b in m.branches]
     pool.sort(key=lambda b: (len(b.dom), b.dom))

@@ -62,6 +62,30 @@ def test_leq_compat(capsys):
     assert run(capsys, "leq", "[0->1]", "[0->0]")[0] == 1
     assert run(capsys, "compat", "[0->1]", "[10->01]")[0] == 0
     assert run(capsys, "compat", "[0->0]", "[0->1]")[0] == 1
+    # automaton tails: the odometer sends 00z to 11z and 01z to 10.adder(z)
+    assert run(capsys, "leq", "[01->10:adder]", "[0->1:adder]")[0] == 0
+    assert run(capsys, "leq", "[01->10]", "[0->1:adder]")[0] == 1
+    assert run(capsys, "compat", "[0->1:adder]", "[00->11, 1->0]")[0] == 0
+    assert run(capsys, "compat", "[0->1:adder]", "[00->10]")[0] == 1
+    # disjoint domains, but the two inverses differ on the shared range 10
+    assert run(capsys, "compat", "[01->10:adder]", "[1->10:adder]")[0] == 1
+
+
+def test_compat_detail(capsys):
+    code, out = run(capsys, "compat", "[0->1]", "[10->01]")
+    assert code == 0 and "(disjoint)" in out
+    assert run_json(capsys, "compat", "[0->1]", "[10->01]") == (
+        0,
+        {"op": "compat", "result": True, "detail": "disjoint"},
+    )
+    assert run_json(capsys, "compat", "[0->1:adder]", "[00->11]") == (
+        0,
+        {"op": "compat", "result": True},
+    )
+    assert run_json(capsys, "compat", "[0->0]", "[0->1]") == (
+        1,
+        {"op": "compat", "result": False},
+    )
 
 
 def test_eval_modes(capsys):

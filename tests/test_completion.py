@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cantorfull import completion
+from cantorfull import completion, pmap
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.completion import (
     ElementLeaf,
@@ -19,6 +19,7 @@ from cantorfull.completion import (
     piecewise_member,
 )
 from cantorfull.errors import CantorError, IncompatibleJoin, NotAUnit, UnknownGenerator
+from cantorfull.families import grigorchuk_units
 from cantorfull.pmap import (
     as_idempotent,
     compose,
@@ -33,7 +34,7 @@ from cantorfull.pmap import (
     zero,
 )
 
-from oracles import clo, pm, random_pmap
+from oracles import clo, pm, random_pmap, reference_compatible
 
 SWAP = pm(2, "0->1", "1->0")
 TABLE = GeneratorTable(2, {"s": SWAP})
@@ -141,6 +142,20 @@ def test_bi_enumerate_closure_properties():
         for n in got[:8]:
             p = compose(m, n)
             assert any(eq(p, q) for q in big)
+
+
+def test_bi_enumerate_rows_match_reference_compatible(monkeypatch):
+    table = grigorchuk_units().table
+    rows = list(bi_enumerate(table, 1, 2, 1))
+    proofs = []
+
+    def spy(x, y):
+        proofs.append((x, y))
+        return reference_compatible(x, y)
+
+    monkeypatch.setattr(pmap, "compatible", spy)
+    assert list(bi_enumerate(table, 1, 2, 1)) == rows
+    assert proofs
 
 
 def test_le_equals_el():

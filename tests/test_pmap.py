@@ -7,11 +7,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorfull import pmap, tails
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.errors import AlphabetMismatch, CantorError, IncompatiblePair
-from cantorfull.completion import _letters
+from cantorfull.completion import _letters, depth_clopens
 from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
 from cantorfull.pmap import (
     Branch,
@@ -49,7 +51,10 @@ from oracles import (
     random_antichain,
     random_pmap,
     random_tail,
+    reference_compatible,
+    reference_is_idempotent,
     reference_join,
+    reference_leq,
     right_extending_words,
 )
 
@@ -179,6 +184,66 @@ def test_disjoint_is_orthogonality():
 def test_incompatible_pair():
     assert not compatible(pm(2, "0->0"), pm(2, "0->1"))
     assert compatible(pm(2, "0->1"), pm(2, "0->1"))
+
+
+PROOF_FAMILIES = {
+    "V2": lambda: higman_thompson(2),
+    "grigorchuk": grigorchuk_units,
+    "rover": rover_units,
+}
+
+
+@pytest.mark.parametrize("family", PROOF_FAMILIES)
+def test_table_proofs_match_references(family):
+    table = PROOF_FAMILIES[family]().table
+    words = [m for m, _ in WordBall([m for m, _ in _letters(table)], 2).words(2)]
+    clopens = depth_clopens(2, 2)
+    pieces = st.builds(restrict, st.sampled_from(words), st.sampled_from(clopens))
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(pieces, pieces, st.sampled_from(clopens), st.booleans())
+    def check(x, y, c, related):
+        if related:
+            # a restriction of x lies below x and glues with it
+            y = restrict(x, c)
+        for a, b in ((x, y), (y, x)):
+            verdict = compatible(a, b)
+            assert verdict == reference_compatible(a, b)
+            seen.add(("compatible", verdict))
+            verdict = leq(a, b)
+            assert verdict == reference_leq(a, b)
+            seen.add(("leq", verdict))
+            m = compose(star(a), b)
+            verdict = is_idempotent(m)
+            assert verdict == reference_is_idempotent(m)
+            seen.add(("is_idempotent", verdict))
+
+    check()
+    assert seen == {(p, v) for p in ("compatible", "leq", "is_idempotent") for v in (True, False)}
+
+
+def test_table_proofs_construct_no_map(monkeypatch):
+    rng = random.Random(84)
+    f = random_pmap(rng, 2, kinds=("adding", "grigorchuk"))
+    pairs = [(restrict(f, c), restrict(f, e)) for c in depth_clopens(2, 2) for e in atoms(1, 2)]
+    pairs += [(random_pmap(rng, 2), random_pmap(rng, 2)) for _ in range(40)]
+    verdicts = {compatible(x, y) for x, y in pairs}
+    assert verdicts == {True, False}
+    constructed = []
+    init = PartialMap.__init__
+
+    def spy(self, d, branches):
+        constructed.append(d)
+        init(self, d, branches)
+
+    monkeypatch.setattr(PartialMap, "__init__", spy)
+    for x, y in pairs:
+        compatible(x, y)
+        leq(x, y)
+        eq(x, y)
+        is_idempotent(x)
+    assert constructed == []
 
 
 # -- join ---------------------------------------------------------------------
