@@ -142,6 +142,17 @@ def _count(text, what):
         raise CantorError(f"{what} {text!r} is not a number") from None
 
 
+def _bound(text):
+    """A search bound from the command line: an integer, not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a bound cannot be negative, not {value}")
+    return value
+
+
 def _top_level_split(text):
     """text split at the commas outside (), [] and {}."""
     parts, depth = [""], 0
@@ -450,10 +461,10 @@ def build_arg_parser():
     p = subs.add_parser("bi"); _common(p)
     p.add_argument("action", choices=("enumerate", "member"))
     p.add_argument("element", nargs="?")
-    p.add_argument("--len", type=int, default=1)
-    p.add_argument("--arity", type=int, default=1)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--len", type=_bound, default=1)
+    p.add_argument("--arity", type=_bound, default=1)
+    p.add_argument("--depth", type=_bound, default=1)
+    p.add_argument("--limit", type=_bound, default=0)
     p.set_defaults(fn=cmd_bi)
 
     p = subs.add_parser("msec"); _common(p)
@@ -462,14 +473,14 @@ def build_arg_parser():
     p.add_argument("other", nargs="?", help="second multisection for combine")
     p.add_argument("--perm", help="permutation like 1,2,0")
     p.add_argument("--parts", nargs="*", default=[], help="cover pieces (clopens)")
-    p.add_argument("--len", type=int, default=3)
+    p.add_argument("--len", type=_bound, default=3)
     p.set_defaults(fn=cmd_msec)
 
     p = subs.add_parser("genkit"); _common(p)
     p.add_argument("action", choices=("verify", "build", "express"))
     p.add_argument("--partition", default="atoms:3")
-    p.add_argument("--orbit", type=int, default=5)
-    p.add_argument("--len", type=int, default=2)
+    p.add_argument("--orbit", type=_bound, default=5)
+    p.add_argument("--len", type=_bound, default=2)
     p.add_argument("--msec", help="witnessing multisection for express")
     p.add_argument("--perm", help="witnessing permutation for express")
     p.set_defaults(fn=cmd_genkit)
@@ -477,8 +488,8 @@ def build_arg_parser():
     p = subs.add_parser("dyn"); _common(p)
     p.add_argument("action", choices=("expansive", "code", "minimal", "compress", "fullcompress", "orbit", "split", "rigid"))
     p.add_argument("--partition", default="atoms:1")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--len", type=int, default=4)
+    p.add_argument("--depth", type=_bound, default=2)
+    p.add_argument("--len", type=_bound, default=4)
     p.add_argument("--prefix", default="")
     p.add_argument("--words", nargs="*", default=[])
     p.add_argument("--source", help="clopen Y for compress")
@@ -489,7 +500,7 @@ def build_arg_parser():
 
     for name in ("bi", "msec", "genkit", "dyn"):
         subs.choices[name].add_argument(
-            "--budget", type=int, default=certs.DEFAULT_NODE_BUDGET,
+            "--budget", type=_bound, default=certs.DEFAULT_NODE_BUDGET,
             help="node budget of bi member, msec extend, msec factor, genkit express and dyn orbit",
         )
     return top

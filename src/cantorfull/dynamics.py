@@ -13,12 +13,12 @@ from . import pmap as _pmap
 from .clopen import atoms, cylinder, is_partition, normalize, part_of, union_all
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
-    WordBall,
     as_idempotent,
     compose,
     eq,
     eval_at,
     image_clopen,
+    image_levels,
     is_unit,
     join,
     one,
@@ -28,12 +28,8 @@ from .pmap import (
 
 
 class DynContext:
-    """A table of units, closed under star.
-
-    The context keeps one WordBall of distinct unit words, grown a level at
-    a time as the searches ask for longer words.  Its words are tuples of
-    indices into units; names spells a word where a witness prints it.
-    """
+    """A table of units, closed under star; names spells a word of indices
+    into units where a witness prints it."""
 
     def __init__(self, table):
         self.table = table
@@ -52,7 +48,6 @@ class DynContext:
                 names.append(f"{name}^-1")
         self.units = tuple(units)
         self.names = tuple(names)
-        self.ball = WordBall(self.units, self.d)
 
 
 def _image_closure(ctx, start, steps):
@@ -69,20 +64,6 @@ def _image_closure(ctx, start, steps):
 
 
 # -- expansivity ----------------------------------------------------------------
-
-
-def _translate_levels(ctx, parts, max_len):
-    """New distinct translate clopens w(alpha), level by word length."""
-    seen = set()
-    for level in ctx.ball.levels(max_len):
-        fresh = []
-        for m, word in level:
-            for alpha in parts:
-                t = image_clopen(m, alpha)
-                if t.antichain not in seen:
-                    seen.add(t.antichain)
-                    fresh.append((t, word, alpha))
-        yield fresh
 
 
 def _separates_at(translates, cells):
@@ -122,7 +103,7 @@ def expansive_certificate(ctx, parts, depth, word_len):
     nodes = 0
     translates = []
     bad = [(0, 1)] if len(cells) > 1 else []
-    for length, fresh in enumerate(_translate_levels(ctx, parts, word_len)):
+    for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
         translates.extend(fresh)
         nodes += len(fresh)
         bad = _separates_at(translates, cells)
@@ -138,9 +119,8 @@ def expansive_certificate(ctx, parts, depth, word_len):
 
 def separating_translate(ctx, parts, c1, c2, word_len):
     """A translate containing one cylinder and missing the other, if any."""
-    for m, word in ctx.ball.words(word_len):
-        for alpha in parts:
-            t = image_clopen(m, alpha)
+    for level in image_levels(ctx.units, parts, word_len):
+        for t, word, alpha in level:
             if (c1.leq(t) and t.disjoint(c2)) or (c2.leq(t) and t.disjoint(c1)):
                 names = [ctx.names[i] for i in word]
                 return {"word": names, "part": str(alpha), "translate": str(t)}
@@ -187,38 +167,18 @@ def minimal_certificate(ctx, depth, word_len):
 # -- compressibility ---------------------------------------------------------------
 
 
-def _image_levels(ctx, y, max_len):
-    """Distinct images of y under unit words, level by word length up to
-    max_len: yields each level as (image, word) pairs, word a list of unit
-    names with the last one applied first."""
-    seen = {y.antichain}
-    level = [(y, [])]
-    yield level
-    for _ in range(max_len):
-        nxt = []
-        for img, word in level:
-            for name, g in zip(ctx.names, ctx.units):
-                grown = image_clopen(g, img)
-                if grown.antichain not in seen:
-                    seen.add(grown.antichain)
-                    nxt.append((grown, [name] + word))
-        level = nxt
-        yield level
-
-
 def compress_search(ctx, y, z, word_len):
     """Witness(word) with w(Y) a proper subset of Z."""
     if y.is_empty() or z.is_empty():
         raise EmptyInput("compression needs nonempty clopens")
     bounds = {"word_len": word_len}
     nodes = 0
-    for level in _image_levels(ctx, y, word_len):
-        for img, word in level:
+    for level in image_levels(ctx.units, [y], word_len):
+        for img, word, _ in level:
             nodes += 1
             if img.leq(z) and img != z:
-                return certs.witness(
-                    {"word": word, "image": str(img)}, bounds, nodes
-                )
+                names = [ctx.names[i] for i in word]
+                return certs.witness({"word": names, "image": str(img)}, bounds, nodes)
     return certs.exhausted(bounds, nodes)
 
 
@@ -238,8 +198,8 @@ def fully_compressible_sample(ctx, depth, word_len):
     checked = 0
     for y in subsets:
         missing = set(range(len(subsets)))
-        for level in _image_levels(ctx, y, word_len):
-            for img, _ in level:
+        for level in image_levels(ctx.units, [y], word_len):
+            for img, _, _ in level:
                 for idx in list(missing):
                     z = subsets[idx]
                     if img.leq(z) and img != z:
@@ -264,10 +224,11 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
     """Words whose images of the cylinder of u are pairwise disjoint,
     certifying at least k orbit points for every point of the cylinder.
 
-    Candidate images are collected in word order and a backtracking search
-    picks the first pairwise disjoint k-subset in subset order, so the
-    witness is reproducible and a greedy dead end (keeping an image so large
-    that nothing else fits) is backtracked out of.
+    The distinct images are collected level by level, one node each, and
+    after each level a backtracking search picks the first pairwise disjoint
+    k-subset in subset order, so the witness is reproducible and a greedy
+    dead end (keeping an image so large that nothing else fits) is
+    backtracked out of.
     """
     if k < 1:
         raise CantorError("k must be positive")
@@ -275,41 +236,36 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
     base = cylinder(tuple(u), ctx.d)
     budget = certs.Budget(node_budget)
     candidates = []
-    seen = set()
-    for level in ctx.ball.levels(word_len):
-        for m, word in level:
-            try:
+    chosen = []
+
+    def pick(start):
+        if len(chosen) == k:
+            return True
+        for i in range(start, len(candidates)):
+            img, _ = candidates[i]
+            if all(img.disjoint(c[0]) for c in chosen):
+                chosen.append(candidates[i])
+                if pick(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    try:
+        for level in image_levels(ctx.units, [base], word_len):
+            for img, word, _ in level:
                 budget.tick()
-            except certs.GiveUp as stop:
-                return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-            img = image_clopen(m, base)
-            if img.antichain not in seen:
-                seen.add(img.antichain)
                 candidates.append((img, word))
-
-        chosen = []
-
-        def pick(start):
-            if len(chosen) == k:
-                return True
-            for i in range(start, len(candidates)):
-                img, _ = candidates[i]
-                if all(img.disjoint(c[0]) for c in chosen):
-                    chosen.append(candidates[i])
-                    if pick(i + 1):
-                        return True
-                    chosen.pop()
-            return False
-
-        if pick(0):
-            return certs.witness(
-                {
-                    "words": [[ctx.names[i] for i in w] for _, w in chosen],
-                    "images": [str(c) for c, _ in chosen],
-                },
-                bounds,
-                budget.nodes,
-            )
+            if pick(0):
+                return certs.witness(
+                    {
+                        "words": [[ctx.names[i] for i in w] for _, w in chosen],
+                        "images": [str(c) for c, _ in chosen],
+                    },
+                    bounds,
+                    budget.nodes,
+                )
+    except certs.GiveUp as stop:
+        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
     return certs.exhausted(bounds, budget.nodes)
 
 

@@ -31,7 +31,7 @@ from .msec import (
     pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, WordBall, compose, dom, eq, fingerprint, image_clopen, is_unit, ran, restrict, star
+from .pmap import Dedup, WordBall, compose, dom, eq, fingerprint, image_clopen, image_levels, is_unit, ran, restrict, star
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -102,26 +102,12 @@ def verify_separating(family, parts, n_orbit):
     # (1) orbits of depth-bounded cylinders meet at least n_orbit parts
     bad1 = []
     for atom in atoms(depth, d):
-        seen_parts = {part_of(parts, atom)} - {None}
-        frontier = [atom]
-        seen_pieces = {atom.antichain}
-        for _ in range(depth):
+        seen_parts = set()
+        for level in image_levels(family, [atom], depth):
+            seen_parts.update(part_of(parts, img) for img, _, _ in level)
+            seen_parts.discard(None)
             if len(seen_parts) >= n_orbit:
                 break
-            nxt = []
-            for piece in frontier:
-                for a in family:
-                    if piece.leq(dom(a)):
-                        img = image_clopen(a, piece)
-                        if img.antichain not in seen_pieces:
-                            seen_pieces.add(img.antichain)
-                            nxt.append(img)
-                            p = part_of(parts, img)
-                            if p is not None:
-                                seen_parts.add(p)
-                if len(seen_parts) >= n_orbit:
-                    break
-            frontier = nxt
         if len(seen_parts) < n_orbit:
             bad1.append({"atom": str(atom), "parts_met": sorted(seen_parts)})
     report["condition1"] = {"ok": not bad1, "failures": bad1}
@@ -319,46 +305,41 @@ def _wordify_cylinder(kit, m, budget, max_len):
 
     fwd = {start: ()}
     bwd = {goal: ()}
+
+    def grow(frontier, backward):
+        """One round from one side: words carry start forward, and stars
+        carry goal backward, joining its word on the right.  Returns the
+        next frontier and the first meeting word that re-verifies."""
+        seen, other = (bwd, fwd) if backward else (fwd, bwd)
+        nxt = []
+        for w in frontier:
+            for idx, a in enumerate(kit.A):
+                budget.tick()
+                r = _pmap.eval_at(star(a) if backward else a, w)
+                if r.kind != _pmap.IMAGE or r.residual.factors or len(r.prefix) > cap:
+                    continue
+                x = r.prefix
+                if x in seen:
+                    continue
+                seen[x] = seen[w] + (idx,) if backward else (idx,) + seen[w]
+                nxt.append(x)
+                if x in other:
+                    hit = finish(bwd[x] + fwd[x])
+                    if hit is not None:
+                        return nxt, hit
+        return nxt, None
+
     f_frontier, b_frontier = [start], [goal]
     if start in bwd:
         hit = finish(())
         if hit is not None:
             return hit
     for _ in range(max_len):
-        nxt_f = []
-        for w in f_frontier:
-            for idx, a in enumerate(kit.A):
-                budget.tick()
-                r = _pmap.eval_at(a, w)
-                if r.kind != _pmap.IMAGE or r.residual.factors or len(r.prefix) > cap:
-                    continue
-                img = r.prefix
-                if img in fwd:
-                    continue
-                fwd[img] = (idx,) + fwd[w]
-                nxt_f.append(img)
-                if img in bwd:
-                    hit = finish(bwd[img] + fwd[img])
-                    if hit is not None:
-                        return hit
-        f_frontier = nxt_f
-        nxt_b = []
-        for w in b_frontier:
-            for idx, a in enumerate(kit.A):
-                budget.tick()
-                r = _pmap.eval_at(star(a), w)
-                if r.kind != _pmap.IMAGE or r.residual.factors or len(r.prefix) > cap:
-                    continue
-                pre = r.prefix
-                if pre in bwd:
-                    continue
-                bwd[pre] = bwd[w] + (idx,)
-                nxt_b.append(pre)
-                if pre in fwd:
-                    hit = finish(bwd[pre] + fwd[pre])
-                    if hit is not None:
-                        return hit
-        b_frontier = nxt_b
+        f_frontier, hit = grow(f_frontier, backward=False)
+        if hit is None:
+            b_frontier, hit = grow(b_frontier, backward=True)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -393,14 +374,14 @@ def _wordify(kit, m, budget, max_len):
     return None
 
 
-def _combine_with_spares(fs_a, cols_a, fs_b, cols_b, min_side=3):
+def _combine_with_spares(fs_a, cols_a, fs_b, cols_b):
     """combine_factored over two column tuples, each headed by its
-    sub-section's base, padded with spare columns until the support rule
-    holds; None when no padding does."""
+    sub-section's base and padded with spare columns to at least three, in
+    every way until the support rule holds; None when no padding does."""
 
     def options(fs, cols):
         pool = [j for j in range(fs.msec.degree) if j not in cols]
-        return [cols + extra for extra in combinations(pool, max(0, min_side - len(cols)))]
+        return [cols + extra for extra in combinations(pool, max(0, 3 - len(cols)))]
 
     for padded_a in options(fs_a, cols_a):
         for padded_b in options(fs_b, cols_b):
@@ -615,18 +596,19 @@ def _factor_five(kit, section, rho, budget, word_len):
     return list(acc.word_for(full))
 
 
-def _cylinder_permutation(target, max_refine=8):
+def _cylinder_permutation(target):
     """A family of disjoint cylinders permuted by the unit, or None.
 
-    The domain antichain is refined until the unit maps family cylinders onto
-    family cylinders with trivial residuals; units of infinite order (or with
-    genuinely automaton tails) do not stabilize and yield None.
+    The domain antichain is refined, at most eight times, until the unit maps
+    family cylinders onto family cylinders with trivial residuals; units of
+    infinite order (or with genuinely automaton tails) do not stabilize and
+    yield None.
     """
     from . import tails as _tails
 
     d = target.d
     words = {b.dom for b in target.branches}
-    for _ in range(max_refine):
+    for _ in range(8):
         table = {}
         ok = True
         for w in sorted(words, key=lambda x: (len(x), x)):

@@ -606,3 +606,41 @@ class WordBall:
         """Yield the (map, word) pairs of length <= max_len in ball order."""
         for level in self.levels(max_len):
             yield from level
+
+
+def image_levels(maps, sources, max_len):
+    """Yield the distinct images of the source clopens, level by word length.
+
+    Level n lists the (image, word, source) triples first reached at length
+    n: word is a tuple of indices into maps, the last applied first, and a
+    map is applied to an image only when the image lies in its domain.
+    Level 0 is the sources in order, and each later level takes the images
+    of the one before in order, each under every map in order.  An image is
+    kept, and extended, only at the first word that reaches it; no image is
+    lost, because what a map does to an image depends on the image alone.
+    """
+    if max_len < 0:
+        return
+    doms = [dom(m) for m in maps]
+    seen = set()
+
+    def fresh(triples):
+        out = []
+        for img, word, src in triples:
+            if img.antichain not in seen:
+                seen.add(img.antichain)
+                out.append((img, word, src))
+        return out
+
+    level = fresh((c, (), c) for c in sources)
+    yield level
+    for _ in range(max_len):
+        level = fresh(
+            [
+                (image_clopen(m, img), (i,) + word, src)
+                for img, word, src in level
+                for i, m in enumerate(maps)
+                if img.leq(doms[i])
+            ]
+        )
+        yield level

@@ -5,7 +5,9 @@ branch prefixes, without calling the library's apply/compose/eval paths, so
 they can arbitrate the library's outputs.  The two search references,
 right_extending_words and nonzero_products, are exceptions: they compose
 with the library and pin the order and the duplicates of its word searches.
-So are reference_compatible, reference_leq and reference_is_idempotent,
+So are all_word_images, which applies every index word to the sources
+where image_levels keeps the first word per image; reference_compatible,
+reference_leq and reference_is_idempotent,
 the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
 reference_compatible; reference_part_of, which scans the parts with
@@ -34,6 +36,7 @@ from cantorfull.pmap import (
     ran,
     restrict,
     star,
+    WordBall,
 )
 from cantorfull.tails import TailElement, adding_machine, grigorchuk, state, trivial
 
@@ -145,6 +148,27 @@ def right_extending_words(letters, max_len, d):
     return ball
 
 
+def all_word_images(maps, sources, max_len):
+    """A reference for pmap.image_levels: for each n <= max_len, the
+    antichains of the images of the sources under every index word of
+    length <= n, listed by itertools.product.  A word applies its last
+    index first, and a map only to an image inside its domain; a word
+    reaching an image outside the next map's domain reaches nothing."""
+    reached = set()
+    out = []
+    for n in range(max_len + 1):
+        for word in product(range(len(maps)), repeat=n):
+            for img in sources:
+                for i in reversed(word):
+                    if not img.leq(dom(maps[i])):
+                        break
+                    img = image_clopen(maps[i], img)
+                else:
+                    reached.add(img.antichain)
+        out.append(set(reached))
+    return out
+
+
 def nonzero_products(family, parts, max_products):
     """A reference for kit.build_T: family products of length 1..max_products,
     zero products skipped, duplicates found by a linear scan, then kept when
@@ -214,7 +238,7 @@ def reference_join(elems):
 
 def reference_split_unit(g, ctx, word_len=4, max_depth=6):
     """A reference for dynamics.split_unit: Z is a moved cylinder and the
-    second piece is hZ for the first unit word h of ctx's ball, up to
+    second piece is hZ for the first distinct unit word h of ctx, up to
     word_len, with hZ, gZ, ghZ and Z pairwise disjoint; the factors are
     built and re-verified as split_unit does."""
     if eq(g, one(g.d)):
@@ -227,13 +251,14 @@ def reference_split_unit(g, ctx, word_len=4, max_depth=6):
         if image_clopen(g, c).disjoint(c)
     ]
     bounds = {"word_len": word_len, "max_depth": max_depth}
+    ball = WordBall(ctx.units, ctx.d)
     nodes = 0
     for z in moved:
         gz = image_clopen(g, z)
         z_gz = z.union(gz)
         if z_gz.complement().is_empty():
             continue
-        for h, _ in ctx.ball.words(word_len):
+        for h, _ in ball.words(word_len):
             nodes += 1
             hz = image_clopen(h, z)
             if not hz.disjoint(z_gz):

@@ -289,6 +289,26 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     assert "Traceback" not in err and err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dyn", "expansive", *HT2, "--len", "-1", "--depth", "2"],
+        ["dyn", "minimal", *HT2, "--depth", "-2"],
+        ["dyn", "orbit", *HT2, "--budget", "-5"],
+        ["bi", "enumerate", *HT2, "--arity", "-1"],
+        ["bi", "enumerate", *HT2, "--limit", "-3"],
+        ["genkit", "verify", *HT2, "--orbit", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[4:6]),
+)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    assert main(argv + ["--json"]) == 3
+    captured = capsys.readouterr()
+    flag, value = argv[4], argv[5]
+    assert f"argument {flag}: a bound cannot be negative, not {value}" in captured.err
+    assert captured.out == ""
+
+
 def test_letters_and_alphabets_are_checked(capsys, monkeypatch):
     assert main(["eq", "1", "1", "-d", "1"]) == 3
     assert "alphabet size must be at least 2" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from cantorfull import dynamics
+from cantorfull import dynamics, pmap
 from cantorfull.clopen import atoms, cylinder, full, normalize
 from cantorfull.completion import GeneratorTable
 from cantorfull.dynamics import (
@@ -242,11 +242,27 @@ def test_split_unit_rejects_factors_that_do_not_reverify(monkeypatch):
         split_unit(pm(2, "0->1", "1->0"))
 
 
-def test_orbit_search_grows_only_the_levels_it_reads():
-    # a search that stops early does not build the longer levels
+def test_orbit_search_computes_only_the_levels_it_reads(monkeypatch):
+    # a witness found early computes no longer level: at word_len 50 the
+    # search maps as many images as at the witness's own length
     ctx = v2_ctx()
-    assert orbit_lower_bound(ctx, (0,), k=2, word_len=4).is_witness()
-    assert len(ctx.ball._levels) < 5
+    honest = pmap.image_clopen
+    calls = []
+
+    def counted(f, c):
+        calls.append(c)
+        return honest(f, c)
+
+    monkeypatch.setattr(pmap, "image_clopen", counted)
+    cert = orbit_lower_bound(ctx, (0,), k=4, word_len=50)
+    assert cert.is_witness()
+    longest = max(len(w) for w in cert.witness["words"])
+    assert longest >= 2
+    mapped = len(calls)
+    calls.clear()
+    again = orbit_lower_bound(ctx, (0,), k=4, word_len=longest)
+    assert (again.witness, again.nodes_explored) == (cert.witness, cert.nodes_explored)
+    assert len(calls) == mapped < len(ctx.units) ** 3
 
 
 def random_v2_units():

@@ -15,6 +15,7 @@ from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.errors import AlphabetMismatch, CantorError, IncompatiblePair
 from cantorfull.completion import _letters, depth_clopens
 from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
+from cantorfull.kit import derive_transporters
 from cantorfull.pmap import (
     Branch,
     Dedup,
@@ -27,6 +28,7 @@ from cantorfull.pmap import (
     eq,
     eval_at,
     image_clopen,
+    image_levels,
     is_idempotent,
     is_unit,
     join,
@@ -43,6 +45,7 @@ from cantorfull.tails import grigorchuk, state, word
 from oracles import (
     ADD2,
     GRI,
+    all_word_images,
     clo,
     oracle_compose_image,
     oracle_image,
@@ -930,3 +933,56 @@ def test_word_ball_edges():
     assert list(WordBall([SWAP], 2).words(0)) == [(one(2), ())]
     # the swap is an involution: its square is the identity, already kept
     assert list(WordBall([SWAP], 2).words(4)) == [(one(2), ()), (SWAP, (0,))]
+
+
+# -- image_levels -----------------------------------------------------------------
+
+# maps, sources and the longest word: units, automaton-tail units, and
+# partial part-to-part transporters, whose domains leave words unapplied
+IMAGE_WALKS = [
+    ("V2 units", list(higman_thompson(2).table.mapping.values()), [clo("{0}"), clo("{10, 11}")], 3),
+    ("rover units", list(rover_units().table.mapping.values()), [clo("{01}"), clo("{1}")], 3),
+    (
+        "V2 transporters",
+        derive_transporters(higman_thompson(2).table, atoms(3, 2)),
+        [clo("{000}"), clo("{101}")],
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "maps, sources, max_len", [c[1:] for c in IMAGE_WALKS], ids=[c[0] for c in IMAGE_WALKS]
+)
+def test_image_levels_match_every_word(maps, sources, max_len):
+    levels = list(image_levels(maps, sources, max_len))
+    reference = all_word_images(maps, sources, max_len)
+    assert len(levels) == max_len + 1
+    kept = []
+    for n, level in enumerate(levels):
+        for img, word, src in level:
+            assert len(word) == n and src in sources
+            carried = src
+            for i in reversed(word):
+                assert carried.leq(dom(maps[i]))
+                carried = image_clopen(maps[i], carried)
+            assert carried == img
+            kept.append(img.antichain)
+        if n:
+            # extended from kept images only, in their order, each under
+            # every map in order
+            parent = {(w, s.antichain): j for j, (_, w, s) in enumerate(levels[n - 1])}
+            order = [(parent[word[1:], src.antichain], word[0]) for _, word, src in level]
+            assert order == sorted(order)
+        # the images reached by words of length <= n, each once
+        assert len(set(kept)) == len(kept)
+        assert set(kept) == reference[n]
+    assert len(reference[-1]) > len(reference[1]) > len(sources)
+
+
+def test_image_levels_edges():
+    assert list(image_levels([SWAP], [clo("{0}")], -1)) == []
+    assert list(image_levels([SWAP], [clo("{0}")], 0)) == [[(clo("{0}"), (), clo("{0}"))]]
+    # the swap carries {0} onto {1}, the other source, and back
+    levels = list(image_levels([SWAP], [clo("{0}"), clo("{1}")], 3))
+    assert [len(level) for level in levels] == [2, 0, 0, 0]
