@@ -187,28 +187,40 @@ def fully_compressible_sample(ctx, depth, word_len):
     depth-n atoms; aggregate report with the failing pairs.
 
     Per source set, image exploration stops as soon as every target has
-    received a proper sub-image.
+    received a proper sub-image.  Every target is a union of atoms, so an
+    image lies inside a target exactly when the target's atom mask holds the
+    mask of the atoms the image meets; the two clopens are compared only
+    when the masks are equal.
     """
     cells = atoms(depth, ctx.d)
+    # each word of length <= depth -> the mask of the atoms below it
+    below = {}
+    for i, cell in enumerate(cells):
+        w = cell.antichain[0]
+        for j in range(depth + 1):
+            below[w[:j]] = below.get(w[:j], 0) | 1 << i
+    masks = range(1, 2 ** len(cells) - 1)
     subsets = []
-    for mask in range(1, 2 ** len(cells) - 1):
+    for mask in masks:
         words = [cells[i].antichain[0] for i in range(len(cells)) if mask >> i & 1]
         subsets.append(union_all([cylinder(w, ctx.d) for w in words], ctx.d))
+    texts = [str(z) for z in subsets]
     failures = []
     checked = 0
-    for y in subsets:
+    for y, y_text in zip(subsets, texts):
         missing = set(range(len(subsets)))
         for level in image_levels(ctx.units, [y], word_len):
             for img, _, _ in level:
-                for idx in list(missing):
-                    z = subsets[idx]
-                    if img.leq(z) and img != z:
+                meets = 0
+                for w in img.antichain:
+                    meets |= below[w[:depth]]
+                for idx in [i for i in missing if masks[i] | meets == masks[i]]:
+                    if meets != masks[idx] or img != subsets[idx]:
                         missing.discard(idx)
             if not missing:
                 break
         checked += len(subsets)
-        for idx in sorted(missing):
-            failures.append((str(y), str(subsets[idx])))
+        failures += [(y_text, texts[idx]) for idx in sorted(missing)]
     return {
         "pairs": checked,
         "ok": not failures,

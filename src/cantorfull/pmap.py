@@ -7,6 +7,14 @@ and complete sibling families merged into their parent branch whenever the
 family is verbatim the expansion of a representable parent (for trivial tails
 this is the unique minimal tree-pair form).  Semantic equality is decided by
 eq(), never by comparing table shapes.
+
+compose, star and as_idempotent remember their results in one process-wide
+operation cache of at most OPERATION_CACHE_SIZE entries, emptied when it
+fills.  A key holds the operands themselves, compared structurally: d and
+the branch tables, tails by their factor words, machines by their tables.
+A hit therefore returns exactly the table that building again would give;
+no key is ever a fingerprint or an eq class.  product and eq never read the
+cache, so a witness is still re-checked on raw branch lists.
 """
 
 from bisect import bisect_right
@@ -43,7 +51,7 @@ def _dom_len(b):
 class PartialMap:
     """An element of PHomeo_c(X); the empty table is 0, [~ -> ~ : 1] is 1."""
 
-    __slots__ = ("d", "branches", "_dom", "_ran", "_all_trivial")
+    __slots__ = ("d", "branches", "_dom", "_ran", "_all_trivial", "_hash")
 
     def __init__(self, d, branches):
         # merging a complete sibling family keeps both sides antichains, so
@@ -56,6 +64,7 @@ class PartialMap:
         self._dom = None
         self._ran = None
         self._all_trivial = all(not b.tail.factors for b in self.branches)
+        self._hash = None
 
     def __repr__(self):
         return f"PartialMap(d={self.d}, {list(self.branches)})"
@@ -69,7 +78,10 @@ class PartialMap:
         )
 
     def __hash__(self):
-        return hash((self.d, self.branches))
+        # hashing the table re-hashes every branch, so keep the result
+        if self._hash is None:
+            self._hash = hash((self.d, self.branches))
+        return self._hash
 
     def is_zero(self):
         return not self.branches
@@ -200,6 +212,22 @@ def _merge_family(d, u, family):
 
 
 # ---------------------------------------------------------------------------
+# the operation cache
+
+OPERATION_CACHE_SIZE = 1 << 10
+
+# ("compose", f, g), ("star", f) or ("idempotent", c) -> the map built for it
+_operation_cache = {}
+
+
+def _remember(key, m):
+    if len(_operation_cache) >= OPERATION_CACHE_SIZE:
+        _operation_cache.clear()
+    _operation_cache[key] = m
+    return m
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -213,7 +241,12 @@ def one(d):
 
 def as_idempotent(c):
     """The identity map on the clopen c."""
-    return PartialMap(c.d, [Branch(w, w, _tails.trivial(c.d)) for w in c.antichain])
+    key = ("idempotent", c)
+    m = _operation_cache.get(key)
+    if m is None:
+        t = _tails.trivial(c.d)
+        m = _remember(key, PartialMap(c.d, [Branch(w, w, t) for w in c.antichain]))
+    return m
 
 
 def prefix_exchange(d, pairs):
@@ -270,7 +303,11 @@ def _compose_branches(fbs, doms, gbranches):
 def compose(f, g):
     """The partial homeomorphism x -> f(g(x)) on g^{-1}(dom f & ran g)."""
     _check_context(f, g)
-    return PartialMap(f.d, _compose_branches(*_by_dom(f), g.branches))
+    key = ("compose", f, g)
+    h = _operation_cache.get(key)
+    if h is None:
+        h = _remember(key, PartialMap(f.d, _compose_branches(*_by_dom(f), g.branches)))
+    return h
 
 
 def product(d, maps):
@@ -304,9 +341,12 @@ def product(d, maps):
 
 def star(f):
     """The semigroup inverse: swap branch sides and invert tails."""
-    return PartialMap(
-        f.d, [Branch(b.ran, b.dom, _tails.invert(b.tail)) for b in f.branches]
-    )
+    key = ("star", f)
+    s = _operation_cache.get(key)
+    if s is None:
+        branches = [Branch(b.ran, b.dom, _tails.invert(b.tail)) for b in f.branches]
+        s = _remember(key, PartialMap(f.d, branches))
+    return s
 
 
 def dom(f):

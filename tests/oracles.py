@@ -11,16 +11,17 @@ reference_leq and reference_is_idempotent,
 the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
 reference_compatible; reference_part_of, which scans the parts with
-Clopen.leq where part_of looks words up in an index; and
+Clopen.leq where part_of looks words up in an index;
 reference_split_unit, the split that searches unit words h for its second
-piece hZ.
+piece hZ; and reference_fully_compressible_sample, which tests images
+against targets with Clopen.leq where the library compares atom masks.
 """
 
 import random
 from itertools import product
 
 from cantorfull import certs
-from cantorfull.clopen import cylinder, is_prefix, normalize, union_all, word_from_text
+from cantorfull.clopen import atoms, cylinder, is_prefix, normalize, union_all, word_from_text
 from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
 from cantorfull.pmap import (
     Branch,
@@ -31,6 +32,7 @@ from cantorfull.pmap import (
     eq,
     fingerprint,
     image_clopen,
+    image_levels,
     join,
     one,
     ran,
@@ -290,6 +292,38 @@ def reference_split_unit(g, ctx, word_len=4, max_depth=6):
     return certs.exhausted(bounds, nodes)
 
 
+def reference_fully_compressible_sample(ctx, depth, word_len):
+    """A reference for dynamics.fully_compressible_sample: every image is
+    tested against every still-missing target with Clopen.leq, where the
+    library compares atom masks."""
+    cells = atoms(depth, ctx.d)
+    subsets = []
+    for mask in range(1, 2 ** len(cells) - 1):
+        words = [cells[i].antichain[0] for i in range(len(cells)) if mask >> i & 1]
+        subsets.append(union_all([cylinder(w, ctx.d) for w in words], ctx.d))
+    failures = []
+    checked = 0
+    for y in subsets:
+        missing = set(range(len(subsets)))
+        for level in image_levels(ctx.units, [y], word_len):
+            for img, _, _ in level:
+                for idx in list(missing):
+                    z = subsets[idx]
+                    if img.leq(z) and img != z:
+                        missing.discard(idx)
+            if not missing:
+                break
+        checked += len(subsets)
+        for idx in sorted(missing):
+            failures.append((str(y), str(subsets[idx])))
+    return {
+        "pairs": checked,
+        "ok": not failures,
+        "failures": failures,
+        "bounds": {"depth": depth, "word_len": word_len},
+    }
+
+
 def pm(d, *specs):
     """PartialMap from branch specs "u->v" with an optional tail third item."""
     branches = []
@@ -314,6 +348,10 @@ def clo(text, d=2):
 
 GRI = grigorchuk()
 ADD2 = adding_machine(2)
+
+# depth_perm assignments of one shape, so both machines are named depthperm2
+INVOLUTION = {(0, 0): (1, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
+ORDER_FOUR = {(0, 0): (1, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)}
 
 
 def random_antichain(rng, d, maxdepth, maxsize):

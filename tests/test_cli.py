@@ -1,12 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cantorfull import cli
+from cantorfull import cli, pmap, tails
 from cantorfull.cli import Session, build_arg_parser, main
 from cantorfull.completion import GeneratorTable
 from cantorfull.families import NamedFamily
@@ -484,3 +485,29 @@ def test_printed_tails_parse_back(tmp_path, capsys, tail):
         residual = eval_at(session.element(y), tuple(map(int, w))).residual
         printed = session.parser.parse_element(f"[~->~:{payload['residual']}]")
         assert eq(printed, PartialMap(2, [Branch((), (), residual)]))
+
+
+def readme_commands():
+    """The argument lists of the cfl commands in the README's CLI block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("cfl "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_print_the_same_warm_and_cold(capsys):
+    commands = readme_commands()
+    assert len(commands) == 14
+
+    def outputs():
+        return [run(capsys, *argv, "--json") for argv in commands]
+
+    cold = outputs()
+    # the second round reads the operation and identity caches the first filled
+    assert outputs() == cold
+    pmap._operation_cache.clear()
+    tails._identity_cache.clear()
+    assert outputs() == cold

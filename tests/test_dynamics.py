@@ -29,12 +29,17 @@ from oracles import (
     oracle_compose_image,
     oracle_image,
     pm,
+    reference_fully_compressible_sample,
     reference_split_unit,
 )
 
 
 def v2_ctx():
     return DynContext(higman_thompson(2).table)
+
+
+def rover_ctx():
+    return DynContext(rover_units().table)
 
 
 def adding_ctx():
@@ -154,6 +159,17 @@ def test_fully_compressible_adding_machine_fails():
     report = fully_compressible_sample(adding_ctx(), depth=1, word_len=4)
     assert not report["ok"]
     assert report["failures"]
+
+
+@pytest.mark.parametrize(
+    "make_ctx, word_len",
+    [(v2_ctx, 1), (v2_ctx, 2), (rover_ctx, 1), (rover_ctx, 2)],
+    ids=["V2-len1", "V2-len2", "rover-len1", "rover-len2"],
+)
+def test_fully_compressible_matches_reference(make_ctx, word_len):
+    ctx = make_ctx()
+    report = fully_compressible_sample(ctx, depth=2, word_len=word_len)
+    assert report == reference_fully_compressible_sample(ctx, 2, word_len)
 
 
 def test_fully_compressible_depth0_vacuous():

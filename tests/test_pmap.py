@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantorfull import pmap, tails
@@ -40,11 +40,13 @@ from cantorfull.pmap import (
     WordBall,
     zero,
 )
-from cantorfull.tails import grigorchuk, state, word
+from cantorfull.tails import depth_perm, grigorchuk, invert, state, word
 
 from oracles import (
     ADD2,
     GRI,
+    INVOLUTION,
+    ORDER_FOUR,
     all_word_images,
     clo,
     oracle_compose_image,
@@ -196,12 +198,18 @@ PROOF_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", PROOF_FAMILIES)
-def test_table_proofs_match_references(family):
+def family_pieces(family):
+    """A strategy drawing restrictions of the family's letter words of
+    length <= 2 to depth-2 clopens, and those clopens."""
     table = PROOF_FAMILIES[family]().table
     words = [m for m, _ in WordBall([m for m, _ in _letters(table)], 2).words(2)]
     clopens = depth_clopens(2, 2)
-    pieces = st.builds(restrict, st.sampled_from(words), st.sampled_from(clopens))
+    return st.builds(restrict, st.sampled_from(words), st.sampled_from(clopens)), clopens
+
+
+@pytest.mark.parametrize("family", PROOF_FAMILIES)
+def test_table_proofs_match_references(family):
+    pieces, clopens = family_pieces(family)
     seen = set()
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -733,6 +741,38 @@ def test_leq_implies_compatible_and_join_laws():
         assert eq(join([x, x]), x)
 
 
+@pytest.mark.parametrize("family", PROOF_FAMILIES)
+def test_inverse_monoid_laws_on_unit_families(family):
+    pieces, clopens = family_pieces(family)
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(pieces, pieces, pieces, st.sampled_from(clopens))
+    def check(x, y, z, c):
+        xy = compose(x, y)
+        # compose: the pair-scan table, and associative
+        assert xy == pair_scan_compose(x, y)
+        assert eq(compose(xy, z), compose(x, compose(y, z)))
+        # star: an inverse and an anti-homomorphism
+        assert eq(compose(compose(x, star(x)), x), x)
+        assert eq(star(star(x)), x)
+        assert eq(star(xy), compose(star(y), star(x)))
+        # eq: reflexive and symmetric; x x* is the identity on ran(x)
+        assert eq(x, x)
+        verdict = eq(x, y)
+        assert verdict == eq(y, x)
+        seen.add(verdict)
+        assert eq(compose(x, star(x)), as_idempotent(ran(x)))
+        # join: x glues back from its pieces on and off c, and composition
+        # distributes over the join
+        parts = [restrict(x, c), restrict(x, c.complement())]
+        assert eq(join(parts), x)
+        assert eq(compose(y, join(parts)), join([compose(y, p) for p in parts]))
+
+    check()
+    assert seen == {True, False}
+
+
 def fitted_pmap(rng, g, kinds):
     """A map whose domains sit on g's ranges: some equal a range of g, some
     are several extensions of one range, and some ranges get nothing."""
@@ -986,3 +1026,110 @@ def test_image_levels_edges():
     # the swap carries {0} onto {1}, the other source, and back
     levels = list(image_levels([SWAP], [clo("{0}"), clo("{1}")], 3))
     assert [len(level) for level in levels] == [2, 0, 0, 0]
+
+
+# -- the operation cache ------------------------------------------------------
+
+
+def fresh_star(f):
+    """star(f) built by the constructor alone."""
+    return PartialMap(f.d, [Branch(b.ran, b.dom, invert(b.tail)) for b in f.branches])
+
+
+def test_operation_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(pmap, "OPERATION_CACHE_SIZE", 4)
+    monkeypatch.setattr(pmap, "_operation_cache", {})
+    rng = random.Random(110)
+    maps = [random_pmap(rng, 2) for _ in range(5)]
+    for _ in range(2):
+        for x in maps:
+            for y in maps:
+                assert compose(x, y) == pair_scan_compose(x, y)
+                assert len(pmap._operation_cache) <= 4
+            assert star(x) == fresh_star(x)
+            words = dom(x).antichain
+            assert as_idempotent(dom(x)) == PartialMap(2, [(w, w, tails.trivial(2)) for w in words])
+            assert len(pmap._operation_cache) <= 4
+    assert pmap._operation_cache
+
+
+def test_operation_cache_tells_same_named_machines_apart(monkeypatch):
+    # both machines are named depthperm2; their tables differ
+    inv, ord4 = depth_perm(2, INVOLUTION), depth_perm(2, ORDER_FOUR)
+    assert inv.factors[0][0].name == ord4.factors[0][0].name
+    swaps = [PartialMap(2, [Branch((0,), (1,), t), Branch((1,), (0,), t)]) for t in (inv, ord4)]
+    e = as_idempotent(cylinder((0,), 2))
+    monkeypatch.setattr(pmap, "_operation_cache", {})
+    for first, second in (swaps, swaps[::-1]):
+        # the first map's results are in the cache when the second asks
+        for f in (first, second):
+            assert compose(f, f) == pair_scan_compose(f, f)
+            assert compose(f, e) == pair_scan_compose(f, e)
+            assert star(f) == fresh_star(f)
+    # the involution's square is 1, the order-four element's is not
+    assert eq(compose(swaps[0], swaps[0]), pmap.one(2))
+    assert not eq(compose(swaps[1], swaps[1]), pmap.one(2))
+
+
+CACHE_PIECES = {
+    **{family: lambda family=family: family_pieces(family)[0] for family in PROOF_FAMILIES},
+    "random": lambda: st.builds(
+        lambda seed, d: random_pmap(random.Random(seed), d),
+        st.integers(0, 10**6),
+        st.sampled_from((2, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", CACHE_PIECES)
+def test_cached_operations_match_fresh_builds(family):
+    pieces = CACHE_PIECES[family]()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(pieces, pieces)
+    def check(x, y):
+        assume(x.d == y.d)
+        # the second round reads what the first one cached
+        for _ in range(2):
+            assert compose(x, y) == pair_scan_compose(x, y)
+            assert compose(y, x) == pair_scan_compose(y, x)
+            assert star(x) == fresh_star(x)
+
+    check()
+
+
+def test_operation_cache_stores_only_built_maps(monkeypatch):
+    monkeypatch.setattr(pmap, "_operation_cache", {})
+    with pytest.raises(AlphabetMismatch):
+        compose(one(2), one(3))
+    merge = pmap._greedy_merge
+
+    def failing(d, table):
+        raise CantorError("constructor failed")
+
+    monkeypatch.setattr(pmap, "_greedy_merge", failing)
+    with pytest.raises(CantorError, match="constructor failed"):
+        compose(SWAP, SWAP)
+    with pytest.raises(CantorError, match="constructor failed"):
+        star(SWAP)
+    assert pmap._operation_cache == {}
+    monkeypatch.setattr(pmap, "_greedy_merge", merge)
+    assert eq(compose(SWAP, SWAP), one(2))
+
+
+def test_product_and_eq_do_not_read_the_operation_cache(monkeypatch):
+    class Unreadable(dict):
+        def get(self, key, default=None):
+            raise AssertionError(f"read {key[0]} from the operation cache")
+
+        __getitem__ = __contains__ = get
+
+    rng = random.Random(111)
+    maps = [random_pmap(rng, 2) for _ in range(6)]
+    products = [pmap.product(2, maps[:n]) for n in range(len(maps) + 1)]
+    monkeypatch.setattr(pmap, "_operation_cache", Unreadable())
+    assert [pmap.product(2, maps[:n]) for n in range(len(maps) + 1)] == products
+    for x in products:
+        for y in maps:
+            eq(x, y)
+            eq(y, x)

@@ -23,7 +23,7 @@ from cantorfull.tails import (
     word,
 )
 
-from oracles import tail_section, tail_walk
+from oracles import INVOLUTION, ORDER_FOUR, tail_section, tail_walk
 
 GRI = grigorchuk()
 ADD2 = adding_machine(2)
@@ -267,10 +267,6 @@ def test_parse_machines_rejects_malformed_lines(text):
 
 
 # -- machine identity ---------------------------------------------------------
-
-INVOLUTION = {(0, 0): (1, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
-ORDER_FOUR = {(0, 0): (1, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)}
-
 
 def test_same_named_machines_are_told_apart():
     # both machines are named depthperm2; their tables differ
