@@ -1,8 +1,10 @@
 """Three-valued certificates for all semi-decision procedures.
 
-Every bounded search reports Witness, RefutedAtBound or ExhaustedAtBound,
-with the bounds echoed and the number of explored nodes, so a verdict is
-always re-checkable and budget exhaustion is never silent.
+Every bounded search runs under one Budget, which holds its bounds, counts
+the nodes it explores, stops it at bounds["node_budget"] and writes its
+certificate: Witness, RefutedAtBound or ExhaustedAtBound, with the bounds
+echoed and the number of explored nodes, so a verdict is always
+re-checkable and budget exhaustion is never silent.
 """
 
 from dataclasses import dataclass, field
@@ -20,21 +22,38 @@ class GiveUp(Exception):
 
 
 class Budget:
-    """The nodes one bounded search has examined, against its limit.
+    """One bounded search: its bounds, the nodes it has examined, and the
+    certificate it reports.
 
-    A search that runs inside another spends from its caller's budget, so
-    nodes_explored counts every candidate examined once, and the first node
-    over the limit stops the whole search with the detail "node budget".
+    The limit is bounds["node_budget"]; a search whose bounds have none
+    counts its nodes and never runs out.  A search that runs inside another
+    spends from its caller's budget, so nodes_explored counts every candidate
+    examined once, and the first node over the limit stops the whole search
+    with the detail "node budget".
     """
 
-    def __init__(self, limit):
-        self.limit = limit
+    def __init__(self, bounds):
+        self.bounds = bounds
+        self.limit = bounds.get("node_budget")
         self.nodes = 0
+
+    @property
+    def spent(self):
+        return self.limit is not None and self.nodes > self.limit
 
     def tick(self, n=1):
         self.nodes += n
-        if self.nodes > self.limit:
+        if self.spent:
             raise GiveUp("node budget")
+
+    def witness(self, payload):
+        return Certificate(WITNESS, witness=payload, bounds=self.bounds, nodes_explored=self.nodes)
+
+    def refuted(self, payload):
+        return Certificate(REFUTED, refuted=payload, bounds=self.bounds, nodes_explored=self.nodes)
+
+    def exhausted(self, detail=""):
+        return Certificate(EXHAUSTED, bounds=self.bounds, nodes_explored=self.nodes, detail=detail)
 
 
 @dataclass
@@ -68,18 +87,6 @@ class Certificate:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-
-def witness(payload, bounds, nodes, detail=""):
-    return Certificate(WITNESS, witness=payload, bounds=bounds, nodes_explored=nodes, detail=detail)
-
-
-def refuted(payload, bounds, nodes, detail=""):
-    return Certificate(REFUTED, refuted=payload, bounds=bounds, nodes_explored=nodes, detail=detail)
-
-
-def exhausted(bounds, nodes, detail=""):
-    return Certificate(EXHAUSTED, bounds=bounds, nodes_explored=nodes, detail=detail)
 
 
 def _jsonable(obj):

@@ -379,6 +379,25 @@ def _jsonable_report(report):
 
 
 def cmd_dyn(session, args):
+    if args.action == "split":
+        g = session.element(args.element)
+        cert = dynamics.split_unit(g)
+        if cert.is_witness():
+            w = cert.witness
+            cert = replace(cert, witness={
+                "g1": session.text(w["g1"]),
+                "g2": session.text(w["g2"]),
+                "fixed1": str(w["fixed1"]),
+                "fixed2": str(w["fixed2"]),
+            })
+        return emit_cert(args, "dyn split", cert)
+    if args.action == "rigid":
+        g = session.element(args.element)
+        parts = session.partition(args.partition)
+        factors = dynamics.rigid_parts(g, parts)
+        lines = [session.text(f) for f in factors]
+        return emit(args, EXIT_OK, "\n".join(lines), {"op": "dyn rigid", "factors": lines})
+    # the other actions act by the table's units
     ctx = dynamics.DynContext(session.table)
     if args.action == "expansive":
         parts = session.partition(args.partition)
@@ -406,24 +425,6 @@ def cmd_dyn(session, args):
             ctx, word_from_text(args.prefix), args.count, args.len, node_budget=args.budget
         )
         return emit_cert(args, "dyn orbit", cert)
-    if args.action == "split":
-        g = session.element(args.element)
-        cert = dynamics.split_unit(g)
-        if cert.is_witness():
-            w = cert.witness
-            cert = replace(cert, witness={
-                "g1": session.text(w["g1"]),
-                "g2": session.text(w["g2"]),
-                "fixed1": str(w["fixed1"]),
-                "fixed2": str(w["fixed2"]),
-            })
-        return emit_cert(args, "dyn split", cert)
-    if args.action == "rigid":
-        g = session.element(args.element)
-        parts = session.partition(args.partition)
-        factors = dynamics.rigid_parts(g, parts)
-        lines = [session.text(f) for f in factors]
-        return emit(args, EXIT_OK, "\n".join(lines), {"op": "dyn rigid", "factors": lines})
     raise CantorError(f"unknown dyn action {args.action!r}")
 
 

@@ -191,9 +191,8 @@ def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_B
     generator words; a Witness re-evaluates to h by eq."""
     if not _pmap.is_unit(h):
         raise NotAUnit("piecewise membership is defined for units")
-    bounds = {"word_len": word_len, "depth": depth, "node_budget": node_budget}
+    budget = certs.Budget({"word_len": word_len, "depth": depth, "node_budget": node_budget})
     words = _words_up_to(table, word_len)
-    budget = certs.Budget(node_budget)
     try:
         for n in range(depth + 1):
             exprs = []
@@ -210,7 +209,7 @@ def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_B
                 expr = Join(tuple(exprs))
                 if not eq(evaluate(expr, table), h):
                     raise CantorError("piecewise expression does not re-evaluate to h")
-                return certs.witness(expr, bounds, budget.nodes)
+                return budget.witness(expr)
     except certs.GiveUp as stop:
-        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    return certs.exhausted(bounds, budget.nodes)
+        return budget.exhausted(str(stop))
+    return budget.exhausted()

@@ -11,6 +11,7 @@ from itertools import product
 from . import certs
 from . import pmap as _pmap
 from .clopen import atoms, cylinder, is_partition, normalize, part_of, union_all
+from .completion import depth_clopens
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
     as_idempotent,
@@ -99,22 +100,19 @@ def expansive_certificate(ctx, parts, depth, word_len):
     if not is_partition(parts):
         raise CantorError("translate certificate needs a partition")
     cells = atoms(depth, ctx.d)
-    bounds = {"depth": depth, "word_len": word_len}
-    nodes = 0
+    budget = certs.Budget({"depth": depth, "word_len": word_len})
     translates = []
     bad = [(0, 1)] if len(cells) > 1 else []
     for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
         translates.extend(fresh)
-        nodes += len(fresh)
+        budget.tick(len(fresh))
         bad = _separates_at(translates, cells)
         if not bad:
-            return certs.witness({"word_len": length}, bounds, nodes)
+            return budget.witness({"word_len": length})
     if not bad:
-        return certs.witness({"word_len": 0}, bounds, nodes)
+        return budget.witness({"word_len": 0})
     pair = bad[0]
-    return certs.refuted(
-        {"pair": [str(cells[pair[0]]), str(cells[pair[1]])]}, bounds, nodes
-    )
+    return budget.refuted({"pair": [str(cells[pair[0]]), str(cells[pair[1]])]})
 
 
 def separating_translate(ctx, parts, c1, c2, word_len):
@@ -151,17 +149,14 @@ def minimal_certificate(ctx, depth, word_len):
     """Witness when every depth-n cylinder reaches every other within the
     length bound; the finite shadow of every orbit being dense."""
     cells = atoms(depth, ctx.d)
-    bounds = {"depth": depth, "word_len": word_len}
-    nodes = 0
+    budget = certs.Budget({"depth": depth, "word_len": word_len})
     for alpha in cells:
         reach = _image_closure(ctx, alpha, word_len)
-        nodes += 1
+        budget.tick()
         for beta in cells:
             if reach.disjoint(beta):
-                return certs.refuted(
-                    {"pair": [str(alpha), str(beta)]}, bounds, nodes
-                )
-    return certs.witness({"cells": len(cells)}, bounds, nodes)
+                return budget.refuted({"pair": [str(alpha), str(beta)]})
+    return budget.witness({"cells": len(cells)})
 
 
 # -- compressibility ---------------------------------------------------------------
@@ -171,15 +166,14 @@ def compress_search(ctx, y, z, word_len):
     """Witness(word) with w(Y) a proper subset of Z."""
     if y.is_empty() or z.is_empty():
         raise EmptyInput("compression needs nonempty clopens")
-    bounds = {"word_len": word_len}
-    nodes = 0
+    budget = certs.Budget({"word_len": word_len})
     for level in image_levels(ctx.units, [y], word_len):
         for img, word, _ in level:
-            nodes += 1
+            budget.tick()
             if img.leq(z) and img != z:
                 names = [ctx.names[i] for i in word]
-                return certs.witness({"word": names, "image": str(img)}, bounds, nodes)
-    return certs.exhausted(bounds, nodes)
+                return budget.witness({"word": names, "image": str(img)})
+    return budget.exhausted()
 
 
 def fully_compressible_sample(ctx, depth, word_len):
@@ -200,10 +194,7 @@ def fully_compressible_sample(ctx, depth, word_len):
         for j in range(depth + 1):
             below[w[:j]] = below.get(w[:j], 0) | 1 << i
     masks = range(1, 2 ** len(cells) - 1)
-    subsets = []
-    for mask in masks:
-        words = [cells[i].antichain[0] for i in range(len(cells)) if mask >> i & 1]
-        subsets.append(union_all([cylinder(w, ctx.d) for w in words], ctx.d))
+    subsets = depth_clopens(ctx.d, depth)[1:-1]
     texts = [str(z) for z in subsets]
     failures = []
     checked = 0
@@ -244,9 +235,8 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
     """
     if k < 1:
         raise CantorError("k must be positive")
-    bounds = {"k": k, "word_len": word_len, "node_budget": node_budget}
+    budget = certs.Budget({"k": k, "word_len": word_len, "node_budget": node_budget})
     base = cylinder(tuple(u), ctx.d)
-    budget = certs.Budget(node_budget)
     candidates = []
     chosen = []
 
@@ -268,17 +258,15 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
                 budget.tick()
                 candidates.append((img, word))
             if pick(0):
-                return certs.witness(
+                return budget.witness(
                     {
                         "words": [[ctx.names[i] for i in w] for _, w in chosen],
                         "images": [str(c) for c, _ in chosen],
-                    },
-                    bounds,
-                    budget.nodes,
+                    }
                 )
     except certs.GiveUp as stop:
-        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    return certs.exhausted(bounds, budget.nodes)
+        return budget.exhausted(str(stop))
+    return budget.exhausted()
 
 
 # -- constructive splitting ---------------------------------------------------------
@@ -312,8 +300,7 @@ def split_unit(g, ctx=None, word_len=None, max_depth=6):
     """
     if eq(g, one(g.d)):
         raise IdentityInput("cannot split the identity")
-    bounds = {"max_depth": max_depth}
-    nodes = 0
+    budget = certs.Budget({"max_depth": max_depth})
     g_inv = star(g)
     # a moved cylinder misses every point g fixes, so no scan need enter a
     # branch on which g is the identity
@@ -325,7 +312,7 @@ def split_unit(g, ctx=None, word_len=None, max_depth=6):
         z_gz = z.union(gz)
         free = moving.meet(z_gz.union(image_clopen(g_inv, z)).complement())
         for y, gy in _moved_cylinders(g, free, max_depth):
-            nodes += 1
+            budget.tick()
             rest = union_all([z_gz, y, gy], g.d).complement()
             fixed1 = next(
                 (c for c, _ in _moved_cylinders(g, rest.meet(moving), max_depth)), None
@@ -346,12 +333,8 @@ def split_unit(g, ctx=None, word_len=None, max_depth=6):
                 and eq(restrict(g2, z), as_idempotent(z))
             ):
                 raise CantorError("split_unit built factors that do not re-verify")
-            return certs.witness(
-                {"g1": g1, "g2": g2, "fixed1": fixed1, "fixed2": z},
-                bounds,
-                nodes,
-            )
-    return certs.exhausted(bounds, nodes)
+            return budget.witness({"g1": g1, "g2": g2, "fixed1": fixed1, "fixed2": z})
+    return budget.exhausted()
 
 
 # -- rigid decomposition --------------------------------------------------------------

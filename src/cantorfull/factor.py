@@ -87,10 +87,10 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
         raise NotInAlt(f"{pi} is odd")
     if not eq(target, element(parent, pi)):
         raise NotInAlt("target is not the parent element of the supplied permutation")
-    bounds = {"node_budget": node_budget}
+    budget = certs.Budget({"node_budget": node_budget})
 
     if pi == identity_perm(parent.degree):
-        return certs.witness({"word": [], "pieces": len(pieces)}, bounds, 0)
+        return budget.witness({"word": [], "pieces": len(pieces)})
 
     disjoint = all(
         pieces[i].base.disjoint(pieces[j].base)
@@ -99,7 +99,6 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
     )
     # the word grows fivefold with each overlapping piece, so its letters are
     # counted against the budget before they are built
-    budget = certs.Budget(node_budget)
     try:
         if disjoint:
             budget.tick(len(pieces))
@@ -127,11 +126,11 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
                     word = word + [(k, pi)] + correction
                 covered = covered.union(b)
     except certs.GiveUp as stop:
-        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
+        return budget.exhausted(str(stop))
     got = word_product(word, pieces, parent.d)
     if not eq(got, target):
-        return certs.exhausted(bounds, budget.nodes, detail="construction failed verification")
-    return certs.witness({"word": word, "pieces": len(pieces)}, bounds, budget.nodes)
+        return budget.exhausted("construction failed verification")
+    return budget.witness({"word": word, "pieces": len(pieces)})
 
 
 # ---------------------------------------------------------------------------

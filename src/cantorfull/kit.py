@@ -473,17 +473,16 @@ def express(
     the target by eq; inputs the bounded procedure cannot handle yield
     ExhaustedAtBound.
     """
-    bounds = {"word_len": word_len, "node_budget": node_budget}
     if not is_even(perm):
         raise NotInAlt(f"{perm} is odd")
     if not eq(target, element(msec_witness, perm)):
         raise NotInAlt("target does not match the witnessing multisection element")
-    budget = certs.Budget(node_budget)
+    budget = certs.Budget({"word_len": word_len, "node_budget": node_budget})
     try:
         word = _express_word(target, kit, msec_witness, perm, budget, word_len)
     except GiveUp as stop:
-        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    return certs.witness({"word": word}, bounds, budget.nodes)
+        return budget.exhausted(str(stop))
+    return budget.witness({"word": word})
 
 
 def _express_word(target, kit, msec_witness, perm, budget, word_len):
@@ -535,7 +534,7 @@ def _extend_to_five(kit, msec_witness, budget):
         try:
             sections, _ = _extend_over_words(s, kit.ball, 3, 3, budget)
         except GiveUp as stop:
-            if budget.nodes > budget.limit:
+            if budget.spent:
                 raise
             raise GiveUp(f"degree extension failed: {stop}") from None
         pending.extend(sections)
@@ -554,7 +553,7 @@ def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
         return _factor_five(kit, section, rho, budget, word_len)
     except GiveUp:
         # a run-out ends the search; only a dead end is worth a subdivision
-        if split_left <= 0 or budget.nodes > budget.limit:
+        if split_left <= 0 or budget.spent:
             raise
     out = []
     for w in section.base.antichain:
@@ -649,27 +648,24 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
     """
     from .pmap import prefix_exchange
 
-    bounds = {"word_len": word_len, "node_budget": node_budget}
     if not is_unit(target):
         raise NotInAlt("branchwise express needs a unit")
+    budget = certs.Budget({"word_len": word_len, "node_budget": node_budget})
     table = _cylinder_permutation(target)
     if table is None:
-        return certs.exhausted(
-            bounds, 0, detail="unit does not stably permute a cylinder family"
-        )
+        return budget.exhausted("unit does not stably permute a cylinder family")
     family = sorted(table, key=lambda w: (len(w), w))
     index = {w: i for i, w in enumerate(family)}
     perm = tuple(index[table[w]] for w in family)
     if not is_even(perm):
-        return certs.exhausted(bounds, 0, detail="odd cylinder permutation")
+        return budget.exhausted("odd cylinder permutation")
 
     moved = [i for i in range(len(family)) if perm[i] != i]
     if not moved:
-        return certs.witness({"word": []}, bounds, 0)
+        return budget.witness({"word": []})
     base_idx = moved[0]
 
     base = family[base_idx]
-    budget = certs.Budget(node_budget)
     word = []
     try:
         # perm as a product of 3-cycles (base y x) through the first moved cylinder
@@ -687,5 +683,5 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
             word += _express_word(piece, kit, section, pi, budget, word_len)
         _verify_word(kit, word, target)
     except GiveUp as stop:
-        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    return certs.witness({"word": word}, bounds, budget.nodes)
+        return budget.exhausted(str(stop))
+    return budget.witness({"word": word})

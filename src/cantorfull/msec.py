@@ -300,16 +300,15 @@ def extend_degree(
     idempotents; pieces are split into child cylinders when no word works at
     their current depth.  The words come from a WordBall, identity first.
     """
-    bounds = {"word_len": word_len, "split_depth": split_depth, "node_budget": node_budget}
+    budget = certs.Budget(
+        {"word_len": word_len, "split_depth": split_depth, "node_budget": node_budget}
+    )
     ball = _pmap.WordBall(table.mapping.values(), s.d)
-    budget = certs.Budget(node_budget)
     try:
         sections, subdivision = _extend_over_words(s, ball, word_len, split_depth, budget)
     except certs.GiveUp as stop:
-        return certs.exhausted(bounds, budget.nodes, detail=str(stop))
-    return certs.witness(
-        {"sections": sections, "subdivision": subdivision}, bounds, budget.nodes
-    )
+        return budget.exhausted(str(stop))
+    return budget.witness({"sections": sections, "subdivision": subdivision})
 
 
 def _extend_over_words(s, ball, word_len, split_depth, budget):

@@ -314,9 +314,9 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
     return answer
 
 
-def equal(s, t, node_budget=DEFAULT_NODE_BUDGET):
+def equal(s, t):
     """Semantic equality of two tails."""
-    return is_identity(compose(s, invert(t)), node_budget)
+    return is_identity(compose(s, invert(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -252,16 +252,15 @@ def reference_split_unit(g, ctx, word_len=4, max_depth=6):
         for c in [cylinder(w, g.d)]
         if image_clopen(g, c).disjoint(c)
     ]
-    bounds = {"word_len": word_len, "max_depth": max_depth}
+    budget = certs.Budget({"word_len": word_len, "max_depth": max_depth})
     ball = WordBall(ctx.units, ctx.d)
-    nodes = 0
     for z in moved:
         gz = image_clopen(g, z)
         z_gz = z.union(gz)
         if z_gz.complement().is_empty():
             continue
         for h, _ in ball.words(word_len):
-            nodes += 1
+            budget.tick()
             hz = image_clopen(h, z)
             if not hz.disjoint(z_gz):
                 continue
@@ -286,10 +285,8 @@ def reference_split_unit(g, ctx, word_len=4, max_depth=6):
                 and eq(restrict(g2, z), as_idempotent(z))
             ):
                 raise CantorError("reference split built factors that do not re-verify")
-            return certs.witness(
-                {"g1": g1, "g2": g2, "fixed1": fixed1, "fixed2": z}, bounds, nodes
-            )
-    return certs.exhausted(bounds, nodes)
+            return budget.witness({"g1": g1, "g2": g2, "fixed1": fixed1, "fixed2": z})
+    return budget.exhausted()
 
 
 def reference_fully_compressible_sample(ctx, depth, word_len):

@@ -1,6 +1,7 @@
 """Every bounded search spends one node budget the same way: a Witness never
 reports more nodes than its budget, and a run-out stops at the first node
-over it with the detail "node budget"."""
+over it with the detail "node budget".  A search whose bounds have no
+node_budget counts its nodes through the same Budget and never runs out."""
 
 import json
 import random
@@ -8,11 +9,18 @@ import random
 import pytest
 
 from cantorfull import factor as factor_module
-from cantorfull.certs import DEFAULT_NODE_BUDGET
+from cantorfull.certs import DEFAULT_NODE_BUDGET, Budget, GiveUp
 from cantorfull.cli import main
 from cantorfull.clopen import atoms, normalize
 from cantorfull.completion import piecewise_member
-from cantorfull.dynamics import DynContext, orbit_lower_bound
+from cantorfull.dynamics import (
+    DynContext,
+    compress_search,
+    expansive_certificate,
+    minimal_certificate,
+    orbit_lower_bound,
+    split_unit,
+)
 from cantorfull.factor import factor_over_cover
 from cantorfull.families import higman_thompson
 from cantorfull.kit import build_kit, express, express_unit
@@ -157,3 +165,45 @@ def test_express_unit_pieces_share_one_budget():
     assert short.is_exhausted()
     assert short.detail == "node budget"
     assert short.nodes_explored == full.nodes_explored
+
+
+def test_budget_stops_at_the_first_node_over_its_limit():
+    budget = Budget({"node_budget": 3})
+    budget.tick(3)
+    assert not budget.spent
+    with pytest.raises(GiveUp, match="node budget"):
+        budget.tick()
+    assert budget.spent
+    cert = budget.exhausted("node budget")
+    assert (cert.nodes_explored, cert.bounds, cert.detail) == (4, {"node_budget": 3}, "node budget")
+
+
+def test_budget_without_a_limit_never_runs_out():
+    budget = Budget({"word_len": 2})
+    for _ in range(10**6):
+        budget.tick()
+    assert not budget.spent
+    assert budget.witness(None).nodes_explored == 10**6
+
+
+def test_unlimited_searches_report_the_same_nodes_and_bounds():
+    # the counts the dynamics searches reported before they spent through
+    # Budget, one case per status each search can return
+    ctx = DynContext(FAM.table)
+    cyc = FAM.table["cyc"]
+    cases = [
+        (expansive_certificate(ctx, atoms(1, 2), 3, 4), "witness", {"depth": 3, "word_len": 4}, 46),
+        (expansive_certificate(ctx, atoms(1, 2), 3, 1), "refuted_at_bound",
+         {"depth": 3, "word_len": 1}, 14),
+        (minimal_certificate(ctx, 2, 3), "witness", {"depth": 2, "word_len": 3}, 4),
+        (minimal_certificate(ctx, 2, 0), "refuted_at_bound", {"depth": 2, "word_len": 0}, 1),
+        (compress_search(ctx, clo("{0}"), clo("{1}"), 2), "witness", {"word_len": 2}, 3),
+        (compress_search(ctx, clo("{0}"), clo("{00}"), 0), "exhausted_at_bound",
+         {"word_len": 0}, 1),
+        (split_unit(cyc), "witness", {"max_depth": 6}, 3),
+        (split_unit(cyc, max_depth=1), "exhausted_at_bound", {"max_depth": 1}, 0),
+    ]
+    for cert, status, bounds, nodes in cases:
+        assert (cert.status, cert.bounds, cert.nodes_explored, cert.detail) == (
+            status, bounds, nodes, ""
+        )

@@ -390,6 +390,23 @@ def test_generator_file(tmp_path, capsys):
     assert code == 0 and payload["result"] is True
 
 
+def test_split_and_rigid_take_a_table_with_a_non_unit(tmp_path, capsys):
+    # only the actions that act by the table's units need every generator
+    # to be one
+    gens = tmp_path / "gens.txt"
+    gens.write_text("p = [0->1]\nu = [0->1, 1->0]\n")
+    code, payload = run_json(capsys, "dyn", "split", "--gens", str(gens), "--element", "u")
+    assert code == 0 and payload["status"] == "witness"
+    code, payload = run_json(
+        capsys, "dyn", "rigid", "--gens", str(gens),
+        "--element", "[0->0, 10->11, 11->10]", "--partition", "{0}; {1}",
+    )
+    assert code == 0 and len(payload["factors"]) == 2
+    code = main(["dyn", "minimal", "--gens", str(gens), "--depth", "1", "--len", "1"])
+    assert code == 3
+    assert "generator p is not a unit" in capsys.readouterr().err
+
+
 def test_text_and_json_agree(capsys):
     code_t, out = run(capsys, "dyn", "minimal", "--gens", "higman_thompson:2", "--depth", "1", "--len", "2")
     code_j, payload = run_json(capsys, "dyn", "minimal", "--gens", "higman_thompson:2", "--depth", "1", "--len", "2")
