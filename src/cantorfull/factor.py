@@ -3,10 +3,11 @@
 Both factorizations rest on the perfectness of small alternating groups:
 overlapping pieces only ever obstruct the middle of a diagonal, and the
 obstruction is killed by commutators, which vanish on the parts two factor
-groups do not share.  All constructions are solved in an exact abstract model
-of the moved clopen pieces.  Every witness word is re-verified on another
-path: word_product multiplies its letters with pmap.product, and eq compares
-the result with the target.
+groups do not share.  Across a combine, two 3-cycles that share only the base
+p have the commutator [(p u a), (p v b)] = (p u v), so every Alt element of
+the glued section is a word in the two sides' 3-cycles.  Every witness word
+is re-verified on another path: word_product multiplies its letters with
+pmap.product, and eq compares the result with the target.
 
 A factored section is a KitSection or a CombinedSection.  Both carry their
 multisection as .msec and answer word_for(pi) with a tuple of
@@ -20,6 +21,8 @@ from . import certs
 from .errors import CantorError, NotInAlt
 from .msec import (
     alt_perms,
+    combine,
+    cycle_perm,
     element,
     embed_subperm,
     identity_perm,
@@ -152,61 +155,15 @@ class KitSection:
         return ((self.kit_index, pi),)
 
 
-class _Symbols:
-    """Exact model of the clopen pieces moved by two overlapping factor groups.
-
-    Columns of the g-side sub-section carry a transported copy of the shared
-    idempotent (the "piece") and a residual; likewise for the h-side; the two
-    designated pieces are identified.  Parent alternating elements permute the
-    symbols of their own side and fix the other side, which is exactly the
-    support condition verified by combine().
-    """
-
-    def __init__(self, g_cols, i1, h_cols, i2):
-        self.g_cols, self.i1 = g_cols, i1
-        self.h_cols, self.i2 = h_cols, i2
-        self.symbols = [("e",)]
-        for k in g_cols:
-            if k != i1:
-                self.symbols.append(("gp", k))
-        for k in g_cols:
-            self.symbols.append(("gr", k))
-        for l in h_cols:
-            if l != i2:
-                self.symbols.append(("hp", l))
-        for l in h_cols:
-            self.symbols.append(("hr", l))
-        self.index = {s: i for i, s in enumerate(self.symbols)}
-
-    def _piece(self, side, col):
-        if side == "g":
-            return ("e",) if col == self.i1 else ("gp", col)
-        return ("e",) if col == self.i2 else ("hp", col)
-
-    def generator(self, side, sub_perm):
-        """Abstract permutation of a side generator given by a sub-column map."""
-        cols = self.g_cols if side == "g" else self.h_cols
-        move = {c: cols[sub_perm[k]] for k, c in enumerate(cols)}
-        out = list(range(len(self.symbols)))
-        for c in cols:
-            src = self.index[self._piece(side, c)]
-            dst = self.index[self._piece(side, move[c])]
-            out[src] = dst
-            rsrc = self.index[("gr" if side == "g" else "hr", c)]
-            rdst = self.index[("gr" if side == "g" else "hr", move[c])]
-            out[rsrc] = rdst
-        return tuple(out)
-
-    def identity(self):
-        return identity_perm(len(self.symbols))
-
-
 class CombinedSection:
     """combine() of two factored sections; Alt words via cross 3-cycles.
 
-    A 3-cycle of combined columns through the base with one column from each
-    side is a single commutator of parent Alt elements; all other cases reduce
-    to those.
+    A 3-cycle (0 u v) of combined columns through the base 0, with u from the
+    g side and v from the h side, is the commutator [(0 u a), (0 v b)] of a
+    3-cycle of each side, a and b further columns of their sides: the two
+    3-cycles share only the base, and each fixes the other side's columns.
+    A same-side 3-cycle is routed through a column of the other side.  Each
+    side needs three columns.
     """
 
     def __init__(self, msec, g, g_cols, i1, h, h_cols, i2):
@@ -222,12 +179,6 @@ class CombinedSection:
         for l in self.h_cols:
             if l != i2:
                 self.col_of.append(("h", l))
-        self.model = _Symbols(self.g_cols, i1, self.h_cols, i2)
-        self._sub_words = {}
-
-    def _abstract(self, letter):
-        side, sub_perm = letter
-        return self.model.generator(side, sub_perm)
 
     def _cross_cycle_word(self, u, v):
         """Letters for the 3-cycle (0 u v) with u from one side, v the other."""
@@ -239,32 +190,16 @@ class CombinedSection:
             # on the g side
             word = self._cross_cycle_word(v, u)
             return [(s, perm_inverse(p)) for s, p in reversed(word)]
-        target = self.model.identity()
-        target = list(target)
-        a = self.model.index[("e",)]
-        b = self.model.index[("gp", cu)]
-        c = self.model.index[("hp", cv)]
-        target[a], target[b], target[c] = b, c, a
-        target = tuple(target)
-        g_sub = [p for p in alt_perms(len(self.g_cols)) if p != identity_perm(len(self.g_cols))]
-        h_sub = [p for p in alt_perms(len(self.h_cols)) if p != identity_perm(len(self.h_cols))]
-        for sp in g_sub:
-            for tp in h_sub:
-                letters = [
-                    ("g", sp),
-                    ("h", tp),
-                    ("g", perm_inverse(sp)),
-                    ("h", perm_inverse(tp)),
-                ]
-                if self._evaluate(letters) == target:
-                    return letters
-        raise CantorError(f"no commutator realizes the cross cycle (0 {u} {v})")
-
-    def _evaluate(self, letters):
-        acc = self.model.identity()
-        for letter in letters:
-            acc = perm_compose(acc, self._abstract(letter))
-        return acc
+        # (0 u v) = [(0 u a), (0 v b)] for a further column a of each side
+        letters = []
+        for cols, base, c in ((self.g_cols, self.i1, cu), (self.h_cols, self.i2, cv)):
+            if len(cols) < 3:
+                raise CantorError(f"no commutator realizes the cross cycle (0 {u} {v})")
+            p, q = cols.index(base), cols.index(c)
+            r = next(k for k in range(len(cols)) if k not in (p, q))
+            letters.append(cycle_perm(len(cols), [p, q, r]))
+        sigma, tau = letters
+        return [("g", sigma), ("h", tau), ("g", perm_inverse(sigma)), ("h", perm_inverse(tau))]
 
     def _cycle_word(self, u, v):
         """Letters for the 3-cycle (0 u v) of combined columns."""
@@ -280,26 +215,11 @@ class CombinedSection:
         return self._cycle_word(w, v) + self._cycle_word(u, w)
 
     def _letters_for(self, pi):
-        if pi in self._sub_words:
-            return self._sub_words[pi]
         # pi as 3-cycles through column 0, the base
         letters = []
         for y, x in pivot_three_cycles(pi, 0):
             letters.extend(self._cycle_word(y, x))
-        if self._evaluate(letters) != self._target_model(pi):
-            raise CantorError("cycle decomposition failed the abstract check")
-        self._sub_words[pi] = letters
         return letters
-
-    def _target_model(self, pi):
-        out = list(self.model.identity())
-        for col in range(self.msec.degree):
-            side, c = self.col_of[col]
-            src = self.model.index[self.model._piece(side, c)]
-            side2, c2 = self.col_of[pi[col]]
-            dst = self.model.index[self.model._piece(side2, c2)]
-            out[src] = dst
-        return tuple(out)
 
     def combined_col(self, side, parent_col):
         """Index of a parent column inside the combined section."""
@@ -332,8 +252,6 @@ def combine_factored(fs_g, g_cols, fs_h, h_cols):
     and the parents' supports restricted to those columns must meet in
     exactly one idempotent pair; the underlying combine() verifies this.
     """
-    from .msec import combine
-
     g_sub = sub_section(fs_g.msec, g_cols)
     h_sub = sub_section(fs_h.msec, h_cols)
     glued = combine(g_sub, h_sub)

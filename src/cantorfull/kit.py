@@ -16,6 +16,7 @@ from itertools import combinations
 
 from . import certs
 from . import pmap as _pmap
+from . import tails as _tails
 from .certs import GiveUp
 from .clopen import atoms, cylinder, is_partition, part_of
 from .errors import CantorError, KitConstructionFailed, NotInAlt
@@ -31,7 +32,7 @@ from .msec import (
     pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, WordBall, compose, dom, eq, fingerprint, image_clopen, image_levels, is_unit, ran, restrict, star
+from .pmap import Dedup, WordBall, compose, dom, eq, fingerprint, image_clopen, image_levels, is_unit, prefix_exchange, ran, restrict, star
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -603,8 +604,6 @@ def _cylinder_permutation(target):
     infinite order (or with genuinely automaton tails) do not stabilize and
     yield None.
     """
-    from . import tails as _tails
-
     d = target.d
     words = {b.dom for b in target.branches}
     for _ in range(8):
@@ -646,8 +645,6 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
     Only even cylinder permutations are handled; everything else is an honest
     ExhaustedAtBound.
     """
-    from .pmap import prefix_exchange
-
     if not is_unit(target):
         raise NotInAlt("branchwise express needs a unit")
     budget = certs.Budget({"word_len": word_len, "node_budget": node_budget})

@@ -2,10 +2,8 @@
 
 A multisection of degree d is d pairwise disjoint clopens joined by a coherent
 transporter system from a distinguished base; permuting the clopens and fixing
-the rest of the space gives units.  Factorization of those units over covers
-and combines uses exact commutator constructions checked against an abstract
-permutation model of the clopen pieces, with deterministic bounded search only
-as a fallback.
+the rest of the space gives units.  Factoring those units over covers and
+combines is left to factor.
 """
 
 from itertools import permutations

@@ -4,7 +4,7 @@ import pytest
 
 from cantorfull import factor as factor_module
 from cantorfull.completion import GeneratorTable
-from cantorfull.errors import NotInAlt
+from cantorfull.errors import CantorError, NotInAlt
 from cantorfull.factor import (
     KitSection,
     combine_factored,
@@ -185,6 +185,38 @@ def test_nested_combine():
         word = cs2.word_for(pi)
         got = word_product(word, sections, 2)
         assert eq(got, element(cs2.msec, pi)), pi
+
+
+@pytest.mark.parametrize(
+    "g_cols, h_cols", [((0, 1, 2, 3), (0, 1, 2)), ((0, 1, 2, 3, 4), (0, 1, 2, 3))]
+)
+def test_combine_factored_wider_sides(g_cols, h_cols):
+    # each cross 3-cycle picks its third columns among more than one spare
+    fg, fh = make_pair()
+    sections = [fg.msec, fh.msec]
+    cs = combine_factored(fg, g_cols, fh, h_cols)
+    degree = len(g_cols) + len(h_cols) - 1
+    assert cs.msec.degree == degree
+    perms = alt_perms(degree)
+    if len(perms) > 360:
+        perms = random.Random(18).sample(perms, 40)
+    for pi in perms:
+        word = cs.word_for(pi)
+        assert eq(word_product(word, sections, 2), element(cs.msec, pi)), pi
+
+
+@pytest.mark.parametrize("g_cols, h_cols", [((0, 1), (0, 1, 2)), ((0, 1, 2), (0, 1))])
+def test_combine_factored_two_column_side_has_no_cross_cycle(g_cols, h_cols):
+    fg, fh = make_pair()
+    cs = combine_factored(fg, g_cols, fh, h_cols)
+    assert cs.msec.degree == 4
+    g_col = next(u for u in range(1, 4) if cs.col_of[u][0] == "g")
+    h_col = next(u for u in range(1, 4) if cs.col_of[u][0] == "h")
+    for u, v in ((g_col, h_col), (h_col, g_col)):
+        with pytest.raises(CantorError):
+            cs._cross_cycle_word(u, v)
+    with pytest.raises(CantorError):
+        cs.word_for(cycle_perm(4, [0, 1, 2]))
 
 
 # -- extend_degree ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from cantorfull.clopen import atoms, cylinder
 from cantorfull.completion import GeneratorTable
-from cantorfull.errors import KitConstructionFailed
+from cantorfull.errors import KitConstructionFailed, NotInAlt
 from cantorfull.factor import word_product
 from cantorfull.families import higman_thompson, rover_units
 from cantorfull.kit import (
@@ -119,6 +119,18 @@ def test_verify_separating_single_part_partition():
     fam = derive_transporters(SIGMA_TABLE, PARTS1, word_len=1)
     report = verify_separating(fam, [atoms(0, 2)[0]], n_orbit=2)
     assert not report["condition1"]["ok"]
+
+
+def test_verify_separating_refines_coarse_parts():
+    # {0} is coarser than the depth-2 atoms, so condition 4 splits it by the
+    # family's domains and ranges
+    fam = higman_thompson(2)
+    parts = [clo("{0}"), clo("{10}"), clo("{11}")]
+    report = verify_separating(derive_transporters(fam.table, parts), parts, n_orbit=3)
+    assert report["condition4"] == {"ok": True, "failures": []}
+    assert report["ok"], report
+    empty = verify_separating([], parts, n_orbit=3)
+    assert empty["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
 
 
 def test_desk_instance_passes():
@@ -465,3 +477,36 @@ def test_express_unit_identity():
     cert = express_unit(one(2), kit)
     assert cert.is_witness()
     assert cert.witness["word"] == []
+
+
+def test_express_unit_refines_its_cylinder_family():
+    # s0_10*s00_01*s00_11: the domain antichain is split once before the unit
+    # permutes a cylinder family
+    fam, kit = desk()
+    m = fam.table.mapping
+    h = pm(2, "00->11", "01->100", "10->0", "11->101")
+    assert eq(h, compose(compose(m["s0_10"], m["s00_01"]), m["s00_11"]))
+    cert = express_unit(h, kit)
+    assert cert.is_witness(), cert.detail
+    assert cert.nodes_explored == 1502
+    got = one(2)
+    for idx, perm in cert.witness["word"]:
+        got = compose(got, element(kit.sections[idx][0], perm))
+    assert eq(got, h)
+
+
+def test_express_unit_exhausts_without_a_cylinder_family():
+    # cyc*s0_10 has infinite order: its family never stabilizes
+    fam, kit = desk()
+    m = fam.table.mapping
+    g = pm(2, "0->00", "10->1", "11->01")
+    assert eq(g, compose(m["cyc"], m["s0_10"]))
+    cert = express_unit(g, kit)
+    assert cert.is_exhausted()
+    assert cert.detail == "unit does not stably permute a cylinder family"
+
+
+def test_express_unit_rejects_a_non_unit():
+    fam, kit = desk()
+    with pytest.raises(NotInAlt):
+        express_unit(pm(2, "00->01"), kit)

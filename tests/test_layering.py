@@ -23,8 +23,8 @@ RANKS = {
 
 
 def package_imports(tree):
-    """Names of the cantorfull modules a module imports, function-local
-    imports included."""
+    """(node, name) for each cantorfull module a module imports,
+    function-local imports included."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and (node.module or "").split(".")[0] != "cantorfull":
@@ -33,14 +33,14 @@ def package_imports(tree):
             if node.level == 0:
                 parts = parts[1:]
             if parts and parts[0]:
-                yield parts[0]
+                yield node, parts[0]
             else:  # from . import a, b
-                yield from (alias.name for alias in node.names)
+                yield from ((node, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == "cantorfull" and len(parts) > 1:
-                    yield parts[1]
+                    yield node, parts[1]
 
 
 def test_imports_point_to_lower_ranks():
@@ -48,5 +48,13 @@ def test_imports_point_to_lower_ranks():
     assert {p.stem for p in modules} == set(RANKS)
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for target in package_imports(tree):
+        for _, target in package_imports(tree):
             assert RANKS[path.stem] > RANKS[target], f"{path.stem} imports {target}"
+
+
+def test_package_imports_are_at_module_level():
+    """A function-local import hides a module's dependencies from its header."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, target in package_imports(tree):
+            assert node in tree.body, f"{path.stem}:{node.lineno} imports {target} inside a block"
