@@ -1,13 +1,15 @@
 """Factoring alternating-group units over covers and combines.
 
-Both factorizations rest on the perfectness of small alternating groups:
-overlapping pieces only ever obstruct the middle of a diagonal, and the
-obstruction is killed by commutators, which vanish on the parts two factor
-groups do not share.  Across a combine, two 3-cycles that share only the base
-p have the commutator [(p u a), (p v b)] = (p u v), so every Alt element of
-the glued section is a word in the two sides' 3-cycles.  Every witness word
-is re-verified on another path: word_product multiplies its letters with
-pmap.product, and eq compares the result with the target.
+Both factorizations rest on the perfectness of small alternating groups.
+Over a cover, the word is assembled by inclusion-exclusion: for each set of
+pieces whose bases meet, a meet word acts as a power of pi over the meet and
+as the identity elsewhere, since [a1, pi][a2, pi] = pi^-1 and a commutator
+vanishes where either of its factors does.  Over every point these powers
+commute and their exponents sum to 1.  Across a combine, two 3-cycles that
+share only the base p have the commutator [(p u a), (p v b)] = (p u v), so
+every Alt element of the glued section is a word in the two sides' 3-cycles.
+Every witness word is re-verified on another path: word_product multiplies
+its letters with pmap.product, and eq compares the result with the target.
 
 A factored section is a KitSection or a CombinedSection.  Both carry their
 multisection as .msec and answer word_for(pi) with a tuple of
@@ -18,6 +20,7 @@ element(self.msec, pi), for every even pi.
 from functools import lru_cache
 
 from . import certs
+from .clopen import empty
 from .errors import CantorError, NotInAlt
 from .msec import (
     alt_perms,
@@ -56,12 +59,11 @@ def inverse_word(word):
     return [(idx, perm_inverse(perm)) for idx, perm in reversed(word)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _commutator_product_pair(pi):
     """First pair (a1, a2) of even permutations with [a1,pi][a2,pi] = pi^-1."""
-    n = len(pi)
     target = perm_inverse(pi)
-    alts = alt_perms(n)
+    alts = alt_perms(len(pi))
 
     def comm(a):
         return perm_compose(
@@ -76,13 +78,28 @@ def _commutator_product_pair(pi):
     raise CantorError(f"no commutator pair for {pi}")  # impossible for alternating n>=5
 
 
+def _meet_word(ks, pi):
+    """Letters acting as pi^-1 over the meet of the bases of pieces ks, and as
+    the identity elsewhere: [ks[0]: a1, w][ks[0]: a2, w] for a word w acting
+    as pi over the meet of the others, since [a1, pi][a2, pi] = pi^-1."""
+    if len(ks) == 1:
+        return [(ks[0], perm_inverse(pi))]
+    w = inverse_word(_meet_word(ks[1:], pi))
+    word = []
+    for a in _commutator_product_pair(pi):
+        word += [(ks[0], a)] + w + [(ks[0], perm_inverse(a))] + inverse_word(w)
+    return word
+
+
 def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
     """Express element(parent, pi) as a word over the pieces' Alt elements.
 
-    Disjoint pieces commute and split the target directly; overlapping pieces
-    are corrected with the commutator pattern, which acts only on the shared
-    cells.  The witness word is a list of (piece_index, permutation) pairs and
-    always re-evaluates to the target by eq.
+    By inclusion-exclusion: for each piece k whose base is not inside the
+    earlier pieces, and each set T of k and earlier such pieces whose bases
+    meet, a meet word with k outermost acts as pi over the meet of T if T has
+    odd size, as pi^-1 if even, and as the identity elsewhere.  One node is
+    spent per letter.  The witness is a list of (piece_index, permutation)
+    pairs and always re-evaluates to the target by eq.
     """
     parent = cover.parent
     pieces = cover.pieces
@@ -95,43 +112,26 @@ def factor_over_cover(target, pi, cover, node_budget=certs.DEFAULT_NODE_BUDGET):
     if pi == identity_perm(parent.degree):
         return budget.witness({"word": [], "pieces": len(pieces)})
 
-    disjoint = all(
-        pieces[i].base.disjoint(pieces[j].base)
-        for i in range(len(pieces))
-        for j in range(i + 1, len(pieces))
-    )
-    # the word grows fivefold with each overlapping piece, so its letters are
-    # counted against the budget before they are built
+    word, kept, covered = [], [], empty(parent.d)
     try:
-        if disjoint:
-            budget.tick(len(pieces))
-            word = [(k, pi) for k in range(len(pieces))]
-        else:
-            budget.tick()
-            word = [(0, pi)]
-            covered = pieces[0].base
-            for k, piece in enumerate(pieces[1:], 1):
-                b = piece.base
-                if b.leq(covered):
-                    continue
-                if covered.disjoint(b):
+        for k, piece in enumerate(pieces):
+            b = piece.base
+            if b.leq(covered):
+                continue
+            # k with each set of earlier kept pieces that meets b, and the meet
+            sets = [((k,), b)]
+            for j, base in kept:
+                sets += [(ks + (j,), m) for ks, c in sets if not (m := c.meet(base)).is_empty()]
+            for ks, _ in sets:
+                mw = _meet_word(ks, pi)
+                for letter in inverse_word(mw) if len(ks) % 2 else mw:
                     budget.tick()
-                    word = word + [(k, pi)]
-                else:
-                    # (k, pi) and two commutators of 2 + 2 len(word) letters
-                    budget.tick(5 + 4 * len(word))
-                    a1, a2 = _commutator_product_pair(pi)
-                    correction = []
-                    for a in (a1, a2):
-                        correction += (
-                            [(k, a)] + word + [(k, perm_inverse(a))] + inverse_word(word)
-                        )
-                    word = word + [(k, pi)] + correction
-                covered = covered.union(b)
+                    word.append(letter)
+            kept.append((k, b))
+            covered = covered.union(b)
     except certs.GiveUp as stop:
         return budget.exhausted(str(stop))
-    got = word_product(word, pieces, parent.d)
-    if not eq(got, target):
+    if not eq(word_product(word, pieces, parent.d), target):
         return budget.exhausted("construction failed verification")
     return budget.witness({"word": word, "pieces": len(pieces)})
 

@@ -155,12 +155,7 @@ class Multisection:
 
 def build(base, maps):
     """Multisection from the base and the transporters f_2, ..., f_d."""
-    transporters = [as_idempotent(base)]
-    for i, m in enumerate(maps):
-        if _pmap.dom(m) != base:
-            raise DomainMismatch(f"map {i} has domain {_pmap.dom(m)}, not {base}")
-        transporters.append(m)
-    return Multisection(base, transporters)
+    return Multisection(base, [as_idempotent(base), *maps])
 
 
 def element(s, pi):

@@ -8,10 +8,9 @@ import random
 
 import pytest
 
-from cantorfull import factor as factor_module
 from cantorfull.certs import DEFAULT_NODE_BUDGET, Budget, GiveUp
 from cantorfull.cli import main
-from cantorfull.clopen import atoms, normalize
+from cantorfull.clopen import atoms, normalize, union_all
 from cantorfull.completion import piecewise_member
 from cantorfull.dynamics import (
     DynContext,
@@ -94,11 +93,7 @@ def test_budget_contract(kit, node_budget):
         else:
             assert cert.is_exhausted(), name
             assert cert.detail == "node budget", (name, cert.detail)
-            if name == "factor_over_cover":
-                # letters are counted a whole step of the word at a time
-                assert cert.nodes_explored > node_budget, name
-            else:
-                assert cert.nodes_explored == node_budget + 1, name
+            assert cert.nodes_explored == node_budget + 1, name
         statuses[name] = cert.status
     # both sides of the contract are exercised: at budget 1 only the
     # kit-section lookup answers, at the default every search does
@@ -129,25 +124,18 @@ def test_run_out_is_not_retried_on_a_subdivision():
     assert cert.nodes_explored == 51
 
 
-def test_cover_word_is_counted_before_it_is_built(monkeypatch):
+def test_cover_word_stops_at_the_first_letter_over_budget():
+    # ten pieces {c0, ci} over depth-7 cells that all share c0, so every set
+    # of them meets and the meet words grow fourfold with the set's size
     s5 = five_section()
-    under = [(0, 0, 0) + tuple(int(x) for x in f"{i:03b}") for i in range(8)]
-    pieces = [normalize([under[0]], 2)]
-    pieces += [normalize([under[i], under[i + 1]], 2) for i in range(7)]
-    cover = overlapping_cover(s5, pieces)
+    cells = [(0, 0, 0) + tuple(int(x) for x in f"{i:04b}") for i in range(11)]
+    pieces = [normalize([cells[0], cells[i]], 2) for i in range(1, 11)]
+    pieces.append(s5.base.meet(union_all(pieces, 2).complement()))
     pi = (1, 2, 0, 3, 4)
-    built = []
-    honest = factor_module.inverse_word
-    monkeypatch.setattr(
-        factor_module, "inverse_word", lambda word: built.append(len(word)) or honest(word)
-    )
-    cert = factor_over_cover(element(s5, pi), pi, cover, node_budget=1000)
+    cert = factor_over_cover(element(s5, pi), pi, overlapping_cover(s5, pieces), node_budget=1000)
     assert cert.is_exhausted()
     assert cert.detail == "node budget"
-    # the word grows 1, 10, 55, 280 and would reach 175,780 letters; the
-    # step to 1405 is counted and not built
-    assert cert.nodes_explored == 1405
-    assert max(built) == 55
+    assert cert.nodes_explored == 1001
 
 
 def test_express_unit_pieces_share_one_budget():

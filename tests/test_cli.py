@@ -437,10 +437,30 @@ def test_certificate_json_schema(capsys):
         ["dyn", "orbit", "--gens", "higman_thompson:2", "--prefix", "0",
          "--count", "5", "--len", "6"],
         ["bi", "member", "cyc", "--gens", "higman_thompson:2", "--len", "1", "--depth", "1"],
+        ["dyn", "minimal", "--gens", "higman_thompson:2", "--depth", "1", "--len", "0"],
     ):
         code, payload = run_json(capsys, *argv)
         payload.pop("op")
         jsonschema.validate(payload, CERT_SCHEMA)
+
+
+def test_dyn_minimal_refuted_exits_1(capsys):
+    # with words of length 0, {0} reaches only itself and never meets {1}
+    code, payload = run_json(
+        capsys, "dyn", "minimal", "--gens", "higman_thompson:2", "--depth", "1", "--len", "0"
+    )
+    assert code == 1
+    assert payload["status"] == "refuted_at_bound"
+    assert payload["refuted"]["pair"] == ["{0}", "{1}"]
+
+
+def test_dyn_fullcompress_failures_exit_1(capsys):
+    code, payload = run_json(
+        capsys, "dyn", "fullcompress", "--gens", "higman_thompson:2", "--depth", "1", "--len", "1"
+    )
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["pairs"] == 4
 
 
 MACHINES = """\

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cantorfull import factor as factor_module
+from cantorfull.clopen import normalize, union_all
 from cantorfull.completion import GeneratorTable
 from cantorfull.errors import CantorError, NotInAlt
 from cantorfull.factor import (
@@ -99,6 +100,70 @@ def test_factor_overlapping_cover_verifies_its_construction(monkeypatch):
     cert = factor_over_cover(target, pi, cov)
     assert cert.is_exhausted()
     assert cert.detail == "construction failed verification"
+
+
+def chain_cover(s, k):
+    """{000000} and k - 1 pairs of consecutive depth-6 atoms under {000}, each
+    meeting the one before, plus one piece for the rest when there is one."""
+    under = [(0, 0, 0) + tuple(int(x) for x in f"{i:03b}") for i in range(8)]
+    pieces = [normalize([under[0]], 2)]
+    pieces += [normalize([under[i], under[i + 1]], 2) for i in range(k - 1)]
+    rest = s.base.meet(union_all(pieces, 2).complement())
+    return overlapping_cover(s, pieces + ([] if rest.is_empty() else [rest]))
+
+
+def test_factor_eight_piece_chain_cover():
+    s = five_section()
+    cov = chain_cover(s, 8)
+    assert len(cov.pieces) == 8
+    for pi in (cycle_perm(5, [0, 1, 2]), cycle_perm(5, [0, 1, 2, 3, 4])):
+        target = element(s, pi)
+        cert = factor_over_cover(target, pi, cov)
+        assert cert.is_witness(), cert.detail
+        word = cert.witness["word"]
+        assert cert.nodes_explored == len(word) <= 64
+        assert eq(word_product(word, cov.pieces, 2), target)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_factor_chain_cover_word_is_linear_in_its_pieces(k):
+    s = five_section()
+    cov = chain_cover(s, k)
+    pi = cycle_perm(5, [0, 1, 2])
+    target = element(s, pi)
+    cert = factor_over_cover(target, pi, cov)
+    assert cert.is_witness(), cert.detail
+    word = cert.witness["word"]
+    assert len(word) <= 10 * k
+    assert eq(word_product(word, cov.pieces, 2), target)
+
+
+def test_factor_three_pieces_meeting_in_one_cell():
+    s = five_section()
+    cov = overlapping_cover(
+        s, [clo("{000000, 000001}"), clo("{000000, 00001}"), clo("{000000, 0001}")]
+    )
+    for pi in alt_perms(5):
+        target = element(s, pi)
+        cert = factor_over_cover(target, pi, cov)
+        assert cert.is_witness(), (pi, cert.detail)
+        assert eq(word_product(cert.witness["word"], cov.pieces, 2), target)
+
+
+def test_factor_degree_four_overlapping_cover():
+    # Alt(4) is not perfect: only its double transpositions are products of
+    # two commutators with pi, so its 3-cycles have no meet word
+    s = build(clo("{000}"), [pm(2, f"000->{w}") for w in ("001", "010", "011")])
+    cov = overlapping_cover(s, [clo("{0000, 00010}"), clo("{0001}")])
+    for pi in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+        target = element(s, pi)
+        cert = factor_over_cover(target, pi, cov)
+        assert cert.is_witness(), cert.detail
+        assert eq(word_product(cert.witness["word"], cov.pieces, 2), target)
+    for pi in alt_perms(4):
+        if sum(pi[i] != i for i in range(4)) == 3:
+            with pytest.raises(CantorError, match="no commutator pair"):
+                factor_over_cover(element(s, pi), pi, cov)
 
 
 def test_factor_rejects_odd_permutation():
