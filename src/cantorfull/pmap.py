@@ -6,7 +6,9 @@ semi-canonical form: branches sorted by domain prefix, tails freely reduced,
 and complete sibling families merged into their parent branch whenever the
 family is verbatim the expansion of a representable parent (for trivial tails
 this is the unique minimal tree-pair form).  Semantic equality is decided by
-eq(), never by comparing table shapes.
+eq(), never by comparing table shapes.  Dedup buckets maps by fingerprint,
+which keys each tail by its minimal section automaton
+(tails.canonical_key), and confirms every bucket hit with eq.
 
 compose, star and as_idempotent remember their results in one process-wide
 operation cache of at most OPERATION_CACHE_SIZE entries, emptied when it
@@ -549,21 +551,18 @@ def image_clopen(f, c):
     return normalize(words, f.d)
 
 
-def _tail_fingerprint(t):
-    if not t.factors:
-        return ()
-    if _tails.is_identity(t):
-        return ()
-    return free_reduce(t.factors)
-
-
 def fingerprint(f):
     """Hashable prebucket key; eq is the final arbiter within a bucket.
 
-    Exact for trivial-tail maps, whose semi-canonical form is canonical;
-    identity-acting automaton tails share the trivial key.
+    Each tail is keyed by tails.canonical_key, so tails that act alike share
+    a key.  The key is therefore exact for every map whose semi-canonical
+    table is canonical: trivial-tail maps and single-branch maps.  Two eq
+    maps with different branch tables, which only the heuristic sibling
+    merge can leave, still get different keys.
     """
-    return tuple((b.dom, b.ran, _tail_fingerprint(b.tail)) for b in f.branches)
+    return tuple(
+        (b.dom, b.ran, _tails.canonical_key(b.tail) if b.tail.factors else ()) for b in f.branches
+    )
 
 
 class Dedup:

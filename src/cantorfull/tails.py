@@ -11,7 +11,9 @@ name is only for text.  A factor (machine, state, exp) is therefore its own
 key: two differently built machines with the same name are never confused,
 and equal tables under different names are one machine.  The identity
 decisions are memoized in a process-wide cache of at most
-IDENTITY_CACHE_SIZE entries, emptied when it fills.
+IDENTITY_CACHE_SIZE entries, emptied when it fills.  canonical_key minimizes
+the same closure into a key that two tails share exactly when they act
+alike; its keys are memoized under the same bound.
 """
 
 from itertools import product
@@ -258,10 +260,10 @@ IDENTITY_CACHE_SIZE = 1 << 15
 _identity_cache = {}
 
 
-def _remember(factors, answer):
-    if len(_identity_cache) >= IDENTITY_CACHE_SIZE:
-        _identity_cache.clear()
-    _identity_cache[factors] = answer
+def _remember(cache, factors, value):
+    if len(cache) >= IDENTITY_CACHE_SIZE:
+        cache.clear()
+    cache[factors] = value
 
 
 def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
@@ -308,15 +310,84 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
 
     if answer:
         for factors in unknown:
-            _remember(factors, True)
+            _remember(_identity_cache, factors, True)
     else:
-        _remember(start, False)
+        _remember(_identity_cache, start, False)
     return answer
 
 
 def equal(s, t):
     """Semantic equality of two tails."""
     return is_identity(compose(s, invert(t)))
+
+
+# free-reduced factor word -> its canonical_key
+_key_cache = {}
+
+
+def canonical_key(t, node_budget=DEFAULT_NODE_BUDGET):
+    """A hashable key of the action of t: two tails get equal keys exactly
+    when they act alike.
+
+    The sections of the free-reduced factor word, the finite closure that
+    is_identity walks, are listed breadth first in letter order with their
+    root permutations and successors.  Moore refinement merges the sections
+    that act alike, and the classes are numbered breadth first from t's own.
+    The key is the tuple of (root permutation, successor numbers) rows of
+    this minimal automaton, and () for the identity.  Keys are memoized like
+    the identity decisions.  Exceeding the node budget raises BudgetExceeded.
+    """
+    start = free_reduce(t.factors)
+    if not start:
+        return ()
+    key = _key_cache.get(start)
+    if key is not None:
+        return key
+
+    index = {start: 0}
+    words = [start]
+    perms = []
+    successors = []
+    # words grows while it is read, so this is a breadth-first walk
+    for factors in words:
+        if len(perms) == node_budget:
+            raise BudgetExceeded(f"tail key exceeded {node_budget} nodes")
+        images = [TailElement(t.d, factors).apply_letter(x) for x in range(t.d)]
+        perms.append(tuple(y for y, _ in images))
+        row = []
+        for _, residual in images:
+            section = free_reduce(residual.factors)
+            if section not in index:
+                index[section] = len(words)
+                words.append(section)
+            row.append(index[section])
+        successors.append(row)
+
+    ident = tuple(range(t.d))
+    if all(p == ident for p in perms):
+        key = ()
+    else:
+        # refinement numbers classes by first appearance; the sections are
+        # listed in shortlex order of their first access words, so that is
+        # breadth first from t's class, whichever word presents t
+        classes = perms
+        count = len(set(perms))
+        while True:
+            signatures = [
+                (classes[i], tuple(classes[j] for j in row)) for i, row in enumerate(successors)
+            ]
+            numbers = {}
+            refined = [numbers.setdefault(s, len(numbers)) for s in signatures]
+            if len(numbers) == count:
+                break
+            classes, count = refined, len(numbers)
+        rows = {}
+        for i, c in enumerate(refined):
+            rows.setdefault(c, (perms[i], tuple(refined[j] for j in successors[i])))
+        key = tuple(rows.values())
+
+    _remember(_key_cache, start, key)
+    return key
 
 
 # ---------------------------------------------------------------------------

@@ -543,8 +543,9 @@ def test_readme_commands_print_the_same_warm_and_cold(capsys):
         return [run(capsys, *argv, "--json") for argv in commands]
 
     cold = outputs()
-    # the second round reads the operation and identity caches the first filled
+    # the second round reads the operation, identity and key caches the first filled
     assert outputs() == cold
     pmap._operation_cache.clear()
     tails._identity_cache.clear()
+    tails._key_cache.clear()
     assert outputs() == cold

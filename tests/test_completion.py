@@ -144,6 +144,16 @@ def test_bi_enumerate_closure_properties():
             assert any(eq(p, q) for q in big)
 
 
+def test_grigorchuk_rows_are_one_per_eq_class():
+    table = grigorchuk_units().table
+    # a* = a for every generator, so the stars add no letter
+    assert len(completion._letters(table)) == 4
+    rows = [m for m, _ in bi_enumerate(table, 1, 1, 1)]
+    assert len(rows) == 14
+    for i, m in enumerate(rows):
+        assert not any(eq(x, m) for x in rows[:i])
+
+
 def test_bi_enumerate_rows_match_reference_compatible(monkeypatch):
     table = grigorchuk_units().table
     rows = list(bi_enumerate(table, 1, 2, 1))

@@ -968,6 +968,16 @@ def test_word_ball_survives_interrupted_growth(monkeypatch):
     assert ball_tables(got) == ball_tables(WordBall(letters, 2).words(2))
 
 
+def test_grigorchuk_word_ball_holds_one_map_per_eq_class():
+    # the tail key merges eq-equal words such as b*c and d, so the ball keeps
+    # exactly one map per eq class
+    letters = [m for m, _ in _letters(grigorchuk_units().table)]
+    ball = [m for m, _ in WordBall(letters, 2).words(3)]
+    assert len(ball) == 23
+    for i, m in enumerate(ball):
+        assert not any(eq(x, m) for x in ball[:i])
+
+
 def test_word_ball_edges():
     assert list(WordBall([], 2).words(3)) == [(one(2), ())]
     assert list(WordBall([SWAP], 2).words(0)) == [(one(2), ())]

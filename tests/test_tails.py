@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorfull import pmap, tails
-from cantorfull.errors import CantorError
+from cantorfull.errors import BudgetExceeded, CantorError
 from cantorfull.tails import (
     TailElement,
     adding_machine,
     apply_prefix,
+    canonical_key,
     compose,
     depth_perm,
     enumerate_action,
@@ -369,3 +370,100 @@ def test_identity_check_budget_guard():
         is_identity(deep, node_budget=1)
     # and with a real budget the answer is still computed, never guessed
     assert not is_identity(deep)
+
+
+# -- canonical keys -------------------------------------------------------------
+
+GRI_RELATORS = ("a*a", "b*b", "c*c", "d*d", "b*c*d", "a*d*a*d*a*d*a*d")
+
+
+def _with_relator(text, relator, cut):
+    letters = text.split("*")
+    return "*".join(letters[:cut] + relator.split("*") + letters[cut:])
+
+
+def _rover_ball_tails():
+    from cantorfull.families import rover_units
+
+    ball = pmap.WordBall(list(rover_units().table.mapping.values()), 2).words(2)
+    return list(dict.fromkeys(b.tail for m, _ in ball for b in m.branches))
+
+
+def _key_pairs():
+    rng = random.Random(5)
+    text = "*".join(rng.choice("abcd") for _ in range(9))
+    swap = depth_perm(1, {(0,): (1,), (1,): (0,)})
+    inv, ord4 = depth_perm(2, INVOLUTION), depth_perm(2, ORDER_FOUR)
+    pairs = [
+        (word(GRI, "b*c"), word(GRI, "d")),
+        (word(GRI, "a"), word(GRI, "a^-1")),
+        (word(GRI, "a*d*a*d*a*d*a*d"), trivial(2)),
+        (word(GRI, text), word(GRI, _with_relator(text, "b*c*d", 4))),
+        (word(GRI, text), word(GRI, text + "*a")),
+        (word(GRI, "b*c"), word(GRI, "c*b")),
+        (word(GRI, "a*b"), word(GRI, "b*a")),
+        (word(ADD2, "a*a^-1*a"), word(ADD2, "a")),
+        (word(ADD2, "a*a"), word(ADD2, "a")),
+        # a root swap whatever the machine: one action, one key
+        (swap, word(GRI, "a")),
+        (swap, word(ADD2, "a")),
+        # same-named machines with different tables
+        (inv, ord4),
+        (compose(inv, inv), trivial(2)),
+        (compose(ord4, ord4), trivial(2)),
+        (compose(ord4, ord4), compose(inv, inv)),
+    ]
+    rover = _rover_ball_tails()
+    pairs += [(s, t) for i, s in enumerate(rover) for t in rover[:i]]
+    return pairs
+
+
+def test_canonical_key_is_eq_invariant():
+    pairs = _key_pairs()
+    equal_pairs = 0
+    for s, t in pairs:
+        same = tails.equal(s, t)
+        equal_pairs += same
+        assert (canonical_key(s) == canonical_key(t)) == same, (s, t)
+    # both sides of the equivalence are exercised
+    assert 0 < equal_pairs < len(pairs)
+    assert canonical_key(trivial(2)) == canonical_key(word(GRI, "b*c*d")) == ()
+
+
+_GRI_LETTER = st.tuples(st.sampled_from("abcd"), st.sampled_from(["", "^-1"])).map("".join)
+_GRI_WORD = st.lists(_GRI_LETTER, min_size=1, max_size=6).map("*".join)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_GRI_WORD, _GRI_WORD, st.sampled_from(GRI_RELATORS), st.integers(0, 6))
+def test_canonical_key_matches_equal_on_short_grigorchuk_words(s, t, relator, cut):
+    x, y = word(GRI, s), word(GRI, t)
+    assert (canonical_key(x) == canonical_key(y)) == tails.equal(x, y)
+    assert canonical_key(word(GRI, _with_relator(s, relator, cut))) == canonical_key(x)
+
+
+def test_canonical_key_budget_guard(monkeypatch):
+    monkeypatch.setattr(tails, "_key_cache", {})
+    deep = word(GRI, "*".join(["a", "b"] * 8))
+    with pytest.raises(BudgetExceeded):
+        canonical_key(deep, node_budget=1)
+    # a budget that covers the closure gives the key, never a guess
+    assert canonical_key(deep) != ()
+
+
+def test_key_cache_is_bounded(monkeypatch):
+    cases = [
+        word(GRI, "*".join(["a", "b"] * 8)),
+        word(GRI, "*".join(["a", "b"] * 16)),
+        word(GRI, "b*c*d"),
+        word(GRI, "a*c*a*d"),
+        compose(depth_perm(2, ORDER_FOUR), depth_perm(2, ORDER_FOUR)),
+        compose(depth_perm(2, INVOLUTION), depth_perm(2, INVOLUTION)),
+    ]
+    monkeypatch.setattr(tails, "IDENTITY_CACHE_SIZE", 4)
+    monkeypatch.setattr(tails, "_key_cache", {})
+    first = [canonical_key(t) for t in cases]
+    for _ in range(3):
+        for t, key in zip(cases, first):
+            assert canonical_key(t) == key
+            assert len(tails._key_cache) <= 4
