@@ -50,14 +50,10 @@ def derive_transporters(table, parts, word_len=2):
             if part_of(parts, image_clopen(w, e)) in (None, i):
                 continue
             t = restrict(w, e)
-            rep, _, new = out.add(t)
-            if not new:
-                # the family is closed under star, so star(t) is already in it
-                continue
-            result.append(rep)
-            rep, _, new = out.add(star(t))
-            if new:
-                result.append(rep)
+            for candidate in (t, star(t)):
+                rep, _, new = out.add(candidate)
+                if new:
+                    result.append(rep)
     return result
 
 

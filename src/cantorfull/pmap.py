@@ -558,7 +558,8 @@ def fingerprint(f):
     a key.  The key is therefore exact for every map whose semi-canonical
     table is canonical: trivial-tail maps and single-branch maps.  Two eq
     maps with different branch tables, which only the heuristic sibling
-    merge can leave, still get different keys.
+    merge can leave, still get different keys, and so can eq tails whose
+    section closures are too large for canonical_key to minimize.
     """
     return tuple(
         (b.dom, b.ran, _tails.canonical_key(b.tail) if b.tail.factors else ()) for b in f.branches

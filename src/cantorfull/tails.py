@@ -13,7 +13,8 @@ and equal tables under different names are one machine.  The identity
 decisions are memoized in a process-wide cache of at most
 IDENTITY_CACHE_SIZE entries, emptied when it fills.  canonical_key minimizes
 the same closure into a key that two tails share exactly when they act
-alike; its keys are memoized under the same bound.
+alike, as long as the closure has at most DEFAULT_NODE_BUDGET sections; its
+keys are memoized under the same bound.
 """
 
 from itertools import product
@@ -266,6 +267,16 @@ def _remember(cache, factors, value):
     cache[factors] = value
 
 
+def _expand(d, factors):
+    """Root permutation and free-reduced sections of a factor word: one step
+    of the section closure that is_identity and canonical_key walk.  The
+    sections are reduced as they are read, so a caller that stops at the
+    permutation pays for no reduction."""
+    node = TailElement(d, factors)
+    images = [node.apply_letter(x) for x in range(d)]
+    return tuple(y for y, _ in images), (free_reduce(r.factors) for _, r in images)
+
+
 def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
     """Decide whether t acts as the identity on A^N.
 
@@ -296,14 +307,12 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"identity check exceeded {node_budget} nodes")
-        node = TailElement(t.d, factors)
-        images = [node.apply_letter(x) for x in range(t.d)]
-        if tuple(y for y, _ in images) != ident:
+        perm, sections = _expand(t.d, factors)
+        if perm != ident:
             answer = False
             break
         unknown.append(factors)
-        for _, residual in images:
-            section = free_reduce(residual.factors)
+        for section in sections:
             if section not in seen:
                 seen.add(section)
                 queue.append(section)
@@ -325,69 +334,73 @@ def equal(s, t):
 _key_cache = {}
 
 
-def canonical_key(t, node_budget=DEFAULT_NODE_BUDGET):
-    """A hashable key of the action of t: two tails get equal keys exactly
-    when they act alike.
+def canonical_key(t):
+    """A hashable key of the action of t: tails with equal keys act alike,
+    and tails that act alike get equal keys whenever their section closures
+    have at most DEFAULT_NODE_BUDGET sections.
 
     The sections of the free-reduced factor word, the finite closure that
     is_identity walks, are listed breadth first in letter order with their
     root permutations and successors.  Moore refinement merges the sections
     that act alike, and the classes are numbered breadth first from t's own.
     The key is the tuple of (root permutation, successor numbers) rows of
-    this minimal automaton, and () for the identity.  Keys are memoized like
-    the identity decisions.  Exceeding the node budget raises BudgetExceeded.
+    this minimal automaton, and () for the identity.  A closure past
+    DEFAULT_NODE_BUDGET sections, which a word over a non-contracting machine
+    can reach, is not minimized: the key is then the free-reduced word
+    itself, whose factor triples no row can equal.  Keys are memoized like
+    the identity decisions.
     """
     start = free_reduce(t.factors)
     if not start:
         return ()
     key = _key_cache.get(start)
-    if key is not None:
-        return key
+    if key is None:
+        key = _minimal_rows(t.d, start)
+        _remember(_key_cache, start, key)
+    return key
 
+
+def _minimal_rows(d, start):
+    """canonical_key of the non-empty free-reduced word start, unmemoized."""
     index = {start: 0}
     words = [start]
     perms = []
     successors = []
     # words grows while it is read, so this is a breadth-first walk
     for factors in words:
-        if len(perms) == node_budget:
-            raise BudgetExceeded(f"tail key exceeded {node_budget} nodes")
-        images = [TailElement(t.d, factors).apply_letter(x) for x in range(t.d)]
-        perms.append(tuple(y for y, _ in images))
+        perm, sections = _expand(d, factors)
+        perms.append(perm)
         row = []
-        for _, residual in images:
-            section = free_reduce(residual.factors)
+        for section in sections:
             if section not in index:
+                if len(words) == DEFAULT_NODE_BUDGET:
+                    return start
                 index[section] = len(words)
                 words.append(section)
             row.append(index[section])
         successors.append(row)
 
-    ident = tuple(range(t.d))
+    ident = tuple(range(d))
     if all(p == ident for p in perms):
-        key = ()
-    else:
-        # refinement numbers classes by first appearance; the sections are
-        # listed in shortlex order of their first access words, so that is
-        # breadth first from t's class, whichever word presents t
-        classes = perms
-        count = len(set(perms))
-        while True:
-            signatures = [
-                (classes[i], tuple(classes[j] for j in row)) for i, row in enumerate(successors)
-            ]
-            numbers = {}
-            refined = [numbers.setdefault(s, len(numbers)) for s in signatures]
-            if len(numbers) == count:
-                break
-            classes, count = refined, len(numbers)
-        rows = {}
-        for i, c in enumerate(refined):
-            rows.setdefault(c, (perms[i], tuple(refined[j] for j in successors[i])))
-        key = tuple(rows.values())
-
-    _remember(_key_cache, start, key)
-    return key
+        return ()
+    # refinement numbers classes by first appearance; the sections are
+    # listed in shortlex order of their first access words, so that is
+    # breadth first from the start's class, whichever word presents it
+    classes = perms
+    count = len(set(perms))
+    while True:
+        signatures = [
+            (classes[i], tuple(classes[j] for j in row)) for i, row in enumerate(successors)
+        ]
+        numbers = {}
+        refined = [numbers.setdefault(s, len(numbers)) for s in signatures]
+        if len(numbers) == count:
+            break
+        classes, count = refined, len(numbers)
+    rows = {}
+    for i, c in enumerate(refined):
+        rows.setdefault(c, (perms[i], tuple(refined[j] for j in successors[i])))
+    return tuple(rows.values())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorfull import pmap, tails
-from cantorfull.errors import BudgetExceeded, CantorError
+from cantorfull.errors import CantorError
 from cantorfull.tails import (
     TailElement,
     adding_machine,
@@ -442,13 +442,51 @@ def test_canonical_key_matches_equal_on_short_grigorchuk_words(s, t, relator, cu
     assert canonical_key(word(GRI, _with_relator(s, relator, cut))) == canonical_key(x)
 
 
-def test_canonical_key_budget_guard(monkeypatch):
+# the lamplighter machine: not contracting, so the closure of a^n has all
+# 2^n words of n letters over {a, b} as sections
+LAMP = parse_machines(
+    """
+    machine lamp 2
+    state a perm 1 0 to a b
+    state b perm 0 1 to a b
+    """
+)["lamp"]
+
+
+def _lamp_unit(text):
+    return pmap.PartialMap(2, [pmap.Branch((), (), word(LAMP, text))])
+
+
+def test_canonical_key_falls_back_to_the_word_past_the_budget(monkeypatch):
+    monkeypatch.setattr(tails, "DEFAULT_NODE_BUDGET", 256)
     monkeypatch.setattr(tails, "_key_cache", {})
-    deep = word(GRI, "*".join(["a", "b"] * 8))
-    with pytest.raises(BudgetExceeded):
-        canonical_key(deep, node_budget=1)
-    # a budget that covers the closure gives the key, never a guess
-    assert canonical_key(deep) != ()
+    # 256 sections are minimized; 512 are not, and the key is the free-reduced
+    # word instead of a BudgetExceeded
+    assert len(canonical_key(word(LAMP, "*".join("a" * 8)))) == 256
+    long = word(LAMP, "*".join("a" * 9))
+    assert canonical_key(long) == long.factors
+    assert canonical_key(word(LAMP, "*".join("a" * 9) + "*b*b^-1")) == long.factors
+    assert tails._key_cache[long.factors] == long.factors
+    # a fallback key is never a minimized one, so equal keys still act alike
+    assert canonical_key(long) != canonical_key(word(LAMP, "a"))
+
+
+def test_dedup_over_a_non_contracting_machine_past_the_key_budget(monkeypatch):
+    letters = [_lamp_unit(x) for x in ("a", "b", "a^-1", "b^-1")]
+    exact = [m for m, _ in pmap.WordBall(letters, 2).words(3)]
+    for i, m in enumerate(exact):
+        assert not any(pmap.eq(x, m) for x in exact[:i])
+    # with a key budget below most closures the ball keeps eq-equal words,
+    # but it covers the same eq classes and raises nothing
+    monkeypatch.setattr(tails, "DEFAULT_NODE_BUDGET", 2)
+    monkeypatch.setattr(tails, "_key_cache", {})
+    coarse = [m for m, _ in pmap.WordBall(letters, 2).words(3)]
+    assert len(coarse) > len(exact)
+    assert all(any(pmap.eq(x, m) for x in coarse) for m in exact)
+    assert all(any(pmap.eq(x, m) for x in exact) for m in coarse)
+    deep = pmap.Dedup()
+    texts = ("*".join("a" * 20), "*".join("a" * 20) + "*b*b^-1", "*".join("a" * 21))
+    assert [deep.add(_lamp_unit(text))[2] for text in texts] == [True, False, True]
 
 
 def test_key_cache_is_bounded(monkeypatch):
