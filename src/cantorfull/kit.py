@@ -172,13 +172,13 @@ class GeneratingKit:
     Sections are populated on demand: the transporter set T of short products
     is unbounded in practice (every restriction of a short word to a clopen),
     so the kit deduplicates and surrounds exactly the elements the caller
-    consults, each at its own domain.  sections[i] is a (Multisection, T[i])
-    pair, T[i] the transporter in column 1; K is materialized lazily as the
+    consults, each at its own domain.  sections[i] is a (Multisection, t)
+    pair, t the transporter in column 1; K is materialized lazily as the
     deduped alternating elements of the built sections.  ball, the WordBall
     of the table's units that degree extension reads, starts unbuilt.
     """
 
-    def __init__(self, table, parts, family, eager_products=1):
+    def __init__(self, table, parts, family):
         self.table = table
         self.parts = list(parts)
         self.d = table.d
@@ -191,8 +191,7 @@ class GeneratingKit:
         self.sections = []
         self.ball = WordBall(table.mapping.values(), self.d)
         self._t_dedup = Dedup()
-        self.T = []
-        for m in build_T(self.A, self.parts, max_products=eager_products):
+        for m in build_T(self.A, self.parts, max_products=1):
             self._ensure_section(m)
 
     def _pair_stars(self):
@@ -246,7 +245,6 @@ class GeneratingKit:
         section = build(base, maps)
         idx = len(self.sections)
         self._t_dedup.add(m, idx)
-        self.T.append(m)
         self.sections.append((section, m))
         return idx
 

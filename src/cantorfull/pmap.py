@@ -10,17 +10,18 @@ eq(), never by comparing table shapes.  Dedup buckets maps by fingerprint,
 which keys each tail by its minimal section automaton
 (tails.canonical_key), and confirms every bucket hit with eq.
 
-compose, star and as_idempotent remember their results in one process-wide
-operation cache of at most OPERATION_CACHE_SIZE entries, emptied when it
-fills.  A key holds the operands themselves, compared structurally: d and
-the branch tables, tails by their factor words, machines by their tables.
-A hit therefore returns exactly the table that building again would give;
-no key is ever a fingerprint or an eq class.  product and eq never read the
-cache, so a witness is still re-checked on raw branch lists.
+compose, star and as_idempotent are functools.lru_cache memos of at most
+1,024 results each.  A key holds the operands themselves, compared
+structurally: d and the branch tables, tails by their factor words, machines
+by their tables.  A hit therefore returns exactly the table that building
+again would give; no key is ever a fingerprint or an eq class.  product and
+eq never read the memos, so a witness is still re-checked on raw branch
+lists.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 from . import clopen as _clopen
@@ -214,22 +215,6 @@ def _merge_family(d, u, family):
 
 
 # ---------------------------------------------------------------------------
-# the operation cache
-
-OPERATION_CACHE_SIZE = 1 << 10
-
-# ("compose", f, g), ("star", f) or ("idempotent", c) -> the map built for it
-_operation_cache = {}
-
-
-def _remember(key, m):
-    if len(_operation_cache) >= OPERATION_CACHE_SIZE:
-        _operation_cache.clear()
-    _operation_cache[key] = m
-    return m
-
-
-# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -241,14 +226,11 @@ def one(d):
     return PartialMap(d, [Branch((), (), _tails.trivial(d))])
 
 
+@lru_cache(maxsize=1024)
 def as_idempotent(c):
     """The identity map on the clopen c."""
-    key = ("idempotent", c)
-    m = _operation_cache.get(key)
-    if m is None:
-        t = _tails.trivial(c.d)
-        m = _remember(key, PartialMap(c.d, [Branch(w, w, t) for w in c.antichain]))
-    return m
+    t = _tails.trivial(c.d)
+    return PartialMap(c.d, [Branch(w, w, t) for w in c.antichain])
 
 
 def prefix_exchange(d, pairs):
@@ -302,14 +284,11 @@ def _compose_branches(fbs, doms, gbranches):
     return out
 
 
+@lru_cache(maxsize=1024)
 def compose(f, g):
     """The partial homeomorphism x -> f(g(x)) on g^{-1}(dom f & ran g)."""
     _check_context(f, g)
-    key = ("compose", f, g)
-    h = _operation_cache.get(key)
-    if h is None:
-        h = _remember(key, PartialMap(f.d, _compose_branches(*_by_dom(f), g.branches)))
-    return h
+    return PartialMap(f.d, _compose_branches(*_by_dom(f), g.branches))
 
 
 def product(d, maps):
@@ -341,14 +320,11 @@ def product(d, maps):
     return PartialMap(d, table)
 
 
+@lru_cache(maxsize=1024)
 def star(f):
     """The semigroup inverse: swap branch sides and invert tails."""
-    key = ("star", f)
-    s = _operation_cache.get(key)
-    if s is None:
-        branches = [Branch(b.ran, b.dom, _tails.invert(b.tail)) for b in f.branches]
-        s = _remember(key, PartialMap(f.d, branches))
-    return s
+    branches = [Branch(b.ran, b.dom, _tails.invert(b.tail)) for b in f.branches]
+    return PartialMap(f.d, branches)
 
 
 def dom(f):
@@ -593,8 +569,7 @@ class Dedup:
         return None
 
     def __contains__(self, m):
-        key = fingerprint(m)
-        return any(eq(other, m) for other, _ in self._buckets.get(key, ()))
+        return self.find(m) is not None
 
 
 class WordBall:

@@ -14,9 +14,11 @@ decisions are memoized in a process-wide cache of at most
 IDENTITY_CACHE_SIZE entries, emptied when it fills.  canonical_key minimizes
 the same closure into a key that two tails share exactly when they act
 alike, as long as the closure has at most DEFAULT_NODE_BUDGET sections; its
-keys are memoized under the same bound.
+minimal automata are a functools.lru_cache memo of at most 32,768 entries,
+keyed by the free-reduced word.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from .certs import DEFAULT_NODE_BUDGET
@@ -261,10 +263,10 @@ IDENTITY_CACHE_SIZE = 1 << 15
 _identity_cache = {}
 
 
-def _remember(cache, factors, value):
-    if len(cache) >= IDENTITY_CACHE_SIZE:
-        cache.clear()
-    cache[factors] = value
+def _remember(factors, value):
+    if len(_identity_cache) >= IDENTITY_CACHE_SIZE:
+        _identity_cache.clear()
+    _identity_cache[factors] = value
 
 
 def _expand(d, factors):
@@ -277,13 +279,14 @@ def _expand(d, factors):
     return tuple(y for y, _ in images), (free_reduce(r.factors) for _, r in images)
 
 
-def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
+def is_identity(t):
     """Decide whether t acts as the identity on A^N.
 
     Fixed-point closure: t is trivial iff its root permutation is the identity
     and every section is trivial; the closure of a factor word under sections
-    is finite, so memoized reachability terminates.  Exceeding the node budget
-    raises BudgetExceeded rather than guessing.
+    is finite, so memoized reachability terminates.  Visiting more than
+    DEFAULT_NODE_BUDGET sections, read at call time, raises BudgetExceeded
+    rather than guessing.
     """
     ident = tuple(range(t.d))
     start = free_reduce(t.factors)
@@ -305,8 +308,8 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
         if cached is True:
             continue
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"identity check exceeded {node_budget} nodes")
+        if nodes > DEFAULT_NODE_BUDGET:
+            raise BudgetExceeded(f"identity check exceeded {DEFAULT_NODE_BUDGET} nodes")
         perm, sections = _expand(t.d, factors)
         if perm != ident:
             answer = False
@@ -319,19 +322,15 @@ def is_identity(t, node_budget=DEFAULT_NODE_BUDGET):
 
     if answer:
         for factors in unknown:
-            _remember(_identity_cache, factors, True)
+            _remember(factors, True)
     else:
-        _remember(_identity_cache, start, False)
+        _remember(start, False)
     return answer
 
 
 def equal(s, t):
     """Semantic equality of two tails."""
     return is_identity(compose(s, invert(t)))
-
-
-# free-reduced factor word -> its canonical_key
-_key_cache = {}
 
 
 def canonical_key(t):
@@ -347,21 +346,17 @@ def canonical_key(t):
     this minimal automaton, and () for the identity.  A closure past
     DEFAULT_NODE_BUDGET sections, which a word over a non-contracting machine
     can reach, is not minimized: the key is then the free-reduced word
-    itself, whose factor triples no row can equal.  Keys are memoized like
-    the identity decisions.
+    itself, whose factor triples no row can equal.
     """
     start = free_reduce(t.factors)
     if not start:
         return ()
-    key = _key_cache.get(start)
-    if key is None:
-        key = _minimal_rows(t.d, start)
-        _remember(_key_cache, start, key)
-    return key
+    return _minimal_rows(t.d, start)
 
 
+@lru_cache(maxsize=32768)
 def _minimal_rows(d, start):
-    """canonical_key of the non-empty free-reduced word start, unmemoized."""
+    """canonical_key of the non-empty free-reduced word start."""
     index = {start: 0}
     words = [start]
     perms = []

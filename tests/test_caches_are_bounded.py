@@ -1,6 +1,9 @@
 """Every cache in the package has a memory bound: a functools cache or
 lru_cache either names an integer maxsize or decorates a function without
-parameters, which can hold one entry only."""
+parameters, which can hold one entry only.  A hand-rolled cache, a
+module-level dict whose name ends in _cache, is allowed only where listed in
+HAND_ROLLED with its reason, so every other memo is a functools one and the
+guard above sees its bound."""
 
 import ast
 from pathlib import Path
@@ -8,6 +11,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorfull"
 
 CACHES = {"cache", "lru_cache"}
+
+DICT_TYPES = {"dict", "defaultdict", "OrderedDict"}
+
+HAND_ROLLED = {
+    ("tails.py", "_identity_cache"): (
+        "one identity decision records every section of the closure it proves, "
+        "and later walks read those records mid-walk, which a memo of whole "
+        "answers cannot do; tails bounds it by IDENTITY_CACHE_SIZE"
+    ),
+}
 
 
 def cache_name(decorator):
@@ -40,9 +53,44 @@ def unbounded_caches(tree):
                 yield node.lineno, node.name
 
 
+def is_dict(value):
+    if isinstance(value, (ast.Dict, ast.DictComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in DICT_TYPES
+    return False
+
+
+def dict_caches(tree):
+    """Names of the module-level dicts whose names end in _cache."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if is_dict(value):
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_cache"):
+                    yield target.id
+
+
 def test_every_cache_is_bounded():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found = list(unbounded_caches(tree))
         assert not found, f"{path.name} has unbounded caches: {found}"
 
+
+def test_hand_rolled_caches_are_only_the_allowed_ones():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update((path.name, name) for name in dict_caches(tree))
+    assert found == set(HAND_ROLLED), (
+        f"hand-rolled caches {sorted(found - set(HAND_ROLLED))}; "
+        f"allowed but gone: {sorted(set(HAND_ROLLED) - found)}"
+    )

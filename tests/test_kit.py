@@ -214,13 +214,10 @@ def test_express_rejects_odd():
 
 
 def test_express_exhausts_gracefully():
-    fam = higman_thompson(2)
-    family = derive_transporters(fam.table, atoms(3, 2), word_len=2)
-    bare = GeneratingKit(fam.table, atoms(3, 2), family, eager_products=0)
-    n = desk_three_cycle(fam, ("s00_01", "s00_10"), (0, 0, 0, 0))
+    fam, kit = desk()
+    n = searched_three_cycles(kit, 1)[0]
     pi = cycle_perm(3, [0, 1, 2])
-    target = element(n, pi)
-    cert = express(target, bare, n, pi, node_budget=1)
+    cert = express(element(n, pi), kit, n, pi, node_budget=1)
     assert cert.is_exhausted()
 
 

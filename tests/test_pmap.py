@@ -1038,7 +1038,7 @@ def test_image_levels_edges():
     assert [len(level) for level in levels] == [2, 0, 0, 0]
 
 
-# -- the operation cache ------------------------------------------------------
+# -- the operation memos ------------------------------------------------------
 
 
 def fresh_star(f):
@@ -1046,32 +1046,46 @@ def fresh_star(f):
     return PartialMap(f.d, [Branch(b.ran, b.dom, invert(b.tail)) for b in f.branches])
 
 
-def test_operation_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(pmap, "OPERATION_CACHE_SIZE", 4)
-    monkeypatch.setattr(pmap, "_operation_cache", {})
+OPERATIONS = (compose, star, as_idempotent)
+
+
+def clear_operation_memos():
+    for op in OPERATIONS:
+        op.cache_clear()
+
+
+def test_operation_memos_are_bounded():
+    clear_operation_memos()
     rng = random.Random(110)
-    maps = [random_pmap(rng, 2) for _ in range(5)]
+    maps = list(dict.fromkeys(random_pmap(rng, 2, maxdepth=6) for _ in range(1200)))
+    cells = atoms(4, 2)
+    clopens = list(dict.fromkeys(
+        normalize([c.antichain[0] for c in cells if rng.random() < 0.5], 2) for _ in range(1200)
+    ))
+    # each operation gets more distinct operands than the 1,024 results a memo keeps
+    assert len(maps) > 1024 and len(clopens) > 1024
+    pairs = [(x, y) for x in maps[:33] for y in maps[:33]]
     for _ in range(2):
-        for x in maps:
-            for y in maps:
-                assert compose(x, y) == pair_scan_compose(x, y)
-                assert len(pmap._operation_cache) <= 4
-            assert star(x) == fresh_star(x)
-            words = dom(x).antichain
-            assert as_idempotent(dom(x)) == PartialMap(2, [(w, w, tails.trivial(2)) for w in words])
-            assert len(pmap._operation_cache) <= 4
-    assert pmap._operation_cache
+        for x, y in pairs:
+            assert compose(x, y) == pair_scan_compose(x, y)
+        for f in maps:
+            assert star(f) == fresh_star(f)
+        for c in clopens:
+            assert as_idempotent(c) == PartialMap(2, [(w, w, tails.trivial(2)) for w in c.antichain])
+        for op in OPERATIONS:
+            info = op.cache_info()
+            assert info.currsize == info.maxsize == 1024
 
 
-def test_operation_cache_tells_same_named_machines_apart(monkeypatch):
+def test_operation_memos_tell_same_named_machines_apart():
     # both machines are named depthperm2; their tables differ
     inv, ord4 = depth_perm(2, INVOLUTION), depth_perm(2, ORDER_FOUR)
     assert inv.factors[0][0].name == ord4.factors[0][0].name
     swaps = [PartialMap(2, [Branch((0,), (1,), t), Branch((1,), (0,), t)]) for t in (inv, ord4)]
     e = as_idempotent(cylinder((0,), 2))
-    monkeypatch.setattr(pmap, "_operation_cache", {})
+    clear_operation_memos()
     for first, second in (swaps, swaps[::-1]):
-        # the first map's results are in the cache when the second asks
+        # the first map's results are in the memos when the second asks
         for f in (first, second):
             assert compose(f, f) == pair_scan_compose(f, f)
             assert compose(f, e) == pair_scan_compose(f, e)
@@ -1108,8 +1122,8 @@ def test_cached_operations_match_fresh_builds(family):
     check()
 
 
-def test_operation_cache_stores_only_built_maps(monkeypatch):
-    monkeypatch.setattr(pmap, "_operation_cache", {})
+def test_operation_memos_store_only_built_maps(monkeypatch):
+    clear_operation_memos()
     with pytest.raises(AlphabetMismatch):
         compose(one(2), one(3))
     merge = pmap._greedy_merge
@@ -1122,24 +1136,22 @@ def test_operation_cache_stores_only_built_maps(monkeypatch):
         compose(SWAP, SWAP)
     with pytest.raises(CantorError, match="constructor failed"):
         star(SWAP)
-    assert pmap._operation_cache == {}
+    assert [op.cache_info().currsize for op in OPERATIONS] == [0, 0, 0]
     monkeypatch.setattr(pmap, "_greedy_merge", merge)
     assert eq(compose(SWAP, SWAP), one(2))
 
 
-def test_product_and_eq_do_not_read_the_operation_cache(monkeypatch):
-    class Unreadable(dict):
-        def get(self, key, default=None):
-            raise AssertionError(f"read {key[0]} from the operation cache")
-
-        __getitem__ = __contains__ = get
-
+def test_product_and_eq_do_not_read_the_operation_memos():
     rng = random.Random(111)
     maps = [random_pmap(rng, 2) for _ in range(6)]
+
+    def reads():
+        return [op.cache_info().hits + op.cache_info().misses for op in OPERATIONS]
+
+    before = reads()
     products = [pmap.product(2, maps[:n]) for n in range(len(maps) + 1)]
-    monkeypatch.setattr(pmap, "_operation_cache", Unreadable())
-    assert [pmap.product(2, maps[:n]) for n in range(len(maps) + 1)] == products
     for x in products:
         for y in maps:
             eq(x, y)
             eq(y, x)
+    assert reads() == before

@@ -360,14 +360,15 @@ def test_identity_check_reads_each_node_once(monkeypatch):
     assert len(calls) == 20
 
 
-def test_identity_check_budget_guard():
+def test_identity_check_budget_guard(monkeypatch):
     from cantorfull.errors import BudgetExceeded
-    from cantorfull.tails import _identity_cache
 
-    _identity_cache.clear()
+    monkeypatch.setattr(tails, "_identity_cache", {})
     deep = word(GRI, "*".join(["a", "b"] * 8))
-    with pytest.raises(BudgetExceeded):
-        is_identity(deep, node_budget=1)
+    with monkeypatch.context() as budget:
+        budget.setattr(tails, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            is_identity(deep)
     # and with a real budget the answer is still computed, never guessed
     assert not is_identity(deep)
 
@@ -457,39 +458,62 @@ def _lamp_unit(text):
     return pmap.PartialMap(2, [pmap.Branch((), (), word(LAMP, text))])
 
 
-def test_canonical_key_falls_back_to_the_word_past_the_budget(monkeypatch):
-    monkeypatch.setattr(tails, "DEFAULT_NODE_BUDGET", 256)
-    monkeypatch.setattr(tails, "_key_cache", {})
+@pytest.fixture
+def key_budget(monkeypatch):
+    """Sets tails.DEFAULT_NODE_BUDGET; the key memo is emptied whenever the
+    budget changes, so no key made under one budget is read under another."""
+
+    def set_budget(n):
+        monkeypatch.setattr(tails, "DEFAULT_NODE_BUDGET", n)
+        tails._minimal_rows.cache_clear()
+
+    yield set_budget
+    tails._minimal_rows.cache_clear()
+
+
+def test_canonical_key_falls_back_to_the_word_past_the_budget(key_budget):
+    key_budget(256)
     # 256 sections are minimized; 512 are not, and the key is the free-reduced
     # word instead of a BudgetExceeded
     assert len(canonical_key(word(LAMP, "*".join("a" * 8)))) == 256
     long = word(LAMP, "*".join("a" * 9))
     assert canonical_key(long) == long.factors
+    # the fallback key is memoized under the free-reduced word
+    hits = tails._minimal_rows.cache_info().hits
     assert canonical_key(word(LAMP, "*".join("a" * 9) + "*b*b^-1")) == long.factors
-    assert tails._key_cache[long.factors] == long.factors
+    assert tails._minimal_rows.cache_info().hits == hits + 1
     # a fallback key is never a minimized one, so equal keys still act alike
     assert canonical_key(long) != canonical_key(word(LAMP, "a"))
 
 
-def test_dedup_over_a_non_contracting_machine_past_the_key_budget(monkeypatch):
+def test_dedup_over_a_non_contracting_machine_past_the_key_budget(key_budget):
     letters = [_lamp_unit(x) for x in ("a", "b", "a^-1", "b^-1")]
     exact = [m for m, _ in pmap.WordBall(letters, 2).words(3)]
     for i, m in enumerate(exact):
         assert not any(pmap.eq(x, m) for x in exact[:i])
-    # with a key budget below most closures the ball keeps eq-equal words,
-    # but it covers the same eq classes and raises nothing
-    monkeypatch.setattr(tails, "DEFAULT_NODE_BUDGET", 2)
-    monkeypatch.setattr(tails, "_key_cache", {})
+    # with a budget below most closures the ball keeps eq-equal words, but
+    # it covers the same eq classes and raises nothing
+    budget = tails.DEFAULT_NODE_BUDGET
+    key_budget(2)
     coarse = [m for m, _ in pmap.WordBall(letters, 2).words(3)]
-    assert len(coarse) > len(exact)
-    assert all(any(pmap.eq(x, m) for x in coarse) for m in exact)
-    assert all(any(pmap.eq(x, m) for x in exact) for m in coarse)
     deep = pmap.Dedup()
     texts = ("*".join("a" * 20), "*".join("a" * 20) + "*b*b^-1", "*".join("a" * 21))
     assert [deep.add(_lamp_unit(text))[2] for text in texts] == [True, False, True]
+    # the identity checks below walk more sections than a budget of 2 allows
+    key_budget(budget)
+    assert len(coarse) > len(exact)
+    assert all(any(pmap.eq(x, m) for x in coarse) for m in exact)
+    assert all(any(pmap.eq(x, m) for x in exact) for m in coarse)
 
 
-def test_key_cache_is_bounded(monkeypatch):
+# sixteen states that swap the root letter and stay put: each word over them
+# is its own only section, so its key is quick to find
+FLAT = parse_machines(
+    "machine flat 2\n" + "".join(f"state s{i} perm 1 0 to s{i} s{i}\n" for i in range(16))
+)["flat"]
+
+
+def test_minimal_rows_memo_is_bounded():
     cases = [
         word(GRI, "*".join(["a", "b"] * 8)),
         word(GRI, "*".join(["a", "b"] * 16)),
@@ -498,10 +522,15 @@ def test_key_cache_is_bounded(monkeypatch):
         compose(depth_perm(2, ORDER_FOUR), depth_perm(2, ORDER_FOUR)),
         compose(depth_perm(2, INVOLUTION), depth_perm(2, INVOLUTION)),
     ]
-    monkeypatch.setattr(tails, "IDENTITY_CACHE_SIZE", 4)
-    monkeypatch.setattr(tails, "_key_cache", {})
+    tails._minimal_rows.cache_clear()
     first = [canonical_key(t) for t in cases]
-    for _ in range(3):
-        for t, key in zip(cases, first):
-            assert canonical_key(t) == key
-            assert len(tails._key_cache) <= 4
+    states = [(FLAT, s, 1) for s in FLAT.states]
+    # 4,096 words of three states and 28,704 of four: past the 32,768 keys
+    # the memo keeps, so the first keys are evicted and made again
+    flood = [w for n in (3, 4) for w in product(states, repeat=n)][:32800]
+    for w in flood:
+        assert canonical_key(TailElement(2, w)) == ((((1, 0), (0, 0)),) if len(w) % 2 else ())
+    assert [canonical_key(t) for t in cases] == first
+    info = tails._minimal_rows.cache_info()
+    assert info.misses == len(flood) + 2 * len(cases)
+    assert info.currsize == info.maxsize == 32768
