@@ -332,11 +332,6 @@ def cmd_msec(session, args):
         cov = msec.overlapping_cover(s, [session.clopen(t) for t in args.parts])
         target = msec.element(s, pi)
         cert = factor.factor_over_cover(target, pi, cov, node_budget=args.budget)
-        if cert.is_witness():
-            cert = replace(cert, witness={
-                "word": [[k, list(p)] for k, p in cert.witness["word"]],
-                "pieces": cert.witness["pieces"],
-            })
         return emit_cert(args, "msec factor", cert)
     raise CantorError(f"unknown msec action {args.action!r}")
 
@@ -352,7 +347,7 @@ def cmd_genkit(session, args):
             if ok
             else ", ".join(k for k in report if k.startswith("condition") and not report[k]["ok"]) + " fail"
         )
-        return emit(args, EXIT_OK if ok else EXIT_REFUTED, text, {"op": "genkit verify", **_jsonable_report(report)})
+        return emit(args, EXIT_OK if ok else EXIT_REFUTED, text, {"op": "genkit verify", **report})
     if args.action == "build":
         built = kit.build_kit(session.table, parts, word_len=args.len)
         text = f"kit: |A| = {len(built.A)}, |T| = {len(built.sections)}, sections = {len(built.sections)}"
@@ -368,14 +363,8 @@ def cmd_genkit(session, args):
         pi = session.perm(args.perm, witness_msec.degree)
         target = msec.element(witness_msec, pi)
         cert = kit.express(target, built, witness_msec, pi, node_budget=args.budget)
-        if cert.is_witness():
-            cert = replace(cert, witness={"word": [[k, list(p)] for k, p in cert.witness["word"]]})
         return emit_cert(args, "genkit express", cert)
     raise CantorError(f"unknown genkit action {args.action!r}")
-
-
-def _jsonable_report(report):
-    return json.loads(json.dumps(report, default=str))
 
 
 def cmd_dyn(session, args):

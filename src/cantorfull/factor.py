@@ -223,9 +223,7 @@ class CombinedSection:
 
     def combined_col(self, side, parent_col):
         """Index of a parent column inside the combined section."""
-        if side == "g" and parent_col == self.i1:
-            return 0
-        if side == "h" and parent_col == self.i2:
+        if (side, parent_col) == ("h", self.i2):
             return 0
         return self.col_of.index((side, parent_col))
 
@@ -251,17 +249,13 @@ def combine_factored(fs_g, g_cols, fs_h, h_cols):
     Each column tuple is headed by its sub-section's base (see sub_section),
     and the parents' supports restricted to those columns must meet in
     exactly one idempotent pair; the underlying combine() verifies this.
+    The glued base lies in one idempotent of each side, the pair's.
     """
     g_sub = sub_section(fs_g.msec, g_cols)
     h_sub = sub_section(fs_h.msec, h_cols)
     glued = combine(g_sub, h_sub)
-    overlaps = [
-        (i, j)
-        for i, a in enumerate(g_sub.idems)
-        for j, b in enumerate(h_sub.idems)
-        if not a.disjoint(b)
-    ]
-    (i_sub, j_sub) = overlaps[0]
+    i_sub = next(i for i, a in enumerate(g_sub.idems) if not a.disjoint(glued.base))
+    j_sub = next(j for j, b in enumerate(h_sub.idems) if not b.disjoint(glued.base))
     return CombinedSection(
         glued, fs_g, g_cols, g_cols[i_sub], fs_h, h_cols, h_cols[j_sub]
     )

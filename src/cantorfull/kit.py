@@ -284,8 +284,13 @@ def build_kit(table, parts, word_len=2):
 # ---------------------------------------------------------------------------
 # expressing alternating units over the kit
 
+# bound of the search for a family word that realizes a transporter: the
+# word length of the map search, the rounds from each side of the cylinder
+# search
+WORD_LEN = 6
 
-def _wordify_cylinder(kit, m, budget, max_len):
+
+def _wordify_cylinder(kit, m, budget):
     """Goal-directed word search for a single-branch trivial-tail transporter.
 
     Such a transporter is the unique prefix exchange between its two
@@ -328,12 +333,10 @@ def _wordify_cylinder(kit, m, budget, max_len):
                         return nxt, hit
         return nxt, None
 
+    # start != goal: a section's transporter k >= 1 carries its base onto a
+    # disjoint idempotent, so the empty word never realizes it
     f_frontier, b_frontier = [start], [goal]
-    if start in bwd:
-        hit = finish(())
-        if hit is not None:
-            return hit
-    for _ in range(max_len):
+    for _ in range(WORD_LEN):
         f_frontier, hit = grow(f_frontier, backward=False)
         if hit is None:
             b_frontier, hit = grow(b_frontier, backward=True)
@@ -342,7 +345,7 @@ def _wordify_cylinder(kit, m, budget, max_len):
     return None
 
 
-def _wordify(kit, m, budget, max_len):
+def _wordify(kit, m, budget):
     """A family-index word whose product restricted to dom(m) equals m.
 
     Single-branch trivial-tail transporters are prefix exchanges, for which
@@ -350,11 +353,11 @@ def _wordify(kit, m, budget, max_len):
     search is only a fallback for decorated or multi-branch transporters.
     """
     if len(m.branches) == 1 and not m.branches[0].tail.factors:
-        return _wordify_cylinder(kit, m, budget, max_len)
+        return _wordify_cylinder(kit, m, budget)
     c = dom(m)
     states = [(restrict(_pmap.one(kit.d), c), ())]
     seen = {fingerprint(states[0][0])}
-    for _ in range(max_len):
+    for _ in range(WORD_LEN):
         nxt = []
         for cur, word in states:
             for idx, a in enumerate(kit.A):
@@ -398,72 +401,43 @@ def _factored_for_word(kit, word, c, budget):
     Returns (section, col_from, col_to): the idempotent of col_from is
     exactly c, and transporter_between(col_from, col_to) is the product
     restricted to c.  A word of three letters or less with separated parts
-    gets the kit section around that restriction.  A longer word factors its
-    tail at c and a three-letter head at the tail's image, through a fresh
-    part, and glues the two.  A same-part word takes a detour through a
-    family element a that carries c out of the part: the detour word + [a*]
-    is factored at a(c), a's section is built at c, and the two are glued.
+    gets the kit section around that restriction.  Every other word splits
+    as head + tail, the head the whole word if its product stays in one part
+    and its two outermost letters otherwise, through a family element a that
+    carries the tail's image out of the word's parts: head + [a*] is
+    factored at a's image of the tail's image, [a] + tail at c, and the two
+    sections are glued along the tail's image.
     """
     budget.tick()
     m = restrict(kit.word_element(word), c)
     pd, pr = _part_pair(kit.parts, m)
     if pd is None or pr is None:
         raise GiveUp("word product does not respect the partition")
-
-    if pd == pr:
-        for a_idx, a_pr in kit._by_dom_part.get(pd, ()):
-            a = kit.A[a_idx]
-            if a_pr == pd or not c.leq(dom(a)):
-                continue
-            a_c = restrict(a, c)
-            detour = list(word) + [kit.star_index(a_idx)]
-            sfs, s_from, s_to = _factored_for_word(kit, detour, ran(a_c), budget)
-            combined = _combine_with_spares(sfs, (s_from, s_to), kit.section_for(a_c), (0, 1))
-            if combined is None:
-                continue
-            c_from = combined.combined_col("h", 0)
-            c_to = combined.combined_col("g", s_to)
-            return _checked_piece(m, combined, c_from, c_to)
-        raise GiveUp(f"no detour transporter out of part {pd}")
-
-    if len(word) <= 3:
+    if pd != pr and len(word) <= 3:
         return kit.section_for(m), 0, 1
 
-    # splice the two outermost letters through a fresh part
-    j0, j1 = word[0], word[1]
-    inner = image_clopen(kit.word_element(word[2:]), c)
-    p_star = part_of(kit.parts, dom(kit.A[j1]))
-    for a_idx, a_pr in kit._by_dom_part.get(p_star, ()):
-        if a_pr in (pd, pr) or not inner.leq(dom(kit.A[a_idx])):
+    k = len(word) if pd == pr else 2
+    inner = image_clopen(kit.word_element(word[k:]), c)
+    p_inner = part_of(kit.parts, inner)
+    for a_idx, a_pr in kit._by_dom_part.get(p_inner, ()):
+        a = kit.A[a_idx]
+        if a_pr in (pd, pr) or not inner.leq(dom(a)):
             continue
-        head = [j0, j1, kit.star_index(a_idx)]
-        tail = [a_idx] + list(word[2:])
-        tfs, t_from, t_to = _factored_for_word(kit, tail, c, budget)
-        hfs, h_from, h_to = _factored_for_word(kit, head, tfs.msec.idems[t_to], budget)
-        combined = _combine_with_spares(tfs, (t_from, t_to), hfs, (h_from, h_to))
+        head = list(word[:k]) + [kit.star_index(a_idx)]
+        hfs, h_from, h_to = _factored_for_word(kit, head, image_clopen(a, inner), budget)
+        tfs, t_from, t_to = _factored_for_word(kit, [a_idx] + list(word[k:]), c, budget)
+        combined = _combine_with_spares(hfs, (h_from, h_to), tfs, (t_from, t_to))
         if combined is None:
             continue
-        c_from = combined.combined_col("g", t_from)
-        c_to = combined.combined_col("h", h_to)
-        return _checked_piece(m, combined, c_from, c_to)
-    raise GiveUp(f"no splice transporter out of part {p_star}")
+        c_from = combined.combined_col("h", t_from)
+        c_to = combined.combined_col("g", h_to)
+        if not eq(combined.msec.transporter_between(c_from, c_to), m):
+            raise GiveUp("glued section does not carry the word product")
+        return combined, c_from, c_to
+    raise GiveUp(f"no split transporter out of part {p_inner}")
 
 
-def _checked_piece(m, fs, c_from, c_to):
-    """Verify the factored section carries m where claimed."""
-    if not eq(fs.msec.transporter_between(c_from, c_to), m):
-        raise GiveUp("glued section does not carry the word product")
-    return fs, c_from, c_to
-
-
-def express(
-    target,
-    kit,
-    msec_witness,
-    perm,
-    word_len=6,
-    node_budget=certs.DEFAULT_NODE_BUDGET,
-):
+def express(target, kit, msec_witness, perm, node_budget=certs.DEFAULT_NODE_BUDGET):
     """Express a unit of the alternating full group as a word over the kit.
 
     The caller supplies a witnessing multisection and even permutation with
@@ -476,15 +450,15 @@ def express(
         raise NotInAlt(f"{perm} is odd")
     if not eq(target, element(msec_witness, perm)):
         raise NotInAlt("target does not match the witnessing multisection element")
-    budget = certs.Budget({"word_len": word_len, "node_budget": node_budget})
+    budget = certs.Budget({"word_len": WORD_LEN, "node_budget": node_budget})
     try:
-        word = _express_word(target, kit, msec_witness, perm, budget, word_len)
+        word = _express_word(target, kit, msec_witness, perm, budget)
     except GiveUp as stop:
         return budget.exhausted(str(stop))
     return budget.witness({"word": word})
 
 
-def _express_word(target, kit, msec_witness, perm, budget, word_len):
+def _express_word(target, kit, msec_witness, perm, budget):
     """express's word for target = element(msec_witness, perm), re-verified."""
     if perm == identity_perm(msec_witness.degree):
         return []
@@ -494,7 +468,7 @@ def _express_word(target, kit, msec_witness, perm, budget, word_len):
     rho = embed_subperm(perm, tuple(range(msec_witness.degree)), 5)
     word = []
     for sec5 in _extend_to_five(kit, msec_witness, budget):
-        word.extend(_factor_five_cover(kit, sec5, rho, budget, word_len))
+        word.extend(_factor_five_cover(kit, sec5, rho, budget))
     _verify_word(kit, word, target)
     return word
 
@@ -531,7 +505,7 @@ def _extend_to_five(kit, msec_witness, budget):
             out.append(s)
             continue
         try:
-            sections, _ = _extend_over_words(s, kit.ball, 3, 3, budget)
+            sections, _ = _extend_over_words(s, kit.ball, 3, budget)
         except GiveUp as stop:
             if budget.spent:
                 raise
@@ -540,7 +514,7 @@ def _extend_to_five(kit, msec_witness, budget):
     return out
 
 
-def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
+def _factor_five_cover(kit, section, rho, budget, split_left=3):
     """Factor over the kit, subdividing the base into child cylinders when a
     transporter is not a short family word at the current granularity.
 
@@ -549,7 +523,7 @@ def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
     concatenate.
     """
     try:
-        return _factor_five(kit, section, rho, budget, word_len)
+        return _factor_five(kit, section, rho, budget)
     except GiveUp:
         # a run-out ends the search; only a dead end is worth a subdivision
         if split_left <= 0 or budget.spent:
@@ -559,19 +533,17 @@ def _factor_five_cover(kit, section, rho, budget, word_len, split_left=3):
         for x in range(kit.d):
             child = cylinder(tuple(w) + (x,), kit.d)
             sub = restrict_msec(section, child)
-            out.extend(
-                _factor_five_cover(kit, sub, rho, budget, word_len, split_left - 1)
-            )
+            out.extend(_factor_five_cover(kit, sub, rho, budget, split_left - 1))
     return out
 
 
-def _factor_five(kit, section, rho, budget, word_len):
+def _factor_five(kit, section, rho, budget):
     """Word over kit sections for element(section, rho), section of degree 5."""
     c = section.base
     # each transporter as a restricted family word, factored at c
     pieces = []
     for k in range(1, 5):
-        word = _wordify(kit, section.transporters[k], budget, word_len)
+        word = _wordify(kit, section.transporters[k], budget)
         if word is None:
             raise GiveUp(f"transporter {k} is not a short family word")
         fs, c_col, to_col = _factored_for_word(kit, word, c, budget)
@@ -636,7 +608,7 @@ def _cylinder_permutation(target):
     return None
 
 
-def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET):
+def express_unit(target, kit, node_budget=certs.DEFAULT_NODE_BUDGET):
     """Branchwise express: decompose a trivial-tail unit into 3-cycles of the
     cylinder family it permutes and express each over the kit.
 
@@ -645,7 +617,7 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
     """
     if not is_unit(target):
         raise NotInAlt("branchwise express needs a unit")
-    budget = certs.Budget({"word_len": word_len, "node_budget": node_budget})
+    budget = certs.Budget({"word_len": WORD_LEN, "node_budget": node_budget})
     table = _cylinder_permutation(target)
     if table is None:
         return budget.exhausted("unit does not stably permute a cylinder family")
@@ -675,7 +647,7 @@ def express_unit(target, kit, word_len=6, node_budget=certs.DEFAULT_NODE_BUDGET)
             )
             pi = (1, 2, 0)
             piece = element(section, pi)
-            word += _express_word(piece, kit, section, pi, budget, word_len)
+            word += _express_word(piece, kit, section, pi, budget)
         _verify_word(kit, word, target)
     except GiveUp as stop:
         return budget.exhausted(str(stop))

@@ -283,32 +283,36 @@ def sub_section(s, indices):
     return Multisection(s.idems[b], [s.transporter_between(b, i) for i in indices])
 
 
-def extend_degree(
-    s, table, word_len=3, split_depth=3, node_budget=certs.DEFAULT_NODE_BUDGET
-):
+# how many letters below the base's deepest word degree extension splits a
+# piece before it gives up
+SPLIT_DEPTH = 3
+
+
+def extend_degree(s, table, word_len=3, node_budget=certs.DEFAULT_NODE_BUDGET):
     """Extend a d-section to (d+1)-sections over a subdivision of its base.
 
     For each subdivision piece, a bounded word search over the table's units
     looks for an extra transporter whose image misses the restricted section's
-    idempotents; pieces are split into child cylinders when no word works at
-    their current depth.  The words come from a WordBall, identity first.
+    idempotents; pieces are split into child cylinders, at most SPLIT_DEPTH
+    letters below the base, when no word works at their current depth.  The
+    words come from a WordBall, identity first.
     """
     budget = certs.Budget(
-        {"word_len": word_len, "split_depth": split_depth, "node_budget": node_budget}
+        {"word_len": word_len, "split_depth": SPLIT_DEPTH, "node_budget": node_budget}
     )
     ball = _pmap.WordBall(table.mapping.values(), s.d)
     try:
-        sections, subdivision = _extend_over_words(s, ball, word_len, split_depth, budget)
+        sections, subdivision = _extend_over_words(s, ball, word_len, budget)
     except certs.GiveUp as stop:
         return budget.exhausted(str(stop))
     return budget.witness({"sections": sections, "subdivision": subdivision})
 
 
-def _extend_over_words(s, ball, word_len, split_depth, budget):
+def _extend_over_words(s, ball, word_len, budget):
     """extend_degree's search over ball's words up to word_len, spending
     from budget: the extended sections and the subdivision they sit on."""
     d = s.d
-    max_depth = max((len(w) for w in s.base.antichain), default=0) + split_depth
+    max_depth = max((len(w) for w in s.base.antichain), default=0) + SPLIT_DEPTH
 
     queue = [_clopen.Clopen(d, (w,)) for w in s.base.antichain]
     sections = []

@@ -55,25 +55,31 @@ def five_section():
     return build(clo("{000}"), [pm(2, f"000->{w}") for w in ("001", "010", "011", "100")])
 
 
+def cylinder_three_cycle():
+    return pm(
+        2, "000->011", "011->110", "110->000", "001->001", "010->010", "10->10", "111->111"
+    )
+
+
+def extendable_three_section():
+    return build(clo("{00}"), [pm(2, "00->01"), pm(2, "00->10")])
+
+
 def budgeted_searches(kit, node_budget):
     """(name, certificate) for each search that takes node_budget."""
     searched, contained = searched_three_cycle(), contained_three_cycle()
     s5 = five_section()
     pi5 = (1, 2, 0, 3, 4)
     overlapping = overlapping_cover(s5, [clo("{0000, 00010}"), clo("{0001}")])
-    three_cycle = pm(
-        2, "000->011", "011->110", "110->000", "001->001", "010->010", "10->10", "111->111"
-    )
     table = FAM.table
     return [
         ("express searched", express(element(searched, PI3), kit, searched, PI3,
                                      node_budget=node_budget)),
         ("express contained", express(element(contained, PI3), kit, contained, PI3,
                                       node_budget=node_budget)),
-        ("express_unit", express_unit(three_cycle, kit, node_budget=node_budget)),
-        ("extend_degree", extend_degree(
-            build(clo("{00}"), [pm(2, "00->01"), pm(2, "00->10")]), table,
-            node_budget=node_budget)),
+        ("express_unit", express_unit(cylinder_three_cycle(), kit, node_budget=node_budget)),
+        ("extend_degree", extend_degree(extendable_three_section(), table,
+                                        node_budget=node_budget)),
         ("piecewise_member", piecewise_member(
             compose(table["s00_01"], table["s00_10"]), table, 2, 2, node_budget=node_budget)),
         ("orbit_lower_bound", orbit_lower_bound(
@@ -102,6 +108,23 @@ def test_budget_contract(kit, node_budget):
         assert witnesses == ["express contained"]
     if node_budget == DEFAULT_NODE_BUDGET:
         assert witnesses == list(statuses)
+
+
+def test_fixed_search_bounds_are_echoed(kit):
+    # express and express_unit search transporter words up to length 6, and
+    # extend_degree splits a piece at most 3 letters below the base; neither
+    # bound is a parameter, and every certificate reports both as before
+    contained = contained_three_cycle()
+    found = [
+        express(element(contained, PI3), kit, contained, PI3, node_budget=1),
+        express_unit(cylinder_three_cycle(), kit, node_budget=1),
+        extend_degree(extendable_three_section(), FAM.table, node_budget=1),
+    ]
+    assert [cert.bounds for cert in found] == [
+        {"word_len": 6, "node_budget": 1},
+        {"word_len": 6, "node_budget": 1},
+        {"word_len": 3, "split_depth": 3, "node_budget": 1},
+    ]
 
 
 def test_kit_section_lookup_spends_no_nodes(capsys):

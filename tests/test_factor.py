@@ -314,9 +314,9 @@ def test_extend_degree_witness():
 
 def test_extend_degree_exhausts_for_empty_table():
     s3 = build(clo("{00}"), [pm(2, "00->01"), pm(2, "00->10")])
-    cert = extend_degree(s3, GeneratorTable(2, {}), word_len=2, split_depth=1)
+    cert = extend_degree(s3, GeneratorTable(2, {}), word_len=2)
     assert cert.is_exhausted()
 
     ident_only = GeneratorTable(2, {"one": one(2)})
-    cert = extend_degree(s3, ident_only, word_len=3, split_depth=1)
+    cert = extend_degree(s3, ident_only, word_len=3)
     assert cert.is_exhausted()

@@ -133,6 +133,19 @@ def test_verify_separating_refines_coarse_parts():
     assert empty["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
 
 
+def test_verify_separating_refines_by_pairwise_products():
+    # the family's domains and ranges ({0}, {10}, {1}) leave the part {0}
+    # whole; only the product [1->0][0->10], which carries {0} to {00}, splits
+    # it into depth-2 cells
+    parts = [clo("{0}"), clo("{10}"), clo("{11}")]
+    pair = [pm(2, "0->10"), pm(2, "10->0")]
+    fam = pair + [pm(2, "1->0"), pm(2, "0->1")]
+    assert verify_separating(fam, parts, n_orbit=3)["condition4"] == {"ok": True, "failures": []}
+    # [0->10] and its star alone have only idempotent products
+    alone = verify_separating(pair, parts, n_orbit=3)
+    assert alone["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
+
+
 def test_desk_instance_passes():
     fam, kit = desk()
     report = verify_separating(kit.A, kit.parts, n_orbit=5)
@@ -314,13 +327,18 @@ def express_and_recheck(kit, n):
 
 @pytest.mark.parametrize(
     "family, seed",
-    [("v2", 54), ("v2", 135), ("v2", 263), ("v2", 330), ("rover", 361), ("rover", 679)],
+    [
+        ("v2", 54), ("v2", 135), ("v2", 263), ("v2", 330),
+        ("rover", 27), ("rover", 361), ("rover", 679),
+    ],
 )
 def test_express_factors_at_the_target_base(family, seed):
     # the first draw of criterion 07's sampler: a same-part transporter whose
     # detour section was built around the whole word product, with a column
     # that missed the target base ("factored section does not cover the
-    # target base"); factored at the base, each is a witness
+    # target base"); factored at the base, each is a witness.  Röver seed 27
+    # writes a transporter as a word of more than three letters, which is
+    # split at its two outermost letters
     fam = higman_thompson(2) if family == "v2" else rover_units()
     kit = build_kit(fam.table, atoms(3, 2))
     n = criterion_07_three_section(random.Random(seed), list(fam.table.mapping.values()))
@@ -403,9 +421,9 @@ def test_kit_extension_matches_public_extend_degree(monkeypatch):
     calls = []
     honest = kit_module._extend_over_words
 
-    def spy(s, ball, word_len, split_depth, budget):
+    def spy(s, ball, word_len, budget):
         before = budget.nodes
-        sections, subdivision = honest(s, ball, word_len, split_depth, budget)
+        sections, subdivision = honest(s, ball, word_len, budget)
         calls.append((s, ball, word_len, sections, subdivision, budget.nodes - before))
         return sections, subdivision
 
