@@ -4,14 +4,17 @@ five-sections around it, and expressing alternating units over the kit.
 The pipeline derives from a unit table a symmetric family A of part-to-part
 transporters, checks the separation conditions, and surrounds restrictions of
 short products of A-elements with 5-sections.  It expresses an alternating
-unit by writing each transporter of a 5-section around it as a family word,
-factoring the word's product restricted to the section's base c (words are
-peeled down to 3-letter pieces, each with the kit section at the clopen it
-acts on), and gluing the pieces' sections along shared idempotents, the four
-transporters' along c.  All searches are deterministic and budget-guarded,
-and every witness re-evaluates to its target by eq.
+unit element(s, pi) of a witnessing section s of any degree by writing each
+transporter of s that pi moves as a family word, factoring the word's product
+restricted to the base c of s (words are peeled down to 3-letter pieces, each
+with the kit section at the clopen it acts on), and gluing the pieces'
+sections along shared idempotents, the moved transporters' along c.  A
+3-cycle whose two pieces are kit sections is then one cross commutator of
+four letters.  All searches are deterministic and budget-guarded, and every
+witness re-evaluates to its target by eq.
 """
 
+from functools import reduce
 from itertools import combinations
 
 from . import certs
@@ -22,7 +25,6 @@ from .clopen import atoms, cylinder, is_partition, part_of
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import (
-    _extend_over_words,
     alt_perms,
     build,
     element,
@@ -173,9 +175,9 @@ class GeneratingKit:
     is unbounded in practice (every restriction of a short word to a clopen),
     so the kit deduplicates and surrounds exactly the elements the caller
     consults, each at its own domain.  sections[i] is a (Multisection, t)
-    pair, t the transporter in column 1; K is materialized lazily as the
-    deduped alternating elements of the built sections.  ball, the WordBall
-    of the table's units that degree extension reads, starts unbuilt.
+    pair, t the transporter in column 1, and the indices of the sections on
+    one base are listed under it in build order; K is materialized lazily as
+    the deduped alternating elements of the built sections.
     """
 
     def __init__(self, table, parts, family):
@@ -189,7 +191,7 @@ class GeneratingKit:
             pd, pr = _part_pair(self.parts, a)
             self._by_dom_part.setdefault(pd, []).append((idx, pr))
         self.sections = []
-        self.ball = WordBall(table.mapping.values(), self.d)
+        self._by_base = {}
         self._t_dedup = Dedup()
         for m in build_T(self.A, self.parts, max_products=1):
             self._ensure_section(m)
@@ -246,6 +248,7 @@ class GeneratingKit:
         idx = len(self.sections)
         self._t_dedup.add(m, idx)
         self.sections.append((section, m))
+        self._by_base.setdefault(base, []).append(idx)
         return idx
 
     def section_for(self, m):
@@ -465,10 +468,7 @@ def _express_word(target, kit, msec_witness, perm, budget):
     direct = _direct_word(kit, target, msec_witness, perm)
     if direct is not None:
         return direct
-    rho = embed_subperm(perm, tuple(range(msec_witness.degree)), 5)
-    word = []
-    for sec5 in _extend_to_five(kit, msec_witness, budget):
-        word.extend(_factor_five_cover(kit, sec5, rho, budget))
+    word = _factor_cover(kit, msec_witness, perm, budget)
     _verify_word(kit, word, target)
     return word
 
@@ -482,9 +482,8 @@ def _verify_word(kit, word, target):
 def _direct_word(kit, target, msec_witness, perm):
     """Length-one word when the witness columns embed into a kit section;
     a lookup, so it spends no nodes."""
-    for idx, (section, _) in enumerate(kit.sections):
-        if section.base != msec_witness.base:
-            continue
+    for idx in kit._by_base.get(msec_witness.base, ()):
+        section = kit.sections[idx][0]
         try:
             positions = [section.idems.index(e) for e in msec_witness.idems]
         except ValueError:
@@ -495,26 +494,7 @@ def _direct_word(kit, target, msec_witness, perm):
     return None
 
 
-def _extend_to_five(kit, msec_witness, budget):
-    """5-sections over a subdivision whose first columns restrict the input."""
-    pending = [msec_witness]
-    out = []
-    while pending:
-        s = pending.pop(0)
-        if s.degree >= 5:
-            out.append(s)
-            continue
-        try:
-            sections, _ = _extend_over_words(s, kit.ball, 3, budget)
-        except GiveUp as stop:
-            if budget.spent:
-                raise
-            raise GiveUp(f"degree extension failed: {stop}") from None
-        pending.extend(sections)
-    return out
-
-
-def _factor_five_cover(kit, section, rho, budget, split_left=3):
+def _factor_cover(kit, section, perm, budget, split_left=3):
     """Factor over the kit, subdividing the base into child cylinders when a
     transporter is not a short family word at the current granularity.
 
@@ -523,7 +503,7 @@ def _factor_five_cover(kit, section, rho, budget, split_left=3):
     concatenate.
     """
     try:
-        return _factor_five(kit, section, rho, budget)
+        return _factor_section(kit, section, perm, budget)
     except GiveUp:
         # a run-out ends the search; only a dead end is worth a subdivision
         if split_left <= 0 or budget.spent:
@@ -533,25 +513,26 @@ def _factor_five_cover(kit, section, rho, budget, split_left=3):
         for x in range(kit.d):
             child = cylinder(tuple(w) + (x,), kit.d)
             sub = restrict_msec(section, child)
-            out.extend(_factor_five_cover(kit, sub, rho, budget, split_left - 1))
+            out.extend(_factor_cover(kit, sub, perm, budget, split_left - 1))
     return out
 
 
-def _factor_five(kit, section, rho, budget):
-    """Word over kit sections for element(section, rho), section of degree 5."""
+def _factor_section(kit, section, perm, budget):
+    """Word over kit sections for element(section, perm), perm even and not
+    the identity, so that it moves at least two columns besides the base."""
     c = section.base
-    # each transporter as a restricted family word, factored at c
+    # each transporter perm moves as a restricted family word, factored at c
+    moved = [k for k in range(1, section.degree) if perm[k] != k]
     pieces = []
-    for k in range(1, 5):
+    for k in moved:
         word = _wordify(kit, section.transporters[k], budget)
         if word is None:
             raise GiveUp(f"transporter {k} is not a short family word")
         fs, c_col, to_col = _factored_for_word(kit, word, c, budget)
         pieces.append((fs, c_col, [to_col]))
 
-    # glue the four sections pairwise along their c columns, then glue the
-    # pairs, whose base is c; the pairs' kept columns are exactly c and the
-    # transporter images, so the final combine needs no spare columns at all
+    # glue the sections left to right along their c columns; the glued base
+    # is c, and its kept columns are c and the transporter images
     def glue(left, right):
         (fs_a, c_a, tos_a), (fs_b, c_b, tos_b) = left, right
         combined = _combine_with_spares(fs_a, (c_a, *tos_a), fs_b, (c_b, *tos_b))
@@ -561,9 +542,11 @@ def _factor_five(kit, section, rho, budget):
         tos += [combined.combined_col("h", t) for t in tos_b]
         return combined, 0, tos
 
-    acc, _, to_cols = glue(glue(pieces[0], pieces[1]), glue(pieces[2], pieces[3]))
-    full = embed_subperm(rho, (0, *to_cols), acc.msec.degree)
-    return list(acc.word_for(full))
+    acc, _, to_cols = reduce(glue, pieces)
+    # perm on the columns (0, *moved), carried to (0, *to_cols)
+    cols = (0, *moved)
+    sub = tuple(cols.index(perm[k]) for k in cols)
+    return list(acc.word_for(embed_subperm(sub, (0, *to_cols), acc.msec.degree)))
 
 
 def _cylinder_permutation(target):

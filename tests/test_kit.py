@@ -17,14 +17,12 @@ from cantorfull.kit import (
     verify_separating,
 )
 from cantorfull import kit as kit_module
-from cantorfull import msec as msec_module
 from cantorfull import pmap as pmap_module
 from cantorfull.msec import (
     alt_perms,
     build,
     cycle_perm,
     element,
-    extend_degree,
     identity_perm,
 )
 from cantorfull.pmap import Dedup, compose, dom, eq, is_unit, one, ran, restrict, star
@@ -255,14 +253,15 @@ def searched_three_cycles(kit, count, seed=4):
     return out
 
 
-def criterion_07_three_section(rng, units):
-    """Criterion 07's sampler: a 3-section on a cylinder of depth 4, 4 or 5
-    whose transporters are units or products of two units."""
+def criterion_07_three_section(rng, units, degree=3):
+    """Criterion 07's sampler: a 3-section (or a section of the given degree)
+    on a cylinder of depth 4, 4 or 5 whose transporters are units or
+    products of two units."""
     d = units[0].d
     while True:
         c = cylinder(tuple(rng.randrange(d) for _ in range(rng.choice((4, 4, 5)))), d)
         maps, images = [], [c]
-        for _ in range(2):
+        for _ in range(degree - 1):
             m = units[rng.randrange(len(units))]
             if rng.random() < 0.6:
                 m = compose(m, units[rng.randrange(len(units))])
@@ -271,7 +270,7 @@ def criterion_07_three_section(rng, units):
                 break
             maps.append(r)
             images.append(ran(r))
-        if len(maps) == 2:
+        if len(maps) == degree - 1:
             return build(c, maps)
 
 
@@ -292,10 +291,13 @@ def test_first_express_on_a_v3_kit_reads_few_words(monkeypatch):
         adds.append(m)
         return honest(self, m, payload)
 
+    def grown(self):
+        raise AssertionError("express grew a word ball")
+
     monkeypatch.setattr(pmap_module.Dedup, "add", counted)
+    monkeypatch.setattr(pmap_module.WordBall, "_grow", grown)
     express_and_recheck(kit, n)
     assert len(adds) < 5_000
-    assert len(kit.ball._levels) <= 2
 
 
 def test_express_skips_zero_detours():
@@ -313,10 +315,20 @@ def test_express_skips_zero_detours():
         express_and_recheck(kit, n)
 
 
-def express_and_recheck(kit, n):
-    """express the 3-cycle of n over the kit; assert a witness whose word
-    word_product re-evaluates to the target."""
-    pi = cycle_perm(3, [0, 1, 2])
+def searched_five_section(kit, seed):
+    """A 5-section of criterion 07's sampler that no kit section contains."""
+    units = list(kit.table.mapping.values())
+    rng = random.Random(seed)
+    n = criterion_07_three_section(rng, units, degree=5)
+    while in_a_section(kit, n):
+        n = criterion_07_three_section(rng, units, degree=5)
+    return n
+
+
+def express_and_recheck(kit, n, pi=cycle_perm(3, [0, 1, 2])):
+    """express element(n, pi), by default the 3-cycle of a 3-section, over
+    the kit; assert a witness whose word word_product re-evaluates to the
+    target."""
     target = element(n, pi)
     cert = express(target, kit, n, pi, node_budget=100_000)
     assert cert.is_witness(), cert.detail
@@ -361,11 +373,13 @@ def test_rover_twin_of_criterion_07():
 
 
 def test_express_rechecks_every_letter(monkeypatch):
+    # a 3-cycle's word is one commutator and repeats no letter; the 3-cycle
+    # (1 2 3) of a 5-section, which fixes the base, is routed through it
     fam, kit = desk()
-    n = searched_three_cycles(kit, 1)[0]
-    pi = cycle_perm(3, [0, 1, 2])
+    n = searched_five_section(kit, 1)
+    pi = cycle_perm(5, [1, 2, 3])
     target = element(n, pi)
-    honest = kit_module._factor_five_cover
+    honest = kit_module._factor_section
     changed = []
 
     def tampered(*args):
@@ -383,18 +397,56 @@ def test_express_rechecks_every_letter(monkeypatch):
         raise AssertionError("witness word repeats no letter")
 
     assert express(target, kit, n, pi).is_witness()
-    monkeypatch.setattr(kit_module, "_factor_five_cover", tampered)
+    monkeypatch.setattr(kit_module, "_factor_section", tampered)
     cert = express(target, kit, n, pi)
     assert changed
     assert cert.is_exhausted()
     assert cert.detail == "verification failed"
 
 
+def test_express_factors_only_the_moved_columns(monkeypatch):
+    # the 3-cycle (0 1 2) moves two transporters: each is wordified once, and
+    # the two kit sections they factor into glue to one cross commutator
+    fam, kit = desk()
+    n = searched_three_cycles(kit, 1)[0]
+    honest = kit_module._wordify
+    asked = []
+
+    def spy(kit, m, budget):
+        asked.append(m)
+        return honest(kit, m, budget)
+
+    monkeypatch.setattr(kit_module, "_wordify", spy)
+    cert = express_and_recheck(kit, n)
+    assert [m.branches for m in asked] == [m.branches for m in n.transporters[1:]]
+    assert len(cert.witness["word"]) == 4
+
+
+@pytest.mark.parametrize("family", ["v2", "rover"])
+def test_express_on_five_sections(family, monkeypatch):
+    # (1 2 3) fixes the base and (0 1 2) fixes columns 3 and 4; only the
+    # transporters a permutation moves are wordified
+    fam = higman_thompson(2) if family == "v2" else rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    n = searched_five_section(kit, 0)
+    honest = kit_module._wordify
+    asked = []
+
+    def spy(kit, m, budget):
+        asked.append(m.branches)
+        return honest(kit, m, budget)
+
+    monkeypatch.setattr(kit_module, "_wordify", spy)
+    for cycle in ([1, 2, 3], [0, 1, 2]):
+        asked.clear()
+        express_and_recheck(kit, n, cycle_perm(5, cycle))
+        assert asked == [n.transporters[k].branches for k in cycle if k]
+
+
 def test_express_on_one_kit_matches_fresh_kits():
     fam = higman_thompson(2)
     pi = cycle_perm(3, [0, 1, 2])
     shared = build_kit(fam.table, atoms(3, 2))
-    assert shared.ball._levels == []  # no word level is built with the kit
 
     def letters(kit, cert):
         # a kit numbers its sections in the order it builds them, so a
@@ -410,42 +462,6 @@ def test_express_on_one_kit_matches_fresh_kits():
         assert fresh.is_witness(), fresh.detail
         assert again.nodes_explored == fresh.nodes_explored
         assert letters(shared, again) == letters(fresh_kit, fresh)
-        # the shared kit reads its ball as far as a fresh kit's express does
-        assert len(shared.ball._levels) >= len(fresh_kit.ball._levels) > 0
-
-
-def test_kit_extension_matches_public_extend_degree(monkeypatch):
-    fam, kit = desk()
-    n = searched_three_cycles(kit, 1)[0]
-    pi = cycle_perm(3, [0, 1, 2])
-    calls = []
-    honest = kit_module._extend_over_words
-
-    def spy(s, ball, word_len, budget):
-        before = budget.nodes
-        sections, subdivision = honest(s, ball, word_len, budget)
-        calls.append((s, ball, word_len, sections, subdivision, budget.nodes - before))
-        return sections, subdivision
-
-    monkeypatch.setattr(kit_module, "_extend_over_words", spy)
-    assert express(element(n, pi), kit, n, pi).is_witness()
-    assert calls
-    monkeypatch.setattr(msec_module, "_extend_over_words", spy)
-    for s, ball, word_len, sections, subdivision, nodes in calls[:]:
-        assert ball is kit.ball and word_len == 3
-        public = extend_degree(s, fam.table, word_len=3)
-        # a ball of its own over the same units, read up to the same length
-        public_ball = calls[-1][1]
-        assert public_ball is not kit.ball and calls[-1][2] == word_len
-        assert [(m.branches, w) for m, w in public_ball.words(word_len)] == [
-            (m.branches, w) for m, w in kit.ball.words(word_len)
-        ]
-        assert public.is_witness()
-        assert public.nodes_explored == nodes
-        assert public.witness["subdivision"] == subdivision
-        assert [sec.transporters for sec in public.witness["sections"]] == [
-            sec.transporters for sec in sections
-        ]
 
 
 def test_express_unit_branchwise_three_cycle():
@@ -503,7 +519,7 @@ def test_express_unit_refines_its_cylinder_family():
     assert eq(h, compose(compose(m["s0_10"], m["s00_01"]), m["s00_11"]))
     cert = express_unit(h, kit)
     assert cert.is_witness(), cert.detail
-    assert cert.nodes_explored == 1502
+    assert cert.nodes_explored == 1128
     got = one(2)
     for idx, perm in cert.witness["word"]:
         got = compose(got, element(kit.sections[idx][0], perm))
