@@ -42,8 +42,12 @@ class Budget:
         return self.limit is not None and self.nodes > self.limit
 
     def tick(self, n=1):
+        """Spend n nodes.  A tick that crosses the limit counts up to the
+        first node over it, so n single ticks and one tick of n report a
+        run-out alike."""
         self.nodes += n
         if self.spent:
+            self.nodes = self.limit + 1
             raise GiveUp("node budget")
 
     def witness(self, payload):

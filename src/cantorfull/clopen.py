@@ -6,7 +6,6 @@ words are sorted length-then-lexicographic.  The empty antichain is the empty
 set; the antichain {()} (the empty word) is the whole space.
 """
 
-from functools import reduce
 from itertools import product
 
 from .errors import AlphabetMismatch, CantorError, LetterOutOfRange
@@ -98,19 +97,36 @@ class Clopen:
         )
 
     def complement(self):
+        """The complement, in one sweep over the sorted antichain.
+
+        In lexicographic order the words extending a prefix are contiguous
+        and follow the prefix itself, so each trie node splits its run of
+        words by their next letter: a node that is a word lies inside the
+        set, a node with no word in its run lies outside it and is kept, and
+        any other node recurses.  The kept nodes are already canonical: they
+        form an antichain, and no full sibling family of them is kept,
+        because their parent's run holds a word.
+        """
+        words = sorted(self.antichain)
         out = []
 
-        def walk(prefix):
-            if any(is_prefix(u, prefix) for u in self.antichain):
-                return
-            if any(is_prefix(prefix, u) for u in self.antichain):
-                for x in range(self.d):
-                    walk(prefix + (x,))
-            else:
+        def walk(prefix, lo, hi):
+            if lo == hi:
                 out.append(prefix)
+                return
+            if words[lo] == prefix:
+                return
+            n = len(prefix)
+            for x in range(self.d):
+                mid = lo
+                while mid < hi and words[mid][n] == x:
+                    mid += 1
+                walk(prefix + (x,), lo, mid)
+                lo = mid
 
-        walk(())
-        return normalize(out, self.d)
+        walk((), 0, len(words))
+        out.sort(key=len)  # stable: lexicographic within each length
+        return Clopen(self.d, tuple(out))
 
     def leq(self, other):
         """Set containment: self is a subset of other."""
@@ -186,7 +202,13 @@ def cylinder(w, d):
 
 
 def union_all(clopens, d):
-    return reduce(lambda a, b: a.union(b), clopens, empty(d))
+    """The union of the clopens, normalized once."""
+    words = []
+    for c in clopens:
+        if c.d != d:
+            raise AlphabetMismatch(f"alphabet {d} vs {c.d}")
+        words.extend(c.antichain)
+    return normalize(words, d)
 
 
 def atoms(n, d):

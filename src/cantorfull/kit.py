@@ -16,6 +16,7 @@ witness re-evaluates to its target by eq.
 
 from functools import reduce
 from itertools import combinations
+from operator import itemgetter
 
 from . import certs
 from . import pmap as _pmap
@@ -193,6 +194,7 @@ class GeneratingKit:
         self.sections = []
         self._by_base = {}
         self._t_dedup = Dedup()
+        self._domain_index = None  # built on the first cylinder search
         for m in build_T(self.A, self.parts, max_products=1):
             self._ensure_section(m)
 
@@ -210,6 +212,24 @@ class GeneratingKit:
 
     def star_index(self, idx):
         return self._star_of[idx]
+
+    def cylinder_steps(self, w, backward):
+        """The (family index, branch) pairs, in index order, of the branches
+        of A (of the stars of A when backward) whose domain is a prefix of
+        the word w; a family element's domains form an antichain, so each
+        element has at most one.
+
+        The two indexes, from branch domain to pairs, are built on the first
+        call, so a kit that never searches cylinders does not pay for them.
+        """
+        if self._domain_index is None:
+            self._domain_index = tuple(
+                _index_domains(maps) for maps in (self.A, [star(a) for a in self.A])
+            )
+        index = self._domain_index[backward]
+        hits = [hit for k in range(len(w) + 1) for hit in index.get(w[:k], ())]
+        hits.sort(key=itemgetter(0))
+        return hits
 
     def word_element(self, word):
         """The product of family elements named by the index word."""
@@ -274,6 +294,14 @@ class GeneratingKit:
         return out
 
 
+def _index_domains(maps):
+    index = {}
+    for idx, m in enumerate(maps):
+        for b in m.branches:
+            index.setdefault(b.dom, []).append((idx, b))
+    return index
+
+
 def build_kit(table, parts, word_len=2):
     """Derive and verify a separating family, then build the kit."""
     family = derive_transporters(table, parts, word_len=word_len)
@@ -299,7 +327,8 @@ def _wordify_cylinder(kit, m, budget):
     Such a transporter is the unique prefix exchange between its two
     cylinders, so any chain of family elements carrying the domain cylinder
     onto the range cylinder through single branches realizes it; the search
-    runs over cylinder words, not maps.
+    runs over cylinder words, not maps, and each step reads the kit's index
+    of branch domains instead of evaluating every family element.
     """
     b = m.branches[0]
     start, goal = b.dom, b.ran
@@ -320,13 +349,15 @@ def _wordify_cylinder(kit, m, budget):
         seen, other = (bwd, fwd) if backward else (fwd, bwd)
         nxt = []
         for w in frontier:
-            for idx, a in enumerate(kit.A):
-                budget.tick()
-                r = _pmap.eval_at(star(a) if backward else a, w)
-                if r.kind != _pmap.IMAGE or r.residual.factors or len(r.prefix) > cap:
-                    continue
-                x = r.prefix
-                if x in seen:
+            # one node per (word, family element), spent up to each element
+            # that has a branch over w, so a meeting stops where a scan would
+            done = 0
+            for idx, b in kit.cylinder_steps(w, backward):
+                budget.tick(idx + 1 - done)
+                done = idx + 1
+                img, residual = _tails.apply_prefix(b.tail, w[len(b.dom) :])
+                x = b.ran + img
+                if residual.factors or len(x) > cap or x in seen:
                     continue
                 seen[x] = seen[w] + (idx,) if backward else (idx,) + seen[w]
                 nxt.append(x)
@@ -334,6 +365,7 @@ def _wordify_cylinder(kit, m, budget):
                     hit = finish(bwd[x] + fwd[x])
                     if hit is not None:
                         return nxt, hit
+            budget.tick(len(kit.A) - done)
         return nxt, None
 
     # start != goal: a section's transporter k >= 1 carries its base onto a
@@ -474,7 +506,7 @@ def _express_word(target, kit, msec_witness, perm, budget):
 
 
 def _verify_word(kit, word, target):
-    sections = [section for section, _ in kit.sections]
+    sections = {idx: kit.sections[idx][0] for idx, _ in word}
     if not eq(word_product(word, sections, kit.d), target):
         raise GiveUp("verification failed")
 

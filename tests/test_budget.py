@@ -190,6 +190,27 @@ def test_budget_stops_at_the_first_node_over_its_limit():
     assert (cert.nodes_explored, cert.bounds, cert.detail) == (4, {"node_budget": 3}, "node budget")
 
 
+def test_bulk_tick_stops_at_the_first_node_over_its_limit():
+    # one tick of n spends like n single ticks: a run-out reports the first
+    # node over the limit, not the whole bulk
+    budget = Budget({"node_budget": 3})
+    budget.tick(2)
+    with pytest.raises(GiveUp, match="node budget"):
+        budget.tick(5)
+    cert = budget.exhausted("node budget")
+    assert (cert.nodes_explored, cert.detail) == (4, "node budget")
+
+
+def test_run_out_inside_the_first_word_search():
+    # the cylinder search spends in bulk, up to each family element with a
+    # branch over its frontier word; a limit inside the first transporter's
+    # search still stops at the first node over it, as single ticks did
+    n = searched_three_cycle()
+    cert = express(element(n, PI3), build_kit(FAM.table, atoms(3, 2)), n, PI3, node_budget=10)
+    assert cert.is_exhausted()
+    assert (cert.detail, cert.nodes_explored) == ("node budget", 11)
+
+
 def test_budget_without_a_limit_never_runs_out():
     budget = Budget({"word_len": 2})
     for _ in range(10**6):

@@ -15,6 +15,7 @@ from cantorfull.clopen import (
     is_partition,
     normalize,
     part_of,
+    union_all,
             word_from_text,
 )
 from cantorfull.errors import AlphabetMismatch, LetterOutOfRange
@@ -118,6 +119,8 @@ def test_leq_cylinder_containment():
 def test_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         C("{0}", d=2).union(C("{0}", d=3))
+    with pytest.raises(AlphabetMismatch):
+        union_all([C("{0}", d=2), C("{0}", d=3)], 2)
 
 
 def test_atoms():
@@ -200,6 +203,7 @@ def test_boolean_laws_random():
         b = random_clopen(rng, d, 5)
         c = random_clopen(rng, d, 5)
         assert a.union(b.union(c)) == a.union(b).union(c)
+        assert union_all([a, b, c], d) == a.union(b).union(c)
         assert a.meet(b.meet(c)) == a.meet(b).meet(c)
         assert a.meet(b.union(c)) == a.meet(b).union(a.meet(c))
         assert a.union(b.meet(c)) == a.union(b).meet(a.union(c))
@@ -208,6 +212,20 @@ def test_boolean_laws_random():
         assert a.complement().complement() == a
         # order agrees with the algebra
         assert a.leq(b) == a.meet(b.complement()).is_empty()
+
+
+def test_complement_matches_brute_force():
+    # a depth-n word lies in the complement exactly when it is not in the set
+    from itertools import product
+
+    rng = random.Random(25)
+    for d in (2, 3):
+        for c in [empty(d), full(d)] + [random_clopen(rng, d, 5) for _ in range(300)]:
+            n = max((len(w) for w in c.antichain), default=0) + 1
+            got = c.complement()
+            every = set(product(range(d), repeat=n))
+            assert set(got.words_at_depth(n)) == every - set(c.words_at_depth(n))
+            assert got == normalize(got.antichain, d)
 
 
 def test_disjoint_matches_empty_meet():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -25,7 +26,20 @@ from cantorfull.msec import (
     element,
     identity_perm,
 )
-from cantorfull.pmap import Dedup, compose, dom, eq, is_unit, one, ran, restrict, star
+from cantorfull.pmap import (
+    Dedup,
+    WordBall,
+    compose,
+    dom,
+    eq,
+    image_clopen,
+    is_unit,
+    one,
+    ran,
+    restrict,
+    star,
+)
+from cantorfull.tails import apply_prefix
 
 from oracles import clo, nonzero_products, pm, reference_part_of, right_extending_words
 from test_msec import random_three_section
@@ -462,6 +476,68 @@ def test_express_on_one_kit_matches_fresh_kits():
         assert fresh.is_witness(), fresh.detail
         assert again.nodes_explored == fresh.nodes_explored
         assert letters(shared, again) == letters(fresh_kit, fresh)
+
+
+@pytest.mark.parametrize("family, max_len", [("v2", 5), ("rover", 4)])
+def test_cylinder_steps_agree_with_eval_at(family, max_len):
+    # the domain index finds, for every family element and its star, exactly
+    # the branch eval_at finds over each short word, with the same image and
+    # residual; Röver branches carry automaton tails, so some residuals are
+    # not trivial, and the cylinder search drops those
+    fam = higman_thompson(2) if family == "v2" else rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    words = [w for n in range(max_len + 1) for w in product(range(2), repeat=n)]
+    residuals = set()
+    for backward in (False, True):
+        maps = [star(a) if backward else a for a in kit.A]
+        for w in words:
+            steps = kit.cylinder_steps(w, backward)
+            found = dict(steps)
+            assert list(found) == sorted(found) and len(found) == len(steps)
+            for idx, m in enumerate(maps):
+                r = pmap_module.eval_at(m, w)
+                if r.kind != pmap_module.IMAGE:
+                    assert idx not in found, (idx, w)
+                    continue
+                b = found[idx]
+                img, residual = apply_prefix(b.tail, w[len(b.dom) :])
+                assert (b.ran + img, residual) == (r.prefix, r.residual), (idx, w)
+                residuals.add(bool(residual.factors))
+    assert residuals == ({False, True} if family == "rover" else {False})
+
+
+def roadmap_sweep(table, kit, n, word_len):
+    """The exhaustive sweep of the ROADMAP, in its order: for each depth-n
+    cylinder c, the first word of length at most word_len for each image of
+    c that misses c, and for each ordered pair of disjoint images the
+    3-cycle of build(c, [restrict(m1, c), restrict(m2, c)]), expressed over
+    kit; the certificates in order."""
+    pi = cycle_perm(3, [0, 1, 2])
+    words = [m for m, _ in WordBall(list(table.mapping.values()), table.d).words(word_len)]
+    certs = []
+    for c in atoms(n, table.d):
+        first = {}
+        for m in words:
+            if c.leq(dom(m)):
+                img = image_clopen(m, c)
+                if img.disjoint(c):
+                    first.setdefault(img, m)
+        for i1, m1 in first.items():
+            for i2, m2 in first.items():
+                if i1.disjoint(i2):
+                    s = build(c, [restrict(m1, c), restrict(m2, c)])
+                    certs.append(express(element(s, pi), kit, s, pi, node_budget=100_000))
+    return certs
+
+
+def test_v2_sweep_at_depth_three_keeps_its_sections_and_nodes():
+    # the depth-3, one-letter slice of the sweep, pinned to the counts of a
+    # cylinder search that evaluates every family element at every step
+    fam = higman_thompson(2)
+    certs = roadmap_sweep(fam.table, build_kit(fam.table, atoms(3, 2)), 3, 1)
+    assert len(certs) == 192
+    assert sum(not cert.is_witness() for cert in certs) == 0
+    assert sum(cert.nodes_explored for cert in certs) == 264_092
 
 
 def test_express_unit_branchwise_three_cycle():
