@@ -35,7 +35,7 @@ from .msec import (
     pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, WordBall, compose, dom, eq, fingerprint, image_clopen, image_levels, is_unit, prefix_exchange, ran, restrict, star
+from .pmap import Dedup, WordBall, compose, dom, eq, image_clopen, image_levels, is_unit, prefix_exchange, ran, restrict, star
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -315,23 +315,29 @@ def build_kit(table, parts, word_len=2):
 # ---------------------------------------------------------------------------
 # expressing alternating units over the kit
 
-# bound of the search for a family word that realizes a transporter: the
-# word length of the map search, the rounds from each side of the cylinder
-# search
+# bound of the cylinder search for a family word that realizes a
+# transporter: the rounds from each side
 WORD_LEN = 6
 
 
 def _wordify_cylinder(kit, m, budget):
-    """Goal-directed word search for a single-branch trivial-tail transporter.
+    """Goal-directed word search for a single-branch transporter u -> v : t,
+    decorated or not.
 
-    Such a transporter is the unique prefix exchange between its two
-    cylinders, so any chain of family elements carrying the domain cylinder
-    onto the range cylinder through single branches realizes it; the search
-    runs over cylinder words, not maps, and each step reads the kit's index
-    of branch domains instead of evaluating every family element.
+    A chain of family elements carrying the cylinder of u onto that of v
+    through single branches realizes it when the tails met on the way
+    compose to t.  The search runs over states (cylinder word, tail carried
+    so far), keyed by the word and the free-reduced tail, not over maps:
+    forward from (u, 1) and backward through stars from (v, t), each step
+    composing its branch's residual onto the carried tail and reading the
+    kit's index of branch domains instead of evaluating every family
+    element.  A trivial-tail transporter is the unique prefix exchange
+    between its two cylinders, which a chain of trivial-tail steps carries,
+    so for it a step with a nontrivial residual is dropped, not carried.
     """
     b = m.branches[0]
     start, goal = b.dom, b.ran
+    decorated = bool(b.tail.factors)
     cap = max(len(start), len(goal)) + 2
 
     def finish(word):
@@ -339,8 +345,8 @@ def _wordify_cylinder(kit, m, budget):
         got = restrict(kit.word_element(candidate), dom(m))
         return candidate if eq(got, m) else None
 
-    fwd = {start: ()}
-    bwd = {goal: ()}
+    fwd = {(start, ()): ()}
+    bwd = {(goal, _tails.free_reduce(b.tail.factors)): ()}
 
     def grow(frontier, backward):
         """One round from one side: words carry start forward, and stars
@@ -348,18 +354,24 @@ def _wordify_cylinder(kit, m, budget):
         next frontier and the first meeting word that re-verifies."""
         seen, other = (bwd, fwd) if backward else (fwd, bwd)
         nxt = []
-        for w in frontier:
-            # one node per (word, family element), spent up to each element
+        for state in frontier:
+            w, carried = state
+            # one node per (state, family element), spent up to each element
             # that has a branch over w, so a meeting stops where a scan would
             done = 0
             for idx, b in kit.cylinder_steps(w, backward):
                 budget.tick(idx + 1 - done)
                 done = idx + 1
                 img, residual = _tails.apply_prefix(b.tail, w[len(b.dom) :])
-                x = b.ran + img
-                if residual.factors or len(x) > cap or x in seen:
+                if residual.factors and not decorated:
                     continue
-                seen[x] = seen[w] + (idx,) if backward else (idx,) + seen[w]
+                y = b.ran + img
+                if len(y) > cap:
+                    continue
+                x = (y, _tails.free_reduce(residual.factors + carried))
+                if x in seen:
+                    continue
+                seen[x] = seen[state] + (idx,) if backward else (idx,) + seen[state]
                 nxt.append(x)
                 if x in other:
                     hit = finish(bwd[x] + fwd[x])
@@ -370,7 +382,7 @@ def _wordify_cylinder(kit, m, budget):
 
     # start != goal: a section's transporter k >= 1 carries its base onto a
     # disjoint idempotent, so the empty word never realizes it
-    f_frontier, b_frontier = [start], [goal]
+    f_frontier, b_frontier = list(fwd), list(bwd)
     for _ in range(WORD_LEN):
         f_frontier, hit = grow(f_frontier, backward=False)
         if hit is None:
@@ -381,34 +393,17 @@ def _wordify_cylinder(kit, m, budget):
 
 
 def _wordify(kit, m, budget):
-    """A family-index word whose product restricted to dom(m) equals m.
+    """A family-index word whose product restricted to dom(m) equals m, or
+    None.
 
-    Single-branch trivial-tail transporters are prefix exchanges, for which
-    the goal-directed cylinder search is the complete method; the blind map
-    search is only a fallback for decorated or multi-branch transporters.
+    A single-branch transporter, decorated or not, goes to the cylinder
+    search.  A multi-branch one returns None without spending a node, so
+    _factor_cover subdivides the base, toward children whose transporters
+    are single-branch.
     """
-    if len(m.branches) == 1 and not m.branches[0].tail.factors:
-        return _wordify_cylinder(kit, m, budget)
-    c = dom(m)
-    states = [(restrict(_pmap.one(kit.d), c), ())]
-    seen = {fingerprint(states[0][0])}
-    for _ in range(WORD_LEN):
-        nxt = []
-        for cur, word in states:
-            for idx, a in enumerate(kit.A):
-                budget.tick()
-                step = compose(a, cur)
-                if step.is_zero():
-                    continue
-                new_word = (idx,) + word
-                if eq(step, m):
-                    return list(new_word)
-                fp = fingerprint(step)
-                if fp not in seen:
-                    seen.add(fp)
-                    nxt.append((step, new_word))
-        states = nxt
-    return None
+    if len(m.branches) != 1:
+        return None
+    return _wordify_cylinder(kit, m, budget)
 
 
 def _combine_with_spares(fs_a, cols_a, fs_b, cols_b):

@@ -35,6 +35,7 @@ from cantorfull.pmap import (
     image_clopen,
     is_unit,
     one,
+    prefix_exchange,
     ran,
     restrict,
     star,
@@ -483,7 +484,8 @@ def test_cylinder_steps_agree_with_eval_at(family, max_len):
     # the domain index finds, for every family element and its star, exactly
     # the branch eval_at finds over each short word, with the same image and
     # residual; Röver branches carry automaton tails, so some residuals are
-    # not trivial, and the cylinder search drops those
+    # not trivial, and the cylinder search drops those for a trivial-tail
+    # transporter and carries them for a decorated one
     fam = higman_thompson(2) if family == "v2" else rover_units()
     kit = build_kit(fam.table, atoms(3, 2))
     words = [w for n in range(max_len + 1) for w in product(range(2), repeat=n)]
@@ -506,16 +508,16 @@ def test_cylinder_steps_agree_with_eval_at(family, max_len):
     assert residuals == ({False, True} if family == "rover" else {False})
 
 
-def roadmap_sweep(table, kit, n, word_len):
+def roadmap_sweep(table, kit, n, word_len, bases=None):
     """The exhaustive sweep of the ROADMAP, in its order: for each depth-n
-    cylinder c, the first word of length at most word_len for each image of
-    c that misses c, and for each ordered pair of disjoint images the
-    3-cycle of build(c, [restrict(m1, c), restrict(m2, c)]), expressed over
-    kit; the certificates in order."""
+    cylinder c (each of bases, when given), the first word of length at most
+    word_len for each image of c that misses c, and for each ordered pair of
+    disjoint images the 3-cycle of build(c, [restrict(m1, c), restrict(m2,
+    c)]), expressed over kit; the certificates in order."""
     pi = cycle_perm(3, [0, 1, 2])
     words = [m for m, _ in WordBall(list(table.mapping.values()), table.d).words(word_len)]
     certs = []
-    for c in atoms(n, table.d):
+    for c in bases or atoms(n, table.d):
         first = {}
         for m in words:
             if c.leq(dom(m)):
@@ -538,6 +540,93 @@ def test_v2_sweep_at_depth_three_keeps_its_sections_and_nodes():
     assert len(certs) == 192
     assert sum(not cert.is_witness() for cert in certs) == 0
     assert sum(cert.nodes_explored for cert in certs) == 264_092
+
+
+@pytest.mark.parametrize("family", ["v2", "rover"])
+def test_sweep_subdivides_multi_branch_transporters(family, monkeypatch):
+    # the base-{00} slice of the n = 2 sweep: six of its 3-cycles ran the
+    # budget out in a blind map search over multi-branch transporters such
+    # as 000->01, 001->11; such a transporter now spends no node, and
+    # _factor_cover subdivides its base, whose children give single-branch
+    # transporters
+    fam = higman_thompson(2) if family == "v2" else rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    honest_wordify, honest_cover = kit_module._wordify, kit_module._factor_cover
+    multi, splits = [], []
+
+    def wordify(kit, m, budget):
+        before = budget.nodes
+        word = honest_wordify(kit, m, budget)
+        if len(m.branches) > 1:
+            multi.append((word, budget.nodes - before))
+        return word
+
+    def cover(kit, section, perm, budget, split_left=3):
+        splits.append(split_left)
+        return honest_cover(kit, section, perm, budget, split_left)
+
+    monkeypatch.setattr(kit_module, "_wordify", wordify)
+    monkeypatch.setattr(kit_module, "_factor_cover", cover)
+    certs = roadmap_sweep(fam.table, kit, 2, 2, bases=[clo("{00}")])
+    assert len(certs) == 112
+    assert sum(not cert.is_witness() for cert in certs) == 0
+    assert multi and set(multi) == {(None, 0)}
+    assert min(splits) < 3
+
+
+def decorated_three_sections(kit, count, seed=0):
+    """3-sections whose first transporter is decorated and not one family
+    letter: r = restrict(a * b, c), with a a family element with a decorated
+    branch and c a depth-4 or depth-5 cylinder inside the product's domain,
+    kept when r has one branch, a nontrivial tail and a range that misses c,
+    and no family element restricted to c equals it; the second transporter
+    is a prefix exchange from c to a disjoint cylinder of the same depth."""
+    rng = random.Random(seed)
+    A, d = kit.A, kit.d
+    decorated = [i for i, a in enumerate(A) if any(b.tail.factors for b in a.branches)]
+    out = []
+    while len(out) < count:
+        p = compose(A[rng.choice(decorated)], A[rng.randrange(len(A))])
+        if p.is_zero():
+            continue
+        b = rng.choice(p.branches)
+        depth = rng.choice((4, 5))
+        if len(b.dom) > depth:
+            continue
+        u = b.dom + tuple(rng.randrange(d) for _ in range(depth - len(b.dom)))
+        c = cylinder(u, d)
+        r = restrict(p, c)
+        if len(r.branches) != 1 or not r.branches[0].tail.factors or not ran(r).disjoint(c):
+            continue
+        if any(eq(restrict(a, c), r) for a in A):
+            continue
+        v = tuple(rng.randrange(d) for _ in range(depth))
+        if cylinder(v, d).disjoint(c) and cylinder(v, d).disjoint(ran(r)):
+            out.append(build(c, [r, prefix_exchange(d, [(u, v)])]))
+    return out
+
+
+def test_express_decorated_transporters_that_are_not_one_letter(monkeypatch):
+    # of the first 40 draws, a lookup of one family letter restricted to c
+    # writes 19 as witnesses, and running out of subdivisions or nodes loses
+    # the rest, these among them; the cylinder search carries the tails and
+    # finds a word for each decorated transporter at c itself
+    fam = rover_units()
+    kit = build_kit(fam.table, atoms(3, 2))
+    draws = decorated_three_sections(kit, 12)
+    honest = kit_module._wordify
+    found = {}
+
+    def spy(kit, m, budget):
+        word = honest(kit, m, budget)
+        found[m.branches] = word
+        return word
+
+    monkeypatch.setattr(kit_module, "_wordify", spy)
+    for k in (2, 3, 4, 7, 11):
+        n = draws[k]
+        express_and_recheck(kit, n)
+        assert found[n.transporters[1].branches] is not None
 
 
 def test_express_unit_branchwise_three_cycle():

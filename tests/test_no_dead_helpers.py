@@ -1,6 +1,7 @@
 """No dead helpers: every private function, method or class in the package is
 named somewhere in the package outside its own definition, so a helper whose
-last caller is deleted goes with it."""
+last caller is deleted goes with it; likewise every parameter and every
+imported name is read."""
 
 import ast
 from collections import Counter
@@ -69,3 +70,24 @@ def test_every_parameter_is_read():
                 (path.name, name, p.arg) for p in params if p.arg not in read | {"self"}
             )
     assert unread == UNREAD_PARAMETERS
+
+
+def test_every_import_is_read():
+    # __init__.py imports names to re-export them, so it is exempt
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # import a.b binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, f"imported names never read: {unread}"
