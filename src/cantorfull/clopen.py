@@ -235,17 +235,27 @@ def is_partition(parts):
     return covered.is_full()
 
 
-def part_of(parts, c):
-    """Index of the part containing c, or None if c is empty or straddles.
+def part_lookup(parts):
+    """The function c -> index of the part containing c, or None if c is
+    empty or straddles, with the index of the parts' words built once.
 
     The parts must be pairwise disjoint.  Each word of c walks its prefixes
     through an index of the parts' words: a cylinder lies inside a canonical
     clopen iff one of its antichain words is a prefix of the cylinder's word."""
     index = {w: i for i, p in enumerate(parts) for w in p.antichain}
-    found = None
-    for w in c.antichain:
-        hits = [index[w[:k]] for k in range(len(w) + 1) if w[:k] in index]
-        if not hits or found not in (None, hits[0]):
-            return None
-        found = hits[0]
-    return found
+
+    def lookup(c):
+        found = None
+        for w in c.antichain:
+            hits = [index[w[:k]] for k in range(len(w) + 1) if w[:k] in index]
+            if not hits or found not in (None, hits[0]):
+                return None
+            found = hits[0]
+        return found
+
+    return lookup
+
+
+def part_of(parts, c):
+    """One lookup through part_lookup(parts)."""
+    return part_lookup(parts)(c)

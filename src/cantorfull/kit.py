@@ -22,7 +22,7 @@ from . import certs
 from . import pmap as _pmap
 from . import tails as _tails
 from .certs import GiveUp
-from .clopen import atoms, cylinder, is_partition, part_of
+from .clopen import atoms, cylinder, is_partition, part_lookup
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import (
@@ -45,12 +45,13 @@ def derive_transporters(table, parts, word_len=2):
     The result is symmetric (closed under star) and deduped by eq, in
     deterministic word-then-part order.
     """
+    part = part_lookup(parts)
     out = Dedup()
     result = []
     for w, _ in WordBall(table.mapping.values(), table.d).words(word_len):
         for i, e in enumerate(parts):
             # the restriction's domain lies in part i, so only its image decides
-            if part_of(parts, image_clopen(w, e)) in (None, i):
+            if part(image_clopen(w, e)) in (None, i):
                 continue
             t = restrict(w, e)
             for candidate in (t, star(t)):
@@ -60,14 +61,46 @@ def derive_transporters(table, parts, word_len=2):
     return result
 
 
-def _part_pair(parts, m):
-    return part_of(parts, dom(m)), part_of(parts, ran(m))
+def _part_pairs(family, part):
+    """(part of the domain, part of the range) of each family element."""
+    return [(part(dom(a)), part(ran(a))) for a in family]
 
 
-def _separated(parts, m):
+def _separated(pd, pr):
     """Domain and range inside single, different parts."""
-    pd, pr = _part_pair(parts, m)
     return pd is not None and pr is not None and pd != pr
+
+
+def _conditions_2_3(family, parts, part, n_orbit):
+    """The failures of separation conditions 2 and 3, read off one part pair
+    per family element."""
+    pairs = _part_pairs(family, part)
+    # (2) every element has domain and range inside single, different parts
+    bad2 = [
+        {"element": idx, "dom_part": pd, "ran_part": pr}
+        for idx, (pd, pr) in enumerate(pairs)
+        if not _separated(pd, pr)
+    ]
+    # (3) each part has n_orbit - 1 transporters out to pairwise different
+    # parts.  The parts are nonempty and pairwise disjoint, so a part i lies
+    # inside a domain that lies inside part j only when i == j and the domain
+    # is the whole part, whose image is then the range; only a domain that
+    # straddles parts (or is empty) is scanned part by part.
+    targets = [set() for _ in parts]
+    for a, (pd, pr) in zip(family, pairs):
+        if pd is not None:
+            if dom(a) == parts[pd] and pr not in (None, pd):
+                targets[pd].add(pr)
+            continue
+        for i, e in enumerate(parts):
+            if e.leq(dom(a)):
+                p = part(image_clopen(a, e))
+                if p not in (None, i):
+                    targets[i].add(p)
+    bad3 = [
+        {"part": i, "targets": sorted(t)} for i, t in enumerate(targets) if len(t) < n_orbit - 1
+    ]
+    return bad2, bad3
 
 
 def verify_separating(family, parts, n_orbit):
@@ -81,26 +114,11 @@ def verify_separating(family, parts, n_orbit):
     d = parts[0].d
     depth = max(len(w) for p in parts for w in p.antichain)
     report = {"n_orbit": n_orbit, "depth": depth}
-
-    # (2) every element has domain and range inside single, different parts
-    bad2 = []
-    for idx, a in enumerate(family):
-        pd, pr = _part_pair(parts, a)
-        if pd is None or pr is None or pd == pr:
-            bad2.append({"element": idx, "dom_part": pd, "ran_part": pr})
+    part = part_lookup(parts)
+    # (2) and (3) from one part pair per element; only an element whose
+    # domain straddles parts is scanned part by part for (3)
+    bad2, bad3 = _conditions_2_3(family, parts, part, n_orbit)
     report["condition2"] = {"ok": not bad2, "failures": bad2}
-
-    # (3) each part has n_orbit - 1 transporters out to pairwise different parts
-    bad3 = []
-    for i, e in enumerate(parts):
-        targets = set()
-        for a in family:
-            if e.leq(dom(a)):
-                pr = part_of(parts, image_clopen(a, e))
-                if pr is not None and pr != i:
-                    targets.add(pr)
-        if len(targets) < n_orbit - 1:
-            bad3.append({"part": i, "targets": sorted(targets)})
     report["condition3"] = {"ok": not bad3, "failures": bad3}
 
     # (1) orbits of depth-bounded cylinders meet at least n_orbit parts
@@ -108,7 +126,7 @@ def verify_separating(family, parts, n_orbit):
     for atom in atoms(depth, d):
         seen_parts = set()
         for level in image_levels(family, [atom], depth):
-            seen_parts.update(part_of(parts, img) for img, _, _ in level)
+            seen_parts.update(part(img) for img, _, _ in level)
             seen_parts.discard(None)
             if len(seen_parts) >= n_orbit:
                 break
@@ -166,7 +184,8 @@ def build_T(family, parts, max_products=3):
     # _separated drops the identity (the empty word), which keeps every part,
     # and a zero product, which lies in no part
     ball = WordBall(family, family[0].d)
-    return [m for m, _ in ball.words(max_products) if _separated(parts, m)]
+    part = part_lookup(parts)
+    return [m for m, _ in ball.words(max_products) if _separated(part(dom(m)), part(ran(m)))]
 
 
 class GeneratingKit:
@@ -187,16 +206,20 @@ class GeneratingKit:
         self.d = table.d
         self.A = list(family)
         self._star_of = self._pair_stars()
+        self._part = part_lookup(self.parts)
+        pairs = _part_pairs(self.A, self._part)
         self._by_dom_part = {}
-        for idx, a in enumerate(self.A):
-            pd, pr = _part_pair(self.parts, a)
+        for idx, (pd, pr) in enumerate(pairs):
             self._by_dom_part.setdefault(pd, []).append((idx, pr))
         self.sections = []
         self._by_base = {}
         self._t_dedup = Dedup()
         self._domain_index = None  # built on the first cylinder search
-        for m in build_T(self.A, self.parts, max_products=1):
-            self._ensure_section(m)
+        # the initial sections surround the separated elements of A, in
+        # family order; _ensure_section drops eq-duplicates
+        for a, pair in zip(self.A, pairs):
+            if _separated(*pair):
+                self._ensure_section(a)
 
     def _pair_stars(self):
         family = Dedup()
@@ -240,8 +263,8 @@ class GeneratingKit:
 
     def _ensure_section(self, m):
         """Section index surrounding the transporter m, building it if new."""
-        pd, pr = _part_pair(self.parts, m)
-        if pd is None or pr is None or pd == pr:
+        pd, pr = self._part(dom(m)), self._part(ran(m))
+        if not _separated(pd, pr):
             raise KitConstructionFailed(m, None)
         hit = self._t_dedup.find(m)
         if hit is not None:
@@ -255,7 +278,8 @@ class GeneratingKit:
             a = self.A[a_idx]
             if not base.leq(dom(a)):
                 continue
-            pr_piece = part_of(self.parts, image_clopen(a, base))
+            # a separated a carries the nonempty base inside its range part
+            pr_piece = a_pr if a_pr is not None else self._part(image_clopen(a, base))
             if pr_piece is None or pr_piece in used:
                 continue
             maps.append(a if dom(a) == base else restrict(a, base))
@@ -303,12 +327,16 @@ def _index_domains(maps):
 
 
 def build_kit(table, parts, word_len=2):
-    """Derive and verify a separating family, then build the kit."""
+    """Derive a separating family and build the kit.
+
+    The kit gates on separation conditions 2 and 3 (five parts met from each
+    part) and computes only those; verify_separating reports all four."""
     family = derive_transporters(table, parts, word_len=word_len)
-    report = verify_separating(family, parts, n_orbit=5)
-    if not (report["condition2"]["ok"] and report["condition3"]["ok"]):
-        first = (report["condition2"]["failures"] or report["condition3"]["failures"])[0]
-        raise KitConstructionFailed(first, None)
+    if not is_partition(parts):
+        raise CantorError("parts do not form a partition")
+    bad2, bad3 = _conditions_2_3(family, parts, part_lookup(parts), n_orbit=5)
+    if bad2 or bad3:
+        raise KitConstructionFailed((bad2 or bad3)[0], None)
     return GeneratingKit(table, parts, family)
 
 
@@ -440,7 +468,7 @@ def _factored_for_word(kit, word, c, budget):
     """
     budget.tick()
     m = restrict(kit.word_element(word), c)
-    pd, pr = _part_pair(kit.parts, m)
+    pd, pr = kit._part(dom(m)), kit._part(ran(m))
     if pd is None or pr is None:
         raise GiveUp("word product does not respect the partition")
     if pd != pr and len(word) <= 3:
@@ -448,7 +476,7 @@ def _factored_for_word(kit, word, c, budget):
 
     k = len(word) if pd == pr else 2
     inner = image_clopen(kit.word_element(word[k:]), c)
-    p_inner = part_of(kit.parts, inner)
+    p_inner = kit._part(inner)
     for a_idx, a_pr in kit._by_dom_part.get(p_inner, ()):
         a = kit.A[a_idx]
         if a_pr in (pd, pr) or not inner.leq(dom(a)):

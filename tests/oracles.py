@@ -12,6 +12,8 @@ the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
 reference_compatible; reference_part_of, which scans the parts with
 Clopen.leq where part_of looks words up in an index;
+reference_conditions_2_3, which tests every (part, element) pair for
+containment where the kit reads one part pair per element;
 reference_split_unit, the split that searches unit words h for its second
 piece hZ; and reference_fully_compressible_sample, which tests images
 against targets with Clopen.leq where the library compares atom masks.
@@ -121,6 +123,30 @@ def reference_part_of(parts, c):
     if c.is_empty():
         return None
     return next((i for i, p in enumerate(parts) if c.leq(p)), None)
+
+
+def reference_conditions_2_3(family, parts, n_orbit):
+    """A reference for the failures of separation conditions 2 and 3 that
+    kit.verify_separating reports: every element's domain and range parts,
+    and for every part the parts that the elements whose domain contains it
+    carry it into, found by a Clopen.leq scan over every (part, element)
+    pair and reference_part_of."""
+    bad2 = []
+    for idx, a in enumerate(family):
+        pd, pr = reference_part_of(parts, dom(a)), reference_part_of(parts, ran(a))
+        if pd is None or pr is None or pd == pr:
+            bad2.append({"element": idx, "dom_part": pd, "ran_part": pr})
+    bad3 = []
+    for i, e in enumerate(parts):
+        targets = set()
+        for a in family:
+            if e.leq(dom(a)):
+                pr = reference_part_of(parts, image_clopen(a, e))
+                if pr is not None and pr != i:
+                    targets.add(pr)
+        if len(targets) < n_orbit - 1:
+            bad3.append({"part": i, "targets": sorted(targets)})
+    return bad2, bad3
 
 
 def _first_eq(seen, m):

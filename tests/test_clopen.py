@@ -14,6 +14,7 @@ from cantorfull.clopen import (
     full,
     is_partition,
     normalize,
+    part_lookup,
     part_of,
     union_all,
             word_from_text,
@@ -176,6 +177,7 @@ def test_part_of_matches_reference_scan():
         c = normalize([w[: len(w) - cut] + ext for w, cut, ext in words], d)
         expected = reference_part_of(parts, c)
         assert part_of(parts, c) == expected
+        assert part_lookup(parts)(c) == expected
         if c.is_empty():
             seen["empty"] += 1
         elif expected is None:

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from cantorfull.clopen import atoms, cylinder
+from cantorfull.clopen import atoms, cylinder, union_all
 from cantorfull.completion import GeneratorTable
 from cantorfull.errors import KitConstructionFailed, NotInAlt
 from cantorfull.factor import word_product
@@ -28,6 +29,7 @@ from cantorfull.msec import (
 )
 from cantorfull.pmap import (
     Dedup,
+    PartialMap,
     WordBall,
     compose,
     dom,
@@ -39,10 +41,19 @@ from cantorfull.pmap import (
     ran,
     restrict,
     star,
+    zero,
 )
 from cantorfull.tails import apply_prefix
 
-from oracles import clo, nonzero_products, pm, reference_part_of, right_extending_words
+from oracles import (
+    clo,
+    nonzero_products,
+    pm,
+    random_pmap,
+    reference_conditions_2_3,
+    reference_part_of,
+    right_extending_words,
+)
 from test_msec import random_three_section
 
 
@@ -157,6 +168,125 @@ def test_verify_separating_refines_by_pairwise_products():
     # [0->10] and its star alone have only idempotent products
     alone = verify_separating(pair, parts, n_orbit=3)
     assert alone["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
+
+
+def test_conditions_2_and_3_match_the_part_scan():
+    # seeded families over atom and non-atom partitions: derived transporters
+    # (domains that are a whole part), their restrictions to a child cylinder
+    # (domains strictly inside a part), units restricted to two parts
+    # (domains that straddle), zero maps, eq-duplicates and random maps with
+    # automaton tails
+    rng = random.Random(5)
+    v2 = higman_thompson(2)
+    units = list(v2.table.mapping.values())
+    partitions = [
+        atoms(1, 2),
+        atoms(2, 2),
+        atoms(3, 2),
+        [clo("{0, 11}"), clo("{10}")],
+        [clo("{00, 11}"), clo("{01}"), clo("{10}")],
+    ]
+    seen = Counter()
+    for parts in partitions:
+        derived = derive_transporters(v2.table, parts)
+        for _ in range(24):
+            family = rng.sample(derived, rng.randrange(min(len(derived), 10) + 1))
+            for _ in range(rng.randrange(3)):
+                family.append(restrict(rng.choice(units), union_all(rng.sample(parts, 2), 2)))
+            for a in rng.sample(family, min(len(family), 2)):
+                w = rng.choice(dom(a).antichain) + (rng.randrange(2),)
+                family.append(restrict(a, cylinder(w, 2)))
+            family += [random_pmap(rng, 2) for _ in range(rng.randrange(3))]
+            if rng.random() < 0.4:
+                family.append(zero(2))
+            if family and rng.random() < 0.4:
+                family.append(PartialMap(2, list(rng.choice(family).branches)))
+            rng.shuffle(family)
+            n_orbit = rng.choice((2, 3, 5))
+
+            report = verify_separating(family, parts, n_orbit)
+            bad2, bad3 = reference_conditions_2_3(family, parts, n_orbit)
+            assert report["condition2"] == {"ok": not bad2, "failures": bad2}
+            assert report["condition3"] == {"ok": not bad3, "failures": bad3}
+            seen["condition 3 fails" if bad3 else "condition 3 holds"] += 1
+            for a in family:
+                pd = reference_part_of(parts, dom(a))
+                if a.is_zero():
+                    seen["zero map"] += 1
+                elif pd is None:
+                    # a straddling domain that carries some part out of itself
+                    carried = any(
+                        e.leq(dom(a)) and reference_part_of(parts, image_clopen(a, e)) not in (None, i)
+                        for i, e in enumerate(parts)
+                    )
+                    seen["straddles and carries a part" if carried else "straddles"] += 1
+                else:
+                    seen["a whole part" if dom(a) == parts[pd] else "strictly inside a part"] += 1
+            if any(a is not b and eq(a, b) for a in family for b in family):
+                seen["eq-duplicate"] += 1
+            if any(len(p.antichain) > 1 for p in parts):
+                seen["non-atom partition"] += 1
+    assert len(seen) == 9 and min(seen.values()) >= 10, seen
+
+
+def _initial_tables(sections):
+    return [(repr(s.base), repr(s.transporters), repr(t)) for s, t in sections]
+
+
+def _sections_from_build_T(table, parts, family):
+    """The initial sections built the way the kit built them before it read
+    them off the family: one per map of build_T(family, parts, 1), whose
+    word ball drops eq-duplicates, in order."""
+    kit = GeneratingKit(table, parts, family)
+    kit.sections, kit._by_base, kit._t_dedup = [], {}, Dedup()
+    for m in build_T(family, parts, max_products=1):
+        kit._ensure_section(m)
+    return kit.sections
+
+
+@pytest.mark.parametrize("family", ["v2", "rover"])
+def test_initial_sections_match_the_build_T_path(family):
+    # Röver's family carries automaton tails
+    table = (higman_thompson(2) if family == "v2" else rover_units()).table
+    parts = atoms(3, 2)
+    A = derive_transporters(table, parts)
+    got = GeneratingKit(table, parts, A).sections
+    assert len(got) == len(A)
+    assert _initial_tables(got) == _initial_tables(_sections_from_build_T(table, parts, A))
+
+
+def test_initial_sections_of_a_hand_made_family():
+    # a zero map, a straddler and its star, an eq-duplicate, and ahead of A
+    # a map from part {000} whose range straddles, which carries the base of
+    # the section around [0000->1000] into the part {010}
+    table = higman_thompson(2).table
+    parts = atoms(3, 2)
+    A = derive_transporters(table, parts)
+    straddler = restrict(next(iter(table.mapping.values())), parts[0].union(parts[1]))
+    assert reference_part_of(parts, dom(straddler)) is None
+    inner = restrict(A[0], cylinder((0, 0, 0, 0), 2))
+    assert repr(inner) == "PartialMap(d=2, [[0000->1000]])"
+    family = [zero(2), straddler, pm(2, "000->01"), pm(2, "01->000")] + A[:5]
+    family += [PartialMap(2, list(A[2].branches)), star(straddler), inner, star(inner)] + A[5:]
+    got = GeneratingKit(table, parts, family).sections
+    assert len(got) == len(A) + 2
+    assert [repr(f) for f in got[5][0].transporters[1:3]] == [
+        "PartialMap(d=2, [[0000->1000]])",
+        "PartialMap(d=2, [[0000->010]])",
+    ]
+    assert _initial_tables(got) == _initial_tables(_sections_from_build_T(table, parts, family))
+
+
+@pytest.mark.parametrize("family", ["v2", "rover"])
+def test_build_kit_names_the_first_part_short_of_targets(family):
+    # the depth-2 atoms are four parts, so each part reaches three others and
+    # condition 3 asks for four
+    table = (higman_thompson(2) if family == "v2" else rover_units()).table
+    with pytest.raises(KitConstructionFailed) as failed:
+        build_kit(table, atoms(2, 2))
+    assert str(failed.value) == (
+        "no three suitable transporters for {'part': 0, 'targets': [1, 2, 3]} at None"
+    )
 
 
 def test_desk_instance_passes():
