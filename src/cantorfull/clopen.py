@@ -259,3 +259,31 @@ def part_lookup(parts):
 def part_of(parts, c):
     """One lookup through part_lookup(parts)."""
     return part_lookup(parts)(c)
+
+
+def holders(clopens):
+    """The function c -> [i, ...], the indices in order of the clopens that
+    contain c, with the index of the clopens' words built once.
+
+    c lies inside a clopen iff each word of c has a prefix among the
+    clopen's antichain words (Clopen.leq), so each word of c looks up its
+    own prefixes in a dict from antichain word to the clopens holding it,
+    and the answer is the intersection over the words of c; the empty c
+    lies inside every clopen.  An antichain holds at most one prefix of a
+    word, so one word's hits name each clopen once."""
+    index = {}
+    for i, x in enumerate(clopens):
+        for w in x.antichain:
+            index.setdefault(w, []).append(i)
+    everything = range(len(clopens))
+
+    def lookup(c):
+        found = None
+        for w in c.antichain:
+            hits = [i for k in range(len(w) + 1) for i in index.get(w[:k], ())]
+            found = set(hits) if found is None else found.intersection(hits)
+            if not found:
+                return []
+        return list(everything) if found is None else sorted(found)
+
+    return lookup

@@ -10,7 +10,7 @@ from itertools import product
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import atoms, cylinder, is_partition, normalize, part_of, union_all
+from .clopen import atoms, cylinder, is_partition, normalize, part_lookup, union_all
 from .completion import depth_clopens
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
@@ -131,13 +131,14 @@ def subshift_code(ctx, parts, point_prefix, words):
     Entries are part indices, or "too_shallow" when the prefix does not
     determine the part.
     """
+    part = part_lookup(parts)
     out = []
     for w in words:
         r = eval_at(w, tuple(point_prefix))
         if r.kind != _pmap.IMAGE:
             out.append("too_shallow")
             continue
-        p = part_of(parts, cylinder(r.prefix, ctx.d))
+        p = part(cylinder(r.prefix, ctx.d))
         out.append("too_shallow" if p is None else p)
     return out
 

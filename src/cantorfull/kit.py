@@ -14,6 +14,7 @@ four letters.  All searches are deterministic and budget-guarded, and every
 witness re-evaluates to its target by eq.
 """
 
+from collections.abc import Sequence
 from functools import reduce
 from itertools import combinations
 from operator import itemgetter
@@ -22,7 +23,7 @@ from . import certs
 from . import pmap as _pmap
 from . import tails as _tails
 from .certs import GiveUp
-from .clopen import atoms, cylinder, is_partition, part_lookup
+from .clopen import atoms, cylinder, holders, is_partition, part_lookup
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import (
@@ -188,6 +189,32 @@ def build_T(family, parts, max_products=3):
     return [m for m, _ in ball.words(max_products) if _separated(part(dom(m)), part(ran(m)))]
 
 
+class _LazySections(Sequence):
+    """The kit's (Multisection, transporter) pairs in index order.  Each
+    section is recorded as its base, its transporter and its spare family
+    elements, and built on its first read."""
+
+    def __init__(self):
+        self._recipes = []
+        self._pairs = []
+
+    def append(self, base, m, spares):
+        self._recipes.append((base, m, spares))
+        self._pairs.append(None)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._pairs[i] is None:
+            base, m, spares = self._recipes[i]
+            maps = [m] + [a if dom(a) == base else restrict(a, base) for a in spares]
+            self._pairs[i] = (build(base, maps), m)
+        return self._pairs[i]
+
+
 class GeneratingKit:
     """Separating family, its transporter products, and their 5-sections.
 
@@ -198,6 +225,12 @@ class GeneratingKit:
     pair, t the transporter in column 1, and the indices of the sections on
     one base are listed under it in build order; K is materialized lazily as
     the deduped alternating elements of the built sections.
+
+    A section's index and its spare columns, the family elements whose domain
+    holds the base (found through one index of the family's domain words,
+    once per distinct base), are fixed when the kit first meets its
+    transporter, so KitConstructionFailed is raised then; the Multisection
+    itself is built on the first read of sections[i].
     """
 
     def __init__(self, table, parts, family):
@@ -207,17 +240,16 @@ class GeneratingKit:
         self.A = list(family)
         self._star_of = self._pair_stars()
         self._part = part_lookup(self.parts)
-        pairs = _part_pairs(self.A, self._part)
-        self._by_dom_part = {}
-        for idx, (pd, pr) in enumerate(pairs):
-            self._by_dom_part.setdefault(pd, []).append((idx, pr))
-        self.sections = []
+        self._pair_of = _part_pairs(self.A, self._part)
+        self._holding = holders([dom(a) for a in self.A])
+        self._spares_at = {}
+        self.sections = _LazySections()
         self._by_base = {}
         self._t_dedup = Dedup()
         self._domain_index = None  # built on the first cylinder search
         # the initial sections surround the separated elements of A, in
         # family order; _ensure_section drops eq-duplicates
-        for a, pair in zip(self.A, pairs):
+        for a, pair in zip(self.A, self._pair_of):
             if _separated(*pair):
                 self._ensure_section(a)
 
@@ -254,6 +286,11 @@ class GeneratingKit:
         hits.sort(key=itemgetter(0))
         return hits
 
+    def holding(self, c, p):
+        """The indices, in order, of the family elements whose domain lies
+        inside the part p (straddles parts, when p is None) and holds c."""
+        return [i for i in self._holding(c) if self._pair_of[i][0] == p]
+
     def word_element(self, word):
         """The product of family elements named by the index word."""
         m = _pmap.one(self.d)
@@ -271,29 +308,36 @@ class GeneratingKit:
             return hit[1]
         base = dom(m)
         used = {pd, pr}
-        maps = [m]
-        for a_idx, a_pr in self._by_dom_part.get(pd, ()):
-            if a_pr in used:
-                continue
-            a = self.A[a_idx]
-            if not base.leq(dom(a)):
-                continue
-            # a separated a carries the nonempty base inside its range part
-            pr_piece = a_pr if a_pr is not None else self._part(image_clopen(a, base))
-            if pr_piece is None or pr_piece in used:
-                continue
-            maps.append(a if dom(a) == base else restrict(a, base))
-            used.add(pr_piece)
-            if len(maps) == 4:
-                break
-        if len(maps) < 4:
+        spares = []
+        for a, piece in self._spare_candidates(base, pd):
+            if piece not in used:
+                spares.append(a)
+                used.add(piece)
+                if len(spares) == 3:
+                    break
+        if len(spares) < 3:
             raise KitConstructionFailed(m, pd)
-        section = build(base, maps)
         idx = len(self.sections)
         self._t_dedup.add(m, idx)
-        self.sections.append((section, m))
+        self.sections.append(base, m, spares)
         self._by_base.setdefault(base, []).append(idx)
         return idx
+
+    def _spare_candidates(self, base, pd):
+        """(a, part) for the family elements a, in order, whose domain lies
+        inside the base's part pd and holds the base, and that carry the base
+        into one part; found once per base."""
+        found = self._spares_at.get(base)
+        if found is None:
+            found = []
+            for i in self.holding(base, pd):
+                a, a_pr = self.A[i], self._pair_of[i][1]
+                # a separated a carries the nonempty base inside its range part
+                piece = a_pr if a_pr is not None else self._part(image_clopen(a, base))
+                if piece is not None:
+                    found.append((a, piece))
+            self._spares_at[base] = found
+        return found
 
     def section_for(self, m):
         """KitSection around the separated transporter m: its base is dom(m),
@@ -477,9 +521,9 @@ def _factored_for_word(kit, word, c, budget):
     k = len(word) if pd == pr else 2
     inner = image_clopen(kit.word_element(word[k:]), c)
     p_inner = kit._part(inner)
-    for a_idx, a_pr in kit._by_dom_part.get(p_inner, ()):
+    for a_idx in kit.holding(inner, p_inner):
         a = kit.A[a_idx]
-        if a_pr in (pd, pr) or not inner.leq(dom(a)):
+        if kit._pair_of[a_idx][1] in (pd, pr):
             continue
         head = list(word[:k]) + [kit.star_index(a_idx)]
         hfs, h_from, h_to = _factored_for_word(kit, head, image_clopen(a, inner), budget)

@@ -26,7 +26,7 @@ from operator import attrgetter
 
 from . import clopen as _clopen
 from . import tails as _tails
-from .clopen import is_prefix, normalize
+from .clopen import holders, is_prefix, normalize
 from .errors import AlphabetMismatch, CantorError, IncompatiblePair, LetterOutOfRange
 from .tails import TailElement, free_reduce
 
@@ -630,13 +630,15 @@ def image_levels(maps, sources, max_len):
     n: word is a tuple of indices into maps, the last applied first, and a
     map is applied to an image only when the image lies in its domain.
     Level 0 is the sources in order, and each later level takes the images
-    of the one before in order, each under every map in order.  An image is
-    kept, and extended, only at the first word that reaches it; no image is
-    lost, because what a map does to an image depends on the image alone.
+    of the one before in order, each under every map in order whose domain
+    holds it; those maps are read off one index of the maps' domain words
+    (clopen.holders), built once per walk, not tested map by map.  An image
+    is kept, and extended, only at the first word that reaches it; no image
+    is lost, because what a map does to an image depends on the image alone.
     """
     if max_len < 0:
         return
-    doms = [dom(m) for m in maps]
+    holding = holders([dom(m) for m in maps])
     seen = set()
 
     def fresh(triples):
@@ -652,10 +654,9 @@ def image_levels(maps, sources, max_len):
     for _ in range(max_len):
         level = fresh(
             [
-                (image_clopen(m, img), (i,) + word, src)
+                (image_clopen(maps[i], img), (i,) + word, src)
                 for img, word, src in level
-                for i, m in enumerate(maps)
-                if img.leq(doms[i])
+                for i in holding(img)
             ]
         )
         yield level

@@ -6,7 +6,11 @@ they can arbitrate the library's outputs.  The two search references,
 right_extending_words and nonzero_products, are exceptions: they compose
 with the library and pin the order and the duplicates of its word searches.
 So are all_word_images, which applies every index word to the sources
-where image_levels keeps the first word per image; reference_compatible,
+where image_levels keeps the first word per image; reference_image_levels,
+which tests every map's domain with Clopen.leq where image_levels looks
+the image's words up in an index of the domains; reference_kit_sections,
+which builds every kit section eagerly and scans the family with
+Clopen.leq for its spare columns; reference_compatible,
 reference_leq and reference_is_idempotent,
 the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
@@ -25,6 +29,7 @@ from itertools import product
 from cantorfull import certs
 from cantorfull.clopen import atoms, cylinder, is_prefix, normalize, union_all, word_from_text
 from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
+from cantorfull.msec import build
 from cantorfull.pmap import (
     Branch,
     PartialMap,
@@ -194,6 +199,63 @@ def all_word_images(maps, sources, max_len):
                 else:
                     reached.add(img.antichain)
         out.append(set(reached))
+    return out
+
+
+def reference_image_levels(maps, sources, max_len):
+    """A reference for pmap.image_levels: the same walk, applying each map
+    to an image when a Clopen.leq test finds the image inside its domain."""
+    if max_len < 0:
+        return
+    seen = set()
+
+    def fresh(triples):
+        out = []
+        for img, word, src in triples:
+            if img.antichain not in seen:
+                seen.add(img.antichain)
+                out.append((img, word, src))
+        return out
+
+    level = fresh((c, (), c) for c in sources)
+    yield level
+    for _ in range(max_len):
+        level = fresh(
+            [
+                (image_clopen(m, img), (i,) + word, src)
+                for img, word, src in level
+                for i, m in enumerate(maps)
+                if img.leq(dom(m))
+            ]
+        )
+        yield level
+
+
+def reference_kit_sections(parts, family):
+    """A reference for the sections of kit.GeneratingKit over the family,
+    every one built at once: one per element whose domain and range lie in
+    single, different parts, in family order, eq-duplicates dropped by a
+    linear scan.  Its spare columns are the first three family elements,
+    scanned in order with Clopen.leq, whose domain lies inside the base's
+    part and holds the base, restricted to the base, that carry the base
+    into parts different from each other and from the transporter's two."""
+    out = []
+    for m in family:
+        pd, pr = reference_part_of(parts, dom(m)), reference_part_of(parts, ran(m))
+        if pd is None or pr is None or pd == pr or any(eq(m, t) for _, t in out):
+            continue
+        base, used, maps = dom(m), {pd, pr}, [m]
+        for a in family:
+            if reference_part_of(parts, dom(a)) != pd or not base.leq(dom(a)):
+                continue
+            p = reference_part_of(parts, image_clopen(a, base))
+            if p is None or p in used:
+                continue
+            maps.append(restrict(a, base))
+            used.add(p)
+            if len(maps) == 4:
+                break
+        out.append((build(base, maps), m))
     return out
 
 

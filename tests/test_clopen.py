@@ -12,6 +12,7 @@ from cantorfull.clopen import (
     cylinder,
     empty,
     full,
+    holders,
     is_partition,
     normalize,
     part_lookup,
@@ -187,6 +188,34 @@ def test_part_of_matches_reference_scan():
 
     check()
     assert len(seen) == 3 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_holders_match_the_leq_scan(d):
+    rng = random.Random(d)
+    seen = Counter()
+    for _ in range(80):
+        clopens = [random_clopen(rng, d, 3) for _ in range(rng.randrange(1, 8))]
+        clopens += [full(d), empty(d), rng.choice(clopens)]
+        rng.shuffle(clopens)
+        holding = holders(clopens)
+        cs = [empty(d), full(d)] + [random_clopen(rng, d, 4) for _ in range(6)]
+        # clopens inside a listed one: some of its words, extended
+        for x in rng.sample(clopens, 3):
+            words = rng.sample(x.antichain, rng.randrange(len(x.antichain) + 1))
+            cs.append(normalize([w + (rng.randrange(d),) * rng.randrange(3) for w in words], d))
+        for c in cs:
+            expected = [i for i, x in enumerate(clopens) if c.leq(x)]
+            assert holding(c) == expected
+            if c.is_empty():
+                seen["empty"] += 1
+            elif c.is_full():
+                seen["full"] += 1
+            elif len(c.antichain) > 1 and len(expected) > 2:
+                seen["several words held by several"] += 1
+            elif len(expected) == 1:
+                seen["held by the full clopen alone"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
 def random_clopen(rng, d, maxdepth):

@@ -1,4 +1,6 @@
+import json
 import random
+import shlex
 from collections import Counter
 from itertools import product
 
@@ -18,6 +20,7 @@ from cantorfull.kit import (
     express,
     verify_separating,
 )
+from cantorfull import cli
 from cantorfull import kit as kit_module
 from cantorfull import pmap as pmap_module
 from cantorfull.msec import (
@@ -26,6 +29,7 @@ from cantorfull.msec import (
     cycle_perm,
     element,
     identity_perm,
+    Multisection,
 )
 from cantorfull.pmap import (
     Dedup,
@@ -51,6 +55,7 @@ from oracles import (
     pm,
     random_pmap,
     reference_conditions_2_3,
+    reference_kit_sections,
     reference_part_of,
     right_extending_words,
 )
@@ -236,9 +241,10 @@ def _initial_tables(sections):
 def _sections_from_build_T(table, parts, family):
     """The initial sections built the way the kit built them before it read
     them off the family: one per map of build_T(family, parts, 1), whose
-    word ball drops eq-duplicates, in order."""
+    word ball drops eq-duplicates, in order.  The kit's own sections are
+    replaced by an empty container of the same kind."""
     kit = GeneratingKit(table, parts, family)
-    kit.sections, kit._by_base, kit._t_dedup = [], {}, Dedup()
+    kit.sections, kit._by_base, kit._t_dedup = type(kit.sections)(), {}, Dedup()
     for m in build_T(family, parts, max_products=1):
         kit._ensure_section(m)
     return kit.sections
@@ -275,6 +281,52 @@ def test_initial_sections_of_a_hand_made_family():
         "PartialMap(d=2, [[0000->010]])",
     ]
     assert _initial_tables(got) == _initial_tables(_sections_from_build_T(table, parts, family))
+    # the straddler's domain holds the base {000}, but spares come from
+    # elements whose domain lies inside the base's part
+    assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, family))
+
+
+README_EXPRESS = (
+    "genkit express --gens higman_thompson:2 --partition atoms:3"
+    " --msec 'msec({0000}; s00_01@{0000}, s00_10@{0000})' --perm 1,2,0 --json"
+)
+
+
+def test_readme_express_builds_only_the_sections_it_reads(monkeypatch, capsys):
+    # the witness is a one-letter lookup among the kit sections on {0000}
+    bases, kits = [], []
+    init, real_build_kit = Multisection.__init__, kit_module.build_kit
+
+    def counting_init(self, base, transporters):
+        bases.append(str(base))
+        init(self, base, transporters)
+
+    def keeping_build_kit(*args, **kwargs):
+        kits.append(real_build_kit(*args, **kwargs))
+        return kits[-1]
+
+    monkeypatch.setattr(Multisection, "__init__", counting_init)
+    monkeypatch.setattr(kit_module, "build_kit", keeping_build_kit)
+    assert cli.main(shlex.split(README_EXPRESS)) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == {"word": [[155, [3, 1, 0, 2, 4]]]}
+    assert len(kits[0].sections) == 184
+    assert 0 < len(bases) <= 4 and set(bases) == {"{0000}"}
+
+
+@pytest.mark.parametrize("family", ["v2", "rover"])
+def test_sections_read_in_any_order_equal_the_eager_build(family):
+    table = (higman_thompson(2) if family == "v2" else rover_units()).table
+    kit = build_kit(table, atoms(3, 2))
+    order = list(range(len(kit.sections)))
+    random.Random(0).shuffle(order)
+    read = {i: kit.sections[i] for i in order}
+    got = [read[i] for i in range(len(order))]
+    assert _initial_tables(got) == _initial_tables(reference_kit_sections(kit.parts, kit.A))
+    # a section is built once, and the container reads as a sequence
+    assert list(kit.sections) == got
+    assert kit.sections[-1] is got[-1] and kit.sections[2:7:2] == got[2:7:2]
+    with pytest.raises(IndexError):
+        kit.sections[len(got)]
 
 
 @pytest.mark.parametrize("family", ["v2", "rover"])

@@ -57,6 +57,7 @@ from oracles import (
     random_pmap,
     random_tail,
     reference_compatible,
+    reference_image_levels,
     reference_is_idempotent,
     reference_join,
     reference_leq,
@@ -1028,6 +1029,19 @@ def test_image_levels_match_every_word(maps, sources, max_len):
         assert len(set(kept)) == len(kept)
         assert set(kept) == reference[n]
     assert len(reference[-1]) > len(reference[1]) > len(sources)
+
+
+@pytest.mark.parametrize(
+    "maps, sources, max_len",
+    [(IMAGE_WALKS[2][1], [atom], 3) for atom in atoms(3, 2)]
+    + [(IMAGE_WALKS[1][1], atoms(2, 2), 3), (IMAGE_WALKS[1][1], [clo("{0, 11}")], 4)],
+    ids=[f"V2 kit family from {atom}" for atom in atoms(3, 2)]
+    + ["rover units from the depth-2 atoms", "rover units from {0, 11}"],
+)
+def test_image_levels_match_the_leq_scan(maps, sources, max_len):
+    assert list(image_levels(maps, sources, max_len)) == list(
+        reference_image_levels(maps, sources, max_len)
+    )
 
 
 def test_image_levels_edges():
