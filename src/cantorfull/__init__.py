@@ -4,7 +4,7 @@ finite-depth dynamical certificates."""
 
 from . import certs, clopen, completion, dynamics, factor, families, kit, msec, parser, pmap, tails
 from .certs import Certificate, EXHAUSTED, REFUTED, WITNESS
-from .clopen import Clopen, atoms, cylinder, is_partition, normalize, part_of
+from .clopen import Clopen, atoms, cylinder, is_partition, normalize
 from .completion import (
     GeneratorTable,
     bi_enumerate,
@@ -33,7 +33,6 @@ from .families import (
 )
 from .kit import (
     GeneratingKit,
-    build_T,
     build_kit,
     derive_transporters,
     express,

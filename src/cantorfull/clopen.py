@@ -256,11 +256,6 @@ def part_lookup(parts):
     return lookup
 
 
-def part_of(parts, c):
-    """One lookup through part_lookup(parts)."""
-    return part_lookup(parts)(c)
-
-
 def holders(clopens):
     """The function c -> [i, ...], the indices in order of the clopens that
     contain c, with the index of the clopens' words built once.

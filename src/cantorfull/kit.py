@@ -46,6 +46,8 @@ def derive_transporters(table, parts, word_len=2):
     The result is symmetric (closed under star) and deduped by eq, in
     deterministic word-then-part order.
     """
+    if not is_partition(parts):
+        raise CantorError("parts do not form a partition")
     part = part_lookup(parts)
     out = Dedup()
     result = []
@@ -177,18 +179,6 @@ def verify_separating(family, parts, n_orbit):
     return report
 
 
-def build_T(family, parts, max_products=3):
-    """Products of at most max_products family elements whose domain and range
-    lie inside single, distinct parts; deduped by eq."""
-    if not family:
-        return []
-    # _separated drops the identity (the empty word), which keeps every part,
-    # and a zero product, which lies in no part
-    ball = WordBall(family, family[0].d)
-    part = part_lookup(parts)
-    return [m for m, _ in ball.words(max_products) if _separated(part(dom(m)), part(ran(m)))]
-
-
 class _LazySections(Sequence):
     """The kit's (Multisection, transporter) pairs in index order.  Each
     section is recorded as its base, its transporter and its spare family
@@ -216,15 +206,14 @@ class _LazySections(Sequence):
 
 
 class GeneratingKit:
-    """Separating family, its transporter products, and their 5-sections.
+    """Separating family A and the 5-sections around its transporters.
 
-    Sections are populated on demand: the transporter set T of short products
-    is unbounded in practice (every restriction of a short word to a clopen),
-    so the kit deduplicates and surrounds exactly the elements the caller
-    consults, each at its own domain.  sections[i] is a (Multisection, t)
-    pair, t the transporter in column 1, and the indices of the sections on
-    one base are listed under it in build order; K is materialized lazily as
-    the deduped alternating elements of the built sections.
+    sections[i] is a (Multisection, t) pair, t the transporter in column 1.
+    The initial sections surround the separated elements of A, in family
+    order; the set T of short products is unbounded in practice, so further
+    sections surround, deduped by eq, exactly the transporters the caller
+    consults, each at its own domain.  K, the deduped alternating elements
+    of the built sections, is materialized on demand.
 
     A section's index and its spare columns, the family elements whose domain
     holds the base (found through one index of the family's domain words,
@@ -247,8 +236,7 @@ class GeneratingKit:
         self._by_base = {}
         self._t_dedup = Dedup()
         self._domain_index = None  # built on the first cylinder search
-        # the initial sections surround the separated elements of A, in
-        # family order; _ensure_section drops eq-duplicates
+        # _ensure_section drops eq-duplicates
         for a, pair in zip(self.A, self._pair_of):
             if _separated(*pair):
                 self._ensure_section(a)
@@ -264,9 +252,6 @@ class GeneratingKit:
                 raise CantorError(f"family is not symmetric: no star for element {idx}")
             lookup[idx] = hit[1]
         return lookup
-
-    def star_index(self, idx):
-        return self._star_of[idx]
 
     def cylinder_steps(self, w, backward):
         """The (family index, branch) pairs, in index order, of the branches
@@ -376,8 +361,6 @@ def build_kit(table, parts, word_len=2):
     The kit gates on separation conditions 2 and 3 (five parts met from each
     part) and computes only those; verify_separating reports all four."""
     family = derive_transporters(table, parts, word_len=word_len)
-    if not is_partition(parts):
-        raise CantorError("parts do not form a partition")
     bad2, bad3 = _conditions_2_3(family, parts, part_lookup(parts), n_orbit=5)
     if bad2 or bad3:
         raise KitConstructionFailed((bad2 or bad3)[0], None)
@@ -392,9 +375,14 @@ def build_kit(table, parts, word_len=2):
 WORD_LEN = 6
 
 
-def _wordify_cylinder(kit, m, budget):
-    """Goal-directed word search for a single-branch transporter u -> v : t,
-    decorated or not.
+def _wordify(kit, m, budget):
+    """A family-index word whose product restricted to dom(m) equals m, or
+    None.
+
+    Only a single-branch transporter u -> v : t, decorated or not, is
+    searched.  A multi-branch one returns None without spending a node, so
+    _factor_cover subdivides the base, toward children whose transporters
+    are single-branch.
 
     A chain of family elements carrying the cylinder of u onto that of v
     through single branches realizes it when the tails met on the way
@@ -407,6 +395,8 @@ def _wordify_cylinder(kit, m, budget):
     between its two cylinders, which a chain of trivial-tail steps carries,
     so for it a step with a nontrivial residual is dropped, not carried.
     """
+    if len(m.branches) != 1:
+        return None
     b = m.branches[0]
     start, goal = b.dom, b.ran
     decorated = bool(b.tail.factors)
@@ -464,20 +454,6 @@ def _wordify_cylinder(kit, m, budget):
     return None
 
 
-def _wordify(kit, m, budget):
-    """A family-index word whose product restricted to dom(m) equals m, or
-    None.
-
-    A single-branch transporter, decorated or not, goes to the cylinder
-    search.  A multi-branch one returns None without spending a node, so
-    _factor_cover subdivides the base, toward children whose transporters
-    are single-branch.
-    """
-    if len(m.branches) != 1:
-        return None
-    return _wordify_cylinder(kit, m, budget)
-
-
 def _combine_with_spares(fs_a, cols_a, fs_b, cols_b):
     """combine_factored over two column tuples, each headed by its
     sub-section's base and padded with spare columns to at least three, in
@@ -525,7 +501,7 @@ def _factored_for_word(kit, word, c, budget):
         a = kit.A[a_idx]
         if kit._pair_of[a_idx][1] in (pd, pr):
             continue
-        head = list(word[:k]) + [kit.star_index(a_idx)]
+        head = list(word[:k]) + [kit._star_of[a_idx]]
         hfs, h_from, h_to = _factored_for_word(kit, head, image_clopen(a, inner), budget)
         tfs, t_from, t_to = _factored_for_word(kit, [a_idx] + list(word[k:]), c, budget)
         combined = _combine_with_spares(hfs, (h_from, h_to), tfs, (t_from, t_to))

@@ -2,10 +2,10 @@
 
 These re-derive the intended semantics directly from machine tables and
 branch prefixes, without calling the library's apply/compose/eval paths, so
-they can arbitrate the library's outputs.  The two search references,
-right_extending_words and nonzero_products, are exceptions: they compose
-with the library and pin the order and the duplicates of its word searches.
-So are all_word_images, which applies every index word to the sources
+they can arbitrate the library's outputs.  The search reference
+right_extending_words is an exception: it composes with the library and
+pins the order and the duplicates of its word searches.  So are
+all_word_images, which applies every index word to the sources
 where image_levels keeps the first word per image; reference_image_levels,
 which tests every map's domain with Clopen.leq where image_levels looks
 the image's words up in an index of the domains; reference_kit_sections,
@@ -15,7 +15,7 @@ reference_leq and reference_is_idempotent,
 the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
 reference_compatible; reference_part_of, which scans the parts with
-Clopen.leq where part_of looks words up in an index;
+Clopen.leq where part_lookup looks words up in an index;
 reference_conditions_2_3, which tests every (part, element) pair for
 containment where the kit reads one part pair per element;
 reference_split_unit, the split that searches unit words h for its second
@@ -123,7 +123,7 @@ def pair_scan_compose(f, g):
 
 
 def reference_part_of(parts, c):
-    """A reference for clopen.part_of: the first part that contains c,
+    """A reference for clopen.part_lookup: the first part that contains c,
     found by a containment scan over every part."""
     if c.is_empty():
         return None
@@ -256,28 +256,6 @@ def reference_kit_sections(parts, family):
             if len(maps) == 4:
                 break
         out.append((build(base, maps), m))
-    return out
-
-
-def nonzero_products(family, parts, max_products):
-    """A reference for kit.build_T: family products of length 1..max_products,
-    zero products skipped, duplicates found by a linear scan, then kept when
-    their domain and range lie inside single, distinct parts."""
-    kept = []
-    level = list(family)
-    for n in range(max_products):
-        nxt = []
-        for m in level:
-            for p in [m] if n == 0 else [compose(m, a) for a in family]:
-                if not p.is_zero() and _first_eq(kept + nxt, p) is None:
-                    nxt.append(p)
-        kept += nxt
-        level = nxt
-    out = []
-    for m in kept:
-        pd, pr = reference_part_of(parts, dom(m)), reference_part_of(parts, ran(m))
-        if pd is not None and pr is not None and pd != pr:
-            out.append(m)
     return out
 
 

@@ -8,13 +8,12 @@ import pytest
 
 from cantorfull.clopen import atoms, cylinder, union_all
 from cantorfull.completion import GeneratorTable
-from cantorfull.errors import KitConstructionFailed, NotInAlt
+from cantorfull.errors import CantorError, KitConstructionFailed, NotInAlt
 from cantorfull.factor import word_product
 from cantorfull.families import higman_thompson, rover_units
 from cantorfull.kit import (
     express_unit,
     GeneratingKit,
-    build_T,
     build_kit,
     derive_transporters,
     express,
@@ -51,7 +50,6 @@ from cantorfull.tails import apply_prefix
 
 from oracles import (
     clo,
-    nonzero_products,
     pm,
     random_pmap,
     reference_conditions_2_3,
@@ -104,26 +102,13 @@ def test_derive_transporters_matches_word_loop():
         assert expected and repr(got) == repr(expected)
 
 
-def test_build_T_sigma():
-    fam = derive_transporters(SIGMA_TABLE, PARTS1, word_len=1)
-    T = build_T(fam, PARTS1)
-    # the two length-1 restrictions; length-2 products are part-preserving
-    assert len(T) == 2
-    for t in T:
-        assert reference_part_of(PARTS1, dom(t)) != reference_part_of(PARTS1, ran(t))
-
-
-def test_build_T_with_zero_products():
-    parts = atoms(3, 2)
-    fam = derive_transporters(higman_thompson(2).table, parts, word_len=2)[:8]
-    assert any(compose(a, b).is_zero() for a in fam for b in fam)
-    T = build_T(fam, parts, max_products=3)
-    assert [m.branches for m in T] == [m.branches for m in nonzero_products(fam, parts, 3)]
-    assert not any(m.is_zero() for m in T)
-
-
-def test_build_T_empty_family():
-    assert build_T([], PARTS1) == []
+def test_a_non_partition_is_refused_before_the_family_is_derived():
+    # {0} holds {00}; part_lookup needs pairwise-disjoint parts
+    parts = [clo("{0}"), clo("{00}"), clo("{1}")]
+    table = higman_thompson(2).table
+    for call in (derive_transporters, build_kit):
+        with pytest.raises(CantorError, match="parts do not form a partition"):
+            call(table, parts)
 
 
 def test_verify_separating_sigma():
@@ -238,27 +223,15 @@ def _initial_tables(sections):
     return [(repr(s.base), repr(s.transporters), repr(t)) for s, t in sections]
 
 
-def _sections_from_build_T(table, parts, family):
-    """The initial sections built the way the kit built them before it read
-    them off the family: one per map of build_T(family, parts, 1), whose
-    word ball drops eq-duplicates, in order.  The kit's own sections are
-    replaced by an empty container of the same kind."""
-    kit = GeneratingKit(table, parts, family)
-    kit.sections, kit._by_base, kit._t_dedup = type(kit.sections)(), {}, Dedup()
-    for m in build_T(family, parts, max_products=1):
-        kit._ensure_section(m)
-    return kit.sections
-
-
 @pytest.mark.parametrize("family", ["v2", "rover"])
-def test_initial_sections_match_the_build_T_path(family):
+def test_initial_sections_match_the_reference_kit(family):
     # Röver's family carries automaton tails
     table = (higman_thompson(2) if family == "v2" else rover_units()).table
     parts = atoms(3, 2)
     A = derive_transporters(table, parts)
     got = GeneratingKit(table, parts, A).sections
     assert len(got) == len(A)
-    assert _initial_tables(got) == _initial_tables(_sections_from_build_T(table, parts, A))
+    assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, A))
 
 
 def test_initial_sections_of_a_hand_made_family():
@@ -280,7 +253,6 @@ def test_initial_sections_of_a_hand_made_family():
         "PartialMap(d=2, [[0000->1000]])",
         "PartialMap(d=2, [[0000->010]])",
     ]
-    assert _initial_tables(got) == _initial_tables(_sections_from_build_T(table, parts, family))
     # the straddler's domain holds the base {000}, but spares come from
     # elements whose domain lies inside the base's part
     assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, family))
