@@ -25,9 +25,11 @@ class Budget:
     """One bounded search: its bounds, the nodes it has examined, and the
     certificate it reports.
 
-    The limit is bounds["node_budget"]; a search whose bounds have none
-    counts its nodes and never runs out.  A search that runs inside another
-    spends from its caller's budget, so nodes_explored counts every candidate
+    One tick spends one node, one candidate the search examines, and no
+    tick spends several, so nodes_explored measures the work done.  The
+    limit is bounds["node_budget"]; a search whose bounds have none counts
+    its nodes and never runs out.  A search that runs inside another spends
+    from its caller's budget, so nodes_explored counts every candidate
     examined once, and the first node over the limit stops the whole search
     with the detail "node budget".
     """
@@ -41,13 +43,10 @@ class Budget:
     def spent(self):
         return self.limit is not None and self.nodes > self.limit
 
-    def tick(self, n=1):
-        """Spend n nodes.  A tick that crosses the limit counts up to the
-        first node over it, so n single ticks and one tick of n report a
-        run-out alike."""
-        self.nodes += n
+    def tick(self):
+        """Spend one node; the first node over the limit raises GiveUp."""
+        self.nodes += 1
         if self.spent:
-            self.nodes = self.limit + 1
             raise GiveUp("node budget")
 
     def witness(self, payload):

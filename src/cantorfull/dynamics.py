@@ -105,7 +105,8 @@ def expansive_certificate(ctx, parts, depth, word_len):
     bad = [(0, 1)] if len(cells) > 1 else []
     for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
         translates.extend(fresh)
-        budget.tick(len(fresh))
+        for _ in fresh:
+            budget.tick()
         bad = _separates_at(translates, cells)
         if not bad:
             return budget.witness({"word_len": length})

@@ -391,9 +391,12 @@ def _wordify(kit, m, budget):
     forward from (u, 1) and backward through stars from (v, t), each step
     composing its branch's residual onto the carried tail and reading the
     kit's index of branch domains instead of evaluating every family
-    element.  A trivial-tail transporter is the unique prefix exchange
-    between its two cylinders, which a chain of trivial-tail steps carries,
-    so for it a step with a nontrivial residual is dropped, not carried.
+    element.  Each (family index, branch) hit a step reads is one node, so
+    the search spends by its work, not by the size of the family; the hits
+    are read in family-index order, which fixes the words it finds.  A
+    trivial-tail transporter is the unique prefix exchange between its two
+    cylinders, which a chain of trivial-tail steps carries, so for it a step
+    with a nontrivial residual is dropped, not carried.
     """
     if len(m.branches) != 1:
         return None
@@ -418,12 +421,8 @@ def _wordify(kit, m, budget):
         nxt = []
         for state in frontier:
             w, carried = state
-            # one node per (state, family element), spent up to each element
-            # that has a branch over w, so a meeting stops where a scan would
-            done = 0
             for idx, b in kit.cylinder_steps(w, backward):
-                budget.tick(idx + 1 - done)
-                done = idx + 1
+                budget.tick()
                 img, residual = _tails.apply_prefix(b.tail, w[len(b.dom) :])
                 if residual.factors and not decorated:
                     continue
@@ -439,7 +438,6 @@ def _wordify(kit, m, budget):
                     hit = finish(bwd[x] + fwd[x])
                     if hit is not None:
                         return nxt, hit
-            budget.tick(len(kit.A) - done)
         return nxt, None
 
     # start != goal: a section's transporter k >= 1 carries its base onto a

@@ -22,7 +22,7 @@ from .errors import (
     OverlappingIdempotents,
     SupportsOverlapElsewhere,
 )
-from .pmap import as_idempotent, compose, eq, join, leq, restrict, star
+from .pmap import as_idempotent, compose, eq, join, restrict, star
 
 # -- permutation helpers (tuples pi with pi[i] the image of i) -----------------
 
@@ -184,49 +184,28 @@ def restrict_msec(s, e):
 
 
 class Cover:
-    """Pieces of a multisection, one idempotent under each parent idempotent,
-    jointly recovering every parent transporter as a join."""
+    """Pieces of a multisection: its restrictions to clopens whose union is
+    the base.  Only cover_of and overlapping_cover build one, so every piece
+    has one idempotent under each parent idempotent and the pieces' joins
+    are the parent's transporters."""
 
     __slots__ = ("parent", "pieces")
 
     def __init__(self, parent, pieces):
-        s = self.parent = parent
+        self.parent = parent
         self.pieces = tuple(pieces)
-        for k, piece in enumerate(self.pieces):
-            if piece.degree != s.degree:
-                raise BadSubdivision(f"piece {k} has degree {piece.degree}")
-            for i in range(s.degree):
-                if not leq(piece.transporters[i], s.transporters[i]):
-                    raise BadSubdivision(
-                        f"piece {k} transporter {i} is not a restriction of the parent's"
-                    )
-                below = [j for j, e in enumerate(piece.idems) if e.leq(s.idems[i])]
-                if below != [i]:
-                    raise BadSubdivision(
-                        f"piece {k} does not meet parent idempotent {i} exactly once"
-                    )
-        for i in range(s.degree):
-            glued = join([p.transporters[i] for p in self.pieces])
-            if not eq(glued, s.transporters[i]):
-                raise BadSubdivision(f"parent transporter {i} is not the join of the pieces")
 
 
 def cover_of(s, subdivision):
     """Cover by restrictions of s to the given subdivision of the base."""
     subdivision = list(subdivision)
-    if not subdivision:
-        raise BadSubdivision("empty subdivision")
     for i, part in enumerate(subdivision):
         if part.is_empty():
             raise BadSubdivision(f"part {i} is empty")
-        if not part.leq(s.base):
-            raise BadSubdivision(f"part {i} is not below the base")
         for j in range(i + 1, len(subdivision)):
             if not part.disjoint(subdivision[j]):
                 raise BadSubdivision(f"parts {i} and {j} overlap")
-    if union_all(subdivision, s.d) != s.base:
-        raise BadSubdivision("subdivision does not cover the base")
-    return Cover(s, [restrict_msec(s, part) for part in subdivision])
+    return overlapping_cover(s, subdivision)
 
 
 def overlapping_cover(s, parts):

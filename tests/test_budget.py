@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from cantorfull import kit as kit_module
 from cantorfull.certs import DEFAULT_NODE_BUDGET, Budget, GiveUp
 from cantorfull.cli import main
 from cantorfull.clopen import atoms, normalize, union_all
@@ -21,7 +22,7 @@ from cantorfull.dynamics import (
     split_unit,
 )
 from cantorfull.factor import factor_over_cover
-from cantorfull.families import higman_thompson
+from cantorfull.families import higman_thompson, rover_units
 from cantorfull.kit import build_kit, express, express_unit
 from cantorfull.msec import build, cycle_perm, element, extend_degree, overlapping_cover
 from cantorfull.pmap import compose, restrict
@@ -139,13 +140,14 @@ def test_kit_section_lookup_spends_no_nodes(capsys):
 def test_run_out_is_not_retried_on_a_subdivision():
     # a kit of its own: the module's kit already holds the section this
     # 3-cycle needs, built at its base by an earlier search, and would
-    # answer it by lookup.  Nodes 1-45 find the first transporter's word,
-    # and node 46 is the first one spent factoring it
+    # answer it by lookup.  Nodes 1-6 find the first transporter's word, so
+    # node 4 runs out inside that search; a retry on a subdivision would
+    # spend past it
     n = searched_three_cycle()
-    cert = express(element(n, PI3), build_kit(FAM.table, atoms(3, 2)), n, PI3, node_budget=45)
+    cert = express(element(n, PI3), build_kit(FAM.table, atoms(3, 2)), n, PI3, node_budget=3)
     assert cert.is_exhausted()
     assert cert.detail == "node budget"
-    assert cert.nodes_explored == 46
+    assert cert.nodes_explored == 4
 
 
 def test_cover_word_stops_at_the_first_letter_over_budget():
@@ -181,7 +183,8 @@ def test_express_unit_pieces_share_one_budget():
 
 def test_budget_stops_at_the_first_node_over_its_limit():
     budget = Budget({"node_budget": 3})
-    budget.tick(3)
+    for _ in range(3):
+        budget.tick()
     assert not budget.spent
     with pytest.raises(GiveUp, match="node budget"):
         budget.tick()
@@ -190,25 +193,42 @@ def test_budget_stops_at_the_first_node_over_its_limit():
     assert (cert.nodes_explored, cert.bounds, cert.detail) == (4, {"node_budget": 3}, "node budget")
 
 
-def test_bulk_tick_stops_at_the_first_node_over_its_limit():
-    # one tick of n spends like n single ticks: a run-out reports the first
-    # node over the limit, not the whole bulk
-    budget = Budget({"node_budget": 3})
-    budget.tick(2)
-    with pytest.raises(GiveUp, match="node budget"):
-        budget.tick(5)
-    cert = budget.exhausted("node budget")
-    assert (cert.nodes_explored, cert.detail) == (4, "node budget")
-
-
 def test_run_out_inside_the_first_word_search():
-    # the cylinder search spends in bulk, up to each family element with a
-    # branch over its frontier word; a limit inside the first transporter's
-    # search still stops at the first node over it, as single ticks did
+    # the first transporter's cylinder search spends nodes 1-6, one per hit
+    # it reads; a limit inside it stops at the first node over it
     n = searched_three_cycle()
-    cert = express(element(n, PI3), build_kit(FAM.table, atoms(3, 2)), n, PI3, node_budget=10)
+    cert = express(element(n, PI3), build_kit(FAM.table, atoms(3, 2)), n, PI3, node_budget=5)
     assert cert.is_exhausted()
-    assert (cert.detail, cert.nodes_explored) == ("node budget", 11)
+    assert (cert.detail, cert.nodes_explored) == ("node budget", 6)
+
+
+def test_express_spends_one_node_per_step_read_and_per_factoring(monkeypatch):
+    # nodes_explored counts the work: each cylinder step the word searches
+    # read from the kit's domain index, and each word factored at the base
+    read, factored = [], []
+    honest_steps = kit_module.GeneratingKit.cylinder_steps
+    honest_factored = kit_module._factored_for_word
+
+    def cylinder_steps(self, w, backward):
+        for hit in honest_steps(self, w, backward):
+            read.append(hit)
+            yield hit
+
+    def factored_for_word(kit, word, c, budget):
+        factored.append(word)
+        return honest_factored(kit, word, c, budget)
+
+    monkeypatch.setattr(kit_module.GeneratingKit, "cylinder_steps", cylinder_steps)
+    monkeypatch.setattr(kit_module, "_factored_for_word", factored_for_word)
+    for fam in (FAM, rover_units()):
+        kit = build_kit(fam.table, atoms(3, 2))
+        units = list(fam.table.mapping.values())
+        for seed in range(6):
+            n = random_three_section(random.Random(seed), units, 4)
+            del read[:], factored[:]
+            cert = express(element(n, PI3), kit, n, PI3)
+            assert cert.is_witness(), cert.detail
+            assert cert.nodes_explored == len(read) + len(factored)
 
 
 def test_budget_without_a_limit_never_runs_out():

@@ -31,6 +31,7 @@ from cantorfull.msec import (
     Multisection,
 )
 from cantorfull.pmap import (
+    Branch,
     Dedup,
     PartialMap,
     WordBall,
@@ -46,7 +47,7 @@ from cantorfull.pmap import (
     star,
     zero,
 )
-from cantorfull.tails import apply_prefix
+from cantorfull.tails import MealyMachine, apply_prefix, state
 
 from oracles import (
     clo,
@@ -688,12 +689,36 @@ def roadmap_sweep(table, kit, n, word_len, bases=None):
 
 def test_v2_sweep_at_depth_three_keeps_its_sections_and_nodes():
     # the depth-3, one-letter slice of the sweep, pinned to the counts of a
-    # cylinder search that evaluates every family element at every step
+    # cylinder search that spends one node per index hit it reads
     fam = higman_thompson(2)
     certs = roadmap_sweep(fam.table, build_kit(fam.table, atoms(3, 2)), 3, 1)
     assert len(certs) == 192
     assert sum(not cert.is_witness() for cert in certs) == 0
-    assert sum(cert.nodes_explored for cert in certs) == 264_092
+    assert sum(cert.nodes_explored for cert in certs) == 23_198
+
+
+def coloured_table(d, perms):
+    """V_d with one root-decorated unit per permutation: each is a state of
+    one machine that outputs its permutation and returns to itself on every
+    letter (Lederle's constant colouring)."""
+    states = [f"f{i}" for i in range(len(perms))]
+    machine = MealyMachine("colour", d, {s: (s,) * d for s in states}, dict(zip(states, perms)))
+    mapping = dict(higman_thompson(d).table.mapping)
+    for s in states:
+        mapping[s] = PartialMap(d, [Branch((), (), state(machine, s))])
+    return GeneratorTable(d, mapping)
+
+
+def test_coloured_sweep_spends_by_work_not_by_family_size():
+    # the base-{00} slice of the sweep over V_3 coloured by Alt(3), a family
+    # of 1,260 elements: charged one node per (state, family element), 34 of
+    # its 204 3-cycles ran out of the default budget
+    table = coloured_table(3, [(1, 2, 0), (2, 0, 1)])
+    kit = build_kit(table, atoms(2, 3))
+    assert len(kit.A) == 1260
+    certs = roadmap_sweep(table, kit, 2, 1, bases=[cylinder((0, 0), 3)])
+    assert len(certs) == 204
+    assert all(cert.is_witness() for cert in certs)
 
 
 @pytest.mark.parametrize("family", ["v2", "rover"])
@@ -838,7 +863,7 @@ def test_express_unit_refines_its_cylinder_family():
     assert eq(h, compose(compose(m["s0_10"], m["s00_01"]), m["s00_11"]))
     cert = express_unit(h, kit)
     assert cert.is_witness(), cert.detail
-    assert cert.nodes_explored == 1128
+    assert cert.nodes_explored == 45
     got = one(2)
     for idx, perm in cert.witness["word"]:
         got = compose(got, element(kit.sections[idx][0], perm))

@@ -15,7 +15,6 @@ from cantorfull.errors import (
     SupportsOverlapElsewhere,
 )
 from cantorfull.msec import (
-    Cover,
     Multisection,
     alt_group,
     alt_perms,
