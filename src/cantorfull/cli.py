@@ -350,11 +350,10 @@ def cmd_genkit(session, args):
         return emit(args, EXIT_OK if ok else EXIT_REFUTED, text, {"op": "genkit verify", **report})
     if args.action == "build":
         built = kit.build_kit(session.table, parts, word_len=args.len)
-        text = f"kit: |A| = {len(built.A)}, |T| = {len(built.sections)}, sections = {len(built.sections)}"
+        text = f"kit: |A| = {len(built.A)}, sections = {len(built.sections)}"
         return emit(args, EXIT_OK, text, {
             "op": "genkit build",
             "family_size": len(built.A),
-            "transporters": len(built.sections),
             "sections": len(built.sections),
         })
     if args.action == "express":

@@ -67,27 +67,20 @@ def _image_closure(ctx, start, steps):
 # -- expansivity ----------------------------------------------------------------
 
 
-def _separates_at(translates, cells):
-    """Unseparated pairs of cells under the meet-closure of the translates."""
-    hulls = []
-    for c in cells:
-        hull = None
-        for t, _, _ in translates:
-            if c.leq(t):
-                hull = t if hull is None else hull.meet(t)
-        hulls.append(hull)
-    bad = []
-    for i in range(len(cells)):
-        for j in range(len(cells)):
-            if i == j:
-                continue
-            if hulls[i] is not None and hulls[i].disjoint(cells[j]):
-                continue
-            if hulls[j] is not None and hulls[j].disjoint(cells[i]):
-                continue
-            if i < j:
-                bad.append((i, j))
-    return bad
+def _atom_masks(cells, depth):
+    """Each word of length <= depth -> the bit mask of the cells below it,
+    where cells are the depth-n atoms in order.
+
+    A clopen contains cell i exactly when one of its words of length <= depth
+    has bit i in its mask (a deeper word contains no cell), and meets cell i
+    exactly when one of its words, cut to length depth, has bit i.
+    """
+    below = {}
+    for i, cell in enumerate(cells):
+        w = cell.antichain[0]
+        for j in range(depth + 1):
+            below[w[:j]] = below.get(w[:j], 0) | 1 << i
+    return below
 
 
 def expansive_certificate(ctx, parts, depth, word_len):
@@ -96,18 +89,54 @@ def expansive_certificate(ctx, parts, depth, word_len):
 
     The generated algebra is closed under meets only down to the cylinder
     depth: meets strictly below it cannot help separate depth-n atoms.
+
+    Each cell keeps its hull, the meet of the translates that contain it,
+    and the mask of the cells its hull meets; cells i < j stay unseparated
+    while each hull meets the other cell.  A level meets into a hull only
+    that level's fresh translates that contain its cell, read off the atom
+    masks.  Hulls only shrink, so a separated pair stays separated, and a
+    pair is re-tested only when one of its two masks changed.
     """
     if not is_partition(parts):
         raise CantorError("translate certificate needs a partition")
     cells = atoms(depth, ctx.d)
+    below = _atom_masks(cells, depth)
     budget = certs.Budget({"depth": depth, "word_len": word_len})
-    translates = []
-    bad = [(0, 1)] if len(cells) > 1 else []
+    hulls = [None] * len(cells)
+    meets = [(1 << len(cells)) - 1] * len(cells)
+    bad = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
     for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
-        translates.extend(fresh)
         for _ in fresh:
             budget.tick()
-        bad = _separates_at(translates, cells)
+        grown = set()
+        for t, _, _ in fresh:
+            inside = 0
+            for w in t.antichain:
+                if len(w) <= depth:
+                    inside |= below[w]
+            todo = inside
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo ^= 1 << i
+                # a translate holding every cell the hull meets holds the hull
+                if meets[i] & ~inside:
+                    hulls[i] = t if hulls[i] is None else hulls[i].meet(t)
+                    grown.add(i)
+        changed = 0
+        for i in grown:
+            mask = 0
+            for w in hulls[i].antichain:
+                mask |= below[w[:depth]]
+            if mask != meets[i]:
+                meets[i] = mask
+                changed |= 1 << i
+        if changed:
+            bad = [
+                (i, j)
+                for i, j in bad
+                if not (changed >> i | changed >> j) & 1
+                or (meets[i] >> j & 1 and meets[j] >> i & 1)
+            ]
         if not bad:
             return budget.witness({"word_len": length})
     if not bad:
@@ -189,12 +218,7 @@ def fully_compressible_sample(ctx, depth, word_len):
     when the masks are equal.
     """
     cells = atoms(depth, ctx.d)
-    # each word of length <= depth -> the mask of the atoms below it
-    below = {}
-    for i, cell in enumerate(cells):
-        w = cell.antichain[0]
-        for j in range(depth + 1):
-            below[w[:j]] = below.get(w[:j], 0) | 1 << i
+    below = _atom_masks(cells, depth)
     masks = range(1, 2 ** len(cells) - 1)
     subsets = depth_clopens(ctx.d, depth)[1:-1]
     texts = [str(z) for z in subsets]

@@ -423,12 +423,13 @@ def _wordify(kit, m, budget):
             w, carried = state
             for idx, b in kit.cylinder_steps(w, backward):
                 budget.tick()
+                # a tail keeps a word's length, so the cap is tested first
+                if len(b.ran) + len(w) - len(b.dom) > cap:
+                    continue
                 img, residual = _tails.apply_prefix(b.tail, w[len(b.dom) :])
                 if residual.factors and not decorated:
                     continue
                 y = b.ran + img
-                if len(y) > cap:
-                    continue
                 x = (y, _tails.free_reduce(residual.factors + carried))
                 if x in seen:
                     continue

@@ -19,15 +19,26 @@ Clopen.leq where part_lookup looks words up in an index;
 reference_conditions_2_3, which tests every (part, element) pair for
 containment where the kit reads one part pair per element;
 reference_split_unit, the split that searches unit words h for its second
-piece hZ; and reference_fully_compressible_sample, which tests images
-against targets with Clopen.leq where the library compares atom masks.
+piece hZ; reference_fully_compressible_sample, which tests images
+against targets with Clopen.leq where the library compares atom masks; and
+reference_expansive_certificate, which rebuilds every cell's hull from all
+translates so far with Clopen.leq at each level and re-tests every pair,
+where the library meets in only the fresh translates, read off atom masks.
 """
 
 import random
 from itertools import product
 
 from cantorfull import certs
-from cantorfull.clopen import atoms, cylinder, is_prefix, normalize, union_all, word_from_text
+from cantorfull.clopen import (
+    atoms,
+    cylinder,
+    is_partition,
+    is_prefix,
+    normalize,
+    union_all,
+    word_from_text,
+)
 from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
 from cantorfull.msec import build
 from cantorfull.pmap import (
@@ -385,6 +396,52 @@ def reference_fully_compressible_sample(ctx, depth, word_len):
         "failures": failures,
         "bounds": {"depth": depth, "word_len": word_len},
     }
+
+
+def _separates_at(translates, cells):
+    """Unseparated pairs of cells under the meet-closure of the translates."""
+    hulls = []
+    for c in cells:
+        hull = None
+        for t, _, _ in translates:
+            if c.leq(t):
+                hull = t if hull is None else hull.meet(t)
+        hulls.append(hull)
+    bad = []
+    for i in range(len(cells)):
+        for j in range(len(cells)):
+            if i == j:
+                continue
+            if hulls[i] is not None and hulls[i].disjoint(cells[j]):
+                continue
+            if hulls[j] is not None and hulls[j].disjoint(cells[i]):
+                continue
+            if i < j:
+                bad.append((i, j))
+    return bad
+
+
+def reference_expansive_certificate(ctx, parts, depth, word_len):
+    """A reference for dynamics.expansive_certificate: at every level each
+    cell's hull is rebuilt from all translates so far with Clopen.leq, and
+    every pair of cells is re-tested."""
+    if not is_partition(parts):
+        raise CantorError("translate certificate needs a partition")
+    cells = atoms(depth, ctx.d)
+    budget = certs.Budget({"depth": depth, "word_len": word_len})
+    translates = []
+    bad = [(0, 1)] if len(cells) > 1 else []
+    for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
+        translates.extend(fresh)
+        for _ in fresh:
+            budget.tick()
+        bad = _separates_at(translates, cells)
+        if not bad:
+            return budget.witness({"word_len": length})
+    if not bad:
+        return budget.witness({"word_len": 0})
+    pair = bad[0]
+    return budget.refuted({"pair": [str(cells[pair[0]]), str(cells[pair[1]])]})
 
 
 def pm(d, *specs):

@@ -182,6 +182,7 @@ def test_genkit_pipeline(capsys):
         "--partition", "atoms:3",
     )
     assert code == 0 and payload["sections"] > 0
+    assert set(payload) == {"op", "family_size", "sections"}
     code, payload = run_json(
         capsys, "genkit", "express", "--gens", "higman_thompson:2",
         "--partition", "atoms:3",

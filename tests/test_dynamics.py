@@ -29,6 +29,7 @@ from oracles import (
     oracle_compose_image,
     oracle_image,
     pm,
+    reference_expansive_certificate,
     reference_fully_compressible_sample,
     reference_split_unit,
 )
@@ -36,6 +37,10 @@ from oracles import (
 
 def v2_ctx():
     return DynContext(higman_thompson(2).table)
+
+
+def v3_ctx():
+    return DynContext(higman_thompson(3).table)
 
 
 def rover_ctx():
@@ -70,6 +75,46 @@ def test_expansive_identity_table_depth1():
     cert = expansive_certificate(identity_ctx(), atoms(1, 2), depth=1, word_len=1)
     assert cert.is_witness()
     assert cert.witness["word_len"] == 0
+
+
+# V3 at depth 4 is left out: its reference runs take about 15 s
+EXPANSIVE_GRID = [
+    (make_ctx, parts_depth, depth, word_len)
+    for make_ctx in (rover_ctx, v2_ctx, v3_ctx, adding_ctx)
+    for parts_depth in (1, 2)
+    for depth in range(4 if make_ctx is v3_ctx else 5)
+    for word_len in range(-1, 5)
+]
+
+
+def test_expansive_matches_reference_on_grid():
+    ctxs = {}
+    statuses = set()
+    for make_ctx, parts_depth, depth, word_len in EXPANSIVE_GRID:
+        ctx = ctxs.setdefault(make_ctx, make_ctx())
+        parts = atoms(parts_depth, ctx.d)
+        cert = expansive_certificate(ctx, parts, depth, word_len)
+        ref = reference_expansive_certificate(ctx, parts, depth, word_len)
+        assert cert.to_json() == ref.to_json(), (make_ctx.__name__, parts_depth, depth, word_len)
+        statuses.add(cert.status)
+    assert statuses == {"witness", "refuted_at_bound"}
+
+
+def test_expansive_separates_by_a_meet_of_two_translates():
+    # s swaps 010 and 011, so the part {00, 010} has the translate {00, 011};
+    # each meets the cell {01}, and no translate contains {01}, so only
+    # their meet {00} separates {00} from {01}
+    s = pm(2, "00->00", "010->011", "011->010", "1->1")
+    ctx = DynContext(GeneratorTable(2, {"s": s}))
+    parts = [clo("{00, 010}"), clo("{011}"), clo("{10}"), clo("{11}")]
+    assert separating_translate(ctx, parts, clo("{00}"), clo("{01}"), word_len=1) is None
+    cert = expansive_certificate(ctx, parts, depth=2, word_len=1)
+    assert cert.to_json() == reference_expansive_certificate(ctx, parts, 2, 1).to_json()
+    assert cert.is_witness()
+    assert cert.witness["word_len"] == 1
+    assert cert.nodes_explored == 6
+    refuted = expansive_certificate(ctx, parts, depth=2, word_len=0)
+    assert refuted.refuted["pair"] == ["{00}", "{01}"]
 
 
 def test_separating_translate_on_demand():
