@@ -345,7 +345,8 @@ def cmd_genkit(session, args):
         text = "separating: " + (
             "all conditions pass"
             if ok
-            else ", ".join(k for k in report if k.startswith("condition") and not report[k]["ok"]) + " fail"
+            else ", ".join(f"condition{i}" for i in (1, 2, 3, 4) if not report[f"condition{i}"]["ok"])
+            + " fail"
         )
         return emit(args, EXIT_OK if ok else EXIT_REFUTED, text, {"op": "genkit verify", **report})
     if args.action == "build":

@@ -36,7 +36,7 @@ from .msec import (
     pivot_three_cycles,
     restrict_msec,
 )
-from .pmap import Dedup, WordBall, compose, dom, eq, image_clopen, image_levels, is_unit, prefix_exchange, ran, restrict, star
+from .pmap import Dedup, WordBall, compose, dom, eq, image_clopen, image_walks, is_unit, prefix_exchange, ran, restrict, star
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -44,19 +44,25 @@ def derive_transporters(table, parts, word_len=2):
     kept when domain and range land inside single, distinct parts.
 
     The result is symmetric (closed under star) and deduped by eq, in
-    deterministic word-then-part order.
+    deterministic word-then-part order.  Many (word, part) pairs restrict to
+    one table, and a table met before adds nothing, so only a first-met
+    table is tested and added.
     """
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
     part = part_lookup(parts)
     out = Dedup()
+    met = set()
     result = []
     for w, _ in WordBall(table.mapping.values(), table.d).words(word_len):
         for i, e in enumerate(parts):
-            # the restriction's domain lies in part i, so only its image decides
-            if part(image_clopen(w, e)) in (None, i):
-                continue
             t = restrict(w, e)
+            if t in met:
+                continue
+            met.add(t)
+            # the restriction's domain lies in part i, so only its image decides
+            if part(ran(t)) in (None, i):
+                continue
             for candidate in (t, star(t)):
                 rep, _, new = out.add(candidate)
                 if new:
@@ -124,11 +130,13 @@ def verify_separating(family, parts, n_orbit):
     report["condition2"] = {"ok": not bad2, "failures": bad2}
     report["condition3"] = {"ok": not bad3, "failures": bad3}
 
-    # (1) orbits of depth-bounded cylinders meet at least n_orbit parts
+    # (1) orbits of depth-bounded cylinders meet at least n_orbit parts; the
+    # walks share one index of the family's domains
+    walk = image_walks(family)
     bad1 = []
     for atom in atoms(depth, d):
         seen_parts = set()
-        for level in image_levels(family, [atom], depth):
+        for level in walk([atom], depth):
             seen_parts.update(part(img) for img, _, _ in level)
             seen_parts.discard(None)
             if len(seen_parts) >= n_orbit:
@@ -239,7 +247,7 @@ class GeneratingKit:
         # _ensure_section drops eq-duplicates
         for a, pair in zip(self.A, self._pair_of):
             if _separated(*pair):
-                self._ensure_section(a)
+                self._ensure_section(a, pair)
 
     def _pair_stars(self):
         family = Dedup()
@@ -283,9 +291,10 @@ class GeneratingKit:
             m = compose(m, self.A[idx])
         return m
 
-    def _ensure_section(self, m):
-        """Section index surrounding the transporter m, building it if new."""
-        pd, pr = self._part(dom(m)), self._part(ran(m))
+    def _ensure_section(self, m, pair=None):
+        """Section index surrounding the transporter m, building it if new;
+        pair, when given, is m's (domain part, range part)."""
+        pd, pr = pair if pair is not None else (self._part(dom(m)), self._part(ran(m)))
         if not _separated(pd, pr):
             raise KitConstructionFailed(m, None)
         hit = self._t_dedup.find(m)

@@ -636,27 +636,38 @@ def image_levels(maps, sources, max_len):
     is kept, and extended, only at the first word that reaches it; no image
     is lost, because what a map does to an image depends on the image alone.
     """
-    if max_len < 0:
-        return
+    return image_walks(maps)(sources, max_len)
+
+
+def image_walks(maps):
+    """The function (sources, max_len) -> image_levels(maps, sources,
+    max_len), for many walks over the same maps: the index of the maps'
+    domain words is built once, here, and each walk keeps its own images."""
     holding = holders([dom(m) for m in maps])
-    seen = set()
 
-    def fresh(triples):
-        out = []
-        for img, word, src in triples:
-            if img.antichain not in seen:
-                seen.add(img.antichain)
-                out.append((img, word, src))
-        return out
+    def walk(sources, max_len):
+        if max_len < 0:
+            return
+        seen = set()
 
-    level = fresh((c, (), c) for c in sources)
-    yield level
-    for _ in range(max_len):
-        level = fresh(
-            [
-                (image_clopen(maps[i], img), (i,) + word, src)
-                for img, word, src in level
-                for i in holding(img)
-            ]
-        )
+        def fresh(triples):
+            out = []
+            for img, word, src in triples:
+                if img.antichain not in seen:
+                    seen.add(img.antichain)
+                    out.append((img, word, src))
+            return out
+
+        level = fresh((c, (), c) for c in sources)
         yield level
+        for _ in range(max_len):
+            level = fresh(
+                [
+                    (image_clopen(maps[i], img), (i,) + word, src)
+                    for img, word, src in level
+                    for i in holding(img)
+                ]
+            )
+            yield level
+
+    return walk

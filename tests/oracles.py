@@ -18,6 +18,9 @@ reference_compatible; reference_part_of, which scans the parts with
 Clopen.leq where part_lookup looks words up in an index;
 reference_conditions_2_3, which tests every (part, element) pair for
 containment where the kit reads one part pair per element;
+reference_parts_met, which walks each depth-n atom with
+reference_image_levels, each walk testing every family domain afresh,
+where verify_separating shares one index of the domains across its walks;
 reference_split_unit, the split that searches unit words h for its second
 piece hZ; reference_fully_compressible_sample, which tests images
 against targets with Clopen.leq where the library compares atom masks; and
@@ -139,6 +142,25 @@ def reference_part_of(parts, c):
     if c.is_empty():
         return None
     return next((i for i, p in enumerate(parts) if c.leq(p)), None)
+
+
+def reference_parts_met(family, parts):
+    """A reference for condition 1 of kit.verify_separating: (atom text,
+    sorted parts met) for each depth-n atom, n the depth of the partition,
+    the parts met by its images under family words of length <= n.  Each
+    atom is walked alone by reference_image_levels, its parts read off with
+    reference_part_of."""
+    depth = max(len(w) for p in parts for w in p.antichain)
+    out = []
+    for atom in atoms(depth, parts[0].d):
+        met = {
+            reference_part_of(parts, img)
+            for level in reference_image_levels(family, [atom], depth)
+            for img, _, _ in level
+        }
+        met.discard(None)
+        out.append((str(atom), sorted(met)))
+    return out
 
 
 def reference_conditions_2_3(family, parts, n_orbit):

@@ -256,6 +256,13 @@ MSEC = "msec({00}; [00->01], [00->10])"
 HT2 = ["--gens", "higman_thompson:2"]
 
 
+def test_genkit_verify_lists_failing_conditions_in_order(capsys):
+    # the report's keys run 2, 3, 1, 4; the text names them by number
+    code, out = run(capsys, "genkit", "verify", *HT2, "--partition", "atoms:3", "--len", "0")
+    assert code == 1
+    assert out.strip() == "separating: condition1, condition3 fail"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

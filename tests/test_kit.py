@@ -56,6 +56,7 @@ from oracles import (
     reference_conditions_2_3,
     reference_kit_sections,
     reference_part_of,
+    reference_parts_met,
     right_extending_words,
 )
 from test_msec import random_three_section
@@ -77,20 +78,37 @@ def test_derive_transporters_sigma():
     assert any(eq(t, pm(2, "1->0")) for t in fam)
 
 
+# {0}, {10}, {11}: a partition that is not the atoms of one depth
+COARSE_PARTS = [clo("{0}"), clo("{10}"), clo("{11}")]
+# a table with a non-unit generator: its words and restrictions can be zero
+NON_UNIT_TABLE = GeneratorTable(2, {"s": pm(2, "0->1", "1->0"), "a": pm(2, "0->10")})
+
+
 def test_derive_transporters_matches_word_loop():
-    # restrict first and read the parts off the restriction, as the
-    # derivation did before it tested images; the Röver words carry
-    # Grigorchuk tails
-    parts = atoms(3, 2)
-    for fam in (higman_thompson(2), rover_units()):
-        units = list(fam.table.mapping.values())
-        words = [m for m, _ in right_extending_words(units, 2, 2)]
+    # every (word, part) pair restricted and its parts read off by a scan,
+    # with no table skipped; the Röver words carry Grigorchuk tails
+    v2, rover = higman_thompson(2), rover_units()
+    cases = [
+        (v2.table, atoms(3, 2), 2),
+        (rover.table, atoms(3, 2), 2),
+        (v2.table, atoms(3, 2), 0),
+        (v2.table, atoms(3, 2), 1),
+        (rover.table, atoms(3, 2), 1),
+        (v2.table, COARSE_PARTS, 2),
+        (higman_thompson(3).table, atoms(2, 3), 1),
+        (NON_UNIT_TABLE, atoms(2, 2), 2),
+    ]
+    zeros = 0
+    for table, parts, word_len in cases:
+        units = list(table.mapping.values())
+        words = [m for m, _ in right_extending_words(units, word_len, table.d)]
         out = Dedup()
         expected = []
         for w in words:
             for e in parts:
                 t = restrict(w, e)
                 if t.is_zero():
+                    zeros += 1
                     continue
                 pd, pr = reference_part_of(parts, dom(t)), reference_part_of(parts, ran(t))
                 if pd is None or pr is None or pd == pr:
@@ -99,8 +117,12 @@ def test_derive_transporters_matches_word_loop():
                     rep, _, new = out.add(candidate)
                     if new:
                         expected.append(rep)
-        got = derive_transporters(fam.table, parts, word_len=2)
-        assert expected and repr(got) == repr(expected)
+        got = derive_transporters(table, parts, word_len=word_len)
+        # the empty word alone carries no part out of itself
+        assert bool(expected) == (word_len > 0)
+        assert repr(got) == repr(expected)
+    # only the non-unit table restricts to zero
+    assert zeros > 0
 
 
 def test_a_non_partition_is_refused_before_the_family_is_derived():
@@ -159,6 +181,29 @@ def test_verify_separating_refines_by_pairwise_products():
     # [0->10] and its star alone have only idempotent products
     alone = verify_separating(pair, parts, n_orbit=3)
     assert alone["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
+
+
+def test_verify_separating_matches_the_per_atom_reference():
+    # condition 1 walks each depth-n atom from scratch in the reference,
+    # testing every family domain with Clopen.leq
+    seen = Counter()
+    for fam, parts in (
+        (higman_thompson(2), atoms(3, 2)),
+        (rover_units(), atoms(3, 2)),
+        (higman_thompson(2), COARSE_PARTS),
+    ):
+        for word_len in (1, 2):
+            family = derive_transporters(fam.table, parts, word_len=word_len)
+            parts_met = reference_parts_met(family, parts)
+            for n_orbit in (2, 3, 5):
+                report = verify_separating(family, parts, n_orbit)
+                bad1 = [{"atom": a, "parts_met": met} for a, met in parts_met if len(met) < n_orbit]
+                bad2, bad3 = reference_conditions_2_3(family, parts, n_orbit)
+                assert report["condition1"] == {"ok": not bad1, "failures": bad1}
+                assert report["condition2"] == {"ok": not bad2, "failures": bad2}
+                assert report["condition3"] == {"ok": not bad3, "failures": bad3}
+                seen["condition 1 fails" if bad1 else "condition 1 holds"] += 1
+    assert len(seen) == 2, seen
 
 
 def test_conditions_2_and_3_match_the_part_scan():
