@@ -28,7 +28,6 @@ from .families import (
     family_by_name,
     grigorchuk_units,
     higman_thompson,
-    rist_generators,
     rover_units,
 )
 from .kit import (
@@ -36,20 +35,17 @@ from .kit import (
     build_kit,
     derive_transporters,
     express,
-    express_unit,
     verify_separating,
 )
 from .msec import (
     Cover,
     Multisection,
-    alt_group,
     build,
     combine,
     cover_of,
     element,
     extend_degree,
     restrict_msec,
-    sym_group,
 )
 from .parser import Parser, element_to_text, expr_to_text
 from .pmap import (

@@ -143,7 +143,17 @@ def _words_up_to(table, word_len):
 
 
 def depth_clopens(d, depth):
-    """All clopens that are unions of depth-`depth` atoms, in counter order."""
+    """All clopens that are unions of depth-`depth` atoms, in counter order.
+
+    There are 2^(d^depth) of them, so more than 16 atoms are refused before
+    anything is listed; the atoms are counted a level at a time, so d^depth
+    is never computed.
+    """
+    count = 1
+    for _ in range(depth):
+        count *= d
+        if count > 16:
+            raise CantorError(f"depth-{depth} clopens number 2^({d}^{depth}), over 2^16")
     cells = atoms(depth, d)
     out = []
     for mask in range(2 ** len(cells)):
@@ -159,8 +169,8 @@ def bi_enumerate(table, word_len, join_arity, depth):
     join_arity restrictions (to depth-bounded clopens) of generator words of
     length at most word_len, in deterministic BFS order.
     """
-    words = _words_up_to(table, word_len)
     clopens = depth_clopens(table.d, depth)
+    words = _words_up_to(table, word_len)
 
     pieces = []
     piece_dedup = Dedup()

@@ -145,16 +145,6 @@ def expansive_certificate(ctx, parts, depth, word_len):
     return budget.refuted({"pair": [str(cells[pair[0]]), str(cells[pair[1]])]})
 
 
-def separating_translate(ctx, parts, c1, c2, word_len):
-    """A translate containing one cylinder and missing the other, if any."""
-    for level in image_levels(ctx.units, parts, word_len):
-        for t, word, alpha in level:
-            if (c1.leq(t) and t.disjoint(c2)) or (c2.leq(t) and t.disjoint(c1)):
-                names = [ctx.names[i] for i in word]
-                return {"word": names, "part": str(alpha), "translate": str(t)}
-    return None
-
-
 def subshift_code(ctx, parts, point_prefix, words):
     """The finite coding window: the partition part hit by each listed unit.
 
@@ -217,10 +207,10 @@ def fully_compressible_sample(ctx, depth, word_len):
     mask of the atoms the image meets; the two clopens are compared only
     when the masks are equal.
     """
+    subsets = depth_clopens(ctx.d, depth)[1:-1]
     cells = atoms(depth, ctx.d)
     below = _atom_masks(cells, depth)
     masks = range(1, 2 ** len(cells) - 1)
-    subsets = depth_clopens(ctx.d, depth)[1:-1]
     texts = [str(z) for z in subsets]
     failures = []
     checked = 0
@@ -257,7 +247,8 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
     after each level a backtracking search picks the first pairwise disjoint
     k-subset in subset order, so the witness is reproducible and a greedy
     dead end (keeping an image so large that nothing else fits) is
-    backtracked out of.
+    backtracked out of.  The subset search spends one node per candidate it
+    examines.
     """
     if k < 1:
         raise CantorError("k must be positive")
@@ -270,6 +261,7 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
         if len(chosen) == k:
             return True
         for i in range(start, len(candidates)):
+            budget.tick()
             img, _ = candidates[i]
             if all(img.disjoint(c[0]) for c in chosen):
                 chosen.append(candidates[i])

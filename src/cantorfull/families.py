@@ -14,7 +14,7 @@ from math import factorial
 from .clopen import cylinder, union_all, word_to_text
 from .completion import GeneratorTable
 from .errors import CantorError
-from .pmap import Branch, PartialMap, as_idempotent, join
+from .pmap import Branch, PartialMap
 from .tails import grigorchuk, state, trivial
 
 
@@ -139,24 +139,6 @@ def depth_aut_units(k, d=2):
     return NamedFamily(
         "depth_aut", {"k": k, "d": d}, GeneratorTable(d, mapping),
         notes=f"letter permutations down to depth {k}",
-    )
-
-
-def rist_generators(u, inner):
-    """The inner family conjugated into the cylinder of u, extended by the
-    identity elsewhere: generators of a rigid stabilizer."""
-    u = tuple(u)
-    d = inner.table.d
-    off = as_idempotent(cylinder(u, d).complement())
-    mapping = {}
-    for name, g in inner.table.items():
-        inside = PartialMap(d, [Branch(u + b.dom, u + b.ran, b.tail) for b in g.branches])
-        mapping[f"r{word_to_text(u)}_{name}"] = join([inside, off])
-    return NamedFamily(
-        "rist",
-        {"prefix": word_to_text(u), "inner": inner.name},
-        GeneratorTable(d, mapping),
-        notes=f"rigid stabilizer generators inside [{word_to_text(u)}]",
     )
 
 

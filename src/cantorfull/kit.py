@@ -26,17 +26,8 @@ from .certs import GiveUp
 from .clopen import atoms, cylinder, holders, is_partition, part_lookup
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
-from .msec import (
-    alt_perms,
-    build,
-    element,
-    embed_subperm,
-    identity_perm,
-    is_even,
-    pivot_three_cycles,
-    restrict_msec,
-)
-from .pmap import Dedup, WordBall, compose, dom, eq, image_clopen, image_walks, is_unit, prefix_exchange, ran, restrict, star
+from .msec import build, element, embed_subperm, identity_perm, is_even, restrict_msec
+from .pmap import Dedup, WordBall, compose, dom, eq, image_clopen, image_walks, ran, restrict, star
 
 
 def derive_transporters(table, parts, word_len=2):
@@ -220,8 +211,7 @@ class GeneratingKit:
     The initial sections surround the separated elements of A, in family
     order; the set T of short products is unbounded in practice, so further
     sections surround, deduped by eq, exactly the transporters the caller
-    consults, each at its own domain.  K, the deduped alternating elements
-    of the built sections, is materialized on demand.
+    consults, each at its own domain.
 
     A section's index and its spare columns, the family elements whose domain
     holds the base (found through one index of the family's domain words,
@@ -338,22 +328,6 @@ class GeneratingKit:
         and its column 1 carries m."""
         idx = self._ensure_section(m)
         return KitSection(self.sections[idx][0], idx)
-
-    def alt_elements(self, limit=None):
-        """Deduped alternating elements of the built sections (the set K)."""
-        dedup = Dedup()
-        out = []
-        for sec_idx, (section, _) in enumerate(self.sections):
-            for pi in alt_perms(section.degree):
-                if pi == identity_perm(section.degree):
-                    continue
-                u = element(section, pi)
-                rep, _, new = dedup.add(u, (sec_idx, pi))
-                if new:
-                    out.append((rep, (sec_idx, pi)))
-                    if limit is not None and len(out) >= limit:
-                        return out
-        return out
 
 
 def _index_domains(maps):
@@ -537,23 +511,17 @@ def express(target, kit, msec_witness, perm, node_budget=certs.DEFAULT_NODE_BUDG
     if not eq(target, element(msec_witness, perm)):
         raise NotInAlt("target does not match the witnessing multisection element")
     budget = certs.Budget({"word_len": WORD_LEN, "node_budget": node_budget})
+    if perm == identity_perm(msec_witness.degree):
+        return budget.witness({"word": []})
+    direct = _direct_word(kit, target, msec_witness, perm)
+    if direct is not None:
+        return budget.witness({"word": direct})
     try:
-        word = _express_word(target, kit, msec_witness, perm, budget)
+        word = _factor_cover(kit, msec_witness, perm, budget)
+        _verify_word(kit, word, target)
     except GiveUp as stop:
         return budget.exhausted(str(stop))
     return budget.witness({"word": word})
-
-
-def _express_word(target, kit, msec_witness, perm, budget):
-    """express's word for target = element(msec_witness, perm), re-verified."""
-    if perm == identity_perm(msec_witness.degree):
-        return []
-    direct = _direct_word(kit, target, msec_witness, perm)
-    if direct is not None:
-        return direct
-    word = _factor_cover(kit, msec_witness, perm, budget)
-    _verify_word(kit, word, target)
-    return word
 
 
 def _verify_word(kit, word, target):
@@ -630,91 +598,3 @@ def _factor_section(kit, section, perm, budget):
     cols = (0, *moved)
     sub = tuple(cols.index(perm[k]) for k in cols)
     return list(acc.word_for(embed_subperm(sub, (0, *to_cols), acc.msec.degree)))
-
-
-def _cylinder_permutation(target):
-    """A family of disjoint cylinders permuted by the unit, or None.
-
-    The domain antichain is refined, at most eight times, until the unit maps
-    family cylinders onto family cylinders with trivial residuals; units of
-    infinite order (or with genuinely automaton tails) do not stabilize and
-    yield None.
-    """
-    d = target.d
-    words = {b.dom for b in target.branches}
-    for _ in range(8):
-        table = {}
-        ok = True
-        for w in sorted(words, key=lambda x: (len(x), x)):
-            r = _pmap.eval_at(target, w)
-            if r.kind != _pmap.IMAGE or not _tails.is_identity(r.residual):
-                return None
-            table[w] = r.prefix
-        images = set(table.values())
-        if images == words:
-            return table
-        refined = set()
-        for w in words | images:
-            covered = [u for u in words if u[: len(w)] == w]
-            if covered and covered != [w]:
-                continue
-            refined.add(w)
-        # split family words that are prefixes of other family words
-        final = set()
-        for w in refined:
-            splitters = [u for u in refined if u != w and u[: len(w)] == w]
-            if splitters:
-                depth = max(len(u) for u in splitters)
-                final.update(cylinder(w, d).words_at_depth(depth))
-            else:
-                final.add(w)
-        if final == words:
-            return None
-        words = final
-    return None
-
-
-def express_unit(target, kit, node_budget=certs.DEFAULT_NODE_BUDGET):
-    """Branchwise express: decompose a trivial-tail unit into 3-cycles of the
-    cylinder family it permutes and express each over the kit.
-
-    Only even cylinder permutations are handled; everything else is an honest
-    ExhaustedAtBound.
-    """
-    if not is_unit(target):
-        raise NotInAlt("branchwise express needs a unit")
-    budget = certs.Budget({"word_len": WORD_LEN, "node_budget": node_budget})
-    table = _cylinder_permutation(target)
-    if table is None:
-        return budget.exhausted("unit does not stably permute a cylinder family")
-    family = sorted(table, key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(family)}
-    perm = tuple(index[table[w]] for w in family)
-    if not is_even(perm):
-        return budget.exhausted("odd cylinder permutation")
-
-    moved = [i for i in range(len(family)) if perm[i] != i]
-    if not moved:
-        return budget.witness({"word": []})
-    base_idx = moved[0]
-
-    base = family[base_idx]
-    word = []
-    try:
-        # perm as a product of 3-cycles (base y x) through the first moved cylinder
-        for y, x in pivot_three_cycles(perm, base_idx):
-            u, v = family[y], family[x]
-            section = build(
-                cylinder(base, kit.d),
-                [
-                    prefix_exchange(kit.d, [(base, u)]),
-                    prefix_exchange(kit.d, [(base, v)]),
-                ],
-            )
-            pi = (1, 2, 0)
-            piece = element(section, pi)
-            word += _express_word(piece, kit, section, pi, budget)
-        _verify_word(kit, word, target)
-    except GiveUp as stop:
-        return budget.exhausted(str(stop))
-    return budget.witness({"word": word})

@@ -166,14 +166,6 @@ def element(s, pi):
     return join(parts + [s.off_support()])
 
 
-def sym_group(s):
-    return [element(s, p) for p in sym_perms(s.degree)]
-
-
-def alt_group(s):
-    return [element(s, p) for p in alt_perms(s.degree)]
-
-
 def restrict_msec(s, e):
     """The multisection with base e <= e_1 and restricted transporters."""
     if e.is_empty():

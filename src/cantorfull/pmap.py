@@ -233,12 +233,6 @@ def as_idempotent(c):
     return PartialMap(c.d, [Branch(w, w, t) for w in c.antichain])
 
 
-def prefix_exchange(d, pairs):
-    """Trivial-tail map sending cylinder u to cylinder v for each pair (u, v)."""
-    t = _tails.trivial(d)
-    return PartialMap(d, [Branch(tuple(u), tuple(v), t) for u, v in pairs])
-
-
 # ---------------------------------------------------------------------------
 # the inverse monoid operations
 
@@ -338,11 +332,6 @@ def ran(f):
 def restrict(f, e):
     """Right multiplication by the idempotent on e: f restricted to e."""
     return compose(f, as_idempotent(e))
-
-
-def corestrict(e, f):
-    """Left multiplication by the idempotent on e: f corestricted to e."""
-    return compose(as_idempotent(e), f)
 
 
 def _sides(m):

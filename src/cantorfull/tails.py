@@ -19,7 +19,6 @@ keyed by the free-reduced word.
 """
 
 from functools import lru_cache
-from itertools import product
 
 from .certs import DEFAULT_NODE_BUDGET
 from .errors import AlphabetMismatch, BudgetExceeded, CantorError, LetterOutOfRange
@@ -499,11 +498,3 @@ def word(machine, text):
         else:
             factors.append((machine, tok, 1))
     return TailElement(machine.d, factors)
-
-
-def enumerate_action(t, depth):
-    """The (word -> word) table of t on all words of the given depth."""
-    table = {}
-    for w in product(range(t.d), repeat=depth):
-        table[w] = apply_prefix(t, w)[0]
-    return table

@@ -23,7 +23,7 @@ from cantorfull.dynamics import (
 )
 from cantorfull.factor import factor_over_cover
 from cantorfull.families import higman_thompson, rover_units
-from cantorfull.kit import build_kit, express, express_unit
+from cantorfull.kit import build_kit, express
 from cantorfull.msec import build, cycle_perm, element, extend_degree, overlapping_cover
 from cantorfull.pmap import compose, restrict
 
@@ -56,12 +56,6 @@ def five_section():
     return build(clo("{000}"), [pm(2, f"000->{w}") for w in ("001", "010", "011", "100")])
 
 
-def cylinder_three_cycle():
-    return pm(
-        2, "000->011", "011->110", "110->000", "001->001", "010->010", "10->10", "111->111"
-    )
-
-
 def extendable_three_section():
     return build(clo("{00}"), [pm(2, "00->01"), pm(2, "00->10")])
 
@@ -78,7 +72,6 @@ def budgeted_searches(kit, node_budget):
                                      node_budget=node_budget)),
         ("express contained", express(element(contained, PI3), kit, contained, PI3,
                                       node_budget=node_budget)),
-        ("express_unit", express_unit(cylinder_three_cycle(), kit, node_budget=node_budget)),
         ("extend_degree", extend_degree(extendable_three_section(), table,
                                         node_budget=node_budget)),
         ("piecewise_member", piecewise_member(
@@ -112,17 +105,15 @@ def test_budget_contract(kit, node_budget):
 
 
 def test_fixed_search_bounds_are_echoed(kit):
-    # express and express_unit search transporter words up to length 6, and
+    # express searches transporter words up to length 6, and
     # extend_degree splits a piece at most 3 letters below the base; neither
     # bound is a parameter, and every certificate reports both as before
     contained = contained_three_cycle()
     found = [
         express(element(contained, PI3), kit, contained, PI3, node_budget=1),
-        express_unit(cylinder_three_cycle(), kit, node_budget=1),
         extend_degree(extendable_three_section(), FAM.table, node_budget=1),
     ]
     assert [cert.bounds for cert in found] == [
-        {"word_len": 6, "node_budget": 1},
         {"word_len": 6, "node_budget": 1},
         {"word_len": 3, "split_depth": 3, "node_budget": 1},
     ]
@@ -164,21 +155,14 @@ def test_cover_word_stops_at_the_first_letter_over_budget():
     assert cert.nodes_explored == 1001
 
 
-def test_express_unit_pieces_share_one_budget():
-    # a double transposition of cylinders: two 3-cycle pieces, each searched
-    h = pm(
-        2, "000->011", "011->000", "110->101", "101->110",
-        "001->001", "010->010", "100->100", "111->111",
-    )
-    # fresh kits, so that the second search finds no section the first built
-    full = express_unit(h, build_kit(FAM.table, atoms(3, 2)))
-    assert full.is_witness()
-    short = express_unit(
-        h, build_kit(FAM.table, atoms(3, 2)), node_budget=full.nodes_explored - 1
-    )
-    assert short.is_exhausted()
-    assert short.detail == "node budget"
-    assert short.nodes_explored == full.nodes_explored
+def test_orbit_subset_search_spends_the_budget():
+    # no 14 images of {0} under V2 words of length <= 3 are pairwise
+    # disjoint, and the subset search examines about four million candidates
+    # before it says so; each candidate is a node, so the budget stops it
+    cert = orbit_lower_bound(DynContext(FAM.table), (0,), 14, 3, node_budget=10_000)
+    assert cert.is_exhausted()
+    assert cert.detail == "node budget"
+    assert cert.nodes_explored == 10_001
 
 
 def test_budget_stops_at_the_first_node_over_its_limit():

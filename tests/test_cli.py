@@ -9,7 +9,7 @@ import pytest
 
 from cantorfull import cli, pmap, tails
 from cantorfull.cli import Session, build_arg_parser, main
-from cantorfull.completion import GeneratorTable
+from cantorfull.completion import GeneratorTable, depth_clopens
 from cantorfull.families import NamedFamily
 from cantorfull.parser import Parser
 from cantorfull.pmap import Branch, PartialMap, compose, eq, eval_at, star
@@ -316,6 +316,18 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     flag, value = argv[4], argv[5]
     assert f"argument {flag}: a bound cannot be negative, not {value}" in captured.err
     assert captured.out == ""
+
+
+def test_depth_clopens_are_sized_before_they_are_listed(capsys):
+    # 2^32 clopens at depth 5 over two letters, and 2^(2^10^9) at depth 10^9,
+    # are refused at once; 2^16 at depth 4 is the most that is listed
+    for command in (["bi", "enumerate"], ["dyn", "fullcompress"]):
+        for depth in ("5", "1000000000"):
+            assert main([*command, *HT2, "--depth", depth, "--json"]) == 3
+            captured = capsys.readouterr()
+            assert f"depth-{depth} clopens number 2^(2^{depth}), over 2^16" in captured.err
+            assert captured.out == ""
+    assert len(depth_clopens(2, 4)) == 2**16
 
 
 def test_letters_and_alphabets_are_checked(capsys, monkeypatch):

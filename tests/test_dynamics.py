@@ -14,7 +14,6 @@ from cantorfull.dynamics import (
     minimal_certificate,
     orbit_lower_bound,
     rigid_parts,
-    separating_translate,
     split_unit,
     subshift_code,
 )
@@ -107,7 +106,6 @@ def test_expansive_separates_by_a_meet_of_two_translates():
     s = pm(2, "00->00", "010->011", "011->010", "1->1")
     ctx = DynContext(GeneratorTable(2, {"s": s}))
     parts = [clo("{00, 010}"), clo("{011}"), clo("{10}"), clo("{11}")]
-    assert separating_translate(ctx, parts, clo("{00}"), clo("{01}"), word_len=1) is None
     cert = expansive_certificate(ctx, parts, depth=2, word_len=1)
     assert cert.to_json() == reference_expansive_certificate(ctx, parts, 2, 1).to_json()
     assert cert.is_witness()
@@ -115,18 +113,6 @@ def test_expansive_separates_by_a_meet_of_two_translates():
     assert cert.nodes_explored == 6
     refuted = expansive_certificate(ctx, parts, depth=2, word_len=0)
     assert refuted.refuted["pair"] == ["{00}", "{01}"]
-
-
-def test_separating_translate_on_demand():
-    ctx = v2_ctx()
-    c1, c2 = cylinder((0, 0), 2), cylinder((0, 1), 2)
-    hit = separating_translate(ctx, atoms(1, 2), c1, c2, word_len=3)
-    assert hit is not None
-    # the printed word carries the printed part onto the printed translate
-    part = next(p for p in atoms(1, 2) if str(p) == hit["part"])
-    t = image_clopen(unit_word(ctx, hit["word"]), part)
-    assert str(t) == hit["translate"]
-    assert (c1.leq(t) and t.disjoint(c2)) or (c2.leq(t) and t.disjoint(c1))
 
 
 # -- coding ----------------------------------------------------------------------

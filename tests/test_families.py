@@ -1,17 +1,16 @@
 import pytest
 
 from cantorfull import families
-from cantorfull.clopen import cylinder, full
+from cantorfull.clopen import full
 from cantorfull.errors import CantorError
 from cantorfull.families import (
     depth_aut_units,
     family_by_name,
     grigorchuk_units,
     higman_thompson,
-    rist_generators,
     rover_units,
 )
-from cantorfull.pmap import PartialMap, compose, eq, eval_at, is_unit, one, star
+from cantorfull.pmap import PartialMap, compose, eq, is_unit, one, star
 
 from oracles import clo, pm
 
@@ -99,20 +98,6 @@ def test_depth_aut_units_refuses_before_listing_permutations(monkeypatch):
     # 2^16383 elements: a size too long to print in decimal
     with pytest.raises(CantorError, match=r"2\^16383"):
         depth_aut_units(14)
-
-
-def test_rist_generators():
-    inner = higman_thompson(2)
-    fam = rist_generators((0,), inner)
-    # the depth-1 swap conjugated into [0]
-    target = pm(2, "00->01", "01->00", "1->1")
-    assert any(eq(u, target) for u in fam.table.mapping.values())
-    comp = cylinder((0,), 2).complement()
-    for u in fam.table.mapping.values():
-        assert is_unit(u)
-        for w in comp.antichain:
-            r = eval_at(u, w)
-            assert r.prefix == w and r.residual.is_trivial_word()
 
 
 def test_family_by_name():

@@ -12,7 +12,6 @@ from cantorfull.errors import CantorError, KitConstructionFailed, NotInAlt
 from cantorfull.factor import word_product
 from cantorfull.families import higman_thompson, rover_units
 from cantorfull.kit import (
-    express_unit,
     GeneratingKit,
     build_kit,
     derive_transporters,
@@ -39,15 +38,13 @@ from cantorfull.pmap import (
     dom,
     eq,
     image_clopen,
-    is_unit,
     one,
-    prefix_exchange,
     ran,
     restrict,
     star,
     zero,
 )
-from cantorfull.tails import MealyMachine, apply_prefix, state
+from cantorfull.tails import MealyMachine, apply_prefix, state, trivial
 
 from oracles import (
     clo,
@@ -368,14 +365,6 @@ def test_desk_instance_passes():
         assert section.degree == 5
 
 
-def test_kit_sections_alt_elements_are_units():
-    _, kit = desk()
-    sample = kit.alt_elements(limit=30)
-    for unit, (sec_idx, pi) in sample:
-        assert is_unit(unit)
-        assert eq(unit, element(kit.sections[sec_idx][0], pi))
-
-
 def test_kit_construction_failure():
     # surrounding any transporter with a 5-section needs three further parts,
     # and the depth-1 partition has only two
@@ -429,9 +418,15 @@ def test_express_three_cycle_depth_four():
     assert eq(got, target)
 
 
-def test_express_rejects_odd():
-    from cantorfull.errors import NotInAlt
+def test_express_identity_is_the_empty_word():
+    fam, kit = desk()
+    n = desk_three_cycle(fam, ("s00_01", "s00_10"), (0, 0, 0, 0))
+    cert = express(one(2), kit, n, identity_perm(3))
+    assert cert.is_witness()
+    assert cert.witness["word"] == [] and cert.nodes_explored == 0
 
+
+def test_express_rejects_odd():
     fam, kit = desk()
     section, _ = kit.sections[0]
     pi = (1, 0, 2, 3, 4)
@@ -826,7 +821,7 @@ def decorated_three_sections(kit, count, seed=0):
             continue
         v = tuple(rng.randrange(d) for _ in range(depth))
         if cylinder(v, d).disjoint(c) and cylinder(v, d).disjoint(ran(r)):
-            out.append(build(c, [r, prefix_exchange(d, [(u, v)])]))
+            out.append(build(c, [r, PartialMap(d, [Branch(u, v, trivial(d))])]))
     return out
 
 
@@ -851,82 +846,3 @@ def test_express_decorated_transporters_that_are_not_one_letter(monkeypatch):
         n = draws[k]
         express_and_recheck(kit, n)
         assert found[n.transporters[1].branches] is not None
-
-
-def test_express_unit_branchwise_three_cycle():
-    fam, kit = desk()
-    h = pm(
-        2,
-        "0000->0100", "0100->1000", "1000->0000",
-        "0001->0001", "0101->0101", "1001->1001",
-        "001->001", "011->011", "101->101", "11->11",
-    )
-    cert = express_unit(h, kit)
-    assert cert.is_witness(), cert.detail
-    got = one(2)
-    for idx, perm in cert.witness["word"]:
-        got = compose(got, element(kit.sections[idx][0], perm))
-    assert eq(got, h)
-
-
-def test_express_unit_same_part_double_transposition():
-    fam, kit = desk()
-    h = pm(
-        2,
-        "0000->0001", "0001->0000", "1000->1001", "1001->1000",
-        "001->001", "01->01", "101->101", "11->11",
-    )
-    cert = express_unit(h, kit, node_budget=500_000)
-    assert cert.is_witness(), cert.detail
-    got = one(2)
-    for idx, perm in cert.witness["word"]:
-        got = compose(got, element(kit.sections[idx][0], perm))
-    assert eq(got, h)
-
-
-def test_express_unit_rejects_odd_permutation_family():
-    fam, kit = desk()
-    h = pm(2, "000->001", "001->000", "01->01", "1->1")
-    cert = express_unit(h, kit)
-    assert cert.is_exhausted()
-    assert "odd" in cert.detail
-
-
-def test_express_unit_identity():
-    fam, kit = desk()
-    cert = express_unit(one(2), kit)
-    assert cert.is_witness()
-    assert cert.witness["word"] == []
-
-
-def test_express_unit_refines_its_cylinder_family():
-    # s0_10*s00_01*s00_11: the domain antichain is split once before the unit
-    # permutes a cylinder family
-    fam, kit = desk()
-    m = fam.table.mapping
-    h = pm(2, "00->11", "01->100", "10->0", "11->101")
-    assert eq(h, compose(compose(m["s0_10"], m["s00_01"]), m["s00_11"]))
-    cert = express_unit(h, kit)
-    assert cert.is_witness(), cert.detail
-    assert cert.nodes_explored == 45
-    got = one(2)
-    for idx, perm in cert.witness["word"]:
-        got = compose(got, element(kit.sections[idx][0], perm))
-    assert eq(got, h)
-
-
-def test_express_unit_exhausts_without_a_cylinder_family():
-    # cyc*s0_10 has infinite order: its family never stabilizes
-    fam, kit = desk()
-    m = fam.table.mapping
-    g = pm(2, "0->00", "10->1", "11->01")
-    assert eq(g, compose(m["cyc"], m["s0_10"]))
-    cert = express_unit(g, kit)
-    assert cert.is_exhausted()
-    assert cert.detail == "unit does not stably permute a cylinder family"
-
-
-def test_express_unit_rejects_a_non_unit():
-    fam, kit = desk()
-    with pytest.raises(NotInAlt):
-        express_unit(pm(2, "00->01"), kit)

@@ -16,7 +16,6 @@ from cantorfull.errors import (
 )
 from cantorfull.msec import (
     Multisection,
-    alt_group,
     alt_perms,
     build,
     combine,
@@ -31,7 +30,6 @@ from cantorfull.msec import (
     pivot_three_cycles,
     restrict_msec,
     sub_section,
-    sym_group,
     sym_perms,
 )
 from cantorfull.pmap import (
@@ -192,26 +190,6 @@ def test_element_is_join_of_parts():
     for s in sections:
         for pi in sym_perms(s.degree):
             assert element(s, pi) == joined_element(s, pi)  # structurally
-
-
-def test_sym_alt_groups():
-    s = three_section()
-    assert len(sym_group(s)) == 6
-    assert len(alt_group(s)) == 3
-    units = sym_group(s)
-    for i in range(len(units)):
-        assert is_unit(units[i])
-        for j in range(i + 1, len(units)):
-            assert not eq(units[i], units[j])
-
-
-def test_alt_group_sizes():
-    base = clo("{000}")
-    maps = [pm(2, f"000->{w}") for w in ("001", "010", "011", "100")]
-    s5 = build(base, maps)
-    assert len(alt_group(s5)) == 60
-    s4 = build(base, maps[:3])
-    assert len(alt_group(s4)) == 12
 
 
 def test_restrict_msec():

@@ -1,7 +1,7 @@
-"""No dead helpers: every private function, method or class in the package is
-named somewhere in the package outside its own definition, so a helper whose
-last caller is deleted goes with it; likewise every parameter and every
-imported name is read."""
+"""No dead helpers: every function, method or class in the package is named
+somewhere in the package outside its own definition, so a helper whose last
+caller is deleted goes with it; a public name may instead be a listed entry
+point.  Likewise every parameter and every imported name is read."""
 
 import ast
 from collections import Counter
@@ -42,6 +42,44 @@ def test_every_private_helper_is_used():
             if private(node.name) and everywhere[node.name] == names_in(node)[node.name]:
                 dead.append(f"{module}:{node.lineno} {node.name}")
     assert not dead, f"private helpers named nowhere else: {dead}"
+
+
+# public names that no other package module names, each kept for a reason;
+# re-exports from __init__.py do not count as a use
+ENTRY_POINTS = {
+    "certs.Certificate.is_exhausted": "symmetry with is_witness and is_refuted",
+    "pmap.is_idempotent": "the README documents it",
+    "tails.depth_perm": "perfbench's automaton workload uses it",
+    "msec.sym_perms": "acceptance criterion 04 uses it",
+    "clopen.Clopen.words_at_depth": "acceptance criterion 10 uses it",
+    "cli._ArgumentParser.error": "argparse calls it",
+}
+
+
+def definitions(node, prefix):
+    """(qualified name, node) for every def and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            yield name, child
+            yield from definitions(child, name)
+        else:
+            yield from definitions(child, prefix)
+
+
+def test_every_public_name_is_reached():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(names_in(tree))
+    unreached = {
+        name
+        for module, tree in trees.items()
+        for name, node in definitions(tree, module)
+        if not node.name.startswith("_") and everywhere[node.name] == names_in(node)[node.name]
+    }
+    assert unreached == set(ENTRY_POINTS)
 
 
 # (module, function, parameter) left unread on purpose: split_unit accepts

@@ -879,18 +879,6 @@ def test_dedup():
     assert u in d2
 
 
-def test_corestrict():
-    from cantorfull.pmap import corestrict
-
-    f = pm(2, "0->10", "10->0", "11->11")
-    e = clo("{10}")
-    # e . f agrees with restricting to the preimage of e
-    lhs = corestrict(e, f)
-    assert eq(lhs, compose(as_idempotent(e), f))
-    assert ran(lhs).leq(e)
-    assert eq(lhs, restrict(f, dom(corestrict(e, f))))
-
-
 # -- WordBall -------------------------------------------------------------------
 
 # letters, the longest word, and an order in which readers grow the ball
