@@ -7,7 +7,6 @@ membership is not attempted: ExhaustedAtBound is an honest third answer.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import certs
 from . import pmap as _pmap
@@ -167,33 +166,88 @@ def bi_enumerate(table, word_len, join_arity, depth):
 
     Yields (element, expression) for every distinct-by-eq join of at most
     join_arity restrictions (to depth-bounded clopens) of generator words of
-    length at most word_len, in deterministic BFS order.
+    length at most word_len, in deterministic BFS order: first the distinct
+    restrictions (the pieces), each as soon as it is met, words in ball
+    order and clopens in counter order; then the joins of arity 2, 3, ...,
+    each arity over the combinations of pieces in lexicographic order.
+
+    A combination is joined only when no pair in it is already decided.
+    The clopen with mask bit i set holds atom i, and single-atom masks come
+    first, so each piece m|c is the orthogonal join of its restrictions m|a
+    to the atoms a of c, all met before it; a piece's signature maps each
+    atom where it is defined to the piece that m|a is.  A pair is decided
+    when
+    - one signature holds the other: that piece is a restriction of the
+      other, so the combination joins as it does without it, at a lower
+      arity.  The zero piece, whose signature is empty, is below every
+      piece; or
+    - on a shared atom the two restrictions are distinct pieces with equal
+      domains: not eq, so they differ at some point where both are defined,
+      and the join would raise IncompatiblePair.
+    Neither rule skips a combination whose join could be new, so the rows
+    are those of joining every combination.
     """
     clopens = depth_clopens(table.d, depth)
+    n_atoms = len(atoms(depth, table.d))
     words = _words_up_to(table, word_len)
 
-    pieces = []
-    piece_dedup = Dedup()
-    seen = Dedup()
+    pieces = []  # (element, expression)
+    signatures = []  # piece index -> {atom: piece index of the restriction}
+    seen = Dedup()  # payload: the piece index, or None for a join
     for m, expr in words:
-        for c in clopens:
-            r = restrict(m, c)
-            rexpr = Restrict(expr, c)
-            rep, rexpr, new = piece_dedup.add(r, rexpr)
+        at_atom = [None] * n_atoms
+        for mask, c in enumerate(clopens):
+            rep, index, new = seen.add(restrict(m, c), len(pieces))
+            if mask and mask & (mask - 1) == 0:  # the single atom of this mask
+                at_atom[mask.bit_length() - 1] = None if rep.is_zero() else index
             if new:
-                pieces.append((rep, rexpr))
+                pieces.append((rep, Restrict(expr, c)))
+                signatures.append(
+                    {i: at_atom[i] for i in range(n_atoms) if mask >> i & 1 and at_atom[i] is not None}
+                )
+                yield pieces[-1]
+    if join_arity < 2:
+        return
 
-    for arity in range(1, join_arity + 1):
-        for combo in combinations(range(len(pieces)), arity):
+    differ = {}
+
+    def distinct_on_equal_domains(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in differ:
+            x, y = pieces[i][0], pieces[j][0]
+            differ[key] = x.dom_clopen() == y.dom_clopen() and not eq(x, y)
+        return differ[key]
+
+    def decided(sp, sq):
+        if sp.items() <= sq.items() or sq.items() <= sp.items():
+            return True
+        return any(
+            a in sq and sq[a] != i and distinct_on_equal_domains(i, sq[a]) for a, i in sp.items()
+        )
+
+    n = len(pieces)
+    undecided = [
+        {j for j in range(i + 1, n) if not decided(signatures[i], signatures[j])} for i in range(n)
+    ]
+
+    def combos(prefix, candidates, arity):
+        # the combinations of pairwise undecided pieces, in lexicographic order
+        if len(prefix) == arity:
+            yield prefix
+            return
+        for j in candidates:
+            yield from combos(prefix + (j,), [k for k in candidates if k in undecided[j]], arity)
+
+    for arity in range(2, join_arity + 1):
+        for combo in combos((), range(n), arity):
             parts = [pieces[i] for i in combo]
             try:
                 m = _pmap.join([p[0] for p in parts])
             except IncompatiblePair:
                 continue
-            expr = parts[0][1] if arity == 1 else Join(tuple(p[1] for p in parts))
-            rep, expr, new = seen.add(m, expr)
+            rep, _, new = seen.add(m)
             if new:
-                yield rep, expr
+                yield rep, Join(tuple(p[1] for p in parts))
 
 
 def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_BUDGET):

@@ -143,30 +143,6 @@ def _check_antichain(d, words, which):
             raise CantorError(f"{which} prefixes {u} and {v} are comparable")
 
 
-def _merge_candidates(d, child_tails):
-    """Candidate parent tails: free reductions of a child's tail, optionally
-    composed with one signed state drawn from that child's machines."""
-    seen = set()
-    out = []
-
-    def add(factors):
-        factors = free_reduce(factors)
-        if factors not in seen:
-            seen.add(factors)
-            out.append(TailElement(d, factors))
-
-    add(())
-    for t in child_tails:
-        rc = free_reduce(t.factors)
-        add(rc)
-        machines = {m for m, _, _ in rc}
-        for m in machines:
-            for s in m.states:
-                for e in (1, -1):
-                    add(((m, s, e),) + rc)
-    return out
-
-
 def _greedy_merge(d, table):
     """Merge complete sibling families into their parents, deepest first.
 
@@ -193,7 +169,22 @@ def _greedy_merge(d, table):
 
 
 def _merge_family(d, u, family):
-    """The branch at u that expands verbatim to the family, or None."""
+    """The branch at u that expands verbatim to the family, or None.
+
+    The parent's tail is the first candidate whose root permutation is the
+    family's range permutation rho and whose free-reduced sections are the
+    children's tails.  The candidates, in order: the identity; then, child by
+    child, the child's tail rc, and (f,) + rc freely reduced for each signed
+    state f of rc's machines (machines in order of first appearance in rc,
+    states in table order, exponent +1 before -1).  A family of trivial tails
+    therefore merges only to the identity.
+
+    Each child's letter action is read once.  A candidate (f,) + rc acts as
+    f after rc, so its permutation and sections come from f's row of the
+    machine table, the permutation tested first.  Free reduction changes
+    neither a word's action nor the reduced form of its sections, so a
+    candidate is tested before it is reduced, and reduced only to be kept.
+    """
     # range prefixes must form a complete sibling family v.rho(x)
     if any(not b.ran for b in family):
         return None
@@ -203,14 +194,30 @@ def _merge_family(d, u, family):
     rho = tuple(b.ran[-1] for b in family)
     if sorted(rho) != list(range(d)):
         return None
-    for cand in _merge_candidates(d, [b.tail for b in family]):
-        if cand.root_perm() != rho:
+    targets = tuple(free_reduce(b.tail.factors) for b in family)
+    if not any(targets):
+        return Branch(u, v, _tails.trivial(d)) if rho == tuple(range(d)) else None
+    # a child's tail is not trivial, so the identity, whose sections are,
+    # fails; so does a trivial child's tail, which is the identity again
+    for rc in targets:
+        if not rc:
             continue
-        if all(
-            free_reduce(cand.apply_letter(x)[1].factors) == free_reduce(family[x].tail.factors)
-            for x in range(d)
-        ):
-            return Branch(u, v, cand)
+        perm, sections = _tails.expand(d, rc)
+        sections = tuple(sections)
+        if perm == rho and sections == targets:
+            return Branch(u, v, TailElement(d, rc))
+        for m in dict.fromkeys(m for m, _, _ in rc):
+            for s in m.states:
+                for e in (1, -1):
+                    f = (m, s, e)
+                    images = [_tails.apply_state(f, y) for y in perm]
+                    if tuple(z for z, _ in images) != rho:
+                        continue
+                    if all(
+                        free_reduce((g,) + section) == target
+                        for (_, g), section, target in zip(images, sections, targets)
+                    ):
+                        return Branch(u, v, TailElement(d, free_reduce((f,) + rc)))
     return None
 
 

@@ -136,7 +136,7 @@ def _check_name_part(kind, name):
 # a factor is (machine, state, exp) with exp in {+1, -1}, keyed by itself
 
 
-def _apply_letter(factor, x):
+def apply_state(factor, x):
     """Image letter and residual factor of a single signed state at letter x."""
     machine, state, exp = factor
     if exp == 1:
@@ -191,14 +191,10 @@ class TailElement:
             raise LetterOutOfRange(f"letter {x}")
         residuals = []
         for f in reversed(self.factors):
-            x, r = _apply_letter(f, x)
+            x, r = apply_state(f, x)
             residuals.append(r)
         residuals.reverse()
         return x, TailElement(self.d, residuals)
-
-    def root_perm(self):
-        """The permutation induced on the first letter."""
-        return tuple(self.apply_letter(x)[0] for x in range(self.d))
 
 
 def trivial(d):
@@ -268,7 +264,7 @@ def _remember(factors, value):
     _identity_cache[factors] = value
 
 
-def _expand(d, factors):
+def expand(d, factors):
     """Root permutation and free-reduced sections of a factor word: one step
     of the section closure that is_identity and canonical_key walk.  The
     sections are reduced as they are read, so a caller that stops at the
@@ -309,7 +305,7 @@ def is_identity(t):
         nodes += 1
         if nodes > DEFAULT_NODE_BUDGET:
             raise BudgetExceeded(f"identity check exceeded {DEFAULT_NODE_BUDGET} nodes")
-        perm, sections = _expand(t.d, factors)
+        perm, sections = expand(t.d, factors)
         if perm != ident:
             answer = False
             break
@@ -362,7 +358,7 @@ def _minimal_rows(d, start):
     successors = []
     # words grows while it is read, so this is a breadth-first walk
     for factors in words:
-        perm, sections = _expand(d, factors)
+        perm, sections = expand(d, factors)
         perms.append(perm)
         row = []
         for section in sections:

@@ -14,7 +14,11 @@ Clopen.leq for its spare columns; reference_compatible,
 reference_leq and reference_is_idempotent,
 the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
-reference_compatible; reference_part_of, which scans the parts with
+reference_compatible; reference_bi_enumerate, which joins every
+combination of pieces where bi_enumerate skips the pairs the pieces'
+atoms decide; reference_merge_family, which builds the whole list of
+candidate parent tails and walks each one where the constructor reads each
+child's letter action once; reference_part_of, which scans the parts with
 Clopen.leq where part_lookup looks words up in an index;
 reference_conditions_2_3, which tests every (part, element) pair for
 containment where the kit reads one part pair per element;
@@ -30,7 +34,7 @@ where the library meets in only the fresh translates, read off atom masks.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from cantorfull import certs
 from cantorfull.clopen import (
@@ -42,10 +46,12 @@ from cantorfull.clopen import (
     union_all,
     word_from_text,
 )
+from cantorfull.completion import Join, Restrict, _words_up_to, depth_clopens
 from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
 from cantorfull.msec import build
 from cantorfull.pmap import (
     Branch,
+    Dedup,
     PartialMap,
     as_idempotent,
     compose,
@@ -61,7 +67,14 @@ from cantorfull.pmap import (
     star,
     WordBall,
 )
-from cantorfull.tails import TailElement, adding_machine, grigorchuk, state, trivial
+from cantorfull.tails import (
+    TailElement,
+    adding_machine,
+    free_reduce,
+    grigorchuk,
+    state,
+    trivial,
+)
 
 SHALLOW = "shallow"
 
@@ -335,6 +348,72 @@ def reference_join(elems):
         kept.append(b)
         kept_doms.add(b.dom)
     return PartialMap(d, kept)
+
+
+def reference_bi_enumerate(table, word_len, join_arity, depth):
+    """A reference for completion.bi_enumerate: every restriction of every
+    word to every clopen is deduped into the pieces first, then every
+    combination of at most join_arity pieces is joined, arity 1 included,
+    and deduped a second time."""
+    clopens = depth_clopens(table.d, depth)
+    words = _words_up_to(table, word_len)
+    pieces = []
+    piece_dedup = Dedup()
+    seen = Dedup()
+    for m, expr in words:
+        for c in clopens:
+            rep, rexpr, new = piece_dedup.add(restrict(m, c), Restrict(expr, c))
+            if new:
+                pieces.append((rep, rexpr))
+    out = []
+    for arity in range(1, join_arity + 1):
+        for combo in combinations(range(len(pieces)), arity):
+            parts = [pieces[i] for i in combo]
+            try:
+                m = join([p[0] for p in parts])
+            except IncompatiblePair:
+                continue
+            expr = parts[0][1] if arity == 1 else Join(tuple(p[1] for p in parts))
+            rep, expr, new = seen.add(m, expr)
+            if new:
+                out.append((rep, expr))
+    return out
+
+
+def reference_merge_family(d, u, family):
+    """A reference for pmap._merge_family: the list of candidate parent
+    tails is built first, each freely reduced and kept at its first
+    occurrence (the identity; then per child its tail rc and every signed
+    state of rc's machines, in order of first appearance, put before rc),
+    and each candidate is walked letter by letter until one expands to the
+    family."""
+    if any(not b.ran for b in family):
+        return None
+    v = family[0].ran[:-1]
+    if any(b.ran[:-1] != v for b in family):
+        return None
+    rho = tuple(b.ran[-1] for b in family)
+    if sorted(rho) != list(range(d)):
+        return None
+    candidates = [()]
+    for b in family:
+        rc = free_reduce(b.tail.factors)
+        candidates.append(rc)
+        for m in dict.fromkeys(m for m, _, _ in rc):
+            for s in m.states:
+                for e in (1, -1):
+                    candidates.append(free_reduce(((m, s, e),) + rc))
+    for factors in dict.fromkeys(candidates):
+        cand = TailElement(d, factors)
+        images = [cand.apply_letter(x) for x in range(d)]
+        if tuple(y for y, _ in images) != rho:
+            continue
+        if all(
+            free_reduce(section.factors) == free_reduce(b.tail.factors)
+            for (_, section), b in zip(images, family)
+        ):
+            return Branch(u, v, cand)
+    return None
 
 
 def reference_split_unit(g, ctx, word_len=4, max_depth=6):

@@ -350,9 +350,9 @@ def test_letters_and_alphabets_are_checked(capsys, monkeypatch):
     assert main(["dyn", "code", *HT2, "--words", "cyc", "--prefix", "7"]) == 3
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, **env_vars):
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env_vars)
     done = subprocess.run(
         [sys.executable, "-m", "cantorfull.cli", *argv], capture_output=True, text=True, env=env
     )
@@ -542,6 +542,39 @@ def test_printed_tails_parse_back(tmp_path, capsys, tail):
         residual = eval_at(session.element(y), tuple(map(int, w))).residual
         printed = session.parser.parse_element(f"[~->~:{payload['residual']}]")
         assert eq(printed, PartialMap(2, [Branch((), (), residual)]))
+
+
+# m1.a and m2.b both swap the root letter with trivial sections, so the
+# sibling merge of TWO_MACHINE_MAP may put either in front of g*h; these
+# state names give different set orders under hash seeds 0 and 1
+TWO_MACHINES = """\
+machine m1 2
+state a perm 1 0 to k k
+state k perm 0 1 to k k
+state g perm 0 1 to g a
+machine m2 2
+state b perm 1 0 to f f
+state f perm 0 1 to f f
+state h perm 0 1 to h b
+"""
+TWO_MACHINE_MAP = "[0->1:m1.g*m2.h, 1->0:m1.a*m2.b]"
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    machines = machines_file(tmp_path, TWO_MACHINES)
+    commands = [
+        ["compose", TWO_MACHINE_MAP, "1", "--machines", machines],
+        ["bi", "enumerate", "--gens", "grigorchuk", "--len", "1", "--depth", "1", "--arity", "2"],
+        ["genkit", "express", "--gens", "higman_thompson:2", "--partition", "atoms:3",
+         "--msec", "msec({0000}; s00_01@{0000}, s00_10@{0000})", "--perm", "1,2,0"],
+    ]
+    for argv in commands:
+        outputs = [_fresh_process([*argv, "--json"], PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1], argv
+        if argv[0] == "compose":
+            # m1 appears first in g*h
+            assert json.loads(outputs[0][1])["value"] == "[~->~:m1.a*m1.g*m2.h]"
 
 
 def readme_commands():

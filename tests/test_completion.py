@@ -19,7 +19,7 @@ from cantorfull.completion import (
     piecewise_member,
 )
 from cantorfull.errors import CantorError, IncompatibleJoin, NotAUnit, UnknownGenerator
-from cantorfull.families import grigorchuk_units
+from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
 from cantorfull.pmap import (
     as_idempotent,
     compose,
@@ -34,7 +34,7 @@ from cantorfull.pmap import (
     zero,
 )
 
-from oracles import clo, pm, random_pmap, reference_compatible
+from oracles import clo, pm, random_pmap, reference_bi_enumerate, reference_compatible
 
 SWAP = pm(2, "0->1", "1->0")
 TABLE = GeneratorTable(2, {"s": SWAP})
@@ -166,6 +166,75 @@ def test_bi_enumerate_rows_match_reference_compatible(monkeypatch):
     monkeypatch.setattr(pmap, "compatible", spy)
     assert list(bi_enumerate(table, 1, 2, 1)) == rows
     assert proofs
+
+
+NON_UNITS = GeneratorTable(
+    2,
+    {
+        "x": pm(2, "0->10"),
+        "y": pm(2, "1->0", "00->11"),
+        "z": pm(2, "01->1"),
+        "s": SWAP,
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "table, bounds",
+    [
+        (grigorchuk_units().table, (1, 3, 1)),
+        (grigorchuk_units().table, (2, 2, 1)),
+        (grigorchuk_units().table, (1, 2, 2)),
+        (higman_thompson(2).table, (1, 3, 1)),
+        (higman_thompson(2).table, (1, 2, 2)),
+        (rover_units().table, (1, 3, 1)),
+        (rover_units().table, (1, 2, 2)),
+        (NON_UNITS, (1, 3, 1)),
+        (NON_UNITS, (1, 2, 2)),
+        (NON_UNITS, (2, 3, 1)),
+    ],
+    ids=["grig-131", "grig-221", "grig-122", "v2-131", "v2-122", "rover-131", "rover-122",
+         "non-units-131", "non-units-122", "non-units-231"],
+)
+def test_bi_enumerate_matches_joining_every_combination(table, bounds):
+    # rows compare by table and expression, in order
+    assert list(bi_enumerate(table, *bounds)) == reference_bi_enumerate(table, *bounds)
+
+
+def test_bi_enumerate_joins_only_undecided_pairs(monkeypatch):
+    table = grigorchuk_units().table
+    joins = []
+    real_join = pmap.join
+
+    def counting(elems):
+        joins.append(len(elems))
+        return real_join(elems)
+
+    monkeypatch.setattr(pmap, "join", counting)
+    assert len(list(bi_enumerate(table, 1, 1, 1))) == 14
+    assert joins == []
+    # of the 91 pairs of the 14 pieces, 13 hold the zero piece, and most of
+    # the rest are decided by the atoms: one piece below the other, or
+    # incompatible on an atom
+    assert len(list(bi_enumerate(table, 1, 2, 1))) == 22
+    assert 0 < len(joins) <= 15
+
+
+def test_bi_enumerate_limit_bounds_the_restrictions(monkeypatch):
+    calls = []
+    real_restrict = completion.restrict
+
+    def counting(m, c):
+        calls.append(c)
+        return real_restrict(m, c)
+
+    monkeypatch.setattr(completion, "restrict", counting)
+    rows = bi_enumerate(higman_thompson(2).table, word_len=1, join_arity=2, depth=3)
+    first = [next(rows) for _ in range(3)]
+    # the identity restricted to the empty clopen and to the first two atoms,
+    # where a table of 12 words would take 12 x 256 restrictions
+    assert len(calls) == 3
+    assert [m for m, _ in first] == [zero(2)] + [as_idempotent(c) for c in calls[1:]]
 
 
 def test_le_equals_el():

@@ -40,7 +40,17 @@ from cantorfull.pmap import (
     WordBall,
     zero,
 )
-from cantorfull.tails import depth_perm, grigorchuk, invert, state, word
+from cantorfull.tails import (
+    MealyMachine,
+    TailElement,
+    adding_machine,
+    depth_perm,
+    free_reduce,
+    grigorchuk,
+    invert,
+    state,
+    word,
+)
 
 from oracles import (
     ADD2,
@@ -61,6 +71,7 @@ from oracles import (
     reference_is_idempotent,
     reference_join,
     reference_leq,
+    reference_merge_family,
     right_extending_words,
 )
 
@@ -349,14 +360,8 @@ def test_eq_reflexive():
 
 def test_eq_expansion_identity():
     t = state(ADD2, "a")
-    rho = t.root_perm()
-    expanded = PartialMap(
-        2,
-        [
-            Branch((0, x), (1, rho[x]), t.apply_letter(x)[1])
-            for x in range(2)
-        ],
-    )
+    images = [t.apply_letter(x) for x in range(2)]
+    expanded = PartialMap(2, [Branch((0, x), (1, y), section) for x, (y, section) in enumerate(images)])
     assert eq(pm(2, ("0->1", t)), expanded)
 
 
@@ -455,6 +460,101 @@ def test_merge_only_where_a_complete_family_exists():
     # siblings, and swapped sibling ranges, which no trivial tail produces
     assert len(pm(2, "00->00", "01->10").branches) == 2
     assert len(pm(2, "00->01", "01->00").branches) == 2
+
+
+# a and b swap the root letter and have trivial sections, so a word that
+# holds g and h merges the same with a or b in front: the sibling merge
+# takes the machine that appears first
+SWAP_1 = MealyMachine(
+    "m1", 2, {"a": ("e", "e"), "e": ("e", "e"), "g": ("g", "a")},
+    {"a": (1, 0), "e": (0, 1), "g": (0, 1)},
+)
+SWAP_2 = MealyMachine(
+    "m2", 2, {"b": ("f", "f"), "f": ("f", "f"), "h": ("h", "b")},
+    {"b": (1, 0), "f": (0, 1), "h": (0, 1)},
+)
+
+
+def _random_factors(rng, machines, max_len):
+    return tuple(
+        (m, rng.choice(m.states), rng.choice((1, -1)))
+        for m in (rng.choice(machines) for _ in range(rng.randrange(max_len + 1)))
+    )
+
+
+def _expansion(u, v, t):
+    """The complete sibling family that the branch u -> v : t expands to,
+    each child's tail freely reduced as the constructor keeps it."""
+    images = [t.apply_letter(x) for x in range(t.d)]
+    return [
+        Branch(u + (x,), v + (y,), TailElement(t.d, free_reduce(section.factors)))
+        for x, (y, section) in enumerate(images)
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, machines",
+    [
+        (2, (GRI,)),
+        (2, (ADD2,)),
+        (2, (GRI, ADD2)),
+        (2, (SWAP_1, SWAP_2)),
+        (3, (adding_machine(3),)),
+    ],
+    ids=["grigorchuk", "adding", "grigorchuk-and-adding", "two-swaps", "adding-3"],
+)
+def test_merge_family_matches_the_candidate_list_scan(d, machines):
+    rng = random.Random(3400 + d * len(machines))
+    merged = set()
+    for _ in range(400):
+        u = tuple(rng.randrange(d) for _ in range(rng.randrange(3)))
+        v = tuple(rng.randrange(d) for _ in range(rng.randrange(3)))
+        family = _expansion(u, v, TailElement(d, _random_factors(rng, machines, 4)))
+        if rng.random() < 0.3:
+            x = rng.randrange(d)
+            tail = TailElement(d, free_reduce(_random_factors(rng, machines, 3)))
+            family[x] = Branch(family[x].dom, family[x].ran, tail)
+        if rng.random() < 0.1:
+            family[0], family[1] = (
+                Branch(family[0].dom, family[1].ran, family[0].tail),
+                Branch(family[1].dom, family[0].ran, family[1].tail),
+            )
+        got = pmap._merge_family(d, u, family)
+        assert got == reference_merge_family(d, u, family)
+        merged.add(got is not None and bool(got.tail.factors))
+    assert merged == {True, False}
+
+
+def test_merge_family_matches_the_candidate_list_scan_on_rover_words():
+    ball = WordBall([m for m, _ in _letters(rover_units().table)], 2).words(2)
+    branches = [b for m, _ in ball for b in m.branches if b.tail.factors]
+    assert branches
+    merged = 0
+    for b in branches:
+        family = _expansion(b.dom, b.ran, b.tail)
+        got = pmap._merge_family(2, b.dom, family)
+        assert got == reference_merge_family(2, b.dom, family)
+        if got is not None:
+            assert tails.equal(got.tail, b.tail)
+            merged += 1
+    # a parent whose children reduce to trivial tails but permute the
+    # letters, such as 0->0:a, is out of the candidates' reach (ROADMAP
+    # item 10)
+    assert 0 < merged < len(branches)
+
+
+def test_sibling_merge_takes_machines_in_first_appearance_order():
+    f = PartialMap(
+        2,
+        [
+            Branch((0,), (1,), TailElement(2, ((SWAP_1, "g", 1), (SWAP_2, "h", 1)))),
+            Branch((1,), (0,), TailElement(2, ((SWAP_1, "a", 1), (SWAP_2, "b", 1)))),
+        ],
+    )
+    # SWAP_1.a*g*h and SWAP_2.b*g*h both expand to this family
+    assert f.branches == (
+        Branch((), (), TailElement(2, ((SWAP_1, "a", 1), (SWAP_1, "g", 1), (SWAP_2, "h", 1)))),
+    )
 
 
 # -- constructor checks ----------------------------------------------------------
