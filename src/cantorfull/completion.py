@@ -141,24 +141,30 @@ def _words_up_to(table, word_len):
     return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in words]
 
 
-def depth_clopens(d, depth):
-    """All clopens that are unions of depth-`depth` atoms, in counter order.
-
-    There are 2^(d^depth) of them, so more than 16 atoms are refused before
-    anything is listed; the atoms are counted a level at a time, so d^depth
-    is never computed.
-    """
+def _depth_atoms(d, depth):
+    """The depth-`depth` atoms, refused when there are more than 16 of them;
+    they are counted a level at a time, so d^depth is never computed."""
     count = 1
     for _ in range(depth):
         count *= d
         if count > 16:
             raise CantorError(f"depth-{depth} clopens number 2^({d}^{depth}), over 2^16")
-    cells = atoms(depth, d)
-    out = []
-    for mask in range(2 ** len(cells)):
-        words = [cells[i].antichain[0] for i in range(len(cells)) if mask >> i & 1]
-        out.append(normalize(words, d))
-    return out
+    return atoms(depth, d)
+
+
+def _mask_clopen(cells, mask, d):
+    """The union of the atoms cells[i] with bit i set in mask."""
+    return normalize([cells[i].antichain[0] for i in range(len(cells)) if mask >> i & 1], d)
+
+
+def depth_clopens(d, depth):
+    """All clopens that are unions of depth-`depth` atoms, in counter order.
+
+    There are 2^(d^depth) of them, so more than 16 atoms are refused before
+    anything is listed.
+    """
+    cells = _depth_atoms(d, depth)
+    return [_mask_clopen(cells, mask, d) for mask in range(2 ** len(cells))]
 
 
 def bi_enumerate(table, word_len, join_arity, depth):
@@ -170,6 +176,8 @@ def bi_enumerate(table, word_len, join_arity, depth):
     restrictions (the pieces), each as soon as it is met, words in ball
     order and clopens in counter order; then the joins of arity 2, 3, ...,
     each arity over the combinations of pieces in lexicographic order.
+    Each clopen is built when the first word reaches it, so a reader that
+    stops early pays only for the clopens its rows used.
 
     A combination is joined only when no pair in it is already decided.
     The clopen with mask bit i set holds atom i, and single-atom masks come
@@ -187,16 +195,20 @@ def bi_enumerate(table, word_len, join_arity, depth):
     Neither rule skips a combination whose join could be new, so the rows
     are those of joining every combination.
     """
-    clopens = depth_clopens(table.d, depth)
-    n_atoms = len(atoms(depth, table.d))
+    cells = _depth_atoms(table.d, depth)
+    n_atoms = len(cells)
     words = _words_up_to(table, word_len)
 
+    clopens = []  # mask -> clopen, each built when the first word reaches it
     pieces = []  # (element, expression)
     signatures = []  # piece index -> {atom: piece index of the restriction}
     seen = Dedup()  # payload: the piece index, or None for a join
     for m, expr in words:
         at_atom = [None] * n_atoms
-        for mask, c in enumerate(clopens):
+        for mask in range(2 ** n_atoms):
+            if mask == len(clopens):
+                clopens.append(_mask_clopen(cells, mask, table.d))
+            c = clopens[mask]
             rep, index, new = seen.add(restrict(m, c), len(pieces))
             if mask and mask & (mask - 1) == 0:  # the single atom of this mask
                 at_atom[mask.bit_length() - 1] = None if rep.is_zero() else index

@@ -502,6 +502,20 @@ def eval_at(f, w):
     return EvalResult(UNDEFINED)
 
 
+def _word_image(f, w):
+    """The words whose cylinders make up f([w] & dom f), not normalized: the
+    image of w through the branch whose domain is a prefix of w, else the
+    ranges of the branches whose domains extend w."""
+    words = []
+    for b in f.branches:
+        if is_prefix(b.dom, w):
+            # domains form an antichain, so no other branch meets [w]
+            return (b.ran + _tails.apply_prefix(b.tail, w[len(b.dom) :])[0],)
+        if is_prefix(w, b.dom):
+            words.append(b.ran)
+    return tuple(words)
+
+
 def image_clopen(f, c):
     """The image f(c & dom f) as a clopen set.
 
@@ -513,13 +527,7 @@ def image_clopen(f, c):
         raise AlphabetMismatch(f"alphabet {f.d} vs {c.d}")
     words = []
     for w in c.antichain:
-        for b in f.branches:
-            if is_prefix(b.dom, w):
-                # domains form an antichain, so no other branch meets [w]
-                words.append(b.ran + _tails.apply_prefix(b.tail, w[len(b.dom) :])[0])
-                break
-            if is_prefix(w, b.dom):
-                words.append(b.ran)
+        words += _word_image(f, w)
     return normalize(words, f.d)
 
 
@@ -637,33 +645,57 @@ def image_levels(maps, sources, max_len):
 
 def image_walks(maps):
     """The function (sources, max_len) -> image_levels(maps, sources,
-    max_len), for many walks over the same maps: the index of the maps'
-    domain words is built once, here, and each walk keeps its own images."""
+    max_len), for many walks over the same maps.
+
+    The index of the maps' domain words is built once, here, and so is the
+    image of each (map, antichain word) pair: one dict per map, living as
+    long as the returned function, holds the image words (_word_image) of
+    every word the map has been applied to.  Each walk keeps its own
+    images, and normalizes an image only when its raw words, sorted, are
+    not already among the walk's: equal raw words give equal clopens.  A
+    walk whose sources are over another alphabet than the maps raises
+    AlphabetMismatch before its first level.
+    """
     holding = holders([dom(m) for m in maps])
+    word_images = [{} for _ in maps]
 
     def walk(sources, max_len):
+        sources = tuple(sources)
+        if maps:
+            for c in sources:
+                if c.d != maps[0].d:
+                    raise AlphabetMismatch(f"alphabet {maps[0].d} vs {c.d}")
         if max_len < 0:
             return
         seen = set()
-
-        def fresh(triples):
-            out = []
-            for img, word, src in triples:
-                if img.antichain not in seen:
-                    seen.add(img.antichain)
-                    out.append((img, word, src))
-            return out
-
-        level = fresh((c, (), c) for c in sources)
+        raw_seen = set()
+        level = []
+        for c in sources:
+            if c.antichain not in seen:
+                seen.add(c.antichain)
+                level.append((c, (), c))
         yield level
         for _ in range(max_len):
-            level = fresh(
-                [
-                    (image_clopen(maps[i], img), (i,) + word, src)
-                    for img, word, src in level
-                    for i in holding(img)
-                ]
-            )
+            nxt = []
+            for img, word, src in level:
+                for i in holding(img):
+                    known = word_images[i]
+                    raw = []
+                    for w in img.antichain:
+                        image = known.get(w)
+                        if image is None:
+                            image = known[w] = _word_image(maps[i], w)
+                        raw.extend(image)
+                    raw.sort()
+                    raw = tuple(raw)
+                    if raw in raw_seen:
+                        continue
+                    raw_seen.add(raw)
+                    c = normalize(raw, img.d)
+                    if c.antichain not in seen:
+                        seen.add(c.antichain)
+                        nxt.append((c, (i,) + word, src))
+            level = nxt
             yield level
 
     return walk

@@ -5,10 +5,15 @@ branch prefixes, without calling the library's apply/compose/eval paths, so
 they can arbitrate the library's outputs.  The search reference
 right_extending_words is an exception: it composes with the library and
 pins the order and the duplicates of its word searches.  So are
+reference_image_clopen, pmap.image_clopen's branch scan in one function,
+its tails walked letter by letter where pmap calls pmap._word_image;
 all_word_images, which applies every index word to the sources
 where image_levels keeps the first word per image; reference_image_levels,
 which tests every map's domain with Clopen.leq where image_levels looks
-the image's words up in an index of the domains; reference_kit_sections,
+the image's words up in an index of the domains, and normalizes every
+image where image_levels maps each (map, word) pair once per walker and
+normalizes only raw words it has not met (both apply maps with
+reference_image_clopen); reference_kit_sections,
 which builds every kit section eagerly and scans the family with
 Clopen.leq for its spare columns; reference_compatible,
 reference_leq and reference_is_idempotent,
@@ -47,7 +52,7 @@ from cantorfull.clopen import (
     word_from_text,
 )
 from cantorfull.completion import Join, Restrict, _words_up_to, depth_clopens
-from cantorfull.errors import CantorError, IdentityInput, IncompatiblePair
+from cantorfull.errors import AlphabetMismatch, CantorError, IdentityInput, IncompatiblePair
 from cantorfull.msec import build
 from cantorfull.pmap import (
     Branch,
@@ -227,6 +232,24 @@ def right_extending_words(letters, max_len, d):
     return ball
 
 
+def reference_image_clopen(f, c):
+    """A reference for pmap.image_clopen: each word of c scans the branches,
+    mapping through the branch whose domain is its prefix, or collecting
+    the ranges of the branches whose domains extend it."""
+    if f.d != c.d:
+        raise AlphabetMismatch(f"alphabet {f.d} vs {c.d}")
+    words = []
+    for w in c.antichain:
+        for b in f.branches:
+            if is_prefix(b.dom, w):
+                # domains form an antichain, so no other branch meets [w]
+                words.append(b.ran + tail_walk(b.tail, w[len(b.dom) :]))
+                break
+            if is_prefix(w, b.dom):
+                words.append(b.ran)
+    return normalize(words, f.d)
+
+
 def all_word_images(maps, sources, max_len):
     """A reference for pmap.image_levels: for each n <= max_len, the
     antichains of the images of the sources under every index word of
@@ -241,7 +264,7 @@ def all_word_images(maps, sources, max_len):
                 for i in reversed(word):
                     if not img.leq(dom(maps[i])):
                         break
-                    img = image_clopen(maps[i], img)
+                    img = reference_image_clopen(maps[i], img)
                 else:
                     reached.add(img.antichain)
         out.append(set(reached))
@@ -268,7 +291,7 @@ def reference_image_levels(maps, sources, max_len):
     for _ in range(max_len):
         level = fresh(
             [
-                (image_clopen(m, img), (i,) + word, src)
+                (reference_image_clopen(m, img), (i,) + word, src)
                 for img, word, src in level
                 for i, m in enumerate(maps)
                 if img.leq(dom(m))

@@ -237,6 +237,29 @@ def test_bi_enumerate_limit_bounds_the_restrictions(monkeypatch):
     assert [m for m, _ in first] == [zero(2)] + [as_idempotent(c) for c in calls[1:]]
 
 
+def test_bi_enumerate_builds_only_the_clopens_its_rows_reach(monkeypatch):
+    calls = []
+    real_normalize = completion.normalize
+
+    def counting(words, d):
+        calls.append(tuple(words))
+        return real_normalize(words, d)
+
+    monkeypatch.setattr(completion, "normalize", counting)
+    table = higman_thompson(2).table
+    # depth 4 has 2^16 clopens; three rows read the first three masks
+    rows = bi_enumerate(table, word_len=1, join_arity=1, depth=4)
+    first = [next(rows) for _ in range(3)]
+    assert calls == [(), ((0, 0, 0, 0),), ((0, 0, 0, 1),)]
+    clopens = [empty(2), cylinder((0, 0, 0, 0), 2), cylinder((0, 0, 0, 1), 2)]
+    assert first == [(as_idempotent(c), Restrict(Product(()), c)) for c in clopens]
+    # later words read the clopens the first word built
+    reference = reference_bi_enumerate(table, 1, 1, 1)
+    calls.clear()
+    assert list(bi_enumerate(table, 1, 1, 1)) == reference
+    assert len(calls) == 2 ** len(atoms(1, 2))
+
+
 def test_le_equals_el():
     rng = random.Random(9)
     for _ in range(40):

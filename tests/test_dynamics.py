@@ -17,7 +17,13 @@ from cantorfull.dynamics import (
     split_unit,
     subshift_code,
 )
-from cantorfull.errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
+from cantorfull.errors import (
+    AlphabetMismatch,
+    CantorError,
+    EmptyInput,
+    IdentityInput,
+    NotPartwiseStabilizing,
+)
 from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
 from cantorfull.pmap import Branch, PartialMap, compose, eq, image_clopen, one
 from cantorfull.tails import adding_machine, state
@@ -68,6 +74,13 @@ def test_expansive_adding_machine_refuted():
     cert = expansive_certificate(adding_ctx(), atoms(1, 2), depth=2, word_len=32)
     assert cert.is_refuted()
     assert "pair" in cert.refuted
+
+
+def test_expansive_refuses_parts_over_another_alphabet():
+    # the walk checks the parts before its first level, so no depth-2 atom
+    # mask is looked up with a d = 3 word
+    with pytest.raises(AlphabetMismatch):
+        expansive_certificate(v2_ctx(), atoms(1, 3), 2, 2)
 
 
 def test_expansive_identity_table_depth1():
@@ -293,14 +306,14 @@ def test_orbit_search_computes_only_the_levels_it_reads(monkeypatch):
     # a witness found early computes no longer level: at word_len 50 the
     # search maps as many images as at the witness's own length
     ctx = v2_ctx()
-    honest = pmap.image_clopen
+    honest = pmap._word_image
     calls = []
 
-    def counted(f, c):
-        calls.append(c)
-        return honest(f, c)
+    def counted(f, w):
+        calls.append(w)
+        return honest(f, w)
 
-    monkeypatch.setattr(pmap, "image_clopen", counted)
+    monkeypatch.setattr(pmap, "_word_image", counted)
     cert = orbit_lower_bound(ctx, (0,), k=4, word_len=50)
     assert cert.is_witness()
     longest = max(len(w) for w in cert.witness["words"])

@@ -921,6 +921,8 @@ def test_image_clopen():
     f = pm(2, "0->10", "10->0", "11->11")
     assert image_clopen(f, clo("{00}")) == clo("{100}")
     assert image_clopen(f, full(2)) == full(2)
+    # a word scattered over several deeper branch domains
+    assert image_clopen(SCATTERING[0], clo("{0}")) == clo("{11, 100, 1010}")
     with pytest.raises(AlphabetMismatch):
         image_clopen(f, full(3))
 
@@ -1119,17 +1121,71 @@ def test_image_levels_match_every_word(maps, sources, max_len):
     assert len(reference[-1]) > len(reference[1]) > len(sources)
 
 
+# partial maps where a short word's image is several deeper branch ranges:
+# the first carries {0} onto {11, 100, 1010}, and the walk keeps growing
+SCATTERING = [
+    pm(2, "00->100", ("010->1010", state(ADD2, "a")), "011->11"),
+    pm(2, "1->0"),
+    pm(2, ("10->00", state(ADD2, "a")), "11->01"),
+]
+
+
 @pytest.mark.parametrize(
     "maps, sources, max_len",
     [(IMAGE_WALKS[2][1], [atom], 3) for atom in atoms(3, 2)]
-    + [(IMAGE_WALKS[1][1], atoms(2, 2), 3), (IMAGE_WALKS[1][1], [clo("{0, 11}")], 4)],
+    + [
+        (IMAGE_WALKS[1][1], atoms(2, 2), 3),
+        (IMAGE_WALKS[1][1], [clo("{0, 11}")], 4),
+        (IMAGE_WALKS[1][1], atoms(1, 2), 3),
+        (list(higman_thompson(3).table.mapping.values()), atoms(1, 3), 2),
+        (SCATTERING, [clo("{0}"), clo("{1}"), clo("{01}")], 5),
+    ],
     ids=[f"V2 kit family from {atom}" for atom in atoms(3, 2)]
-    + ["rover units from the depth-2 atoms", "rover units from {0, 11}"],
+    + [
+        "rover units from the depth-2 atoms",
+        "rover units from {0, 11}",
+        "rover units from the depth-1 atoms",
+        "V3 units from the depth-1 atoms",
+        "partial maps scattering a word over deeper ranges",
+    ],
 )
 def test_image_levels_match_the_leq_scan(maps, sources, max_len):
     assert list(image_levels(maps, sources, max_len)) == list(
         reference_image_levels(maps, sources, max_len)
     )
+
+
+def test_image_walks_map_each_word_once_per_walker(monkeypatch):
+    # the walker keeps each (map, word) image, across its walks too
+    maps = IMAGE_WALKS[2][1]
+    calls = []
+    honest = pmap._word_image
+
+    def counted(f, w):
+        calls.append((id(f), w))
+        return honest(f, w)
+
+    monkeypatch.setattr(pmap, "_word_image", counted)
+    walk = pmap.image_walks(maps)
+    for atom in atoms(3, 2):
+        assert list(walk([atom], 3)) == list(reference_image_levels(maps, [atom], 3))
+    assert len(calls) == len(set(calls)) > 0
+    # a new walker starts from nothing
+    shared = len(calls)
+    list(pmap.image_walks(maps)([atoms(3, 2)[0]], 3))
+    assert len(calls) > shared
+
+
+def test_image_walks_refuse_another_alphabet():
+    # a d = 3 source that no d = 2 domain holds is refused, not walked
+    units = IMAGE_WALKS[0][1]
+    with pytest.raises(AlphabetMismatch):
+        list(image_levels(units, [clo("{0}"), cylinder((2,), 3)], 2))
+    with pytest.raises(AlphabetMismatch):
+        next(image_levels(units, [cylinder((2,), 3)], 0))
+    # a walk over no maps has no alphabet to check
+    c = cylinder((2,), 3)
+    assert list(image_levels([], [c], 1)) == [[(c, (), c)], []]
 
 
 def test_image_levels_edges():
