@@ -13,7 +13,7 @@ from dataclasses import replace
 from functools import cache
 
 from . import certs, dynamics, factor, kit, msec, pmap
-from .clopen import atoms, is_partition, word_from_text
+from .clopen import atoms, checked_alphabet, is_partition, word_from_text
 from .completion import GeneratorTable, bi_enumerate, evaluate, piecewise_member
 from .errors import CantorError, ParseError
 from .families import FAMILY_BUILDERS, family_by_name
@@ -42,15 +42,6 @@ def default_registry(d):
     return registry
 
 
-def _checked_alphabet(d):
-    """d itself, when it is an alphabet whose words print as digit strings."""
-    if not 2 <= d <= 10:
-        raise CantorError(
-            f"alphabet size must be at least 2 and at most 10 (words are digit strings), not {d}"
-        )
-    return d
-
-
 class Session:
     """Parsed context shared by one invocation.
 
@@ -59,7 +50,7 @@ class Session:
     """
 
     def __init__(self, args):
-        self.d = _checked_alphabet(args.alphabet)
+        self.d = checked_alphabet(args.alphabet)
         self.table = GeneratorTable(self.d, {})
         registry = default_registry(self.d)
         if getattr(args, "machines", None):
@@ -78,7 +69,7 @@ class Session:
         # a family name takes precedence over a file of that name
         if spec.partition(":")[0] in FAMILY_BUILDERS:
             self.table = family_by_name(spec).table
-            self.d = _checked_alphabet(self.table.d)
+            self.d = self.table.d
             self.parser = Parser(self.d, self.parser.registry)
             return
         mapping = {}

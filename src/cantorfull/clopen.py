@@ -2,8 +2,9 @@
 
 A clopen set is stored as its canonical reduced prefix antichain: no word is
 a proper prefix of another, no full sibling family w0..w(d-1) is present, and
-words are sorted length-then-lexicographic.  The empty antichain is the empty
-set; the antichain {()} (the empty word) is the whole space.
+words are in lexicographic order, the order every sweep over them reads.  Text
+lists the words shortest first.  The empty antichain is the empty set; the
+antichain {()} (the empty word) is the whole space.
 """
 
 from itertools import product
@@ -20,6 +21,15 @@ def word_from_text(text):
     if text.strip("0123456789"):
         raise CantorError(f"word {text!r} is not a digit string or ~")
     return tuple(int(ch) for ch in text)
+
+
+def checked_alphabet(d):
+    """d itself, when it is an alphabet whose words print as digit strings."""
+    if not 2 <= d <= 10:
+        raise CantorError(
+            f"alphabet size must be at least 2 and at most 10 (words are digit strings), not {d}"
+        )
+    return d
 
 
 def word_to_text(word):
@@ -57,9 +67,8 @@ class Clopen:
         return f"Clopen(d={self.d}, {self})"
 
     def __str__(self):
-        if not self.antichain:
-            return "{}"
-        return "{" + ", ".join(word_to_text(w) for w in self.antichain) + "}"
+        # shortest first; sorted is stable, so lexicographic within a length
+        return "{" + ", ".join(word_to_text(w) for w in sorted(self.antichain, key=len)) + "}"
 
     def is_empty(self):
         return not self.antichain
@@ -97,7 +106,7 @@ class Clopen:
         )
 
     def complement(self):
-        """The complement, in one sweep over the sorted antichain.
+        """The complement, in one sweep over the antichain.
 
         In lexicographic order the words extending a prefix are contiguous
         and follow the prefix itself, so each trie node splits its run of
@@ -105,9 +114,10 @@ class Clopen:
         set, a node with no word in its run lies outside it and is kept, and
         any other node recurses.  The kept nodes are already canonical: they
         form an antichain, and no full sibling family of them is kept,
-        because their parent's run holds a word.
+        because their parent's run holds a word; the walk meets them in
+        lexicographic order.
         """
-        words = sorted(self.antichain)
+        words = self.antichain
         out = []
 
         def walk(prefix, lo, hi):
@@ -125,7 +135,6 @@ class Clopen:
                 lo = mid
 
         walk((), 0, len(words))
-        out.sort(key=len)  # stable: lexicographic within each length
         return Clopen(self.d, tuple(out))
 
     def leq(self, other):
@@ -134,7 +143,8 @@ class Clopen:
         return all(other.contains_word(u) for u in self.antichain)
 
     def words_at_depth(self, n):
-        """All length-n words whose cylinders lie inside this set.
+        """All length-n words whose cylinders lie inside this set, in
+        lexicographic order.
 
         Every antichain word must have length <= n for the result to cover
         the set exactly.
@@ -145,7 +155,6 @@ class Clopen:
                 raise ValueError(f"antichain word {u} deeper than {n}")
             for tail in product(range(self.d), repeat=n - len(u)):
                 out.append(u + tail)
-        out.sort()
         return out
 
     def _check(self, other):
@@ -185,7 +194,6 @@ def normalize(words, d):
             del kept[-d:]
             kept.append(parent)
             w = parent
-    kept.sort(key=len)  # stable: lexicographic within each length
     return Clopen(d, tuple(kept))
 
 

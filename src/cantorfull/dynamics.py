@@ -293,10 +293,10 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
 def _moved_cylinders(g, region, max_depth):
     """The cylinders c inside region, of depth 1..max_depth, with g(c) and c
     disjoint: yields (c, g(c)), shallowest first and lexicographic within a
-    depth (the extensions of the region's words, taken in lexicographic
+    depth (the extensions of the region's words, stored in lexicographic
     order, are lexicographic, because the words are an antichain)."""
     for depth in range(1, max_depth + 1):
-        for u in sorted(w for w in region.antichain if len(w) <= depth):
+        for u in [w for w in region.antichain if len(w) <= depth]:
             for tail in product(range(g.d), repeat=depth - len(u)):
                 c = cylinder(u + tail, g.d)
                 gc = image_clopen(g, c)

@@ -42,7 +42,7 @@ def word_product(word, sections, d):
     """The product of the units named by a word of (section_index, perm) pairs.
 
     A witness word repeats a few letters many times, so each distinct letter
-    is built by element once per call, and product sorts it once.
+    is built by element once per call.
     """
     units = {}
     letters = []

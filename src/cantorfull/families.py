@@ -11,7 +11,7 @@ from inspect import signature
 from itertools import permutations, product
 from math import factorial
 
-from .clopen import cylinder, union_all, word_to_text
+from .clopen import checked_alphabet, cylinder, union_all, word_to_text
 from .completion import GeneratorTable
 from .errors import CantorError
 from .pmap import Branch, PartialMap
@@ -151,14 +151,20 @@ FAMILY_BUILDERS = {
 
 
 def family_by_name(spec):
-    """Family from a CLI-style spec like "higman_thompson:2" or "grigorchuk"."""
+    """Family from a CLI-style spec like "higman_thompson:2" or "grigorchuk".
+
+    The alphabet, the parameter d (2 for a builder without one), is checked
+    to print as digit strings before anything is built.
+    """
     name, *params = spec.split(":")
     if name not in FAMILY_BUILDERS:
         raise CantorError(f"unknown family {name!r}")
     builder = FAMILY_BUILDERS[name]
     try:
         args = [int(x) for x in params]
-        signature(builder).bind(*args)
+        bound = signature(builder).bind(*args)
     except (TypeError, ValueError):
         raise CantorError(f"bad parameters {params} for family {name!r}") from None
+    bound.apply_defaults()
+    checked_alphabet(bound.arguments.get("d", 2))
     return builder(*args)

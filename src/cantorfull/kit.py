@@ -551,7 +551,7 @@ def _factor_cover(kit, section, perm, budget, split_left=3):
 
     The subdivision pieces are disjoint restrictions covering the section, so
     the target is the product of the pieces' elements and the witness words
-    concatenate.
+    concatenate.  The base's words are subdivided shortest first.
     """
     try:
         return _factor_section(kit, section, perm, budget)
@@ -560,7 +560,7 @@ def _factor_cover(kit, section, perm, budget, split_left=3):
         if split_left <= 0 or budget.spent:
             raise
     out = []
-    for w in section.base.antichain:
+    for w in sorted(section.base.antichain, key=len):
         for x in range(kit.d):
             child = cylinder(tuple(w) + (x,), kit.d)
             sub = restrict_msec(section, child)

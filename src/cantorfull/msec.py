@@ -281,11 +281,12 @@ def extend_degree(s, table, word_len=3, node_budget=certs.DEFAULT_NODE_BUDGET):
 
 def _extend_over_words(s, ball, word_len, budget):
     """extend_degree's search over ball's words up to word_len, spending
-    from budget: the extended sections and the subdivision they sit on."""
+    from budget: the extended sections and the subdivision they sit on.  The
+    pieces are searched breadth first from the base's words, shortest first."""
     d = s.d
     max_depth = max((len(w) for w in s.base.antichain), default=0) + SPLIT_DEPTH
 
-    queue = [_clopen.Clopen(d, (w,)) for w in s.base.antichain]
+    queue = [_clopen.Clopen(d, (w,)) for w in sorted(s.base.antichain, key=len)]
     sections = []
     subdivision = []
     while queue:

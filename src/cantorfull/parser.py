@@ -255,14 +255,14 @@ class Parser:
 
 
 def element_to_text(m, names=None):
-    """Text of m; names maps (machine, state) to the name a tail factor is
-    printed under (see TailElement.to_text)."""
+    """Text of m, its branches shortest domain first; names maps (machine,
+    state) to the name a tail factor is printed under (see TailElement.to_text)."""
     if m.is_zero():
         return "0"
     if m.branches == _pmap.one(m.d).branches:
         return "1"
     bits = []
-    for b in m.branches:
+    for b in sorted(m.branches, key=lambda b: len(b.dom)):
         s = f"{word_to_text(b.dom)}->{word_to_text(b.ran)}"
         if b.tail.factors:
             s += f":{b.tail.to_text(names)}"

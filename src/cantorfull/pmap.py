@@ -2,10 +2,11 @@
 
 An element is a finite branch table {(u_i -> v_i : t_i)}: the cylinder of u_i
 maps onto the cylinder of v_i by u_i.z -> v_i.t_i(z).  Tables are kept in
-semi-canonical form: branches sorted by domain prefix, tails freely reduced,
-and complete sibling families merged into their parent branch whenever the
-family is verbatim the expansion of a representable parent (for trivial tails
-this is the unique minimal tree-pair form).  Semantic equality is decided by
+semi-canonical form: branches in lexicographic domain order, tails freely
+reduced, and complete sibling families merged into their parent branch
+whenever the family is verbatim the expansion of a representable parent (for
+trivial tails this is the unique minimal tree-pair form).  Text lists the
+branches shortest domain first.  Semantic equality is decided by
 eq(), never by comparing table shapes.  Dedup buckets maps by fingerprint,
 which keys each tail by its minimal section automaton
 (tails.canonical_key), and confirms every bucket hit with eq.
@@ -47,10 +48,6 @@ class Branch:
 _dom_of = attrgetter("dom")
 
 
-def _dom_len(b):
-    return len(b.dom)
-
-
 class PartialMap:
     """An element of PHomeo_c(X); the empty table is 0, [~ -> ~ : 1] is 1."""
 
@@ -61,7 +58,6 @@ class PartialMap:
         # checking the input is checking the result
         table = _checked_table(d, branches)
         table = _greedy_merge(d, table)
-        table.sort(key=_dom_len)  # stable: lexicographic within each length
         self.d = d
         self.branches = tuple(table)
         self._dom = None
@@ -70,7 +66,8 @@ class PartialMap:
         self._hash = None
 
     def __repr__(self):
-        return f"PartialMap(d={self.d}, {list(self.branches)})"
+        # shortest domain first, lexicographic within a length
+        return f"PartialMap(d={self.d}, {sorted(self.branches, key=lambda b: len(b.dom))})"
 
     def __eq__(self, other):
         # structural comparison of semi-canonical tables; semantic equality is eq()
@@ -249,33 +246,27 @@ def _check_context(f, g):
         raise AlphabetMismatch(f"alphabet {f.d} vs {g.d}")
 
 
-def _by_dom(f):
-    """f's branches in lexicographic domain order, and those domains."""
-    fbs = sorted(f.branches, key=_dom_of)
-    return fbs, [b.dom for b in fbs]
-
-
-def _compose_branches(fbs, doms, gbranches):
-    """The branches of f.g, from f's branches and domains as _by_dom gives
-    them and g's branches in any order.
+def _compose_branches(fbs, gbranches):
+    """The branches of f.g, from f's branches as f stores them and g's
+    branches in any order.
 
     f's domains are an antichain in lexicographic order, so at most the one
     just before ran's insertion point is a prefix of ran, and otherwise the
     domains properly extending ran follow it as one run.
     """
-    n = len(doms)
+    n = len(fbs)
     out = []
     for gb in gbranches:
         r = gb.ran
-        i = bisect_right(doms, r)
-        if i and doms[i - 1] == r[: len(doms[i - 1])]:
+        i = bisect_right(fbs, r, key=_dom_of)
+        fb = fbs[i - 1] if i else None
+        if fb is not None and fb.dom == r[: len(fb.dom)]:
             # g lands inside this f branch
-            fb = fbs[i - 1]
             img, s_res = _tails.apply_prefix(fb.tail, r[len(fb.dom) :])
             out.append(Branch(gb.dom, fb.ran + img, _tails.compose(s_res, gb.tail)))
             continue
         k = len(r)
-        while i < n and doms[i][:k] == r:
+        while i < n and fbs[i].dom[:k] == r:
             # only the part of the g branch mapping into [fb.dom] survives
             fb = fbs[i]
             w0, _ = _tails.apply_prefix(_tails.invert(gb.tail), fb.dom[k:])
@@ -289,32 +280,27 @@ def _compose_branches(fbs, doms, gbranches):
 def compose(f, g):
     """The partial homeomorphism x -> f(g(x)) on g^{-1}(dom f & ran g)."""
     _check_context(f, g)
-    return PartialMap(f.d, _compose_branches(*_by_dom(f), g.branches))
+    return PartialMap(f.d, _compose_branches(f.branches, g.branches))
 
 
 def product(d, maps):
     """The product maps[0].maps[1]. ... , equal by eq to the compose fold.
 
-    Composes right to left on raw branch lists, sorting each distinct map's
-    branches once.  Every intermediate table gets the constructor's checks;
-    sibling families are merged once, when the last table becomes a
-    PartialMap.  Over trivial tails the result is the fold's table, since
-    semi-canonical form is canonical there; over automaton tails the merge
-    may pick another, eq-equal, table.
+    Composes right to left on raw branch lists, reading each map's branches
+    in their stored, lexicographic order.  Every intermediate table gets the
+    constructor's checks; sibling families are merged once, when the last
+    table becomes a PartialMap.  Over trivial tails the result is the fold's
+    table, since semi-canonical form is canonical there; over automaton tails
+    the merge may pick another, eq-equal, table.
     """
     for m in maps:
         if m.d != d:
             raise AlphabetMismatch(f"alphabet {m.d} in context {d}")
     if not maps:
         return one(d)
-    by_dom = {}
     table = maps[-1].branches
     for i in range(len(maps) - 2, -1, -1):
-        f = maps[i]
-        sorted_f = by_dom.get(id(f))
-        if sorted_f is None:
-            sorted_f = by_dom[id(f)] = _by_dom(f)
-        table = _compose_branches(*sorted_f, table)
+        table = _compose_branches(maps[i].branches, table)
         if i:
             # the last table is checked by the constructor below
             table = _checked_table(d, table)
@@ -432,7 +418,9 @@ def join(elems):
     must be antichains.  Inputs that overlap are proved compatible pair by
     pair, each proof read off the two branch tables by compatible (the first
     failing pair raises IncompatiblePair(i, j)), and glued keeping the
-    shallowest of the branches whose domains are comparable.
+    shallowest of the branches whose domains are comparable: in lexicographic
+    order a domain's extensions follow it directly, so one sweep keeps a
+    branch unless the last kept domain is a prefix of its own.
     """
     elems = list(elems)
     if not elems:
@@ -449,16 +437,11 @@ def join(elems):
         for j in range(i + 1, len(elems)):
             if not compatible(elems[i], elems[j]):
                 raise IncompatiblePair(i, j)
-    pool.sort(key=lambda b: (len(b.dom), b.dom))
+    pool.sort(key=_dom_of)
     kept = []
-    kept_doms = set()
     for b in pool:
-        if b.dom in kept_doms:
-            continue
-        if any(is_prefix(k.dom, b.dom) for k in kept):
-            continue
-        kept.append(b)
-        kept_doms.add(b.dom)
+        if not kept or not is_prefix(kept[-1].dom, b.dom):
+            kept.append(b)
     return PartialMap(d, kept)
 
 

@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from cantorfull import cli, pmap, tails
+from cantorfull import pmap, tails
 from cantorfull.cli import Session, build_arg_parser, main
-from cantorfull.completion import GeneratorTable, depth_clopens
-from cantorfull.families import NamedFamily
+from cantorfull.completion import depth_clopens
 from cantorfull.parser import Parser
 from cantorfull.pmap import Branch, PartialMap, compose, eq, eval_at, star
 
@@ -330,7 +329,7 @@ def test_depth_clopens_are_sized_before_they_are_listed(capsys):
     assert len(depth_clopens(2, 4)) == 2**16
 
 
-def test_letters_and_alphabets_are_checked(capsys, monkeypatch):
+def test_letters_and_alphabets_are_checked(capsys):
     assert main(["eq", "1", "1", "-d", "1"]) == 3
     assert "alphabet size must be at least 2" in capsys.readouterr().err
     # a word over more than ten letters would not print as a digit string:
@@ -338,11 +337,13 @@ def test_letters_and_alphabets_are_checked(capsys, monkeypatch):
     assert main(["eval", "[0->1:adder]", "09", "-d", "12"]) == 3
     assert "at most 10" in capsys.readouterr().err
     assert run(capsys, "eval", "[0->1:adder]", "09", "-d", "10") == (0, "eval: 10 : adder\n")
-    # the same bound holds for an alphabet set by a family
-    eleven = NamedFamily("higman_thompson", {"d": 11}, GeneratorTable(11, {}))
-    monkeypatch.setattr(cli, "family_by_name", lambda spec: eleven)
-    assert main(["eq", "1", "1", "--gens", "higman_thompson:11"]) == 3
-    assert "at most 10" in capsys.readouterr().err
+    # the same bound holds for an alphabet set by a family, checked before
+    # the family is built: V_11 alone would list 8,419 generators
+    for argv in (["eq", "1", "1", "--gens", "higman_thompson:11"],
+                 ["gen", "show", "higman_thompson:11"],
+                 ["gen", "show", "depth_aut:1:11"]):
+        assert main(argv) == 3
+        assert "at most 10" in capsys.readouterr().err
     for word in ("5", "15", "2"):
         assert main(["eval", "[0->1]", word]) == 3
         assert "out of range" in capsys.readouterr().err

@@ -94,7 +94,18 @@ def test_normalize_is_retraction():
             if u:
                 parent = u[:-1]
                 assert not all(parent + (x,) in c.antichain for x in range(d))
-        assert list(c.antichain) == sorted(c.antichain, key=lambda w: (len(w), w))
+        assert list(c.antichain) == sorted(c.antichain)
+
+
+def test_words_are_stored_lexicographically_and_printed_shortest_first():
+    c = normalize([(1,), (0, 0), (0, 1, 0)], 2)
+    assert c.antichain == ((0, 0), (0, 1, 0), (1,))
+    assert str(c) == "{1, 00, 010}"
+    assert repr(c) == "Clopen(d=2, {1, 00, 010})"
+    assert str(empty(2)) == "{}" and str(full(2)) == "{~}"
+    assert c.complement().antichain == ((0, 1, 1),)
+    assert C("{1, 010}").complement().antichain == ((0, 0), (0, 1, 1))
+    assert c.words_at_depth(3) == sorted(c.words_at_depth(3))
 
 
 def test_letter_out_of_range():

@@ -418,6 +418,17 @@ def test_express_three_cycle_depth_four():
     assert eq(got, target)
 
 
+def test_express_subdivides_a_mixed_depth_base_shortest_word_first():
+    fam, kit = desk()
+    n = build(clo("{1, 00}"), [pm(2, "1->0100", "00->0101"), pm(2, "1->0110", "00->0111")])
+    pi = cycle_perm(3, [0, 1, 2])
+    cert = express(element(n, pi), kit, n, pi)
+    assert cert.is_witness(), cert.detail
+    # the base's words are stored {00, 1}; the pieces of 1 come first
+    bases = [str(kit.sections[i][0].base) for i, _ in cert.witness["word"]]
+    assert list(dict.fromkeys(bases)) == ["{100}", "{101}", "{110}", "{111}", "{000}", "{001}"]
+
+
 def test_express_identity_is_the_empty_word():
     fam, kit = desk()
     n = desk_three_cycle(fam, ("s00_01", "s00_10"), (0, 0, 0, 0))

@@ -60,6 +60,13 @@ def test_print_parse_roundtrip_random():
         assert eq(back, m), text
 
 
+def test_element_text_lists_branches_shortest_domain_first():
+    m = P.parse_element("[1->00, 00->1:a, 010->011, 011->010]")
+    assert [b.dom for b in m.branches] == [(0, 0), (0, 1, 0), (0, 1, 1), (1,)]
+    assert element_to_text(m) == "[1->00, 00->1:a, 010->011, 011->010]"
+    assert repr(m) == "PartialMap(d=2, [[1->00], [00->1:a], [010->011], [011->010]])"
+
+
 def test_parse_expr_shapes():
     node = P.parse_expr("s @{01}")
     assert isinstance(node, completion.Restrict)

@@ -733,12 +733,30 @@ def test_product_edges():
         pmap.product(3, [f])
 
 
+def _lexicographic(m):
+    doms = [b.dom for b in m.branches]
+    return doms == sorted(doms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_branches_are_stored_in_lexicographic_domain_order(seed, d):
+    rng = random.Random(seed)
+    f, g = random_pmap(rng, d), random_pmap(rng, d)
+    assert _lexicographic(f) and _lexicographic(g)
+    assert _lexicographic(compose(f, g))
+    assert _lexicographic(pmap.product(d, [f, g, star(f), g]))
+    # a restriction overlaps the map it restricts, so join takes its sweep
+    part = restrict(f, normalize(random_antichain(rng, d, 3, 3), d))
+    assert _lexicographic(join([part, f]))
+
+
 def test_product_checks_every_intermediate_table(monkeypatch):
     # at the second step a faulty branch loop adds [1 -> 2]; the last letter
     # [0 -> 0] drops it, so a check made only at the end would miss it
     e0 = pm(2, "0->0")
     bad = Branch((1,), (2,), tails.trivial(2))
-    assert pmap._compose_branches(*pmap._by_dom(e0), [bad]) == []
+    assert pmap._compose_branches(e0.branches, [bad]) == []
     assert pmap.product(2, [e0, one(2), one(2), e0]) == e0
     honest = pmap._compose_branches
     calls = []
