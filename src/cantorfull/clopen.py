@@ -226,6 +226,17 @@ def atoms(n, d):
     return [Clopen(d, (w,)) for w in product(range(d), repeat=n)]
 
 
+def atoms_at_most(n, d, limit):
+    """atoms(n, d), or None when there are more than limit of them; they are
+    counted a level at a time, so d^n is never computed."""
+    count = 1
+    for _ in range(n):
+        count *= d
+        if count > limit:
+            return None
+    return atoms(n, d)
+
+
 def is_partition(parts):
     """True iff parts are nonempty, pairwise disjoint, with union the whole space."""
     if not parts:

@@ -4,19 +4,32 @@ Elements of the completion are finite joins of restrictions of generator
 words; bi_enumerate lists them up to explicit bounds and
 piecewise_member searches for a piecewise expression of a unit.  Exact
 membership is not attempted: ExhaustedAtBound is an honest third answer.
+
+Both searches read their words off the table: a GeneratorTable keeps its
+letters and one WordBall over them while it lives, grown to the longest
+word length asked so far and rebuilt when its generators change.
 """
 
 from dataclasses import dataclass
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import Clopen, atoms, normalize
+from .clopen import Clopen, atoms, atoms_at_most, normalize
 from .errors import CantorError, IncompatibleJoin, IncompatiblePair, NotAUnit, UnknownGenerator
 from .pmap import Dedup, PartialMap, eq, one, restrict, star, zero
 
 
 class GeneratorTable:
-    """Named generators over a single alphabet context."""
+    """Named generators over a single alphabet context.
+
+    The table keeps the letters of its completion searches (the generators
+    and their stars, deduped by eq, with their expressions) and one WordBall
+    over them for as long as it lives.  Both are built on first use, and
+    the ball is grown only to the longest word length a search asks for, so
+    every bi_enumerate and piecewise_member call on the table shares it.
+    They are built afresh when the generators in `mapping` differ from the
+    ones they were built from.
+    """
 
     def __init__(self, d, mapping=None):
         self.d = d
@@ -24,6 +37,16 @@ class GeneratorTable:
         for name, m in self.mapping.items():
             if m.d != d:
                 raise CantorError(f"generator {name} has alphabet {m.d}, not {d}")
+        self._search = None  # (d and generators, letters, ball) of the last search
+
+    def _search_words(self):
+        """(letters, ball): the eq-deduped letters with their expressions, and
+        the WordBall over them, rebuilt when the generators have changed."""
+        key = (self.d, tuple(self.mapping.items()))
+        if self._search is None or self._search[0] != key:
+            letters = _letters(self)
+            self._search = (key, letters, _pmap.WordBall([m for m, _ in letters], self.d))
+        return self._search[1:]
 
     def __getitem__(self, name):
         try:
@@ -135,21 +158,19 @@ def _letters(table):
 
 
 def _words_up_to(table, word_len):
-    """Distinct-by-eq generator words of length <= word_len with expressions."""
-    letters = _letters(table)
-    words = _pmap.WordBall([m for m, _ in letters], table.d).words(word_len)
-    return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in words]
+    """Distinct-by-eq generator words of length <= word_len with expressions,
+    read off the table's ball."""
+    letters, ball = table._search_words()
+    return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in ball.words(word_len)]
 
 
 def _depth_atoms(d, depth):
-    """The depth-`depth` atoms, refused when there are more than 16 of them;
-    they are counted a level at a time, so d^depth is never computed."""
-    count = 1
-    for _ in range(depth):
-        count *= d
-        if count > 16:
-            raise CantorError(f"depth-{depth} clopens number 2^({d}^{depth}), over 2^16")
-    return atoms(depth, d)
+    """The depth-`depth` atoms, refused when there are more than 16 of them,
+    so that their 2^(d^depth) unions can be listed."""
+    cells = atoms_at_most(depth, d, 16)
+    if cells is None:
+        raise CantorError(f"depth-{depth} clopens number 2^({d}^{depth}), over 2^16")
+    return cells
 
 
 def _mask_clopen(cells, mask, d):

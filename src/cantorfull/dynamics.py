@@ -10,7 +10,7 @@ from itertools import product
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import atoms, cylinder, is_partition, normalize, part_lookup, union_all
+from .clopen import atoms, atoms_at_most, cylinder, is_partition, normalize, part_lookup, union_all
 from .completion import depth_clopens
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
@@ -66,6 +66,10 @@ def _image_closure(ctx, start, steps):
 
 # -- expansivity ----------------------------------------------------------------
 
+# the most depth-n cells expansive_certificate pairs up: depth 10 over two
+# letters, whose pairs take about 67 MB
+EXPANSIVE_CELLS = 1024
+
 
 def _atom_masks(cells, depth):
     """Each word of length <= depth -> the bit mask of the cells below it,
@@ -96,10 +100,15 @@ def expansive_certificate(ctx, parts, depth, word_len):
     that level's fresh translates that contain its cell, read off the atom
     masks.  Hulls only shrink, so a separated pair stays separated, and a
     pair is re-tested only when one of its two masks changed.
+
+    The unseparated pairs are listed up front, so more than EXPANSIVE_CELLS
+    cells are refused before any pair is.
     """
     if not is_partition(parts):
         raise CantorError("translate certificate needs a partition")
-    cells = atoms(depth, ctx.d)
+    cells = atoms_at_most(depth, ctx.d, EXPANSIVE_CELLS)
+    if cells is None:
+        raise CantorError(f"depth-{depth} cells number {ctx.d}^{depth}, over {EXPANSIVE_CELLS}")
     below = _atom_masks(cells, depth)
     budget = certs.Budget({"depth": depth, "word_len": word_len})
     hulls = [None] * len(cells)

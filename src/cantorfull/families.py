@@ -47,16 +47,31 @@ def _root_antichain(d, k):
     return words
 
 
+# the swap words of higman_thompson:10, the largest default family: 10 roots,
+# each with its 1 + 10 words
+MAX_SWAP_WORDS = 110
+
+
 def higman_thompson(d, k=None):
-    """Prefix-exchange generators of the Higman-Thompson group V_{d,k}."""
+    """Prefix-exchange generators of the Higman-Thompson group V_{d,k}.
+
+    The swaps range over pairs of the k * (1 + d + ... + d^rel) words below
+    the roots, so more than MAX_SWAP_WORDS words are refused before any
+    swap is built.
+    """
     if d < 2:
         raise CantorError("alphabet size must be at least 2")
     if k is None:
         k = d
     if k < 1:
         raise CantorError("root arity must be at least 1")
-    roots = _root_antichain(d, k)
     rel = 2 if k == 1 else 1
+    per_root = sum(d**l for l in range(rel + 1))
+    if k * per_root > MAX_SWAP_WORDS:
+        raise CantorError(
+            f"higman_thompson:{d}:{k} swaps {k} x {per_root} cylinder words, over {MAX_SWAP_WORDS}"
+        )
+    roots = _root_antichain(d, k)
     words = []
     for r in roots:
         for l in range(rel + 1):

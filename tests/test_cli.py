@@ -274,6 +274,8 @@ def test_genkit_verify_lists_failing_conditions_in_order(capsys):
         ["gen", "show", "higman_thompson:x"],
         ["gen", "show", "grigorchuk:1"],
         ["gen", "show", "higman_thompson:2:3:4"],
+        ["gen", "show", "higman_thompson:2:1000"],
+        ["dyn", "expansive", *HT2, "--partition", "atoms:1", "--depth", "12"],
         ["eq", "1", "1", "--gens", "higman_thompson:x"],
         ["normalize", "{\u00b2}"],
         ["dyn", "split", *HT2],

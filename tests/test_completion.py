@@ -260,6 +260,64 @@ def test_bi_enumerate_builds_only_the_clopens_its_rows_reach(monkeypatch):
     assert len(calls) == 2 ** len(atoms(1, 2))
 
 
+# -- the table's letters and ball ---------------------------------------------
+
+SHARED_BALL_BOUNDS = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [grigorchuk_units, rover_units, lambda: higman_thompson(2)],
+    ids=["grigorchuk", "rover", "v2"],
+)
+def test_warm_and_fresh_tables_give_the_same_rows_and_certificates(family):
+    warm = family().table
+    g, h = list(warm.mapping.values())[:2]
+    # found at word length 2, exhausted at 1, and g itself at word length 0
+    targets = [(compose(g, h), 2, 1), (compose(g, h), 1, 1), (g, 0, 1)]
+
+    def answers(table_for):
+        rows = [list(bi_enumerate(table_for(), *bounds)) for bounds in SHARED_BALL_BOUNDS]
+        found = [piecewise_member(t, table_for(), w, d).to_json() for t, w, d in targets]
+        return rows, found
+
+    first = answers(lambda: warm)
+    assert [c["status"] for c in first[1]] == ["witness", "exhausted_at_bound", "exhausted_at_bound"]
+    assert answers(lambda: warm) == first
+    assert answers(lambda: family().table) == first
+
+
+def test_a_table_builds_its_letters_and_ball_once(monkeypatch):
+    built = []
+    real_letters, real_ball, real_grow = completion._letters, pmap.WordBall, pmap.WordBall._grow
+    monkeypatch.setattr(completion, "_letters", lambda t: built.append("letters") or real_letters(t))
+    monkeypatch.setattr(pmap, "WordBall", lambda letters, d: built.append("ball") or real_ball(letters, d))
+    monkeypatch.setattr(real_ball, "_grow", lambda ball: built.append("level") or real_grow(ball))
+    table = grigorchuk_units().table
+    list(bi_enumerate(table, 1, 1, 1))
+    list(bi_enumerate(table, 3, 2, 1))
+    piecewise_member(compose(table["a"], table["b"]), table, word_len=2, depth=1)
+    # the ball is grown to length 3, the longest asked, a level at a time
+    assert built == ["letters", "ball"] + ["level"] * 4
+
+
+def test_an_edited_mapping_is_read_afresh():
+    table = grigorchuk_units().table
+    before = list(bi_enumerate(table, 1, 2, 1))
+    # swaps 00 and 1, which no tree automorphism does on {0}
+    x = pm(2, "00->1", "1->00", "01->01")
+    assert piecewise_member(x, table, word_len=1, depth=1).is_exhausted()
+    table.mapping["x"] = x
+    fresh = GeneratorTable(2, table.mapping)
+    rows = list(bi_enumerate(table, 1, 2, 1))
+    assert rows == list(bi_enumerate(fresh, 1, 2, 1)) and rows != before
+    assert piecewise_member(x, table, word_len=1, depth=1).is_witness()
+    # a generator replaced under its own name is read afresh too
+    table.mapping["a"] = table.mapping["x"]
+    fresh = GeneratorTable(2, table.mapping)
+    assert list(bi_enumerate(table, 1, 2, 1)) == list(bi_enumerate(fresh, 1, 2, 1))
+
+
 def test_le_equals_el():
     rng = random.Random(9)
     for _ in range(40):

@@ -112,6 +112,26 @@ def test_expansive_matches_reference_on_grid():
     assert statuses == {"witness", "refuted_at_bound"}
 
 
+def test_expansive_refuses_more_than_1024_cells_before_pairing_them(monkeypatch):
+    # depth 10 over two letters (67 MB of pairs) and depth 6 over three are the
+    # deepest allowed
+    class Paired(Exception):
+        pass
+
+    def paired(cells, depth):
+        raise Paired
+
+    monkeypatch.setattr(dynamics, "_atom_masks", paired)
+    for ctx, deepest in ((v2_ctx(), 10), (v3_ctx(), 6)):
+        parts = atoms(1, ctx.d)
+        with pytest.raises(Paired):
+            expansive_certificate(ctx, parts, deepest, 0)
+        for depth in (deepest + 1, 10**9):
+            message = rf"depth-{depth} cells number {ctx.d}\^{depth}, over 1024"
+            with pytest.raises(CantorError, match=message):
+                expansive_certificate(ctx, parts, depth, 0)
+
+
 def test_expansive_separates_by_a_meet_of_two_translates():
     # s swaps 010 and 011, so the part {00, 010} has the translate {00, 011};
     # each meets the cell {01}, and no translate contains {01}, so only

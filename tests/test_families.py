@@ -49,6 +49,26 @@ def test_higman_thompson_k_must_fit():
     assert len({str(u) for u in fam.table.mapping}) == len(fam.table.mapping)
 
 
+def test_higman_thompson_is_sized_before_it_is_built(monkeypatch):
+    # higman_thompson:10 swaps pairs of its 10 x 11 = 110 words, the most
+    # allowed; the count comes from d and k alone, so nothing is built first
+    class Built(Exception):
+        pass
+
+    def built(d, k):
+        raise Built
+
+    monkeypatch.setattr(families, "_root_antichain", built)
+    for d, k in ((10, 10), (2, 36), (9, 1)):
+        with pytest.raises(Built):
+            higman_thompson(d, k)
+    for d, k, per_root in ((2, 37, 3), (10, 1, 111), (3, 10**9, 4)):
+        with pytest.raises(CantorError, match=f"higman_thompson:{d}:{k} swaps {k} x {per_root} "):
+            higman_thompson(d, k)
+    with pytest.raises(CantorError, match="over 110"):
+        family_by_name("higman_thompson:2:1000")
+
+
 def test_higman_thompson_dedups_without_pairwise_comparison(monkeypatch):
     # each new swap is looked up once, not compared with every unit kept so
     # far (340,725 comparisons for d = 6 when it was)
