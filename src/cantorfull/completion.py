@@ -214,7 +214,9 @@ def bi_enumerate(table, word_len, join_arity, depth):
       domains: not eq, so they differ at some point where both are defined,
       and the join would raise IncompatiblePair.
     Neither rule skips a combination whose join could be new, so the rows
-    are those of joining every combination.
+    are those of joining every combination.  A piece's pairs with the later
+    pieces are decided when a combination first reaches it, so the first
+    join row does not wait for every pair of pieces to be decided.
     """
     cells = _depth_atoms(table.d, depth)
     n_atoms = len(cells)
@@ -251,28 +253,32 @@ def bi_enumerate(table, word_len, join_arity, depth):
             differ[key] = x.dom_clopen() == y.dom_clopen() and not eq(x, y)
         return differ[key]
 
-    def decided(sp, sq):
-        if sp.items() <= sq.items() or sq.items() <= sp.items():
-            return True
-        return any(
-            a in sq and sq[a] != i and distinct_on_equal_domains(i, sq[a]) for a, i in sp.items()
-        )
-
     n = len(pieces)
-    undecided = [
-        {j for j in range(i + 1, n) if not decided(signatures[i], signatures[j])} for i in range(n)
-    ]
+    undecided = {}  # piece i -> the later pieces undecided with it
 
     def combos(prefix, candidates, arity):
-        # the combinations of pairwise undecided pieces, in lexicographic order
-        if len(prefix) == arity:
-            yield prefix
-            return
+        # the combinations of pairwise undecided pieces, in lexicographic order;
+        # a piece's pairs are decided when a combination first reaches it
         for j in candidates:
-            yield from combos(prefix + (j,), [k for k in candidates if k in undecided[j]], arity)
+            after = undecided.get(j)
+            if after is None:
+                sj = signatures[j]
+                after = undecided[j] = {
+                    k
+                    for k in range(j + 1, n)
+                    if not _decided(sj, signatures[k], distinct_on_equal_domains)
+                }
+            later = [k for k in candidates if k in after]
+            if len(prefix) + 2 == arity:
+                for k in later:
+                    yield prefix + (j, k)
+            else:
+                yield from combos(prefix + (j,), later, arity)
 
+    # the zero piece, with the empty signature, is decided against every piece
+    nonzero = [i for i in range(n) if signatures[i]]
     for arity in range(2, join_arity + 1):
-        for combo in combos((), range(n), arity):
+        for combo in combos((), nonzero, arity):
             parts = [pieces[i] for i in combo]
             try:
                 m = _pmap.join([p[0] for p in parts])
@@ -281,6 +287,20 @@ def bi_enumerate(table, word_len, join_arity, depth):
             rep, _, new = seen.add(m)
             if new:
                 yield rep, Join(tuple(p[1] for p in parts))
+
+
+def _decided(sp, sq, distinct_on_equal_domains):
+    """True when the pair of pieces with signatures sp and sq is decided (see
+    bi_enumerate): one signature holds the other, or on a shared atom the
+    two restrictions are distinct pieces with equal domains."""
+    p, q = sp.items(), sq.items()
+    if p <= q or q <= p:
+        return True
+    for a, i in p:
+        j = sq.get(a)
+        if j is not None and j != i and distinct_on_equal_domains(i, j):
+            return True
+    return False
 
 
 def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_BUDGET):

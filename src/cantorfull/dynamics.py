@@ -19,7 +19,7 @@ from .pmap import (
     eq,
     eval_at,
     image_clopen,
-    image_levels,
+    image_walks,
     is_unit,
     join,
     one,
@@ -30,7 +30,15 @@ from .pmap import (
 
 class DynContext:
     """A table of units, closed under star; names spells a word of indices
-    into units where a witness prints it."""
+    into units where a witness prints it.
+
+    walk is one pmap.image_walks walker over the units, which the
+    expansive, compressible and orbit searches on this context share: each
+    unit maps each antichain word once, and each raw image is normalized
+    once, for as long as the context lives (each memo is emptied at
+    pmap.WALK_MEMO_SIZE entries).  Every search still keeps its own images,
+    so its certificate is the one a fresh context gives.
+    """
 
     def __init__(self, table):
         self.table = table
@@ -49,6 +57,7 @@ class DynContext:
                 names.append(f"{name}^-1")
         self.units = tuple(units)
         self.names = tuple(names)
+        self.walk = image_walks(self.units)
 
 
 def _image_closure(ctx, start, steps):
@@ -114,7 +123,7 @@ def expansive_certificate(ctx, parts, depth, word_len):
     hulls = [None] * len(cells)
     meets = [(1 << len(cells)) - 1] * len(cells)
     bad = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
-    for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
+    for length, fresh in enumerate(ctx.walk(parts, word_len)):
         for _ in fresh:
             budget.tick()
         grown = set()
@@ -197,7 +206,7 @@ def compress_search(ctx, y, z, word_len):
     if y.is_empty() or z.is_empty():
         raise EmptyInput("compression needs nonempty clopens")
     budget = certs.Budget({"word_len": word_len})
-    for level in image_levels(ctx.units, [y], word_len):
+    for level in ctx.walk([y], word_len):
         for img, word, _ in level:
             budget.tick()
             if img.leq(z) and img != z:
@@ -225,7 +234,7 @@ def fully_compressible_sample(ctx, depth, word_len):
     checked = 0
     for y, y_text in zip(subsets, texts):
         missing = set(range(len(subsets)))
-        for level in image_levels(ctx.units, [y], word_len):
+        for level in ctx.walk([y], word_len):
             for img, _, _ in level:
                 meets = 0
                 for w in img.antichain:
@@ -280,7 +289,7 @@ def orbit_lower_bound(ctx, u, k, word_len, node_budget=certs.DEFAULT_NODE_BUDGET
         return False
 
     try:
-        for level in image_levels(ctx.units, [base], word_len):
+        for level in ctx.walk([base], word_len):
             for img, word, _ in level:
                 budget.tick()
                 candidates.append((img, word))

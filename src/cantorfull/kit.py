@@ -122,7 +122,8 @@ def verify_separating(family, parts, n_orbit):
     report["condition3"] = {"ok": not bad3, "failures": bad3}
 
     # (1) orbits of depth-bounded cylinders meet at least n_orbit parts; the
-    # walks share one index of the family's domains and of its word images
+    # walks share one index of the family's domains, of its word images and
+    # of the normalized images
     walk = image_walks(family)
     bad1 = []
     for atom in atoms(depth, d):

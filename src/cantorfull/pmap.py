@@ -610,8 +610,14 @@ class WordBall:
             yield from level
 
 
-def image_levels(maps, sources, max_len):
-    """Yield the distinct images of the source clopens, level by word length.
+# the most entries each memo of an image walker holds before it is emptied
+WALK_MEMO_SIZE = 1 << 16
+
+
+def image_walks(maps):
+    """The walk over the images of clopens under maps: the function
+    (sources, max_len) that yields the distinct images of the source
+    clopens, level by word length.
 
     Level n lists the (image, word, source) triples first reached at length
     n: word is a tuple of indices into maps, the last applied first, and a
@@ -619,28 +625,23 @@ def image_levels(maps, sources, max_len):
     Level 0 is the sources in order, and each later level takes the images
     of the one before in order, each under every map in order whose domain
     holds it; those maps are read off one index of the maps' domain words
-    (clopen.holders), built once per walk, not tested map by map.  An image
-    is kept, and extended, only at the first word that reaches it; no image
-    is lost, because what a map does to an image depends on the image alone.
-    """
-    return image_walks(maps)(sources, max_len)
-
-
-def image_walks(maps):
-    """The function (sources, max_len) -> image_levels(maps, sources,
-    max_len), for many walks over the same maps.
-
-    The index of the maps' domain words is built once, here, and so is the
-    image of each (map, antichain word) pair: one dict per map, living as
-    long as the returned function, holds the image words (_word_image) of
-    every word the map has been applied to.  Each walk keeps its own
-    images, and normalizes an image only when its raw words, sorted, are
-    not already among the walk's: equal raw words give equal clopens.  A
+    (clopen.holders), not tested map by map.  An image is kept, and
+    extended, only at the first word that reaches it; no image is lost,
+    because what a map does to an image depends on the image alone.  A
     walk whose sources are over another alphabet than the maps raises
     AlphabetMismatch before its first level.
+
+    The walker is built for many walks over the same maps, and keeps what
+    they share for as long as it lives: the domain index, built here; the
+    image words (_word_image) of each (map, antichain word) pair, one dict
+    per map; and one dict from the sorted raw image words to their
+    normalized clopen, so each raw image is normalized once.  Each memo is
+    emptied when it holds WALK_MEMO_SIZE entries.  Each walk keeps its own
+    set of images met, so its levels do not depend on the walks before it.
     """
     holding = holders([dom(m) for m in maps])
     word_images = [{} for _ in maps]
+    normalized = {}
 
     def walk(sources, max_len):
         sources = tuple(sources)
@@ -651,7 +652,6 @@ def image_walks(maps):
         if max_len < 0:
             return
         seen = set()
-        raw_seen = set()
         level = []
         for c in sources:
             if c.antichain not in seen:
@@ -667,14 +667,17 @@ def image_walks(maps):
                     for w in img.antichain:
                         image = known.get(w)
                         if image is None:
+                            if len(known) >= WALK_MEMO_SIZE:
+                                known.clear()
                             image = known[w] = _word_image(maps[i], w)
                         raw.extend(image)
                     raw.sort()
                     raw = tuple(raw)
-                    if raw in raw_seen:
-                        continue
-                    raw_seen.add(raw)
-                    c = normalize(raw, img.d)
+                    c = normalized.get(raw)
+                    if c is None:
+                        if len(normalized) >= WALK_MEMO_SIZE:
+                            normalized.clear()
+                        c = normalized[raw] = normalize(raw, img.d)
                     if c.antichain not in seen:
                         seen.add(c.antichain)
                         nxt.append((c, (i,) + word, src))

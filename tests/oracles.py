@@ -8,11 +8,11 @@ pins the order and the duplicates of its word searches.  So are
 reference_image_clopen, pmap.image_clopen's branch scan in one function,
 its tails walked letter by letter where pmap calls pmap._word_image;
 all_word_images, which applies every index word to the sources
-where image_levels keeps the first word per image; reference_image_levels,
-which tests every map's domain with Clopen.leq where image_levels looks
+where an image walk keeps the first word per image; reference_image_levels,
+which tests every map's domain with Clopen.leq where an image walk looks
 the image's words up in an index of the domains, and normalizes every
-image where image_levels maps each (map, word) pair once per walker and
-normalizes only raw words it has not met (both apply maps with
+image where a pmap.image_walks walker maps each (map, word) pair once and
+normalizes each raw image once for its life (both apply maps with
 reference_image_clopen); reference_kit_sections,
 which builds every kit section eagerly and scans the family with
 Clopen.leq for its spare columns; reference_compatible,
@@ -64,7 +64,7 @@ from cantorfull.pmap import (
     eq,
     fingerprint,
     image_clopen,
-    image_levels,
+    image_walks,
     join,
     one,
     ran,
@@ -251,7 +251,7 @@ def reference_image_clopen(f, c):
 
 
 def all_word_images(maps, sources, max_len):
-    """A reference for pmap.image_levels: for each n <= max_len, the
+    """A reference for the pmap.image_walks walk: for each n <= max_len, the
     antichains of the images of the sources under every index word of
     length <= n, listed by itertools.product.  A word applies its last
     index first, and a map only to an image inside its domain; a word
@@ -272,7 +272,7 @@ def all_word_images(maps, sources, max_len):
 
 
 def reference_image_levels(maps, sources, max_len):
-    """A reference for pmap.image_levels: the same walk, applying each map
+    """A reference for the pmap.image_walks walk: the same walk, applying each map
     to an image when a Clopen.leq test finds the image inside its domain."""
     if max_len < 0:
         return
@@ -503,7 +503,7 @@ def reference_fully_compressible_sample(ctx, depth, word_len):
     checked = 0
     for y in subsets:
         missing = set(range(len(subsets)))
-        for level in image_levels(ctx.units, [y], word_len):
+        for level in image_walks(ctx.units)([y], word_len):
             for img, _, _ in level:
                 for idx in list(missing):
                     z = subsets[idx]
@@ -555,7 +555,7 @@ def reference_expansive_certificate(ctx, parts, depth, word_len):
     budget = certs.Budget({"depth": depth, "word_len": word_len})
     translates = []
     bad = [(0, 1)] if len(cells) > 1 else []
-    for length, fresh in enumerate(image_levels(ctx.units, parts, word_len)):
+    for length, fresh in enumerate(image_walks(ctx.units)(parts, word_len)):
         translates.extend(fresh)
         for _ in fresh:
             budget.tick()

@@ -220,6 +220,32 @@ def test_bi_enumerate_joins_only_undecided_pairs(monkeypatch):
     assert 0 < len(joins) <= 15
 
 
+def test_bi_enumerate_decides_pairs_only_as_its_combinations_read_them(monkeypatch):
+    # before the first join row, not every pair of pieces is decided: V2 at
+    # (2, 2, 2) has 879 pieces and 385,881 pairs
+    decisions = []
+    honest = completion._decided
+
+    def counted(*args):
+        decisions.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(completion, "_decided", counted)
+    for table, bounds in [
+        (higman_thompson(2).table, (2, 2, 2)),
+        (grigorchuk_units().table, (1, 2, 1)),
+        (grigorchuk_units().table, (1, 3, 1)),
+        (rover_units().table, (1, 2, 1)),
+    ]:
+        decisions.clear()
+        pieces = 0
+        for _, expr in bi_enumerate(table, *bounds):
+            if isinstance(expr, Join):
+                break
+            pieces += 1
+        assert 0 < len(decisions) <= pieces, bounds
+
+
 def test_bi_enumerate_limit_bounds_the_restrictions(monkeypatch):
     calls = []
     real_restrict = completion.restrict

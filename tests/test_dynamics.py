@@ -322,27 +322,90 @@ def test_split_unit_rejects_factors_that_do_not_reverify(monkeypatch):
         split_unit(pm(2, "0->1", "1->0"))
 
 
-def test_orbit_search_computes_only_the_levels_it_reads(monkeypatch):
-    # a witness found early computes no longer level: at word_len 50 the
-    # search maps as many images as at the witness's own length
-    ctx = v2_ctx()
+def counted_word_images(monkeypatch):
+    """The (map, word) pairs that pmap._word_image is asked for, as a list
+    that grows while the test runs."""
     honest = pmap._word_image
     calls = []
 
     def counted(f, w):
-        calls.append(w)
+        calls.append((id(f), w))
         return honest(f, w)
 
     monkeypatch.setattr(pmap, "_word_image", counted)
-    cert = orbit_lower_bound(ctx, (0,), k=4, word_len=50)
+    return calls
+
+
+def test_orbit_search_computes_only_the_levels_it_reads(monkeypatch):
+    # a witness found early computes no longer level: at word_len 50 the
+    # search maps as many images as at the witness's own length; each search
+    # gets a fresh ctx, whose walker has mapped nothing yet
+    calls = counted_word_images(monkeypatch)
+    cert = orbit_lower_bound(v2_ctx(), (0,), k=4, word_len=50)
     assert cert.is_witness()
     longest = max(len(w) for w in cert.witness["words"])
     assert longest >= 2
     mapped = len(calls)
     calls.clear()
+    ctx = v2_ctx()
     again = orbit_lower_bound(ctx, (0,), k=4, word_len=longest)
     assert (again.witness, again.nodes_explored) == (cert.witness, cert.nodes_explored)
     assert len(calls) == mapped < len(ctx.units) ** 3
+
+
+def test_a_second_search_on_one_ctx_maps_no_word_again(monkeypatch):
+    # the ctx's walker keeps every (unit, word) image it has computed
+    calls = counted_word_images(monkeypatch)
+    searches = [
+        lambda ctx: orbit_lower_bound(ctx, (0,), k=4, word_len=3),
+        lambda ctx: expansive_certificate(ctx, atoms(1, 2), depth=3, word_len=3),
+    ]
+    for search in searches:
+        ctx = rover_ctx()
+        calls.clear()
+        cert = search(ctx)
+        assert calls
+        calls.clear()
+        again = search(ctx)
+        assert calls == []
+        assert again.to_json() == cert.to_json()
+
+
+def dynamics_answers(make_ctx):
+    """The answers of the walking searches over the ctx that make_ctx()
+    gives, in an order that interleaves searches and bounds; make_ctx is
+    called once per search."""
+    ctx = make_ctx()
+    d = ctx.d
+    out = []
+    for word_len in (2, 0, 3, 1):
+        out.append(orbit_lower_bound(make_ctx(), (0,), k=3, word_len=word_len).to_json())
+        out.append(
+            expansive_certificate(make_ctx(), atoms(1, d), depth=2, word_len=word_len).to_json()
+        )
+        out.append(
+            compress_search(
+                make_ctx(), cylinder((0,), d), cylinder((1, 1), d), word_len=word_len
+            ).to_json()
+        )
+        out.append(orbit_lower_bound(make_ctx(), (1, 0), k=5, word_len=word_len + 1).to_json())
+        if d == 2:
+            out.append(fully_compressible_sample(make_ctx(), depth=2, word_len=word_len))
+        out.append(fully_compressible_sample(make_ctx(), depth=1, word_len=word_len))
+        out.append(
+            expansive_certificate(make_ctx(), atoms(2, d), depth=3, word_len=word_len).to_json()
+        )
+    return out
+
+
+@pytest.mark.parametrize("make_ctx", [v2_ctx, v3_ctx, rover_ctx, adding_ctx])
+def test_one_long_lived_ctx_answers_as_a_fresh_ctx_per_search(make_ctx):
+    shared = make_ctx()
+    answers = dynamics_answers(lambda: shared)
+    assert answers == dynamics_answers(make_ctx)
+    # the answers are not all of one kind
+    statuses = {a["status"] for a in answers if "status" in a}
+    assert {"exhausted_at_bound", "refuted_at_bound"} <= statuses
 
 
 def random_v2_units():

@@ -28,7 +28,7 @@ from cantorfull.pmap import (
     eq,
     eval_at,
     image_clopen,
-    image_levels,
+    image_walks,
     is_idempotent,
     is_unit,
     join,
@@ -1094,7 +1094,7 @@ def test_word_ball_edges():
     assert list(WordBall([SWAP], 2).words(4)) == [(one(2), ()), (SWAP, (0,))]
 
 
-# -- image_levels -----------------------------------------------------------------
+# -- image walks ------------------------------------------------------------------
 
 # maps, sources and the longest word: units, automaton-tail units, and
 # partial part-to-part transporters, whose domains leave words unapplied
@@ -1114,7 +1114,7 @@ IMAGE_WALKS = [
     "maps, sources, max_len", [c[1:] for c in IMAGE_WALKS], ids=[c[0] for c in IMAGE_WALKS]
 )
 def test_image_levels_match_every_word(maps, sources, max_len):
-    levels = list(image_levels(maps, sources, max_len))
+    levels = list(image_walks(maps)(sources, max_len))
     reference = all_word_images(maps, sources, max_len)
     assert len(levels) == max_len + 1
     kept = []
@@ -1168,7 +1168,7 @@ SCATTERING = [
     ],
 )
 def test_image_levels_match_the_leq_scan(maps, sources, max_len):
-    assert list(image_levels(maps, sources, max_len)) == list(
+    assert list(image_walks(maps)(sources, max_len)) == list(
         reference_image_levels(maps, sources, max_len)
     )
 
@@ -1194,23 +1194,63 @@ def test_image_walks_map_each_word_once_per_walker(monkeypatch):
     assert len(calls) > shared
 
 
+def test_image_walks_normalize_each_raw_image_once_per_walker(monkeypatch):
+    # a repeated walk on one walker normalizes nothing and gives the same levels
+    maps = IMAGE_WALKS[1][1]
+    calls = []
+    honest = pmap.normalize
+
+    def counted(words, d):
+        calls.append(tuple(words))
+        return honest(words, d)
+
+    monkeypatch.setattr(pmap, "normalize", counted)
+    walk = pmap.image_walks(maps)
+    first = list(walk(atoms(2, 2), 3))
+    assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    assert list(walk(atoms(2, 2), 3)) == first == list(reference_image_levels(maps, atoms(2, 2), 3))
+    assert calls == []
+
+
+def test_image_walks_empty_their_memos_at_the_bound(monkeypatch):
+    # with room for 8 entries per memo the levels stay right, and a repeated
+    # walk maps words again because the memos were emptied on the way
+    monkeypatch.setattr(pmap, "WALK_MEMO_SIZE", 8)
+    maps = IMAGE_WALKS[1][1]
+    calls = []
+    honest = pmap._word_image
+
+    def counted(f, w):
+        calls.append((id(f), w))
+        return honest(f, w)
+
+    monkeypatch.setattr(pmap, "_word_image", counted)
+    walk = pmap.image_walks(maps)
+    for sources, max_len in [(atoms(2, 2), 3), ([clo("{0, 11}")], 4), (atoms(2, 2), 3)]:
+        calls.clear()
+        assert list(walk(sources, max_len)) == list(reference_image_levels(maps, sources, max_len))
+    # the last walk repeats the first
+    assert calls
+
+
 def test_image_walks_refuse_another_alphabet():
     # a d = 3 source that no d = 2 domain holds is refused, not walked
     units = IMAGE_WALKS[0][1]
     with pytest.raises(AlphabetMismatch):
-        list(image_levels(units, [clo("{0}"), cylinder((2,), 3)], 2))
+        list(image_walks(units)([clo("{0}"), cylinder((2,), 3)], 2))
     with pytest.raises(AlphabetMismatch):
-        next(image_levels(units, [cylinder((2,), 3)], 0))
+        next(image_walks(units)([cylinder((2,), 3)], 0))
     # a walk over no maps has no alphabet to check
     c = cylinder((2,), 3)
-    assert list(image_levels([], [c], 1)) == [[(c, (), c)], []]
+    assert list(image_walks([])([c], 1)) == [[(c, (), c)], []]
 
 
 def test_image_levels_edges():
-    assert list(image_levels([SWAP], [clo("{0}")], -1)) == []
-    assert list(image_levels([SWAP], [clo("{0}")], 0)) == [[(clo("{0}"), (), clo("{0}"))]]
+    assert list(image_walks([SWAP])([clo("{0}")], -1)) == []
+    assert list(image_walks([SWAP])([clo("{0}")], 0)) == [[(clo("{0}"), (), clo("{0}"))]]
     # the swap carries {0} onto {1}, the other source, and back
-    levels = list(image_levels([SWAP], [clo("{0}"), clo("{1}")], 3))
+    levels = list(image_walks([SWAP])([clo("{0}"), clo("{1}")], 3))
     assert [len(level) for level in levels] == [2, 0, 0, 0]
 
 
