@@ -50,8 +50,13 @@ class Session:
     """
 
     def __init__(self, args):
-        self.d = checked_alphabet(args.alphabet)
-        self.table = GeneratorTable(self.d, {})
+        # a family name takes precedence over a file of that name, and its
+        # alphabet over -d, also for the tail registry
+        gens = getattr(args, "gens", None)
+        family = bool(gens) and gens.partition(":")[0] in FAMILY_BUILDERS
+        d = checked_alphabet(args.alphabet)
+        self.table = family_by_name(gens).table if family else GeneratorTable(d, {})
+        self.d = self.table.d
         registry = default_registry(self.d)
         if getattr(args, "machines", None):
             with open(args.machines) as fh:
@@ -62,18 +67,13 @@ class Session:
         for name, pair in registry.items():
             self.names.setdefault(pair, name)
         self.parser = Parser(self.d, registry)
-        if getattr(args, "gens", None):
-            self.load_gens(args.gens)
+        if gens and not family:
+            self.table = GeneratorTable(self.d, self.gens_file(gens))
 
-    def load_gens(self, spec):
-        # a family name takes precedence over a file of that name
-        if spec.partition(":")[0] in FAMILY_BUILDERS:
-            self.table = family_by_name(spec).table
-            self.d = self.table.d
-            self.parser = Parser(self.d, self.parser.registry)
-            return
+    def gens_file(self, path):
+        """The generators of a file of NAME = element lines ("#" starts a comment)."""
         mapping = {}
-        with open(spec) as fh:
+        with open(path) as fh:
             text = fh.read()
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
@@ -81,7 +81,7 @@ class Session:
                 continue
             name, _, rhs = line.partition("=")
             mapping[name.strip()] = self.parser.parse_element(rhs.strip())
-        self.table = GeneratorTable(self.d, mapping)
+        return mapping
 
     def element(self, text):
         """Evaluate an expression (or literal) against the generator table."""
@@ -96,21 +96,15 @@ class Session:
     def partition(self, spec):
         if spec.startswith("atoms:"):
             return atoms(_count(spec.split(":", 1)[1], "atom depth"), self.d)
-        parts = [self.clopen(p) for p in spec.split(";")]
+        parts = self.parser.parse_partition(spec)
         if not is_partition(parts):
             raise CantorError(f"{spec!r} is not a partition")
         return parts
 
     def msec(self, spec):
-        """Multisection literal: msec(<clopen>; <element>, <element>, ...)."""
-        spec = _given(spec, "multisection literal").strip()
-        if not (spec.startswith("msec(") and spec.endswith(")")):
-            raise CantorError("multisection literal must be msec(e1; f2, ...)")
-        body = spec[5:-1]
-        base_text, _, maps_text = body.partition(";")
-        base = self.clopen(base_text.strip())
-        maps = [self.element(t.strip()) for t in _top_level_split(maps_text) if t.strip()]
-        return build(base, maps)
+        """Multisection literal: msec(<clopen>; <expr>, <expr>, ...)."""
+        base, exprs = self.parser.parse_msec(_given(spec, "multisection literal"))
+        return build(base, [evaluate(x, self.table) for x in exprs])
 
     def perm(self, spec, degree):
         words = _given(spec, "permutation (--perm)").replace(",", " ").split()
@@ -142,18 +136,6 @@ def _bound(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"a bound cannot be negative, not {value}")
     return value
-
-
-def _top_level_split(text):
-    """text split at the commas outside (), [] and {}."""
-    parts, depth = [""], 0
-    for ch in text:
-        depth += (ch in "([{") - (ch in ")]}")
-        if ch == "," and not depth:
-            parts.append("")
-        else:
-            parts[-1] += ch
-    return parts
 
 
 def emit(args, exit_code, text, payload):

@@ -1,18 +1,27 @@
-"""Text grammar for clopens, elements, tails and expressions.
+"""Text grammar for clopens, elements, tails, expressions, partitions and
+multisection literals.
 
-    element  := "[" branch ("," branch)* "]" | "0" | "1"
-    branch   := word "->" word (":" tailexpr)?
-    word     := digit+ | "~"
-    tailexpr := factor ("*" factor)*
-    factor   := name ("^-1")? | "1"
-    name     := part ("." part)*      # part: a letter or "_", then letters, digits, "_"
-    clopen   := "{" (word ("," word)*)? "}"
+    element   := "[" branch ("," branch)* "]" | "0" | "1"
+    branch    := word "->" word (":" tailexpr)?
+    word      := digit+ | "~"
+    tailexpr  := factor ("*" factor)*
+    factor    := name ("^-1")? | "1"
+    name      := part ("." part)*      # part: a letter or "_", then letters, digits, "_"
+    clopen    := "{" (word ("," word)*)? "}"
+    partition := clopen (";" clopen)*
+    msec      := "msec" "(" clopen (";" expr ("," expr)*)? ")"
 
-Expressions reuse the element grammar with operators "*" (product), "^-1"
-(star), "|" (join) and "@{...}" (restrict); bare names refer to generators.
+Expressions (expr) reuse the element grammar with operators "*" (product),
+"^-1" (star), "|" (join) and "@{...}" (restrict); bare names refer to
+generators.  A multisection literal is its base clopen and the expressions of
+its transporters f_2, f_3, ...; a map's branches sit inside brackets, so the
+commas between maps are the only ones outside them.
+
 Printing and parsing round-trip up to eq when the printer is given the names
 of the parser's registry.
 """
+
+import re
 
 from . import completion as _completion
 from . import pmap as _pmap
@@ -22,65 +31,37 @@ from .pmap import Branch, PartialMap
 from .tails import TailElement, trivial
 
 
-_DIGITS = "0123456789"  # str.isdigit also takes "²", which int() rejects
-
-
-def _name_char(ch):
-    return ch.isalnum() or ch == "_"
+# symbols first ("->" and "^-1" before single characters), then digits, then
+# names; digits are [0-9], since \d takes "٣" and str.isdigit "²"
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<sym>->|\^-1|[\[\]@{}(),:;*|~])|(?P<digits>[0-9]+)|(?P<name>\w+(?:\.\w+)*)"
+)
 
 
 class _Tokens:
-    SYMBOLS = ("->", "^-1", "@", "[", "]", "{", "}", "(", ")", ",", ":", "*", "|", "~")
+    """Tokens (kind, value, offset) of text; a symbol is its own kind."""
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.items = []
-        self._scan()
         self.idx = 0
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            kind = m and m.lastgroup
+            # \w lets "²" and "½" start a name; str.isalpha does not
+            if kind is None or kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_"):
+                raise self.error_at(pos, "a token")
+            if kind != "space":
+                self.items.append((m[0] if kind == "sym" else kind, m[0], pos))
+            pos = m.end()
+        self.items.append(("eof", "", pos))
 
-    def _advance(self, n):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _scan(self):
+    def error_at(self, off, expected):
+        """ParseError at offset off of the text, as a line and column."""
         text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self._advance(1)
-                continue
-            here = (self.line, self.col)
-            for sym in self.SYMBOLS:
-                if text.startswith(sym, self.pos):
-                    self.items.append((sym, sym, here))
-                    self._advance(len(sym))
-                    break
-            else:
-                if ch in _DIGITS:
-                    j = self.pos
-                    while j < len(text) and text[j] in _DIGITS:
-                        j += 1
-                    self.items.append(("digits", text[self.pos : j], here))
-                    self._advance(j - self.pos)
-                elif ch.isalpha() or ch == "_":
-                    j = self.pos
-                    while j < len(text) and (
-                        _name_char(text[j]) or text[j] == "." and _name_char(text[j + 1 : j + 2])
-                    ):
-                        j += 1
-                    self.items.append(("name", text[self.pos : j], here))
-                    self._advance(j - self.pos)
-                else:
-                    raise ParseError(*here, expected="a token", text=text)
-        self.items.append(("eof", "", (self.line, self.col)))
+        col = off - text.rfind("\n", 0, off)
+        return ParseError(text.count("\n", 0, off) + 1, col, expected=expected, text=text)
 
     def peek(self):
         return self.items[self.idx]
@@ -90,15 +71,24 @@ class _Tokens:
         self.idx += 1
         return tok
 
+    def accept(self, kind):
+        """Take the next token if it is of this kind; whether it was."""
+        if self.items[self.idx][0] != kind:
+            return False
+        self.idx += 1
+        return True
+
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(*tok[2], expected=repr(kind), text=self.text)
-        return tok
+            raise self.error_at(tok[2], repr(kind))
 
-    def fail(self, expected):
-        tok = self.peek()
-        raise ParseError(*tok[2], expected=expected, text=self.text)
+    def sequence(self, item, sep=","):
+        """item (sep item)*, as a list; item reads from these tokens."""
+        items = [item(self)]
+        while self.accept(sep):
+            items.append(item(self))
+        return items
 
 
 class Parser:
@@ -111,7 +101,14 @@ class Parser:
         self.d = d
         self.registry = registry or {}
 
-    # -- words and clopens
+    def _whole(self, rule, text):
+        """rule read over all of text."""
+        toks = _Tokens(text)
+        out = rule(toks)
+        toks.expect("eof")
+        return out
+
+    # -- words, clopens and partitions
 
     def _word(self, toks):
         kind, val, here = toks.next()
@@ -120,26 +117,23 @@ class Parser:
         if kind == "digits":
             w = tuple(int(c) for c in val)
             if any(x >= self.d for x in w):
-                raise ParseError(*here, expected=f"letters below {self.d}", text=toks.text)
+                raise toks.error_at(here, f"letters below {self.d}")
             return w
-        raise ParseError(*here, expected="a word (digits or ~)", text=toks.text)
+        raise toks.error_at(here, "a word (digits or ~)")
 
     def _clopen(self, toks):
         toks.expect("{")
-        words = []
-        if toks.peek()[0] != "}":
-            words.append(self._word(toks))
-            while toks.peek()[0] == ",":
-                toks.next()
-                words.append(self._word(toks))
+        words = [] if toks.peek()[0] == "}" else toks.sequence(self._word)
         toks.expect("}")
         return normalize(words, self.d)
 
     def parse_clopen(self, text):
-        toks = _Tokens(text)
-        c = self._clopen(toks)
-        toks.expect("eof")
-        return c
+        return self._whole(self._clopen, text)
+
+    def parse_partition(self, text):
+        """The clopens of a partition literal, in order (not checked to be
+        a partition)."""
+        return self._whole(lambda toks: toks.sequence(self._clopen, ";"), text)
 
     # -- tails
 
@@ -148,22 +142,14 @@ class Parser:
         if kind == "digits" and val == "1":
             return ()
         if kind != "name":
-            raise ParseError(*here, expected="a tail factor name or 1", text=toks.text)
+            raise toks.error_at(here, "a tail factor name or 1")
         if val not in self.registry:
-            raise ParseError(*here, expected=f"a registered machine state (got {val!r})", text=toks.text)
+            raise toks.error_at(here, f"a registered machine state (got {val!r})")
         machine, state = self.registry[val]
-        exp = 1
-        if toks.peek()[0] == "^-1":
-            toks.next()
-            exp = -1
-        return ((machine, state, exp),)
+        return ((machine, state, -1 if toks.accept("^-1") else 1),)
 
     def _tailexpr(self, toks):
-        factors = self._tail_factor(toks)
-        while toks.peek()[0] == "*":
-            toks.next()
-            factors = factors + self._tail_factor(toks)
-        return TailElement(self.d, factors)
+        return TailElement(self.d, sum(toks.sequence(self._tail_factor, "*"), ()))
 
     # -- elements
 
@@ -171,11 +157,7 @@ class Parser:
         u = self._word(toks)
         toks.expect("->")
         v = self._word(toks)
-        tail = trivial(self.d)
-        if toks.peek()[0] == ":":
-            toks.next()
-            tail = self._tailexpr(toks)
-        return Branch(u, v, tail)
+        return Branch(u, v, self._tailexpr(toks) if toks.accept(":") else trivial(self.d))
 
     def _element(self, toks):
         kind, val, here = toks.peek()
@@ -183,28 +165,21 @@ class Parser:
             toks.next()
             return _pmap.zero(self.d) if val == "0" else _pmap.one(self.d)
         toks.expect("[")
-        branches = [self._branch(toks)]
-        while toks.peek()[0] == ",":
-            toks.next()
-            branches.append(self._branch(toks))
+        branches = toks.sequence(self._branch)
         toks.expect("]")
         try:
             return PartialMap(self.d, branches)
         except CantorError as err:
-            raise ParseError(*here, expected=f"a valid branch table ({err})", text=toks.text)
+            raise toks.error_at(here, f"a valid branch table ({err})")
 
     def parse_element(self, text):
-        toks = _Tokens(text)
-        m = self._element(toks)
-        toks.expect("eof")
-        return m
+        return self._whole(self._element, text)
 
     # -- expressions: | < * < postfix (^-1, @{...})
 
     def _expr_atom(self, toks):
         kind, val, here = toks.peek()
-        if kind == "(":
-            toks.next()
+        if toks.accept("("):
             node = self._expr_join(toks)
             toks.expect(")")
             return node
@@ -212,43 +187,46 @@ class Parser:
             return _completion.IdempotentLeaf(self._clopen(toks))
         if kind == "[" or (kind == "digits" and val in ("0", "1")):
             return _completion.ElementLeaf(self._element(toks))
-        if kind == "name":
-            toks.next()
+        if toks.accept("name"):
             return _completion.GeneratorRef(val)
-        toks.fail("an expression atom")
+        raise toks.error_at(here, "an expression atom")
 
     def _expr_postfix(self, toks):
         node = self._expr_atom(toks)
         while True:
-            kind = toks.peek()[0]
-            if kind == "^-1":
-                toks.next()
+            if toks.accept("^-1"):
                 node = _completion.Star(node)
-            elif kind == "@":
-                toks.next()
+            elif toks.accept("@"):
                 node = _completion.Restrict(node, self._clopen(toks))
             else:
                 return node
 
     def _expr_product(self, toks):
-        children = [self._expr_postfix(toks)]
-        while toks.peek()[0] == "*":
-            toks.next()
-            children.append(self._expr_postfix(toks))
+        children = toks.sequence(self._expr_postfix, "*")
         return children[0] if len(children) == 1 else _completion.Product(tuple(children))
 
     def _expr_join(self, toks):
-        children = [self._expr_product(toks)]
-        while toks.peek()[0] == "|":
-            toks.next()
-            children.append(self._expr_product(toks))
+        children = toks.sequence(self._expr_product, "|")
         return children[0] if len(children) == 1 else _completion.Join(tuple(children))
 
     def parse_expr(self, text):
-        toks = _Tokens(text)
-        node = self._expr_join(toks)
-        toks.expect("eof")
-        return node
+        return self._whole(self._expr_join, text)
+
+    # -- multisections
+
+    def _msec(self, toks):
+        kind, val, here = toks.next()
+        if (kind, val) != ("name", "msec"):
+            raise toks.error_at(here, "'msec'")
+        toks.expect("(")
+        base = self._clopen(toks)
+        exprs = toks.sequence(self._expr_join) if toks.accept(";") else []
+        toks.expect(")")
+        return base, exprs
+
+    def parse_msec(self, text):
+        """(base clopen, transporter expressions) of a multisection literal."""
+        return self._whole(self._msec, text)
 
 
 # -- printing ------------------------------------------------------------------

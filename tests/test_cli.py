@@ -391,6 +391,22 @@ def test_msec_literal_maps_may_have_several_branches(capsys):
     assert split == joined and split[0] == 0
 
 
+def test_literal_errors_are_placed_in_the_users_text(capsys):
+    assert main(["msec", "build", "msec({00}; [00->])"]) == 3
+    assert "line 1, col 17: expected a word" in capsys.readouterr().err
+    assert main(["dyn", "rigid", "--element", "[0->1, 1->0]", "--partition", "{0};{2}"]) == 3
+    assert "line 1, col 6: expected letters below 2" in capsys.readouterr().err
+    # an empty map between two commas is an error, not a map left out
+    assert main(["msec", "build", "msec( {00} ; [00->01] ,, [00->10])"]) == 3
+    assert "line 1, col 24: expected an expression atom" in capsys.readouterr().err
+
+
+def test_adder_takes_the_alphabet_of_the_gens_family(capsys):
+    given = run(capsys, "eval", "[0->1:adder]", "021", "-d", "3")
+    assert given == (0, "eval: 102 : 1\n")
+    assert run(capsys, "eval", "[0->1:adder]", "021", "--gens", "higman_thompson:3") == given
+
+
 def test_budget_only_on_budgeted_commands(capsys):
     assert main(["eq", "[0->1,1->0]", "[1->0,0->1]", "--budget", "5"]) == 3
     argv = ["bi", "member", "cyc", "--gens", "higman_thompson:2", "--len", "1", "--depth", "1"]

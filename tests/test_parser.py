@@ -103,3 +103,50 @@ def test_registry_rejects_duplicates():
 
     with pytest.raises(CantorError):
         registry_from_machines([GRI, GRI])
+
+
+def _error(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return exc.value.line, exc.value.col, exc.value.expected
+
+
+def test_parse_msec():
+    base, exprs = P.parse_msec("msec({00}; [00->01], s@{00} | [00->10, 01->11])")
+    assert base == clo("{00}")
+    assert eq(exprs[0].element, pm(2, "00->01"))
+    assert isinstance(exprs[1], completion.Join)
+    assert P.parse_msec(" msec ( {0} ) ") == (clo("{0}"), [])
+
+
+def test_msec_and_partition_errors_are_placed_in_the_whole_literal():
+    assert _error(P.parse_msec, "msec({00}; [00->])")[:2] == (1, 17)
+    assert _error(P.parse_partition, "{0};{2}") == (1, 6, "letters below 2")
+    assert _error(P.parse_msec, "msec({00}; [00->01]")[:2] == (1, 20)
+    assert _error(P.parse_msec, "mesc({00}; [00->01])") == (1, 1, "'msec'")
+
+
+def test_msec_refuses_an_empty_map():
+    for text in ("msec( {00} ; [00->01] ,, [00->10])", "msec({00}; [00->01],)", "msec({0};)"):
+        with pytest.raises(ParseError):
+            P.parse_msec(text)
+
+
+def test_parse_partition():
+    assert P.parse_partition("{0}; {10};{11}") == [clo("{0}"), clo("{10}"), clo("{11}")]
+    assert _error(P.parse_partition, "{0};")[:2] == (1, 5)
+
+
+def test_error_position_over_several_lines():
+    text = "msec({00};\n  [00->01],\n  [00->2])"
+    assert _error(P.parse_msec, text) == (3, 8, "letters below 2")
+    assert _error(P.parse_expr, "s *\n\n x |")[:2] == (3, 5)
+
+
+def test_names_start_with_a_letter():
+    # "²" and "½" are alphanumeric but not letters, so no name starts there
+    assert _error(P.parse_expr, "s * ²x")[:3] == (1, 5, "a token")
+    assert _error(P.parse_expr, "½")[:3] == (1, 1, "a token")
+    assert P.parse_expr("éa * x²") == completion.Product(
+        (completion.GeneratorRef("éa"), completion.GeneratorRef("x²"))
+    )
