@@ -13,8 +13,8 @@ from dataclasses import replace
 from functools import cache
 
 from . import certs, dynamics, factor, kit, msec, pmap
-from .clopen import atoms, checked_alphabet, is_partition, word_from_text
-from .completion import GeneratorTable, bi_enumerate, evaluate, piecewise_member
+from .clopen import checked_alphabet, depth_cells, is_partition, word_from_text
+from .completion import GeneratorRef, GeneratorTable, bi_enumerate, evaluate, piecewise_member
 from .errors import CantorError, ParseError
 from .families import FAMILY_BUILDERS, family_by_name
 from .msec import build, cover_of
@@ -71,16 +71,26 @@ class Session:
             self.table = GeneratorTable(self.d, self.gens_file(gens))
 
     def gens_file(self, path):
-        """The generators of a file of NAME = element lines ("#" starts a comment)."""
+        """The generators of a file of NAME = element lines ("#" starts a comment);
+        a NAME that does not parse back as itself, or a repeated one, is refused."""
         mapping = {}
         with open(path) as fh:
             text = fh.read()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             name, _, rhs = line.partition("=")
-            mapping[name.strip()] = self.parser.parse_element(rhs.strip())
+            name = name.strip()
+            try:
+                readable = self.parser.parse_expr(name) == GeneratorRef(name)
+            except ParseError:
+                readable = False
+            if not readable:
+                raise CantorError(f"line {number} of {path}: {name!r} is not a generator name")
+            if name in mapping:
+                raise CantorError(f"line {number} of {path}: generator {name} is defined twice")
+            mapping[name] = self.parser.parse_element(rhs.strip())
         return mapping
 
     def element(self, text):
@@ -95,7 +105,7 @@ class Session:
 
     def partition(self, spec):
         if spec.startswith("atoms:"):
-            return atoms(_count(spec.split(":", 1)[1], "atom depth"), self.d)
+            return depth_cells(_count(spec.split(":", 1)[1], "atom depth"), self.d)
         parts = self.parser.parse_partition(spec)
         if not is_partition(parts):
             raise CantorError(f"{spec!r} is not a partition")
@@ -263,8 +273,8 @@ def cmd_bi(session, args):
 
 
 def cmd_msec(session, args):
+    s = session.msec(args.msec)
     if args.action == "build":
-        s = session.msec(args.msec)
         text = f"degree {s.degree}; idempotents " + ", ".join(str(e) for e in s.idems)
         return emit_value(args, "msec build", text, {
             "degree": s.degree,
@@ -272,24 +282,20 @@ def cmd_msec(session, args):
             "idempotents": [str(e) for e in s.idems],
         })
     if args.action == "element":
-        s = session.msec(args.msec)
         pi = session.perm(args.perm, s.degree)
         return emit_value(args, "msec element", session.text(msec.element(s, pi)))
     if args.action == "cover":
-        s = session.msec(args.msec)
         parts = [session.clopen(t) for t in args.parts]
         cov = cover_of(s, parts)
         return emit_value(args, "msec cover", f"{len(cov.pieces)} pieces verified")
     if args.action == "combine":
-        s1, s2 = session.msec(args.msec), session.msec(args.other)
-        s3 = msec.combine(s1, s2)
+        s3 = msec.combine(s, session.msec(args.other))
         return emit_value(args, "msec combine", f"degree {s3.degree}; base {s3.base}", {
             "degree": s3.degree,
             "base": str(s3.base),
             "idempotents": [str(e) for e in s3.idems],
         })
     if args.action == "extend":
-        s = session.msec(args.msec)
         cert = msec.extend_degree(s, session.table, word_len=args.len, node_budget=args.budget)
         extra = ""
         if cert.is_witness():
@@ -299,14 +305,11 @@ def cmd_msec(session, args):
             })
             extra = f"{len(cert.witness['pieces'])} pieces"
         return emit_cert(args, "msec extend", cert, extra)
-    if args.action == "factor":
-        s = session.msec(args.msec)
-        pi = session.perm(args.perm, s.degree)
-        cov = msec.overlapping_cover(s, [session.clopen(t) for t in args.parts])
-        target = msec.element(s, pi)
-        cert = factor.factor_over_cover(target, pi, cov, node_budget=args.budget)
-        return emit_cert(args, "msec factor", cert)
-    raise CantorError(f"unknown msec action {args.action!r}")
+    pi = session.perm(args.perm, s.degree)
+    cov = msec.overlapping_cover(s, [session.clopen(t) for t in args.parts])
+    target = msec.element(s, pi)
+    cert = factor.factor_over_cover(target, pi, cov, node_budget=args.budget)
+    return emit_cert(args, "msec factor", cert)
 
 
 def cmd_genkit(session, args):
@@ -330,14 +333,12 @@ def cmd_genkit(session, args):
             "family_size": len(built.A),
             "sections": len(built.sections),
         })
-    if args.action == "express":
-        built = kit.build_kit(session.table, parts, word_len=args.len)
-        witness_msec = session.msec(args.msec)
-        pi = session.perm(args.perm, witness_msec.degree)
-        target = msec.element(witness_msec, pi)
-        cert = kit.express(target, built, witness_msec, pi, node_budget=args.budget)
-        return emit_cert(args, "genkit express", cert)
-    raise CantorError(f"unknown genkit action {args.action!r}")
+    built = kit.build_kit(session.table, parts, word_len=args.len)
+    witness_msec = session.msec(args.msec)
+    pi = session.perm(args.perm, witness_msec.degree)
+    target = msec.element(witness_msec, pi)
+    cert = kit.express(target, built, witness_msec, pi, node_budget=args.budget)
+    return emit_cert(args, "genkit express", cert)
 
 
 def cmd_dyn(session, args):
@@ -382,12 +383,10 @@ def cmd_dyn(session, args):
         report = dynamics.fully_compressible_sample(ctx, args.depth, args.len)
         text = f"fullcompress: {'all pairs pass' if report['ok'] else 'failures: ' + str(len(report['failures']))}"
         return emit(args, EXIT_OK if report["ok"] else EXIT_REFUTED, text, {"op": "dyn fullcompress", **report})
-    if args.action == "orbit":
-        cert = dynamics.orbit_lower_bound(
-            ctx, word_from_text(args.prefix), args.count, args.len, node_budget=args.budget
-        )
-        return emit_cert(args, "dyn orbit", cert)
-    raise CantorError(f"unknown dyn action {args.action!r}")
+    cert = dynamics.orbit_lower_bound(
+        ctx, word_from_text(args.prefix), args.count, args.len, node_budget=args.budget
+    )
+    return emit_cert(args, "dyn orbit", cert)
 
 
 # -- argument wiring ---------------------------------------------------------------

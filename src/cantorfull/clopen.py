@@ -237,6 +237,19 @@ def atoms_at_most(n, d, limit):
     return atoms(n, d)
 
 
+# the most depth-n cells atoms:N, dyn minimal and dyn expansive list: depth 10
+# over two letters, whose pairs expansive_certificate holds in about 67 MB
+MAX_CELLS = 1024
+
+
+def depth_cells(n, d):
+    """atoms(n, d), refused before any is built when there are over MAX_CELLS."""
+    cells = atoms_at_most(n, d, MAX_CELLS)
+    if cells is None:
+        raise CantorError(f"depth-{n} cells number {d}^{n}, over {MAX_CELLS}")
+    return cells
+
+
 def is_partition(parts):
     """True iff parts are nonempty, pairwise disjoint, with union the whole space."""
     if not parts:

@@ -11,10 +11,11 @@ word length asked so far and rebuilt when its generators change.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import Clopen, atoms, atoms_at_most, normalize
+from .clopen import Clopen, atoms_at_most, normalize
 from .errors import CantorError, IncompatibleJoin, IncompatiblePair, NotAUnit, UnknownGenerator
 from .pmap import Dedup, PartialMap, eq, one, restrict, star, zero
 
@@ -22,9 +23,9 @@ from .pmap import Dedup, PartialMap, eq, one, restrict, star, zero
 class GeneratorTable:
     """Named generators over a single alphabet context.
 
-    The table keeps the letters of its completion searches (the generators
-    and their stars, deduped by eq, with their expressions) and one WordBall
-    over them for as long as it lives.  Both are built on first use, and
+    The table keeps its letters (the generators and their stars, deduped by
+    eq, with their expressions), which the completion searches and every
+    DynContext read, and one WordBall over them for as long as it lives.  Both are built on first use, and
     the ball is grown only to the longest word length a search asks for, so
     every bi_enumerate and piecewise_member call on the table shares it.
     They are built afresh when the generators in `mapping` differ from the
@@ -47,6 +48,10 @@ class GeneratorTable:
             letters = _letters(self)
             self._search = (key, letters, _pmap.WordBall([m for m, _ in letters], self.d))
         return self._search[1:]
+
+    def letters(self):
+        """The (map, GeneratorRef or Star of one) letters, deduped by eq."""
+        return self._search_words()[0]
 
     def __getitem__(self, name):
         try:
@@ -313,7 +318,9 @@ def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_B
     try:
         for n in range(depth + 1):
             exprs = []
-            for alpha in atoms(n, table.d):
+            # the depth-n atoms in lexicographic order, each built when reached
+            for w in product(range(table.d), repeat=n):
+                alpha = Clopen(table.d, (w,))
                 target = restrict(h, alpha)
                 for m, expr in words:
                     budget.tick()

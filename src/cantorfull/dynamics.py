@@ -10,8 +10,8 @@ from itertools import product
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import atoms, atoms_at_most, cylinder, is_partition, normalize, part_lookup, union_all
-from .completion import depth_clopens
+from .clopen import atoms, cylinder, depth_cells, is_partition, normalize, part_lookup, union_all
+from .completion import GeneratorRef, depth_clopens
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
     as_idempotent,
@@ -29,7 +29,8 @@ from .pmap import (
 
 
 class DynContext:
-    """A table of units, closed under star; names spells a word of indices
+    """The units of a table: its letters, the generators and their stars
+    deduped by eq (GeneratorTable.letters); names spells a word of indices
     into units where a witness prints it.
 
     walk is one pmap.image_walks walker over the units, which the
@@ -41,22 +42,15 @@ class DynContext:
     """
 
     def __init__(self, table):
-        self.table = table
-        self.d = table.d
-        units = []
-        names = []
         for name, m in table.items():
             if not is_unit(m):
                 raise CantorError(f"generator {name} is not a unit")
-            units.append(m)
-            names.append(name)
-        for name, m in table.items():
-            inv = star(m)
-            if not any(eq(inv, u) for u in units):
-                units.append(inv)
-                names.append(f"{name}^-1")
-        self.units = tuple(units)
-        self.names = tuple(names)
+        self.table = table
+        self.d = table.d
+        letters = table.letters()
+        self.units = tuple(m for m, _ in letters)
+        self.names = tuple(x.name if isinstance(x, GeneratorRef) else f"{x.child.name}^-1"
+                           for _, x in letters)
         self.walk = image_walks(self.units)
 
 
@@ -74,11 +68,6 @@ def _image_closure(ctx, start, steps):
 
 
 # -- expansivity ----------------------------------------------------------------
-
-# the most depth-n cells expansive_certificate pairs up: depth 10 over two
-# letters, whose pairs take about 67 MB
-EXPANSIVE_CELLS = 1024
-
 
 def _atom_masks(cells, depth):
     """Each word of length <= depth -> the bit mask of the cells below it,
@@ -110,14 +99,12 @@ def expansive_certificate(ctx, parts, depth, word_len):
     masks.  Hulls only shrink, so a separated pair stays separated, and a
     pair is re-tested only when one of its two masks changed.
 
-    The unseparated pairs are listed up front, so more than EXPANSIVE_CELLS
-    cells are refused before any pair is.
+    The unseparated pairs are listed up front, so more than
+    clopen.MAX_CELLS cells are refused before any pair is.
     """
     if not is_partition(parts):
         raise CantorError("translate certificate needs a partition")
-    cells = atoms_at_most(depth, ctx.d, EXPANSIVE_CELLS)
-    if cells is None:
-        raise CantorError(f"depth-{depth} cells number {ctx.d}^{depth}, over {EXPANSIVE_CELLS}")
+    cells = depth_cells(depth, ctx.d)
     below = _atom_masks(cells, depth)
     budget = certs.Budget({"depth": depth, "word_len": word_len})
     hulls = [None] * len(cells)
@@ -187,7 +174,7 @@ def subshift_code(ctx, parts, point_prefix, words):
 def minimal_certificate(ctx, depth, word_len):
     """Witness when every depth-n cylinder reaches every other within the
     length bound; the finite shadow of every orbit being dense."""
-    cells = atoms(depth, ctx.d)
+    cells = depth_cells(depth, ctx.d)
     budget = certs.Budget({"depth": depth, "word_len": word_len})
     for alpha in cells:
         reach = _image_closure(ctx, alpha, word_len)

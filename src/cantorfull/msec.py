@@ -215,21 +215,17 @@ def combine(s1, s2):
     idempotents; the result has base e, carries restrictions of both transporter
     systems, and has degree deg(s1) + deg(s2) - 1.
     """
-    overlaps = []
-    for i, a in enumerate(s1.idems):
-        for j, b in enumerate(s2.idems):
-            m = a.meet(b)
-            if not m.is_empty():
-                overlaps.append((i, j, m))
+    overlaps = [(i, j) for i, a in enumerate(s1.idems) for j, b in enumerate(s2.idems)
+                if not a.disjoint(b)]
     if not overlaps:
         raise EmptyIntersection("supports do not intersect")
     if len(overlaps) > 1:
         raise SupportsOverlapElsewhere(
             f"supports overlap in {len(overlaps)} idempotent pairs"
         )
-    i, j, e = overlaps[0]
-    if s1.support().meet(s2.support()) != e:
-        raise SupportsOverlapElsewhere("support overlap is not a single idempotent meet")
+    # supports are unions of idempotents, so they meet exactly in this pair's meet
+    i, j = overlaps[0]
+    e = s1.idems[i].meet(s2.idems[j])
     r1 = restrict_msec(s1, _pmap.ran(restrict(star(s1.transporters[i]), e)))
     r2 = restrict_msec(s2, _pmap.ran(restrict(star(s2.transporters[j]), e)))
     # both restricted sections now carry e as their i-th / j-th idempotent

@@ -182,15 +182,12 @@ def _merge_family(d, u, family):
     neither a word's action nor the reduced form of its sections, so a
     candidate is tested before it is reduced, and reduced only to be kept.
     """
-    # range prefixes must form a complete sibling family v.rho(x)
-    if any(not b.ran for b in family):
-        return None
+    # the ranges are d >= 2 antichain words (_checked_table), so none is empty,
+    # and when they share a parent v they are v.rho(x) for a permutation rho
     v = family[0].ran[:-1]
     if any(b.ran[:-1] != v for b in family):
         return None
     rho = tuple(b.ran[-1] for b in family)
-    if sorted(rho) != list(range(d)):
-        return None
     targets = tuple(free_reduce(b.tail.factors) for b in family)
     if not any(targets):
         return Branch(u, v, _tails.trivial(d)) if rho == tuple(range(d)) else None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorfull import pmap, tails
+from cantorfull import clopen, pmap, tails
 from cantorfull.cli import Session, build_arg_parser, main
 from cantorfull.completion import depth_clopens
 from cantorfull.parser import Parser
@@ -621,3 +621,47 @@ def test_readme_commands_print_the_same_warm_and_cold(capsys):
         memo.cache_clear()
     tails._identity_cache.clear()
     assert outputs() == cold
+
+
+def test_idempotent_atoms_evaluate_in_expressions(capsys):
+    assert run(capsys, "eq", "{0}", "[0->0]") == (0, "eq: True\n")
+    code, out = run(capsys, "compose", "s00_01", "{00}", *HT2)
+    assert (code, out) == (0, "compose: [00->01]\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # "a b" would print as (a b)@{~} in bi enumerate, which does not parse back
+        ("a b = [0->1, 1->0]\n", 1, "'a b' is not a generator name"),
+        ("# two names\nx = [0->1, 1->0]\nx = 1\n", 3, "generator x is defined twice"),
+        (" = 1\n", 1, "'' is not a generator name"),
+        ("x^-1 = 1\n", 1, "'x^-1' is not a generator name"),
+    ],
+    ids=["space", "repeated", "empty", "star"],
+)
+def test_gens_file_refuses_unreadable_and_repeated_names(tmp_path, capsys, text, line, message):
+    gens = tmp_path / "gens.txt"
+    gens.write_text(text)
+    assert main(["eq", "x", "1", "--gens", str(gens)]) == 3
+    assert capsys.readouterr().err == f"error: line {line} of {gens}: {message}\n"
+
+
+def test_cell_lists_over_the_bound_are_refused_before_any_cell_is_built(monkeypatch, capsys):
+    # the bound is 1,024 cells; four keeps every list here small
+    def built(n, d):
+        raise AssertionError(f"built the depth-{n} cells")
+
+    monkeypatch.setattr(clopen, "MAX_CELLS", 4)
+    for argv in (["genkit", "verify", *HT2, "--partition", "atoms:2"],
+                 ["dyn", "minimal", *HT2, "--depth", "2", "--len", "1"]):
+        assert main(argv) in (0, 1)
+    capsys.readouterr()
+    monkeypatch.setattr(clopen, "atoms", built)
+    for argv in (["genkit", "verify", *HT2, "--partition", "atoms:3"],
+                 ["dyn", "expansive", *HT2, "--partition", "{0};{1}", "--depth", "3"],
+                 ["dyn", "minimal", *HT2, "--depth", "3"],
+                 ["dyn", "minimal", *HT2, "--depth", "30"]):
+        assert main(argv) == 3
+        depth = argv[-1].rsplit(":", 1)[-1]
+        assert capsys.readouterr().err == f"error: depth-{depth} cells number 2^{depth}, over 4\n"

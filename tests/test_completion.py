@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cantorfull import completion, pmap
+from cantorfull import clopen, completion, pmap
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.completion import (
     ElementLeaf,
@@ -392,6 +392,24 @@ def test_piecewise_member_rejects_expression_that_does_not_reevaluate(monkeypatc
 def test_piecewise_member_not_a_unit():
     with pytest.raises(NotAUnit):
         piecewise_member(pm(2, "0->10"), TABLE, 1, 1)
+
+
+def test_piecewise_member_builds_each_atom_only_when_it_tries_it(monkeypatch):
+    # no word of length 0 agrees with the swap on any atom, so each depth
+    # gives up at its first atom: one node and one cell per depth
+    table = grigorchuk_units().table
+    piecewise_member(SWAP, table, word_len=0, depth=1)
+    built = []
+    real_init = clopen.Clopen.__init__
+
+    def counting(self, d, antichain):
+        built.append(antichain)
+        real_init(self, d, antichain)
+
+    monkeypatch.setattr(clopen.Clopen, "__init__", counting)
+    cert = piecewise_member(SWAP, table, word_len=0, depth=10)
+    assert cert.is_exhausted() and cert.nodes_explored == 11
+    assert len(built) <= cert.nodes_explored
 
 
 def test_piecewise_member_exhausts():

@@ -24,7 +24,8 @@ from cantorfull.errors import (
     IdentityInput,
     NotPartwiseStabilizing,
 )
-from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
+from cantorfull.families import family_by_name, grigorchuk_units, higman_thompson, rover_units
+from cantorfull.parser import expr_to_text
 from cantorfull.pmap import Branch, PartialMap, compose, eq, image_clopen, one
 from cantorfull.tails import adding_machine, state
 
@@ -59,6 +60,35 @@ def adding_ctx():
 
 def identity_ctx():
     return DynContext(GeneratorTable(2, {"one": one(2)}))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "higman_thompson:2",
+        "higman_thompson:3",
+        "higman_thompson:2:1",
+        "higman_thompson:3:5",
+        "grigorchuk",
+        "rover",
+        "depth_aut:1",
+        "depth_aut:2",
+        "depth_aut:1:3",
+    ],
+)
+def test_ctx_units_and_names_are_the_tables_letters(spec):
+    table = family_by_name(spec).table
+    ctx = DynContext(table)
+    assert ctx.units == tuple(m for m, _ in table.letters())
+    assert ctx.names == tuple(expr_to_text(x) for _, x in table.letters())
+
+
+def test_ctx_walks_one_of_two_equal_generators():
+    # as in the completion searches, a generator eq to an earlier letter is
+    # not a letter of its own
+    swap = pm(2, "0->1", "1->0")
+    ctx = DynContext(GeneratorTable(2, {"s": swap, "t": pm(2, "1->0", "0->1")}))
+    assert ctx.units == (swap,) and ctx.names == ("s",)
 
 
 # -- expansivity -----------------------------------------------------------------

@@ -259,6 +259,11 @@ def test_combine_requires_single_overlap():
     s4 = build(clo("{01}"), [pm(2, "01->00"), pm(2, "01->10")])
     with pytest.raises(SupportsOverlapElsewhere):
         combine(s3, s4)
+    # {0} meets both {00} and {01}: two pairs, though {0} is one idempotent
+    s5 = build(clo("{00}"), [pm(2, "00->01")])
+    s6 = build(clo("{0}"), [pm(2, "0->10")])
+    with pytest.raises(SupportsOverlapElsewhere, match="in 2 idempotent pairs"):
+        combine(s5, s6)
 
 
 def test_combine_contains_restrictions_of_inputs():
