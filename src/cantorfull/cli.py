@@ -72,16 +72,17 @@ class Session:
 
     def gens_file(self, path):
         """The generators of a file of NAME = element lines ("#" starts a comment);
-        a NAME that does not parse back as itself, or a repeated one, is refused."""
+        a NAME that does not parse back as itself, or a repeated one, is refused,
+        and a parse error in an element names its line and column in the file."""
         mapping = {}
         with open(path) as fh:
             text = fh.read()
         for number, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
+            line = line.split("#", 1)[0]
+            if not line.strip():
                 continue
-            name, _, rhs = line.partition("=")
-            name = name.strip()
+            lhs, _, rhs = line.partition("=")
+            name = lhs.strip()
             try:
                 readable = self.parser.parse_expr(name) == GeneratorRef(name)
             except ParseError:
@@ -90,7 +91,11 @@ class Session:
                 raise CantorError(f"line {number} of {path}: {name!r} is not a generator name")
             if name in mapping:
                 raise CantorError(f"line {number} of {path}: generator {name} is defined twice")
-            mapping[name] = self.parser.parse_element(rhs.strip())
+            try:
+                mapping[name] = self.parser.parse_element(rhs)
+            except ParseError as err:
+                # an element is one line, and rhs starts after the first "="
+                raise ParseError(number, len(lhs) + 1 + err.col, err.expected, text, path)
         return mapping
 
     def element(self, text):

@@ -10,7 +10,7 @@ from itertools import product
 
 from . import certs
 from . import pmap as _pmap
-from .clopen import atoms, cylinder, depth_cells, is_partition, normalize, part_lookup, union_all
+from .clopen import cylinder, depth_cells, is_partition, normalize, part_lookup, union_all
 from .completion import GeneratorRef, depth_clopens
 from .errors import CantorError, EmptyInput, IdentityInput, NotPartwiseStabilizing
 from .pmap import (
@@ -212,8 +212,10 @@ def fully_compressible_sample(ctx, depth, word_len):
     mask of the atoms the image meets; the two clopens are compared only
     when the masks are equal.
     """
-    subsets = depth_clopens(ctx.d, depth)[1:-1]
-    cells = atoms(depth, ctx.d)
+    clopens = depth_clopens(ctx.d, depth)
+    # the atoms are the unions of one atom, at the masks 1, 2, 4, ...
+    cells = [clopens[1 << i] for i in range(len(clopens).bit_length() - 1)]
+    subsets = clopens[1:-1]
     below = _atom_masks(cells, depth)
     masks = range(1, 2 ** len(cells) - 1)
     texts = [str(z) for z in subsets]

@@ -93,10 +93,12 @@ class EmptyInput(CantorError):
 
 
 class ParseError(CantorError):
-    """Syntax error with position information."""
+    """Syntax error with position information; source names the file the
+    text was read from, if any."""
 
-    def __init__(self, line, col, expected, text=""):
-        super().__init__(f"line {line}, col {col}: expected {expected}")
+    def __init__(self, line, col, expected, text="", source=None):
+        where = f"line {line}, col {col}" + (f" of {source}" if source else "")
+        super().__init__(f"{where}: expected {expected}")
         self.line = line
         self.col = col
         self.expected = expected

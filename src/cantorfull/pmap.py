@@ -197,7 +197,6 @@ def _merge_family(d, u, family):
         if not rc:
             continue
         perm, sections = _tails.expand(d, rc)
-        sections = tuple(sections)
         if perm == rho and sections == targets:
             return Branch(u, v, TailElement(d, rc))
         for m in dict.fromkeys(m for m, _, _ in rc):

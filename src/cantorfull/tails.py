@@ -6,6 +6,13 @@ input first).  Elements are never synthesized into new machine states; the
 identity problem is decided by closing the factor word under sections, which
 is a finite search.
 
+Each machine tabulates, on its first sweep, every signed state's image letter
+and residual at each letter (MealyMachine.steps).  A node of the closure is
+expanded by one sweep per letter over its factors, rightmost first, that
+reads these steps and free-reduces the section as it goes (expand); no
+TailElement is built per section, and equal decides the quotient word s.t^-1
+without building one.
+
 A machine is identified by its tables (alphabet, outputs, transitions); its
 name is only for text.  A factor (machine, state, exp) is therefore its own
 key: two differently built machines with the same name are never confused,
@@ -28,11 +35,12 @@ class MealyMachine:
     """Finite invertible letter transducer.
 
     output[s] is a permutation of the alphabet (as a tuple), transition[s][x]
-    the state entered after transducing letter x in state s.  Equality and
-    hashing read the tables only; name is for display.
+    the state entered after transducing letter x in state s; steps holds both
+    per signed state (see _letter_steps).  Equality and hashing read the
+    tables only; name is for display.
     """
 
-    __slots__ = ("name", "d", "states", "transition", "output", "trivial_states", "_hash")
+    __slots__ = ("name", "d", "states", "transition", "output", "trivial_states", "steps", "_hash")
 
     def __init__(self, name, d, transition, output):
         self.name = name
@@ -49,6 +57,8 @@ class MealyMachine:
                 if t not in self.output:
                     raise CantorError(f"transition target {t} is not a state")
         self.trivial_states = self._find_trivial_states()
+        # built when a sweep first reads it (_rows)
+        self.steps = {}
         self._hash = hash(
             (self.d, tuple(sorted(self.transition.items())), tuple(sorted(self.output.items())))
         )
@@ -66,7 +76,29 @@ class MealyMachine:
                     changed = True
         return frozenset(candidates)
 
+    def _letter_steps(self):
+        """steps[exp][s] is the factor (self, s, exp) at every letter, as one
+        flat row: at 3x, 3x + 1 and 3x + 2 the image letter of x, the residual
+        factor, and that residual again or None when it acts trivially.  Each
+        signed state is one tuple, shared by every row."""
+        signed = {(s, e): (self, s, e) for s in self.states for e in (1, -1)}
+        steps = {1: {}, -1: {}}
+        for s in self.states:
+            out, to = self.output[s], self.transition[s]
+            back = [0] * self.d
+            for x, y in enumerate(out):
+                back[y] = x
+            for e, image, targets in ((1, out, to), (-1, back, [to[y] for y in back])):
+                row = []
+                for y, t in zip(image, targets):
+                    r = signed[t, e]
+                    row += (y, r, None if t in self.trivial_states else r)
+                steps[e][s] = tuple(row)
+        return steps
+
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, MealyMachine)
             and self.d == other.d
@@ -136,16 +168,25 @@ def _check_name_part(kind, name):
 # a factor is (machine, state, exp) with exp in {+1, -1}, keyed by itself
 
 
+def _rows(factors):
+    """The steps rows of the factors, rightmost first: the one read of the
+    machine tables that expand, apply_letter and apply_state share.  A
+    machine builds its steps when a sweep first reads them, so one that no
+    tail is swept through, as most of a session's registry, never does."""
+    try:
+        return [m.steps[e][s] for m, s, e in reversed(factors)]
+    except KeyError:
+        for m, _, _ in factors:
+            if not m.steps:
+                m.steps.update(m._letter_steps())
+        return [m.steps[e][s] for m, s, e in reversed(factors)]
+
+
 def apply_state(factor, x):
-    """Image letter and residual factor of a single signed state at letter x."""
-    machine, state, exp = factor
-    if exp == 1:
-        y = machine.output[state][x]
-        nxt = machine.transition[state][x]
-    else:
-        y = machine.output[state].index(x)
-        nxt = machine.transition[state][y]
-    return y, (machine, nxt, exp)
+    """Image letter and residual factor of a single signed state at letter x,
+    read from its machine's steps."""
+    row = _rows((factor,))[0]
+    return row[3 * x], row[3 * x + 1]
 
 
 class TailElement:
@@ -186,13 +227,15 @@ class TailElement:
         return not free_reduce(self.factors)
 
     def apply_letter(self, x):
-        """Image letter and residual TailElement at a single letter."""
+        """Image letter and residual TailElement at a single letter, not
+        reduced: one sweep over the factors, rightmost first."""
         if not 0 <= x < self.d:
             raise LetterOutOfRange(f"letter {x}")
         residuals = []
-        for f in reversed(self.factors):
-            x, r = apply_state(f, x)
-            residuals.append(r)
+        for row in _rows(self.factors):
+            j = 3 * x
+            x = row[j]
+            residuals.append(row[j + 1])
         residuals.reverse()
         return x, TailElement(self.d, residuals)
 
@@ -237,7 +280,10 @@ def invert(t):
 
 
 def free_reduce(factors):
-    """Drop trivially-acting states and cancel adjacent inverse pairs."""
+    """Drop trivially-acting states and cancel adjacent inverse pairs.
+
+    Exponent and state are compared before the machine, and the machine by
+    identity before its tables."""
     stack = []
     for f in factors:
         m, s, e = f
@@ -245,7 +291,7 @@ def free_reduce(factors):
             continue
         if stack:
             m2, s2, e2 = stack[-1]
-            if m2 == m and s2 == s and e2 == -e:
+            if e2 == -e and s2 == s and (m2 is m or m2 == m):
                 stack.pop()
                 continue
         stack.append(f)
@@ -265,13 +311,38 @@ def _remember(factors, value):
 
 
 def expand(d, factors):
-    """Root permutation and free-reduced sections of a factor word: one step
-    of the section closure that is_identity and canonical_key walk.  The
-    sections are reduced as they are read, so a caller that stops at the
-    permutation pays for no reduction."""
-    node = TailElement(d, factors)
-    images = [node.apply_letter(x) for x in range(d)]
-    return tuple(y for y, _ in images), (free_reduce(r.factors) for _, r in images)
+    """Root permutation and free-reduced sections of a factor word over the
+    alphabet d: one step of the section closure that is_identity and
+    canonical_key walk.
+
+    Each letter is one sweep over the factors, rightmost first, reading each
+    factor's image letter and residual from its machine's steps.  The section
+    is reduced in the same sweep: built from its right end, it drops the
+    residuals that act trivially and cancels each one against an inverse on
+    top of the stack.  A free reduction has one normal form, so each section
+    equals free_reduce of the residual word (factors compare their machines
+    by table, so of two equal machines either may stand in a kept factor).
+    """
+    rows = _rows(factors)
+    perm = []
+    sections = []
+    for x in range(d):
+        stack = []
+        for row in rows:
+            j = 3 * x
+            x, r = row[j], row[j + 2]
+            if r is None:
+                continue
+            if stack:
+                top = stack[-1]
+                if top[2] != r[2] and top[1] == r[1] and (top[0] is r[0] or top[0] == r[0]):
+                    stack.pop()
+                    continue
+            stack.append(r)
+        perm.append(x)
+        stack.reverse()
+        sections.append(tuple(stack))
+    return tuple(perm), tuple(sections)
 
 
 def is_identity(t):
@@ -283,8 +354,13 @@ def is_identity(t):
     DEFAULT_NODE_BUDGET sections, read at call time, raises BudgetExceeded
     rather than guessing.
     """
-    ident = tuple(range(t.d))
-    start = free_reduce(t.factors)
+    return _acts_trivially(t.d, t.factors)
+
+
+def _acts_trivially(d, factors):
+    """is_identity of the factor word over the alphabet d."""
+    ident = tuple(range(d))
+    start = free_reduce(factors)
     cached = _identity_cache.get(start)
     if cached is not None:
         return cached
@@ -305,7 +381,7 @@ def is_identity(t):
         nodes += 1
         if nodes > DEFAULT_NODE_BUDGET:
             raise BudgetExceeded(f"identity check exceeded {DEFAULT_NODE_BUDGET} nodes")
-        perm, sections = expand(t.d, factors)
+        perm, sections = expand(d, factors)
         if perm != ident:
             answer = False
             break
@@ -324,8 +400,11 @@ def is_identity(t):
 
 
 def equal(s, t):
-    """Semantic equality of two tails."""
-    return is_identity(compose(s, invert(t)))
+    """Semantic equality of two tails: whether the quotient word s.t^-1 acts
+    as the identity."""
+    if s.d != t.d:
+        raise AlphabetMismatch(f"alphabet {s.d} vs {t.d}")
+    return _acts_trivially(s.d, s.factors + tuple((m, q, -e) for m, q, e in reversed(t.factors)))
 
 
 def canonical_key(t):

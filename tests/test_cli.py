@@ -647,6 +647,24 @@ def test_gens_file_refuses_unreadable_and_repeated_names(tmp_path, capsys, text,
     assert capsys.readouterr().err == f"error: line {line} of {gens}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("a = [0->1, 1->0]\nb = [0->]\n", 2, 9),
+        # a comment line, indentation and spacing around "=" all count
+        ("# c\n  a  =   [0->1, 1->0]  # swap\n\tb =[0->1, 1->]\n", 3, 15),
+    ],
+    ids=["plain", "spaced"],
+)
+def test_gens_file_parse_errors_name_the_file_line_and_column(tmp_path, capsys, text, line, col):
+    gens = tmp_path / "gens.txt"
+    gens.write_text(text)
+    assert main(["eq", "a", "1", "--gens", str(gens)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"parse error: line {line}, col {col} of {gens}: expected a word (digits or ~)\n"
+    assert text.splitlines()[line - 1][col - 1] == "]"
+
+
 def test_cell_lists_over_the_bound_are_refused_before_any_cell_is_built(monkeypatch, capsys):
     # the bound is 1,024 cells; four keeps every list here small
     def built(n, d):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorfull import pmap, tails
-from cantorfull.errors import CantorError
+from cantorfull.errors import AlphabetMismatch, CantorError
 from cantorfull.tails import (
     TailElement,
     adding_machine,
@@ -343,19 +343,19 @@ def test_identity_check_reads_each_node_once(monkeypatch):
     # (ab)^16 = 1 in the Grigorchuk group; the closure visits 10 nodes, and
     # each node's root permutation and sections come from one letter sweep
     calls = []
-    apply_letter = TailElement.apply_letter
+    expand = tails.expand
 
-    def counted(self, x):
-        calls.append(x)
-        return apply_letter(self, x)
+    def counted(d, factors):
+        calls.append(factors)
+        return expand(d, factors)
 
     monkeypatch.setattr(tails, "_identity_cache", {})
-    monkeypatch.setattr(TailElement, "apply_letter", counted)
+    monkeypatch.setattr(tails, "expand", counted)
     assert is_identity(word(GRI, "*".join(["a", "b"] * 16)))
-    assert len(calls) == 20
-    # the cache now holds every node, so a second decision reads no letter
+    assert len(calls) == 10 and len(set(calls)) == 10
+    # the cache now holds every node, so a second decision sweeps none
     assert is_identity(word(GRI, "*".join(["a", "b"] * 16)))
-    assert len(calls) == 20
+    assert len(calls) == 10
 
 
 def test_identity_check_budget_guard(monkeypatch):
@@ -369,6 +369,82 @@ def test_identity_check_budget_guard(monkeypatch):
             is_identity(deep)
     # and with a real budget the answer is still computed, never guessed
     assert not is_identity(deep)
+
+
+# -- the letter sweep against the oracle ----------------------------------------
+
+
+def _depth_perm_3():
+    """A depth-2 automorphism over three letters: a 3-cycle at the root and
+    a different letter permutation below each root letter."""
+    root, below = (1, 2, 0), {0: (0, 2, 1), 1: (1, 2, 0), 2: (0, 1, 2)}
+    assign = {(x, y): (root[x], below[x][y]) for x in range(3) for y in range(3)}
+    return depth_perm(2, assign, d=3).factors[0][0]
+
+
+# the machines of the sweep tests; each word may mix both machines of its
+# alphabet, and draws states with either exponent, trivial states included
+SWEEP_MACHINES = {2: (GRI, ADD2), 3: (adding_machine(3), _depth_perm_3())}
+
+
+def _signed_word(rng, machines, n):
+    picked = [rng.choice(machines) for _ in range(n)]
+    return tuple((m, rng.choice(m.states), rng.choice((1, -1))) for m in picked)
+
+
+@pytest.mark.parametrize("d", sorted(SWEEP_MACHINES))
+def test_expand_is_the_section_oracle_then_free_reduce(d):
+    rng = random.Random(4200 + d)
+    for _ in range(400):
+        factors = _signed_word(rng, SWEEP_MACHINES[d], rng.randrange(13))
+        t = TailElement(d, factors)
+        perm, sections = tails.expand(d, factors)
+        assert len(perm) == len(sections) == d
+        for x in range(d):
+            image, residual = tail_section(t, (x,))
+            assert perm[x] == image[0]
+            assert sections[x] == tails.free_reduce(residual)
+            # the letter step itself leaves the residual word unreduced
+            assert t.apply_letter(x) == (image[0], TailElement(d, residual))
+
+
+def _relator_of(rng, m):
+    """A word over m that acts as the identity: a Grigorchuk relator, a
+    state of order at most 6 raised to its order, or else a trivial state."""
+    if m is GRI:
+        return tuple((m, s, 1) for s in rng.choice(GRI_RELATORS).split("*"))
+    s = rng.choice(m.states)
+    for n in range(1, 7):
+        if is_identity(TailElement(m.d, ((m, s, 1),) * n)):
+            return ((m, s, rng.choice((1, -1))),) * n
+    return ((m, "e", 1),)
+
+
+@pytest.mark.parametrize("d", sorted(SWEEP_MACHINES))
+def test_equal_agrees_with_tail_walks_on_every_depth_6_word(d):
+    rng = random.Random(4300 + d)
+    words = list(product(range(d), repeat=6))
+    verdicts = set()
+    for _ in range(40):
+        s = _signed_word(rng, SWEEP_MACHINES[d], rng.randrange(1, 9))
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(s) + 1)
+            relator = _relator_of(rng, rng.choice(SWEEP_MACHINES[d]))
+            t = s[:cut] + relator + s[cut:]
+        else:
+            t = _signed_word(rng, SWEEP_MACHINES[d], rng.randrange(1, 9))
+        s, t = TailElement(d, s), TailElement(d, t)
+        same = tails.equal(s, t)
+        assert same == all(tail_walk(s, w) == tail_walk(t, w) for w in words)
+        verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+def test_equal_refuses_tails_over_different_alphabets():
+    two, three = state(ADD2, "a"), state(adding_machine(3), "a")
+    for s, t in ((two, three), (three, two), (trivial(2), three)):
+        with pytest.raises(AlphabetMismatch):
+            tails.equal(s, t)
 
 
 # -- canonical keys -------------------------------------------------------------
