@@ -205,23 +205,23 @@ def bi_enumerate(table, word_len, join_arity, depth):
     Each clopen is built when the first word reaches it, so a reader that
     stops early pays only for the clopens its rows used.
 
-    A combination is joined only when no pair in it is already decided.
     The clopen with mask bit i set holds atom i, and single-atom masks come
-    first, so each piece m|c is the orthogonal join of its restrictions m|a
-    to the atoms a of c, all met before it; a piece's signature maps each
-    atom where it is defined to the piece that m|a is.  A pair is decided
-    when
+    first, so each piece m|c is the orthogonal join of its restrictions to
+    the atoms of c, met before it; its signature is the set of those that
+    are not zero, its atom pieces, each on one atom.  A set of maps is
+    compatible exactly when it is pairwise compatible, and compatibility
+    distributes over orthogonal joins, so a pair of pieces is decided when
     - one signature holds the other: that piece is a restriction of the
-      other, so the combination joins as it does without it, at a lower
-      arity.  The zero piece, whose signature is empty, is below every
-      piece; or
-    - on a shared atom the two restrictions are distinct pieces with equal
-      domains: not eq, so they differ at some point where both are defined,
-      and the join would raise IncompatiblePair.
-    Neither rule skips a combination whose join could be new, so the rows
-    are those of joining every combination.  A piece's pairs with the later
-    pieces are decided when a combination first reaches it, so the first
-    join row does not wait for every pair of pieces to be decided.
+      other, so a combination joins as it does without it (the zero piece,
+      whose signature is empty, is below every piece); or
+    - an atom piece of one is incompatible with one of the other (on
+      different atoms: their ranges meet), so the pair has no join.
+    A combination of arity >= 2 is pairwise undecided, so it joins, to the
+    join of the atom pieces in the union of its signatures: a union that is
+    a piece's signature or an earlier combination's is skipped, neither
+    joined nor deduped.  A piece's pairs, and the compatibility rows of its
+    atom pieces, are computed when a combination first reaches it, so the
+    first join row does not wait for every pair to be decided.
     """
     cells = _depth_atoms(table.d, depth)
     n_atoms = len(cells)
@@ -229,83 +229,83 @@ def bi_enumerate(table, word_len, join_arity, depth):
 
     clopens = []  # mask -> clopen, each built when the first word reaches it
     pieces = []  # (element, expression)
-    signatures = []  # piece index -> {atom: piece index of the restriction}
+    signatures = []  # piece index -> bitmask of the piece indices of its atom pieces
+    atom_of = {}  # piece index of an atom piece -> the mask of its atom
     seen = Dedup()  # payload: the piece index, or None for a join
     for m, expr in words:
-        at_atom = [None] * n_atoms
+        at_atom = [0] * n_atoms
         for mask in range(2 ** n_atoms):
             if mask == len(clopens):
                 clopens.append(_mask_clopen(cells, mask, table.d))
             c = clopens[mask]
             rep, index, new = seen.add(restrict(m, c), len(pieces))
-            if mask and mask & (mask - 1) == 0:  # the single atom of this mask
-                at_atom[mask.bit_length() - 1] = None if rep.is_zero() else index
+            if mask & (mask - 1) == 0 < mask and not rep.is_zero():  # an atom piece
+                atom_of[index] = mask
+                at_atom[mask.bit_length() - 1] = 1 << index
             if new:
                 pieces.append((rep, Restrict(expr, c)))
-                signatures.append(
-                    {i: at_atom[i] for i in range(n_atoms) if mask >> i & 1 and at_atom[i] is not None}
-                )
+                signatures.append(sum(at_atom[i] for i in range(n_atoms) if mask >> i & 1))
                 yield pieces[-1]
     if join_arity < 2:
         return
 
-    differ = {}
+    clash = {}  # atom piece -> bitmask of the atom pieces incompatible with it
 
-    def distinct_on_equal_domains(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in differ:
-            x, y = pieces[i][0], pieces[j][0]
-            differ[key] = x.dom_clopen() == y.dom_clopen() and not eq(x, y)
-        return differ[key]
+    def clashing(signature):
+        # the atom pieces incompatible with one of signature's, read off their rows
+        out = 0
+        for a in atom_of:
+            if signature >> a & 1:
+                if a not in clash:
+                    clash[a] = sum(
+                        1 << b
+                        for b in atom_of
+                        if (clash[b] >> a & 1 if b in clash else b != a and incompatible(a, b))
+                    )
+                out |= clash[a]
+        return out
 
-    n = len(pieces)
+    def incompatible(a, b):
+        x, y, same = pieces[a][0], pieces[b][0], atom_of[a] == atom_of[b]
+        return not (_pmap.compatible(x, y) if same else x.ran_clopen().disjoint(y.ran_clopen()))
+
     undecided = {}  # piece i -> the later pieces undecided with it
 
-    def combos(prefix, candidates, arity):
-        # the combinations of pairwise undecided pieces, in lexicographic order;
-        # a piece's pairs are decided when a combination first reaches it
+    def combos(prefix, union, candidates, arity):
+        # the combinations of pairwise undecided pieces, in lexicographic order,
+        # with their unions; a piece's pairs are decided when one first reaches it
         for j in candidates:
             after = undecided.get(j)
             if after is None:
-                sj = signatures[j]
+                sj, against = signatures[j], clashing(signatures[j])
                 after = undecided[j] = {
-                    k
-                    for k in range(j + 1, n)
-                    if not _decided(sj, signatures[k], distinct_on_equal_domains)
+                    k for k in range(j + 1, len(pieces)) if not _decided(sj, signatures[k], against)
                 }
             later = [k for k in candidates if k in after]
             if len(prefix) + 2 == arity:
                 for k in later:
-                    yield prefix + (j, k)
+                    yield prefix + (j, k), union | signatures[j] | signatures[k]
             else:
-                yield from combos(prefix + (j,), later, arity)
+                yield from combos(prefix + (j,), union | signatures[j], later, arity)
 
+    met = set(signatures)  # the unions whose join is already known
     # the zero piece, with the empty signature, is decided against every piece
-    nonzero = [i for i in range(n) if signatures[i]]
+    nonzero = [i for i, s in enumerate(signatures) if s]
     for arity in range(2, join_arity + 1):
-        for combo in combos((), nonzero, arity):
-            parts = [pieces[i] for i in combo]
-            try:
-                m = _pmap.join([p[0] for p in parts])
-            except IncompatiblePair:
+        for combo, union in combos((), 0, nonzero, arity):
+            if union in met:
                 continue
-            rep, _, new = seen.add(m)
+            met.add(union)
+            parts = [pieces[i] for i in combo]
+            rep, _, new = seen.add(_pmap.join([p[0] for p in parts]))
             if new:
                 yield rep, Join(tuple(p[1] for p in parts))
 
 
-def _decided(sp, sq, distinct_on_equal_domains):
+def _decided(sp, sq, against):
     """True when the pair of pieces with signatures sp and sq is decided (see
-    bi_enumerate): one signature holds the other, or on a shared atom the
-    two restrictions are distinct pieces with equal domains."""
-    p, q = sp.items(), sq.items()
-    if p <= q or q <= p:
-        return True
-    for a, i in p:
-        j = sq.get(a)
-        if j is not None and j != i and distinct_on_equal_domains(i, j):
-            return True
-    return False
+    bi_enumerate); against holds the atom pieces incompatible with sp's."""
+    return (sp & sq) in (sp, sq) or (sq & against) != 0
 
 
 def piecewise_member(h, table, word_len, depth, node_budget=certs.DEFAULT_NODE_BUDGET):

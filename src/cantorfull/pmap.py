@@ -177,10 +177,12 @@ def _merge_family(d, u, family):
     therefore merges only to the identity.
 
     Each child's letter action is read once.  A candidate (f,) + rc acts as
-    f after rc, so its permutation and sections come from f's row of the
-    machine table, the permutation tested first.  Free reduction changes
-    neither a word's action nor the reduced form of its sections, so a
-    candidate is tested before it is reduced, and reduced only to be kept.
+    f after rc, so its permutation is rho exactly when f's root permutation
+    carries rc's to rho: only those f, read from their machine's by_perm
+    index in candidate order, are tested, their sections from f's row of
+    the machine table.  Free reduction changes neither a word's action nor
+    the reduced form of its sections, so a candidate is tested before it is
+    reduced, and reduced only to be kept.
     """
     # the ranges are d >= 2 antichain words (_checked_table), so none is empty,
     # and when they share a parent v they are v.rho(x) for a permutation rho
@@ -196,21 +198,18 @@ def _merge_family(d, u, family):
     for rc in targets:
         if not rc:
             continue
-        perm, sections = _tails.expand(d, rc)
+        perm, sections = _tails.expand(d, rc)  # builds the steps and by_perm of rc's machines
         if perm == rho and sections == targets:
             return Branch(u, v, TailElement(d, rc))
+        wanted = tuple(rho[perm.index(y)] for y in range(d))
         for m in dict.fromkeys(m for m, _, _ in rc):
-            for s in m.states:
-                for e in (1, -1):
-                    f = (m, s, e)
-                    images = [_tails.apply_state(f, y) for y in perm]
-                    if tuple(z for z, _ in images) != rho:
-                        continue
-                    if all(
-                        free_reduce((g,) + section) == target
-                        for (_, g), section, target in zip(images, sections, targets)
-                    ):
-                        return Branch(u, v, TailElement(d, free_reduce((f,) + rc)))
+            for f in m.by_perm.get(wanted, ()):
+                residuals = [_tails.apply_state(f, y)[1] for y in perm]
+                if all(
+                    free_reduce((g,) + section) == target
+                    for g, section, target in zip(residuals, sections, targets)
+                ):
+                    return Branch(u, v, TailElement(d, free_reduce((f,) + rc)))
     return None
 
 

@@ -7,11 +7,12 @@ identity problem is decided by closing the factor word under sections, which
 is a finite search.
 
 Each machine tabulates, on its first sweep, every signed state's image letter
-and residual at each letter (MealyMachine.steps).  A node of the closure is
-expanded by one sweep per letter over its factors, rightmost first, that
-reads these steps and free-reduces the section as it goes (expand); no
-TailElement is built per section, and equal decides the quotient word s.t^-1
-without building one.
+and residual at each letter (MealyMachine.steps), and lists its signed states
+by root permutation (MealyMachine.by_perm, which the sibling merge reads).  A
+node of the closure is expanded by one sweep per letter over its factors,
+rightmost first, that reads these steps and free-reduces the section as it
+goes (expand); no TailElement is built per section, and equal decides the
+quotient word s.t^-1 without building one.
 
 A machine is identified by its tables (alphabet, outputs, transitions); its
 name is only for text.  A factor (machine, state, exp) is therefore its own
@@ -36,11 +37,14 @@ class MealyMachine:
 
     output[s] is a permutation of the alphabet (as a tuple), transition[s][x]
     the state entered after transducing letter x in state s; steps holds both
-    per signed state (see _letter_steps).  Equality and hashing read the
-    tables only; name is for display.
+    per signed state, and by_perm lists the signed states under their root
+    permutation (see _letter_steps).  Equality and hashing read the tables
+    only; name is for display.
     """
 
-    __slots__ = ("name", "d", "states", "transition", "output", "trivial_states", "steps", "_hash")
+    __slots__ = (
+        "name", "d", "states", "transition", "output", "trivial_states", "steps", "by_perm", "_hash"
+    )
 
     def __init__(self, name, d, transition, output):
         self.name = name
@@ -57,8 +61,8 @@ class MealyMachine:
                 if t not in self.output:
                     raise CantorError(f"transition target {t} is not a state")
         self.trivial_states = self._find_trivial_states()
-        # built when a sweep first reads it (_rows)
-        self.steps = {}
+        # built when a sweep first reads them (_rows)
+        self.steps, self.by_perm = {}, {}
         self._hash = hash(
             (self.d, tuple(sorted(self.transition.items())), tuple(sorted(self.output.items())))
         )
@@ -80,9 +84,11 @@ class MealyMachine:
         """steps[exp][s] is the factor (self, s, exp) at every letter, as one
         flat row: at 3x, 3x + 1 and 3x + 2 the image letter of x, the residual
         factor, and that residual again or None when it acts trivially.  Each
-        signed state is one tuple, shared by every row."""
+        signed state is one tuple, shared by every row.  by_perm maps each
+        root permutation to its signed states, in table order, +1 before -1."""
         signed = {(s, e): (self, s, e) for s in self.states for e in (1, -1)}
         steps = {1: {}, -1: {}}
+        by_perm = {}
         for s in self.states:
             out, to = self.output[s], self.transition[s]
             back = [0] * self.d
@@ -94,7 +100,8 @@ class MealyMachine:
                     r = signed[t, e]
                     row += (y, r, None if t in self.trivial_states else r)
                 steps[e][s] = tuple(row)
-        return steps
+                by_perm.setdefault(tuple(image), []).append(signed[s, e])
+        return steps, by_perm
 
     def __eq__(self, other):
         if self is other:
@@ -178,7 +185,7 @@ def _rows(factors):
     except KeyError:
         for m, _, _ in factors:
             if not m.steps:
-                m.steps.update(m._letter_steps())
+                m.steps, m.by_perm = m._letter_steps()
         return [m.steps[e][s] for m, s, e in reversed(factors)]
 
 

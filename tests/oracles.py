@@ -21,9 +21,11 @@ the compose/star/eq forms of the proofs pmap reads off branch tables;
 reference_join, the join that proves every pair compatible with
 reference_compatible; reference_bi_enumerate, which joins every
 combination of pieces where bi_enumerate skips the pairs the pieces'
-atoms decide; reference_merge_family, which builds the whole list of
-candidate parent tails and walks each one where the constructor reads each
-child's letter action once; reference_part_of, which scans the parts with
+atom pieces decide and the unions of atom pieces already met (so its rows
+hold eq-equal joins that bi_enumerate leaves out); reference_merge_family,
+which builds the whole list of candidate parent tails and walks each one
+where the constructor reads each child's letter action once and only the
+signed states with the right root permutation; reference_part_of, which scans the parts with
 Clopen.leq where part_lookup looks words up in an index;
 reference_conditions_2_3, which tests every (part, element) pair for
 containment where the kit reads one part pair per element;

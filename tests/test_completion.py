@@ -180,25 +180,69 @@ NON_UNITS = GeneratorTable(
 
 
 @pytest.mark.parametrize(
-    "table, bounds",
+    "table, bounds, exact",
     [
-        (grigorchuk_units().table, (1, 3, 1)),
-        (grigorchuk_units().table, (2, 2, 1)),
-        (grigorchuk_units().table, (1, 2, 2)),
-        (higman_thompson(2).table, (1, 3, 1)),
-        (higman_thompson(2).table, (1, 2, 2)),
-        (rover_units().table, (1, 3, 1)),
-        (rover_units().table, (1, 2, 2)),
-        (NON_UNITS, (1, 3, 1)),
-        (NON_UNITS, (1, 2, 2)),
-        (NON_UNITS, (2, 3, 1)),
+        (grigorchuk_units().table, (1, 3, 1), False),
+        (grigorchuk_units().table, (2, 2, 1), False),
+        (grigorchuk_units().table, (1, 2, 2), False),
+        (higman_thompson(2).table, (1, 3, 1), True),
+        (higman_thompson(2).table, (1, 2, 2), True),
+        (rover_units().table, (1, 3, 1), False),
+        (rover_units().table, (1, 2, 2), False),
+        (NON_UNITS, (1, 3, 1), True),
+        (NON_UNITS, (1, 2, 2), True),
+        (NON_UNITS, (2, 3, 1), True),
     ],
     ids=["grig-131", "grig-221", "grig-122", "v2-131", "v2-122", "rover-131", "rover-122",
          "non-units-131", "non-units-122", "non-units-231"],
 )
-def test_bi_enumerate_matches_joining_every_combination(table, bounds):
-    # rows compare by table and expression, in order
-    assert list(bi_enumerate(table, *bounds)) == reference_bi_enumerate(table, *bounds)
+def test_bi_enumerate_matches_joining_every_combination(table, bounds, exact):
+    rows = list(bi_enumerate(table, *bounds))
+    reference = reference_bi_enumerate(table, *bounds)
+    # the pieces come first and are the reference's, expressions included
+    pieces = [row for row in rows if not isinstance(row[1], Join)]
+    assert pieces == [row for row in reference if not isinstance(row[1], Join)]
+    assert rows[: len(pieces)] == pieces
+    if exact:
+        assert rows == reference
+        return
+    # the rows are a subsequence of the reference's, by table and expression,
+    # and each reference row left out is eq to an earlier one: a union of atom
+    # pieces already met, whose join Dedup's fingerprint keeps apart
+    kept = iter(range(len(reference)))
+    positions = [next((i for i in kept if reference[i] == row), None) for row in rows]
+    assert None not in positions
+    left_out = sorted(set(range(len(reference))) - set(positions))
+    assert left_out
+    for i in left_out:
+        assert any(eq(m, reference[i][0]) for m, _ in reference[:i])
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize(
+    "table",
+    [grigorchuk_units().table, rover_units().table, higman_thompson(2).table, NON_UNITS],
+    ids=["grigorchuk", "rover", "v2", "non-units"],
+)
+def test_pieces_are_compatible_exactly_when_their_atom_pieces_are(table, depth):
+    # the rule bi_enumerate decides its pairs by, judged by the compose/star/eq
+    # proof: a set is compatible when it is pairwise compatible, and
+    # compatibility distributes over the orthogonal join of a piece's atoms
+    pieces = [m for m, _ in bi_enumerate(table, 1, 1, depth)]
+    atom_pieces = [
+        [r for r in (restrict(m, a) for a in atoms(depth, table.d)) if not r.is_zero()]
+        for m in pieces
+    ]
+    rng = random.Random(4300 + depth)
+    verdicts = set()
+    for _ in range(300):
+        i, j = rng.randrange(len(pieces)), rng.randrange(len(pieces))
+        whole = reference_compatible(pieces[i], pieces[j])
+        assert whole == all(
+            reference_compatible(x, y) for x in atom_pieces[i] for y in atom_pieces[j]
+        )
+        verdicts.add(whole)
+    assert verdicts == {True, False}
 
 
 def test_bi_enumerate_joins_only_undecided_pairs(monkeypatch):
@@ -214,23 +258,58 @@ def test_bi_enumerate_joins_only_undecided_pairs(monkeypatch):
     assert len(list(bi_enumerate(table, 1, 1, 1))) == 14
     assert joins == []
     # of the 91 pairs of the 14 pieces, 13 hold the zero piece, and most of
-    # the rest are decided by the atoms: one piece below the other, or
-    # incompatible on an atom
-    assert len(list(bi_enumerate(table, 1, 2, 1))) == 22
-    assert 0 < len(joins) <= 15
+    # the rest are decided by the atom pieces: one piece below the other, or
+    # incompatible on an atom; of the rest, the unions of 4 are new, and
+    # each of them joins (a join that raised would propagate)
+    assert len(list(bi_enumerate(table, 1, 2, 1))) == 18
+    assert joins == [2] * 4
+
+
+def test_the_pair_rule_reads_signatures_as_bitmasks_of_atom_pieces():
+    # one signature holding the other is decided, whatever the table says;
+    # otherwise the pair is decided when an atom piece of the second is
+    # incompatible with one of the first's
+    assert completion._decided(0b0101, 0b0111, 0)
+    assert completion._decided(0b0111, 0b0100, 0)
+    assert not completion._decided(0b0101, 0b0110, 0b1000)
+    assert completion._decided(0b0101, 0b0110, 0b0010)
+
+
+def test_bi_enumerate_joins_no_union_of_identity_pieces(monkeypatch):
+    # V3's identity restricted to the 512 unions of the 9 depth-2 atoms:
+    # every union of two pieces' signatures is a piece's signature
+    def refuse(elems):
+        raise AssertionError("bi_enumerate joined a union already met")
+
+    monkeypatch.setattr(pmap, "join", refuse)
+    rows = list(bi_enumerate(higman_thompson(3).table, 0, 2, 2))
+    assert len(rows) == 512
+    assert not any(isinstance(expr, Join) for _, expr in rows)
+
+
+def test_bi_enumerate_joins_once_per_join_row(monkeypatch):
+    joins = []
+    real_join = pmap.join
+    monkeypatch.setattr(pmap, "join", lambda elems: joins.append(len(elems)) or real_join(elems))
+    rows = list(bi_enumerate(higman_thompson(2).table, 2, 2, 2))
+    assert len(rows) == 9095
+    assert len(joins) == sum(isinstance(expr, Join) for _, expr in rows) == 8216
 
 
 def test_bi_enumerate_decides_pairs_only_as_its_combinations_read_them(monkeypatch):
     # before the first join row, not every pair of pieces is decided: V2 at
-    # (2, 2, 2) has 879 pieces and 385,881 pairs
+    # (2, 2, 2) has 879 pieces and 385,881 pairs; nor is every pair of atom
+    # pieces proved compatible or not
     decisions = []
-    honest = completion._decided
+    proofs = []
+    honest, compatible = completion._decided, pmap.compatible
 
     def counted(*args):
         decisions.append(args)
         return honest(*args)
 
     monkeypatch.setattr(completion, "_decided", counted)
+    monkeypatch.setattr(pmap, "compatible", lambda x, y: proofs.append(x) or compatible(x, y))
     for table, bounds in [
         (higman_thompson(2).table, (2, 2, 2)),
         (grigorchuk_units().table, (1, 2, 1)),
@@ -238,12 +317,17 @@ def test_bi_enumerate_decides_pairs_only_as_its_combinations_read_them(monkeypat
         (rover_units().table, (1, 2, 1)),
     ]:
         decisions.clear()
+        proofs.clear()
         pieces = 0
         for _, expr in bi_enumerate(table, *bounds):
             if isinstance(expr, Join):
                 break
             pieces += 1
         assert 0 < len(decisions) <= pieces, bounds
+        before = len(proofs)
+        proofs.clear()
+        list(bi_enumerate(table, *bounds))
+        assert before < len(proofs), bounds
 
 
 def test_bi_enumerate_limit_bounds_the_restrictions(monkeypatch):

@@ -543,6 +543,40 @@ def test_merge_family_matches_the_candidate_list_scan_on_rover_words():
     assert 0 < merged < len(branches)
 
 
+def test_merge_family_reads_only_the_states_with_the_family_permutation(monkeypatch):
+    # (f,) + rc permutes the root letters as rc does and then as f does, so
+    # only the signed states f that carry rc's permutation to the family's
+    # are read, each once per child tail tried; the candidate-list scan
+    # walks all ten signed states of the Grigorchuk machine
+    reads = []
+    real = tails.apply_state
+
+    def spy(f, y):
+        reads.append((f, real(f, y)[0]))
+        return real(f, y)
+
+    monkeypatch.setattr(tails, "apply_state", spy)
+    rng = random.Random(4343)
+    read, merged = 0, set()
+    for _ in range(300):
+        family = _expansion((0,), (1,), TailElement(2, _random_factors(rng, (GRI,), 5)))
+        x = rng.randrange(2)
+        tail = TailElement(2, free_reduce(_random_factors(rng, (GRI,), 2)))
+        family[x] = Branch(family[x].dom, family[x].ran, tail)
+        rho = tuple(b.ran[-1] for b in family)
+        reads.clear()
+        got = pmap._merge_family(2, (0,), family)
+        assert got == reference_merge_family(2, (0,), family)
+        merged.add(got is not None)
+        # the two letters of each state read, in the order of rc's permutation
+        for (f, first), (g, second) in zip(reads[::2], reads[1::2]):
+            assert f == g and (first, second) == rho
+        states = [f for f, _ in reads[::2]]
+        assert len(states) <= 8 * sum(bool(free_reduce(b.tail.factors)) for b in family)
+        read += len(states)
+    assert read and merged == {True, False}
+
+
 def test_sibling_merge_takes_machines_in_first_appearance_order():
     f = PartialMap(
         2,
