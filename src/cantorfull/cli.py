@@ -18,7 +18,7 @@ from .completion import GeneratorRef, GeneratorTable, bi_enumerate, evaluate, pi
 from .errors import CantorError, ParseError
 from .families import FAMILY_BUILDERS, family_by_name
 from .msec import build, cover_of
-from .parser import Parser, element_to_text, expr_to_text, registry_from_machines
+from .parser import Parser, element_to_text, expr_to_text
 from .tails import TailElement, adding_machine, free_reduce, grigorchuk, parse_machines
 
 EXIT_OK = 0
@@ -36,7 +36,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def default_registry(d):
-    registry = registry_from_machines([grigorchuk()], {"grigorchuk": "abcd"}) if d == 2 else {}
+    registry = {}
+    if d == 2:
+        g = grigorchuk()
+        registry = {s: (g, s) for s in "abcd"}
     adder = adding_machine(d)
     registry["adder"] = (adder, "a")
     return registry

@@ -330,7 +330,7 @@ def split_unit(g, ctx=None, word_len=None, max_depth=6):
     # a moved cylinder misses every point g fixes, so no scan need enter a
     # branch on which g is the identity
     moving = normalize(
-        [b.dom for b in g.branches if b.dom != b.ran or not b.tail.is_trivial_word()],
+        [b.dom for b in g.branches if b.dom != b.ran or b.tail.factors],
         g.d,
     )
     for z, gz in _moved_cylinders(g, moving, max_depth):

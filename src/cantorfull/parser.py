@@ -267,13 +267,3 @@ def expr_to_text(node, names=None):
         return expr_to_text(node.child, names) + "@" + str(node.clopen)
     raise CantorError(f"unknown expression node {node!r}")
 
-
-def registry_from_machines(machines, states=None):
-    """Name -> (machine, state) registry; states defaults to all states."""
-    registry = {}
-    for machine in machines:
-        for s in states.get(machine.name) if states else machine.states:
-            if s in registry:
-                raise CantorError(f"state name {s} registered twice")
-            registry[s] = (machine, s)
-    return registry

@@ -190,7 +190,7 @@ def _merge_family(d, u, family):
     if any(b.ran[:-1] != v for b in family):
         return None
     rho = tuple(b.ran[-1] for b in family)
-    targets = tuple(free_reduce(b.tail.factors) for b in family)
+    targets = tuple(b.tail.factors for b in family)
     if not any(targets):
         return Branch(u, v, _tails.trivial(d)) if rho == tuple(range(d)) else None
     # a child's tail is not trivial, so the identity, whose sections are,

@@ -14,11 +14,13 @@ rightmost first, that reads these steps and free-reduces the section as it
 goes (expand); no TailElement is built per section, and equal decides the
 quotient word s.t^-1 without building one.
 
-A machine is identified by its tables (alphabet, outputs, transitions); its
-name is only for text.  A factor (machine, state, exp) is therefore its own
-key: two differently built machines with the same name are never confused,
-and equal tables under different names are one machine.  The identity
-decisions are memoized in a process-wide cache of at most
+A machine is identified by its tables (alphabet, outputs, transitions): the
+constructor returns the one live object for its tables (_machine_cache holds
+each weakly), so machines compare by identity and a factor (machine, state,
+exp) is its own key.  Two machines with the same name but different tables
+are never confused, and a table built again under another name while it is
+alive is the same object, named by the first name it was built under.  The
+identity decisions are memoized in a process-wide cache of at most
 IDENTITY_CACHE_SIZE entries, emptied when it fills.  canonical_key minimizes
 the same closure into a key that two tails share exactly when they act
 alike, as long as the closure has at most DEFAULT_NODE_BUDGET sections; its
@@ -27,9 +29,14 @@ keyed by the free-reduced word.
 """
 
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .certs import DEFAULT_NODE_BUDGET
 from .errors import AlphabetMismatch, BudgetExceeded, CantorError, LetterOutOfRange
+
+
+# (d, transition items, output items) -> the live machine of those tables
+_machine_cache = WeakValueDictionary()
 
 
 class MealyMachine:
@@ -38,34 +45,39 @@ class MealyMachine:
     output[s] is a permutation of the alphabet (as a tuple), transition[s][x]
     the state entered after transducing letter x in state s; steps holds both
     per signed state, and by_perm lists the signed states under their root
-    permutation (see _letter_steps).  Equality and hashing read the tables
-    only; name is for display.
+    permutation (see _letter_steps).  Building a machine whose tables are
+    alive returns that machine, so equality and hashing are identity; name
+    is for display.
     """
 
     __slots__ = (
-        "name", "d", "states", "transition", "output", "trivial_states", "steps", "by_perm", "_hash"
+        "name", "d", "states", "transition", "output", "trivial_states", "steps", "by_perm",
+        "__weakref__",
     )
 
-    def __init__(self, name, d, transition, output):
-        self.name = name
-        self.d = d
-        self.states = tuple(sorted(output))
-        self.transition = {s: tuple(transition[s]) for s in self.states}
-        self.output = {s: tuple(output[s]) for s in self.states}
-        for s in self.states:
-            if sorted(self.output[s]) != list(range(d)):
+    def __new__(cls, name, d, transition, output):
+        states = tuple(sorted(output))
+        transition = {s: tuple(transition[s]) for s in states}
+        output = {s: tuple(output[s]) for s in states}
+        key = (d, tuple(transition.items()), tuple(output.items()))
+        machine = _machine_cache.get(key)
+        if machine is not None:
+            return machine
+        for s in states:
+            if sorted(output[s]) != list(range(d)):
                 raise CantorError(f"output of state {s} is not a permutation")
-            if len(self.transition[s]) != d:
+            if len(transition[s]) != d:
                 raise CantorError(f"transition of state {s} is not total")
-            for t in self.transition[s]:
-                if t not in self.output:
+            for t in transition[s]:
+                if t not in output:
                     raise CantorError(f"transition target {t} is not a state")
-        self.trivial_states = self._find_trivial_states()
+        machine = _machine_cache[key] = super().__new__(cls)
+        machine.name, machine.d, machine.states = name, d, states
+        machine.transition, machine.output = transition, output
+        machine.trivial_states = machine._find_trivial_states()
         # built when a sweep first reads them (_rows)
-        self.steps, self.by_perm = {}, {}
-        self._hash = hash(
-            (self.d, tuple(sorted(self.transition.items())), tuple(sorted(self.output.items())))
-        )
+        machine.steps, machine.by_perm = {}, {}
+        return machine
 
     def _find_trivial_states(self):
         # s is trivial iff every state reachable from s outputs the identity
@@ -102,19 +114,6 @@ class MealyMachine:
                 steps[e][s] = tuple(row)
                 by_perm.setdefault(tuple(image), []).append(signed[s, e])
         return steps, by_perm
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, MealyMachine)
-            and self.d == other.d
-            and self.transition == other.transition
-            and self.output == other.output
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"MealyMachine({self.name!r}, d={self.d}, states={self.states})"
@@ -229,10 +228,6 @@ class TailElement:
         names = names or {}
         return "*".join(names.get((m, s), s) + ("" if e == 1 else "^-1") for m, s, e in self.factors)
 
-    def is_trivial_word(self):
-        """True iff the factor word is syntactically trivial after free reduction."""
-        return not free_reduce(self.factors)
-
     def apply_letter(self, x):
         """Image letter and residual TailElement at a single letter, not
         reduced: one sweep over the factors, rightmost first."""
@@ -287,10 +282,7 @@ def invert(t):
 
 
 def free_reduce(factors):
-    """Drop trivially-acting states and cancel adjacent inverse pairs.
-
-    Exponent and state are compared before the machine, and the machine by
-    identity before its tables."""
+    """Drop trivially-acting states and cancel adjacent inverse pairs."""
     stack = []
     for f in factors:
         m, s, e = f
@@ -298,7 +290,7 @@ def free_reduce(factors):
             continue
         if stack:
             m2, s2, e2 = stack[-1]
-            if e2 == -e and s2 == s and (m2 is m or m2 == m):
+            if e2 == -e and s2 == s and m2 is m:
                 stack.pop()
                 continue
         stack.append(f)
@@ -327,8 +319,7 @@ def expand(d, factors):
     is reduced in the same sweep: built from its right end, it drops the
     residuals that act trivially and cancels each one against an inverse on
     top of the stack.  A free reduction has one normal form, so each section
-    equals free_reduce of the residual word (factors compare their machines
-    by table, so of two equal machines either may stand in a kept factor).
+    equals free_reduce of the residual word.
     """
     rows = _rows(factors)
     perm = []
@@ -342,7 +333,7 @@ def expand(d, factors):
                 continue
             if stack:
                 top = stack[-1]
-                if top[2] != r[2] and top[1] == r[1] and (top[0] is r[0] or top[0] == r[0]):
+                if top[2] != r[2] and top[1] == r[1] and top[0] is r[0]:
                     stack.pop()
                     continue
             stack.append(r)
@@ -567,16 +558,3 @@ def state(machine, s, exp=1):
         raise CantorError(f"{s} is not a state of {machine.name}")
     return TailElement(machine.d, ((machine, s, exp),))
 
-
-def word(machine, text):
-    """TailElement from a compact word like "a*b^-1*c" over one machine."""
-    factors = []
-    for tok in text.split("*"):
-        tok = tok.strip()
-        if tok == "1":
-            continue
-        if tok.endswith("^-1"):
-            factors.append((machine, tok[:-3], -1))
-        else:
-            factors.append((machine, tok, 1))
-    return TailElement(machine.d, factors)

@@ -590,6 +590,20 @@ def clo(text, d=2):
     return normalize([word_from_text(t.strip()) for t in body.split(",")], d)
 
 
+def word(machine, text):
+    """TailElement from a compact word like "a*b^-1*c" over one machine."""
+    factors = []
+    for tok in text.split("*"):
+        tok = tok.strip()
+        if tok == "1":
+            continue
+        if tok.endswith("^-1"):
+            factors.append((machine, tok[:-3], -1))
+        else:
+            factors.append((machine, tok, 1))
+    return TailElement(machine.d, factors)
+
+
 # -- random generators --------------------------------------------------------
 
 GRI = grigorchuk()

@@ -49,7 +49,7 @@ from cantorfull.pmap import (
     restrict,
     star,
 )
-from cantorfull.tails import grigorchuk, is_identity, word
+from cantorfull.tails import grigorchuk, is_identity
 
 from oracles import (
     SHALLOW,
@@ -58,6 +58,7 @@ from oracles import (
     oracle_image,
     pm,
     random_pmap,
+    word,
 )
 
 

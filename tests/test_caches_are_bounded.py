@@ -6,19 +6,27 @@ HAND_ROLLED with its reason, so every other memo is a functools one and the
 guard above sees its bound."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
+
+from cantorfull import tails
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorfull"
 
 CACHES = {"cache", "lru_cache"}
 
-DICT_TYPES = {"dict", "defaultdict", "OrderedDict"}
+DICT_TYPES = {"dict", "defaultdict", "OrderedDict", "WeakValueDictionary"}
 
 HAND_ROLLED = {
     ("tails.py", "_identity_cache"): (
         "one identity decision records every section of the closure it proves, "
         "and later walks read those records mid-walk, which a memo of whole "
         "answers cannot do; tails bounds it by IDENTITY_CACHE_SIZE"
+    ),
+    ("tails.py", "_machine_cache"): (
+        "the one live machine per table, which makes machines compare by identity; "
+        "it holds machines weakly, so it never holds more than the live machines"
     ),
 }
 
@@ -94,3 +102,15 @@ def test_hand_rolled_caches_are_only_the_allowed_ones():
         f"hand-rolled caches {sorted(found - set(HAND_ROLLED))}; "
         f"allowed but gone: {sorted(set(HAND_ROLLED) - found)}"
     )
+
+
+def test_a_machine_nobody_references_leaves_the_machine_table():
+    machine = tails.MealyMachine("lonely", 2, {"z": ("z", "z")}, {"z": (1, 0)})
+    # a swept machine refers to itself through its step table
+    tails.expand(2, ((machine, "z", 1),))
+    assert machine in tails._machine_cache.values()
+    gone = weakref.ref(machine)
+    del machine
+    gc.collect()
+    assert gone() is None
+    assert all(m.states != ("z",) for m in tails._machine_cache.values())

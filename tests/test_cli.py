@@ -596,6 +596,38 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             assert json.loads(outputs[0][1])["value"] == "[~->~:m1.a*m1.g*m2.h]"
 
 
+# Grigorchuk's table under another name
+OTHER_GRIGORCHUK = """\
+machine other 2
+state a perm 1 0 to e e
+state b perm 0 1 to a c
+state c perm 0 1 to a d
+state d perm 0 1 to e b
+state e perm 0 1 to e e
+"""
+
+
+def test_the_default_registry_reads_no_machine_name():
+    # a live machine with Grigorchuk's table is the one grigorchuk() returns,
+    # so the session's Grigorchuk is named other here
+    script = (
+        "import sys\n"
+        "from cantorfull import cli, tails\n"
+        f"other = tails.parse_machines({OTHER_GRIGORCHUK!r})['other']\n"
+        "assert tails.grigorchuk() is other and other.name == 'other'\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, code, out in (
+        (["eq", "[~->~:a*a]", "1"], 0, "eq: True\n"),
+        (["eq", "[0->1:e]", "1"], 3, ""),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout) == (code, out), done.stderr
+
+
 def readme_commands():
     """The argument lists of the cfl commands in the README's CLI block."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -5,14 +5,14 @@ import pytest
 from cantorfull import completion, tails
 from cantorfull.completion import GeneratorTable, evaluate
 from cantorfull.errors import ParseError
-from cantorfull.parser import Parser, element_to_text, expr_to_text, registry_from_machines
+from cantorfull.parser import Parser, element_to_text, expr_to_text
 from cantorfull.pmap import eq, one, zero
-from cantorfull.tails import grigorchuk, invert, word
+from cantorfull.tails import grigorchuk, invert
 
-from oracles import clo, pm, random_pmap
+from oracles import clo, pm, random_pmap, word
 
 GRI = grigorchuk()
-REGISTRY = registry_from_machines([GRI])
+REGISTRY = {s: (GRI, s) for s in GRI.states}
 P = Parser(2, REGISTRY)
 
 
@@ -96,13 +96,6 @@ def test_expr_roundtrip():
         node = P.parse_expr(text)
         again = P.parse_expr(expr_to_text(node))
         assert again == node
-
-
-def test_registry_rejects_duplicates():
-    from cantorfull.errors import CantorError
-
-    with pytest.raises(CantorError):
-        registry_from_machines([GRI, GRI])
 
 
 def _error(parse, text):
