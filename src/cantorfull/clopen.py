@@ -273,16 +273,22 @@ def part_lookup(parts):
 
     The parts must be pairwise disjoint.  Each word of c walks its prefixes
     through an index of the parts' words: a cylinder lies inside a canonical
-    clopen iff one of its antichain words is a prefix of the cylinder's word."""
+    clopen iff one of its antichain words is a prefix of the cylinder's word;
+    the walk stops at the first, since disjoint parts hold at most one."""
     index = {w: i for i, p in enumerate(parts) for w in p.antichain}
 
     def lookup(c):
         found = None
         for w in c.antichain:
-            hits = [index[w[:k]] for k in range(len(w) + 1) if w[:k] in index]
-            if not hits or found not in (None, hits[0]):
+            for k in range(len(w) + 1):
+                hit = index.get(w[:k])
+                if hit is not None:
+                    break
+            else:
                 return None
-            found = hits[0]
+            if found not in (None, hit):
+                return None
+            found = hit
         return found
 
     return lookup

@@ -14,6 +14,7 @@ four letters.  All searches are deterministic and budget-guarded, and every
 witness re-evaluates to its target by eq.
 """
 
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import reduce
 from itertools import combinations
@@ -37,14 +38,26 @@ def derive_transporters(table, parts, word_len=2):
     The result is symmetric (closed under star) and deduped by eq, in
     deterministic word-then-part order.  Many (word, part) pairs restrict to
     one table, and a table met before adds nothing, so only a first-met
-    table is tested and added.
+    table is tested and added.  The loop also learns each element's part
+    pair and star index; build_kit keeps them in the loop's _Family record.
     """
+    return _derive(table, parts, word_len).A
+
+
+# A transporter family indexed once: pairs[i] is the (domain part, range part)
+# of A[i], star_of[i] the index of the first element eq to star(A[i]), opens
+# the indices of the elements that get a section, in order, and sections a
+# Dedup from each of those to its section index.
+_Family = namedtuple("_Family", "A pairs star_of opens sections")
+
+
+def _derive(table, parts, word_len):
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
     part = part_lookup(parts)
     out = Dedup()
     met = set()
-    result = []
+    A, pairs, star_of = [], [], {}
     for w, _ in WordBall(table.mapping.values(), table.d).words(word_len):
         for i, e in enumerate(parts):
             t = restrict(w, e)
@@ -52,13 +65,37 @@ def derive_transporters(table, parts, word_len=2):
                 continue
             met.add(t)
             # the restriction's domain lies in part i, so only its image decides
-            if part(ran(t)) in (None, i):
+            pr = part(ran(t))
+            if pr in (None, i):
                 continue
-            for candidate in (t, star(t)):
-                rep, _, new = out.add(candidate)
+            ends = []
+            for m, pair in ((t, (i, pr)), (star(t), (pr, i))):
+                rep, idx, new = out.add(m, len(A))
                 if new:
-                    result.append(rep)
-    return result
+                    A.append(rep)
+                    pairs.append(pair)
+                ends.append(idx)
+            # star(star(t)) is t branch for branch, so a new star(t) has t's index
+            star_of.setdefault(ends[0], ends[1])
+            star_of.setdefault(ends[1], ends[0])
+    # every element is separated and eq-distinct, so each gets a section
+    return _Family(A, pairs, star_of, range(len(A)), out)
+
+
+def _index_family(family, part):
+    """The _Family of a family given as a plain list: an element gets a
+    section when it is separated and no element before it is eq to it."""
+    A = list(family)
+    pairs = _part_pairs(A, part)
+    out, sections, opens = Dedup(), Dedup(), []
+    for idx, (a, pair) in enumerate(zip(A, pairs)):
+        out.add(a, idx)
+        if _separated(*pair) and sections.add(a, len(opens))[2]:
+            opens.append(idx)
+    hits = [out.find(star(a)) for a in A]
+    if None in hits:
+        raise CantorError(f"family is not symmetric: no star for element {hits.index(None)}")
+    return _Family(A, pairs, {i: hit[1] for i, hit in enumerate(hits)}, opens, sections)
 
 
 def _part_pairs(family, part):
@@ -71,10 +108,9 @@ def _separated(pd, pr):
     return pd is not None and pr is not None and pd != pr
 
 
-def _conditions_2_3(family, parts, part, n_orbit):
-    """The failures of separation conditions 2 and 3, read off one part pair
-    per family element."""
-    pairs = _part_pairs(family, part)
+def _conditions_2_3(family, pairs, parts, part, n_orbit):
+    """The failures of separation conditions 2 and 3, read off the part pair
+    of each family element."""
     # (2) every element has domain and range inside single, different parts
     bad2 = [
         {"element": idx, "dom_part": pd, "ran_part": pr}
@@ -117,7 +153,7 @@ def verify_separating(family, parts, n_orbit):
     part = part_lookup(parts)
     # (2) and (3) from one part pair per element; only an element whose
     # domain straddles parts is scanned part by part for (3)
-    bad2, bad3 = _conditions_2_3(family, parts, part, n_orbit)
+    bad2, bad3 = _conditions_2_3(family, _part_pairs(family, part), parts, part, n_orbit)
     report["condition2"] = {"ok": not bad2, "failures": bad2}
     report["condition3"] = {"ok": not bad3, "failures": bad3}
 
@@ -141,13 +177,10 @@ def verify_separating(family, parts, n_orbit):
     # base refining the depth-n atoms; domains and ranges of short words are
     # adjoined only until the refinement suffices
     def split_cells(cells, boundary):
-        for g in boundary:
-            nxt = []
-            for cell in cells:
-                for piece in (cell.meet(g), cell.meet(g.complement())):
-                    if not piece.is_empty():
-                        nxt.append(piece)
-            cells = nxt
+        # a second split by one clopen leaves every cell in place
+        for g in dict.fromkeys(boundary):
+            h = g.complement()
+            cells = [p for cell in cells for p in (cell.meet(g), cell.meet(h)) if not p.is_empty()]
         return cells
 
     def coarse_cells(cells):
@@ -219,38 +252,27 @@ class GeneratingKit:
     once per distinct base), are fixed when the kit first meets its
     transporter, so KitConstructionFailed is raised then; the Multisection
     itself is built on the first read of sections[i].
+
+    family is the _Family record build_kit derives, whose part pairs, star
+    indices and section Dedup the kit keeps, or a plain list, indexed first.
     """
 
     def __init__(self, table, parts, family):
         self.table = table
         self.parts = list(parts)
         self.d = table.d
-        self.A = list(family)
-        self._star_of = self._pair_stars()
         self._part = part_lookup(self.parts)
-        self._pair_of = _part_pairs(self.A, self._part)
+        if not isinstance(family, _Family):
+            family = _index_family(family, self._part)
+        self.A, self._pair_of, self._star_of = family.A, family.pairs, family.star_of
         self._holding = holders([dom(a) for a in self.A])
         self._spares_at = {}
         self.sections = _LazySections()
         self._by_base = {}
-        self._t_dedup = Dedup()
+        self._t_dedup = family.sections
         self._domain_index = None  # built on the first cylinder search
-        # _ensure_section drops eq-duplicates
-        for a, pair in zip(self.A, self._pair_of):
-            if _separated(*pair):
-                self._ensure_section(a, pair)
-
-    def _pair_stars(self):
-        family = Dedup()
-        for idx, a in enumerate(self.A):
-            family.add(a, idx)
-        lookup = {}
-        for idx, a in enumerate(self.A):
-            hit = family.find(star(a))
-            if hit is None:
-                raise CantorError(f"family is not symmetric: no star for element {idx}")
-            lookup[idx] = hit[1]
-        return lookup
+        for i in family.opens:
+            self._add_section(self.A[i], *self._pair_of[i])
 
     def cylinder_steps(self, w, backward):
         """The (family index, branch) pairs, in index order, of the branches
@@ -282,15 +304,9 @@ class GeneratingKit:
             m = compose(m, self.A[idx])
         return m
 
-    def _ensure_section(self, m, pair=None):
-        """Section index surrounding the transporter m, building it if new;
-        pair, when given, is m's (domain part, range part)."""
-        pd, pr = pair if pair is not None else (self._part(dom(m)), self._part(ran(m)))
-        if not _separated(pd, pr):
-            raise KitConstructionFailed(m, None)
-        hit = self._t_dedup.find(m)
-        if hit is not None:
-            return hit[1]
+    def _add_section(self, m, pd, pr):
+        """Append the section around m, a transporter from part pd to another
+        part pr that no section carries yet; its index."""
         base = dom(m)
         used = {pd, pr}
         spares = []
@@ -303,7 +319,6 @@ class GeneratingKit:
         if len(spares) < 3:
             raise KitConstructionFailed(m, pd)
         idx = len(self.sections)
-        self._t_dedup.add(m, idx)
         self.sections.append(base, m, spares)
         self._by_base.setdefault(base, []).append(idx)
         return idx
@@ -324,11 +339,14 @@ class GeneratingKit:
             self._spares_at[base] = found
         return found
 
-    def section_for(self, m):
-        """KitSection around the separated transporter m: its base is dom(m),
-        and its column 1 carries m."""
-        idx = self._ensure_section(m)
-        return KitSection(self.sections[idx][0], idx)
+    def section_for(self, m, pd, pr):
+        """KitSection around m, a transporter from part pd to another part pr:
+        its base is dom(m), and its column 1 carries m."""
+        hit = self._t_dedup.find(m)
+        if hit is None:
+            hit = m, self._add_section(m, pd, pr)
+            self._t_dedup.add(*hit)
+        return KitSection(self.sections[hit[1]][0], hit[1])
 
 
 def _index_domains(maps):
@@ -343,9 +361,11 @@ def build_kit(table, parts, word_len=2):
     """Derive a separating family and build the kit.
 
     The kit gates on separation conditions 2 and 3 (five parts met from each
-    part) and computes only those; verify_separating reports all four."""
-    family = derive_transporters(table, parts, word_len=word_len)
-    bad2, bad3 = _conditions_2_3(family, parts, part_lookup(parts), n_orbit=5)
+    part) and computes only those; verify_separating reports all four.  The
+    derivation's record (_Family) is built once: the gate reads its part
+    pairs, and the kit keeps its pairs, star indices and Dedup."""
+    family = _derive(table, parts, word_len)
+    bad2, bad3 = _conditions_2_3(family.A, family.pairs, parts, part_lookup(parts), n_orbit=5)
     if bad2 or bad3:
         raise KitConstructionFailed((bad2 or bad3)[0], None)
     return GeneratingKit(table, parts, family)
@@ -475,7 +495,7 @@ def _factored_for_word(kit, word, c, budget):
     if pd is None or pr is None:
         raise GiveUp("word product does not respect the partition")
     if pd != pr and len(word) <= 3:
-        return kit.section_for(m), 0, 1
+        return kit.section_for(m, pd, pr), 0, 1
 
     k = len(word) if pd == pr else 2
     inner = image_clopen(kit.word_element(word[k:]), c)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from cantorfull.clopen import atoms, cylinder, union_all
+from cantorfull.clopen import Clopen, atoms, cylinder, union_all
 from cantorfull.completion import GeneratorTable
 from cantorfull.errors import CantorError, KitConstructionFailed, NotInAlt
 from cantorfull.factor import word_product
@@ -203,6 +203,51 @@ def test_verify_separating_matches_the_per_atom_reference():
     assert len(seen) == 2, seen
 
 
+# {0}, {10}, {110}, ..., {11111110}, {11111111}: nine parts down to depth 8
+CHAIN9 = [cylinder((1,) * k + (0,), 2) for k in range(8)] + [cylinder((1,) * 8, 2)]
+
+
+def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
+    # the chain's cells stay coarse after the family's domains and ranges, so
+    # condition 4 splits by the domains and ranges of all |A|^2 products, most
+    # of them repeated; the report is the one computed by splitting every
+    # cell by every product, complementing per cell
+    family = derive_transporters(higman_thompson(2).table, CHAIN9)
+    calls = Counter()
+    complement = Clopen.complement
+
+    def counting_complement(self):
+        calls["complement"] += 1
+        return complement(self)
+
+    monkeypatch.setattr(Clopen, "complement", counting_complement)
+    report = verify_separating(family, CHAIN9, n_orbit=5)
+    first_cells = [
+        "{000010}", "{0000110}", "{00000}", "{00010}", "{000110}",
+        "{0001110}", "{00100}", "{0010110}", "{001010}", "{00110}",
+    ]
+    assert report == {
+        "n_orbit": 5,
+        "depth": 8,
+        "condition2": {"ok": True, "failures": []},
+        "condition3": {
+            "ok": False,
+            "failures": [
+                {"part": 0, "targets": [1]},
+                {"part": 1, "targets": [0, 2, 3]},
+                {"part": 8, "targets": [0, 1, 2]},
+            ],
+        },
+        "condition1": {"ok": True, "failures": []},
+        "condition4": {"ok": False, "failures": [{"cell": c} for c in first_cells]},
+        "ok": False,
+    }
+    stage1 = {c for a in family for c in (dom(a), ran(a))}
+    products = [compose(a, b) for a in family for b in family]
+    stage2 = {c for m in products if not m.is_zero() for c in (dom(m), ran(m))}
+    assert 0 < calls["complement"] <= len(stage1) + len(stage2) < len(products)
+
+
 def test_conditions_2_and_3_match_the_part_scan():
     # seeded families over atom and non-atom partitions: derived transporters
     # (domains that are a whole part), their restrictions to a child cylinder
@@ -326,6 +371,51 @@ def test_readme_express_builds_only_the_sections_it_reads(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["witness"] == {"word": [[155, [3, 1, 0, 2, 4]]]}
     assert len(kits[0].sections) == 184
     assert 0 < len(bases) <= 4 and set(bases) == {"{0000}"}
+
+
+@pytest.mark.parametrize(
+    "family, parts",
+    [("v2", atoms(3, 2)), ("rover", atoms(3, 2)), ("v3", atoms(2, 3))],
+)
+def test_a_built_kit_reads_its_stars_and_part_pairs_off_the_derivation(family, parts):
+    table = {"v2": higman_thompson(2), "rover": rover_units(), "v3": higman_thompson(3)}[family].table
+    kit = build_kit(table, parts)
+    for i, a in enumerate(kit.A):
+        first = next(j for j, b in enumerate(kit.A) if eq(b, star(a)))
+        assert kit._star_of[i] == first
+        assert kit._pair_of[i] == (reference_part_of(parts, dom(a)), reference_part_of(parts, ran(a)))
+    # the derivation's Dedup is the section Dedup: a copy of A[i] finds section i
+    for i in range(0, len(kit.A), 7):
+        copy = PartialMap(kit.d, list(kit.A[i].branches))
+        assert kit.section_for(copy, *kit._pair_of[i]).kit_index == i
+    assert len(kit.sections) == len(kit.A)
+
+
+def test_a_v2_build_indexes_its_family_once(monkeypatch):
+    # the derivation fingerprints each first-met restriction and its star and
+    # looks up each one's range part; the gate and the kit add no lookups and
+    # no fingerprints (the parent made 1,077 fingerprints and 904 lookups)
+    counts = Counter()
+    fingerprint, part_lookup = pmap_module.fingerprint, kit_module.part_lookup
+
+    def counting_fingerprint(m):
+        counts["fingerprint"] += 1
+        return fingerprint(m)
+
+    def counting_part_lookup(parts):
+        lookup = part_lookup(parts)
+
+        def counted(c):
+            counts["part lookup"] += 1
+            return lookup(c)
+
+        return counted
+
+    monkeypatch.setattr(pmap_module, "fingerprint", counting_fingerprint)
+    monkeypatch.setattr(kit_module, "part_lookup", counting_part_lookup)
+    kit = build_kit(higman_thompson(2).table, atoms(3, 2))
+    assert len(kit.sections) == 184
+    assert counts["fingerprint"] <= 341 and counts["part lookup"] <= 168, counts
 
 
 @pytest.mark.parametrize("family", ["v2", "rover"])
