@@ -238,7 +238,7 @@ def atoms_at_most(n, d, limit):
 
 
 # the most depth-n cells atoms:N, dyn minimal and dyn expansive list: depth 10
-# over two letters, whose pairs expansive_certificate holds in about 67 MB
+# over two letters
 MAX_CELLS = 1024
 
 

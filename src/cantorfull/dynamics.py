@@ -94,13 +94,12 @@ def expansive_certificate(ctx, parts, depth, word_len):
 
     Each cell keeps its hull, the meet of the translates that contain it,
     and the mask of the cells its hull meets; cells i < j stay unseparated
-    while each hull meets the other cell.  A level meets into a hull only
-    that level's fresh translates that contain its cell, read off the atom
-    masks.  Hulls only shrink, so a separated pair stays separated, and a
-    pair is re-tested only when one of its two masks changed.
+    while each hull meets the other cell, so the masks alone give the
+    unseparated pairs.  A level meets into a hull only that level's fresh
+    translates that contain its cell, read off the atom masks.  A refutation
+    names the first unseparated pair in lexicographic order.
 
-    The unseparated pairs are listed up front, so more than
-    clopen.MAX_CELLS cells are refused before any pair is.
+    More than clopen.MAX_CELLS cells are refused before any mask is built.
     """
     if not is_partition(parts):
         raise CantorError("translate certificate needs a partition")
@@ -109,7 +108,6 @@ def expansive_certificate(ctx, parts, depth, word_len):
     budget = certs.Budget({"depth": depth, "word_len": word_len})
     hulls = [None] * len(cells)
     meets = [(1 << len(cells)) - 1] * len(cells)
-    bad = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
     for length, fresh in enumerate(ctx.walk(parts, word_len)):
         for _ in fresh:
             budget.tick()
@@ -127,27 +125,30 @@ def expansive_certificate(ctx, parts, depth, word_len):
                 if meets[i] & ~inside:
                     hulls[i] = t if hulls[i] is None else hulls[i].meet(t)
                     grown.add(i)
-        changed = 0
         for i in grown:
             mask = 0
             for w in hulls[i].antichain:
                 mask |= below[w[:depth]]
-            if mask != meets[i]:
-                meets[i] = mask
-                changed |= 1 << i
-        if changed:
-            bad = [
-                (i, j)
-                for i, j in bad
-                if not (changed >> i | changed >> j) & 1
-                or (meets[i] >> j & 1 and meets[j] >> i & 1)
-            ]
-        if not bad:
+            meets[i] = mask
+        if _first_unseparated(meets) is None:
             return budget.witness({"word_len": length})
-    if not bad:
+    pair = _first_unseparated(meets)
+    if pair is None:
         return budget.witness({"word_len": 0})
-    pair = bad[0]
     return budget.refuted({"pair": [str(cells[pair[0]]), str(cells[pair[1]])]})
+
+
+def _first_unseparated(meets):
+    """The first pair i < j, in lexicographic order, whose masks each hold
+    the other cell, or None."""
+    for i, mask in enumerate(meets):
+        rest = mask >> i + 1
+        while rest:
+            j = (rest & -rest).bit_length() + i
+            if meets[j] >> i & 1:
+                return i, j
+            rest &= rest - 1
+    return None
 
 
 def subshift_code(ctx, parts, point_prefix, words):

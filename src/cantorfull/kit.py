@@ -197,13 +197,13 @@ def verify_separating(family, parts, n_orbit):
         cells = split_cells(cells, [c for a in family for c in (dom(a), ran(a))])
         bad4 = coarse_cells(cells)
     if bad4:
+        # a.b is zero, and adds no boundary, when dom(a) misses ran(b)
         stage2 = []
         for a in family:
             for b in family:
-                m = compose(a, b)
-                if not m.is_zero():
-                    stage2.append(dom(m))
-                    stage2.append(ran(m))
+                if not dom(a).disjoint(ran(b)):
+                    m = compose(a, b)
+                    stage2 += (dom(m), ran(m))
         cells = split_cells(cells, stage2)
         bad4 = coarse_cells(cells)
     report["condition4"] = {"ok": not bad4, "failures": bad4[:10]}

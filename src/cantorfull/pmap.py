@@ -198,7 +198,7 @@ def _merge_family(d, u, family):
     for rc in targets:
         if not rc:
             continue
-        perm, sections = _tails.expand(d, rc)  # builds the steps and by_perm of rc's machines
+        perm, sections = _tails.expand(d, rc)
         if perm == rho and sections == targets:
             return Branch(u, v, TailElement(d, rc))
         wanted = tuple(rho[perm.index(y)] for y in range(d))

@@ -6,7 +6,7 @@ input first).  Elements are never synthesized into new machine states; the
 identity problem is decided by closing the factor word under sections, which
 is a finite search.
 
-Each machine tabulates, on its first sweep, every signed state's image letter
+Each machine tabulates, when it is built, every signed state's image letter
 and residual at each letter (MealyMachine.steps), and lists its signed states
 by root permutation (MealyMachine.by_perm, which the sibling merge reads).  A
 node of the closure is expanded by one sweep per letter over its factors,
@@ -75,8 +75,7 @@ class MealyMachine:
         machine.name, machine.d, machine.states = name, d, states
         machine.transition, machine.output = transition, output
         machine.trivial_states = machine._find_trivial_states()
-        # built when a sweep first reads them (_rows)
-        machine.steps, machine.by_perm = {}, {}
+        machine.steps, machine.by_perm = machine._letter_steps()
         return machine
 
     def _find_trivial_states(self):
@@ -176,16 +175,8 @@ def _check_name_part(kind, name):
 
 def _rows(factors):
     """The steps rows of the factors, rightmost first: the one read of the
-    machine tables that expand, apply_letter and apply_state share.  A
-    machine builds its steps when a sweep first reads them, so one that no
-    tail is swept through, as most of a session's registry, never does."""
-    try:
-        return [m.steps[e][s] for m, s, e in reversed(factors)]
-    except KeyError:
-        for m, _, _ in factors:
-            if not m.steps:
-                m.steps, m.by_perm = m._letter_steps()
-        return [m.steps[e][s] for m, s, e in reversed(factors)]
+    machine tables that expand, apply_letter and apply_state share."""
+    return [m.steps[e][s] for m, s, e in reversed(factors)]
 
 
 def apply_state(factor, x):

@@ -268,8 +268,10 @@ def test_genkit_verify_lists_failing_conditions_in_order(capsys):
         ["eval", "[0->1]", "abc"],
         ["dyn", "orbit", *HT2, "--prefix", "0x"],
         ["msec", "element", MSEC, "--perm", "a,b"],
+        ["msec", "element", MSEC, "--perm", "0,0,1"],
         ["genkit", "verify", *HT2, "--partition", "atoms:x"],
         ["genkit", "verify", *HT2, "--partition", "atoms:-1"],
+        ["genkit", "verify", *HT2, "--partition", "{0};{0}"],
         ["dyn", "minimal", *HT2, "--depth", "-1"],
         ["gen", "show", "higman_thompson:x"],
         ["gen", "show", "grigorchuk:1"],

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -143,8 +144,7 @@ def test_expansive_matches_reference_on_grid():
 
 
 def test_expansive_refuses_more_than_1024_cells_before_pairing_them(monkeypatch):
-    # depth 10 over two letters (67 MB of pairs) and depth 6 over three are the
-    # deepest allowed
+    # depth 10 over two letters and depth 6 over three are the deepest allowed
     class Paired(Exception):
         pass
 
@@ -160,6 +160,31 @@ def test_expansive_refuses_more_than_1024_cells_before_pairing_them(monkeypatch)
             message = rf"depth-{depth} cells number {ctx.d}\^{depth}, over 1024"
             with pytest.raises(CantorError, match=message):
                 expansive_certificate(ctx, parts, depth, 0)
+
+
+def test_expansive_keeps_one_mask_per_cell_not_the_pairs():
+    # 1,024 depth-10 cells make 523,776 pairs; one mask per cell, of the
+    # cells its hull meets, takes under a megabyte
+    ctx = v2_ctx()
+    tracemalloc.start()
+    try:
+        cert = expansive_certificate(ctx, atoms(1, 2), 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.refuted["pair"] == ["{0000000000}", "{0000000001}"]
+    assert peak < 5_000_000
+
+
+def test_expansive_matches_reference_at_depth_8():
+    # the parts {1}, {01}, ..., {00000001}, {00000000} separate the first two
+    # depth-8 cells from every cell, so the refuted pair is not the first pair
+    chain = [cylinder((0,) * k + (1,), 2) for k in range(8)] + [cylinder((0,) * 8, 2)]
+    for ctx, parts in ((v2_ctx(), atoms(1, 2)), (v2_ctx(), chain), (rover_ctx(), chain)):
+        cert = expansive_certificate(ctx, parts, 8, 2)
+        assert cert.to_json() == reference_expansive_certificate(ctx, parts, 8, 2).to_json()
+        assert cert.is_refuted()
+    assert cert.refuted["pair"] == ["{00000010}", "{00000011}"]
 
 
 def test_expansive_separates_by_a_meet_of_two_translates():

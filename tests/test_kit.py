@@ -248,6 +248,23 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
     assert 0 < calls["complement"] <= len(stage1) + len(stage2) < len(products)
 
 
+def test_condition_4_composes_only_the_products_that_exist(monkeypatch):
+    # a product a.b is nonzero exactly when dom(a) meets ran(b); the chain's
+    # 264 elements make 69,696 pairs, of which 5,070 meet
+    family = derive_transporters(higman_thompson(2).table, CHAIN9)
+    report = verify_separating(family, CHAIN9, n_orbit=5)
+    meeting = sum(not compose(a, b).is_zero() for a in family for b in family)
+    calls = Counter()
+
+    def counting_compose(f, g):
+        calls["compose"] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(kit_module, "compose", counting_compose)
+    assert verify_separating(family, CHAIN9, n_orbit=5) == report
+    assert 0 < calls["compose"] <= meeting < len(family) ** 2
+
+
 def test_conditions_2_and_3_match_the_part_scan():
     # seeded families over atom and non-atom partitions: derived transporters
     # (domains that are a whole part), their restrictions to a child cylinder
