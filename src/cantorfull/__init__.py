@@ -33,7 +33,6 @@ from .families import (
 from .kit import (
     GeneratingKit,
     build_kit,
-    derive_transporters,
     express,
     verify_separating,
 )

@@ -323,7 +323,7 @@ def cmd_msec(session, args):
 def cmd_genkit(session, args):
     parts = session.partition(args.partition)
     if args.action == "verify":
-        family = kit.derive_transporters(session.table, parts, word_len=args.len)
+        family = kit._derive(session.table, parts, args.len)
         report = kit.verify_separating(family, parts, args.orbit)
         ok = report["ok"]
         text = "separating: " + (

@@ -28,20 +28,7 @@ from .clopen import atoms, cylinder, holders, is_partition, part_lookup
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import build, element, embed_subperm, identity_perm, is_even, restrict_msec
-from .pmap import Dedup, WordBall, compose, dom, eq, image_clopen, image_walks, ran, restrict, star
-
-
-def derive_transporters(table, parts, word_len=2):
-    """Part-to-part transporters: restrictions of short unit words to parts,
-    kept when domain and range land inside single, distinct parts.
-
-    The result is symmetric (closed under star) and deduped by eq, in
-    deterministic word-then-part order.  Many (word, part) pairs restrict to
-    one table, and a table met before adds nothing, so only a first-met
-    table is tested and added.  The loop also learns each element's part
-    pair and star index; build_kit keeps them in the loop's _Family record.
-    """
-    return _derive(table, parts, word_len).A
+from .pmap import Dedup, WordBall, as_idempotent, compose, dom, eq, image_clopen, image_walks, ran, restrict, star
 
 
 # A transporter family indexed once: pairs[i] is the (domain part, range part)
@@ -52,15 +39,35 @@ _Family = namedtuple("_Family", "A pairs star_of opens sections")
 
 
 def _derive(table, parts, word_len):
+    """The separating family's record: part-to-part transporters, the
+    restrictions of short unit words to parts whose domain and range land
+    inside single, distinct parts.
+
+    A is symmetric (closed under star) and deduped by eq, in deterministic
+    word-then-part order.  Many (word, part) pairs restrict to one table,
+    and a table met before adds nothing, so only a first-met table is tested
+    and added.  A ball word w = m.a applies its last letter a first; when a
+    fixes every point of part i (a.idem_i is eq to idem_i), w|e_i = m|e_i,
+    met one level earlier, so the pair is skipped.  A letter that fixes only
+    some points of part i does not skip it: w|e_i is then m restricted to
+    less than e_i, which the loop may not have met.  The loop also learns
+    each element's part pair and star index; build_kit and verify_separating
+    read them off the record.
+    """
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
     part = part_lookup(parts)
+    idems = [as_idempotent(e) for e in parts]
+    ball = WordBall(table.mapping.values(), table.d)
+    fixes = [[eq(compose(a, idem), idem) for idem in idems] for a in ball.letters]
     out = Dedup()
     met = set()
     A, pairs, star_of = [], [], {}
-    for w, _ in WordBall(table.mapping.values(), table.d).words(word_len):
-        for i, e in enumerate(parts):
-            t = restrict(w, e)
+    for w, word in ball.words(word_len):
+        for i, idem in enumerate(idems):
+            if word and fixes[word[-1]][i]:
+                continue
+            t = compose(w, idem)
             if t in met:
                 continue
             met.add(t)
@@ -144,6 +151,9 @@ def verify_separating(family, parts, n_orbit):
 
     The depth of the partition bounds the sampled orbit depth and word
     lengths.  Returns a per-condition report with witnesses.
+
+    family is the derivation's _Family record, whose part pairs are read off
+    it, or a plain list, whose part pairs are looked up once.
     """
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
@@ -151,9 +161,13 @@ def verify_separating(family, parts, n_orbit):
     depth = max(len(w) for p in parts for w in p.antichain)
     report = {"n_orbit": n_orbit, "depth": depth}
     part = part_lookup(parts)
+    if isinstance(family, _Family):
+        family, pairs = family.A, family.pairs
+    else:
+        pairs = _part_pairs(family, part)
     # (2) and (3) from one part pair per element; only an element whose
     # domain straddles parts is scanned part by part for (3)
-    bad2, bad3 = _conditions_2_3(family, _part_pairs(family, part), parts, part, n_orbit)
+    bad2, bad3 = _conditions_2_3(family, pairs, parts, part, n_orbit)
     report["condition2"] = {"ok": not bad2, "failures": bad2}
     report["condition3"] = {"ok": not bad3, "failures": bad3}
 

@@ -237,7 +237,8 @@ def element_to_text(m, names=None):
     state) to the name a tail factor is printed under (see TailElement.to_text)."""
     if m.is_zero():
         return "0"
-    if m.branches == _pmap.one(m.d).branches:
+    # the identity's table: one branch () -> () with no tail factors
+    if [(b.dom, b.ran, b.tail.factors) for b in m.branches] == [((), (), ())]:
         return "1"
     bits = []
     for b in sorted(m.branches, key=lambda b: len(b.dom)):

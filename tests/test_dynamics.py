@@ -143,6 +143,40 @@ def test_expansive_matches_reference_on_grid():
     assert statuses == {"witness", "refuted_at_bound"}
 
 
+def random_partition(rng, max_depth, max_parts):
+    """A partition of two-letter space into unions of cylinders: split
+    random leaves down to max_depth, then deal the leaves into parts."""
+    leaves = [()]
+    while len(leaves) < 2 * max_parts or rng.random() < 0.5:
+        splittable = [w for w in leaves if len(w) < max_depth]
+        if not splittable:
+            break
+        w = rng.choice(splittable)
+        leaves.remove(w)
+        leaves += [w + (0,), w + (1,)]
+    rng.shuffle(leaves)
+    k = rng.randrange(2, min(max_parts, len(leaves)) + 1)
+    return [normalize(leaves[i::k], 2) for i in range(k)]
+
+
+def test_expansive_matches_reference_on_non_atom_partitions():
+    # parts that are unions of cylinders of mixed depths give hulls that meet
+    # a cell whose own hull misses theirs, so a pair is unseparated only when
+    # both masks hold the other cell; the atom grid rarely tells the two apart
+    ctxs = [v2_ctx(), rover_ctx(), adding_ctx()]
+    rng = random.Random(4702)
+    statuses = set()
+    for _ in range(200):
+        ctx = rng.choice(ctxs)
+        parts = random_partition(rng, 3, 4)
+        depth, word_len = rng.randrange(1, 5), rng.randrange(3)
+        cert = expansive_certificate(ctx, parts, depth, word_len)
+        ref = reference_expansive_certificate(ctx, parts, depth, word_len)
+        assert cert.to_json() == ref.to_json(), ([str(p) for p in parts], depth, word_len)
+        statuses.add(cert.status)
+    assert statuses == {"witness", "refuted_at_bound"}
+
+
 def test_expansive_refuses_more_than_1024_cells_before_pairing_them(monkeypatch):
     # depth 10 over two letters and depth 6 over three are the deepest allowed
     class Paired(Exception):

@@ -14,7 +14,6 @@ from cantorfull.families import higman_thompson, rover_units
 from cantorfull.kit import (
     GeneratingKit,
     build_kit,
-    derive_transporters,
     express,
     verify_separating,
 )
@@ -49,7 +48,9 @@ from cantorfull.tails import MealyMachine, apply_prefix, state, trivial
 from oracles import (
     clo,
     pm,
+    random_antichain,
     random_pmap,
+    random_tail,
     reference_conditions_2_3,
     reference_kit_sections,
     reference_part_of,
@@ -68,8 +69,13 @@ def desk():
     return fam, build_kit(fam.table, atoms(3, 2))
 
 
+def derived_family(table, parts, word_len=2):
+    """The derivation's transporter family, as a plain list."""
+    return kit_module._derive(table, parts, word_len).A
+
+
 def test_derive_transporters_sigma():
-    fam = derive_transporters(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
     assert len(fam) == 2
     assert any(eq(t, pm(2, "0->1")) for t in fam)
     assert any(eq(t, pm(2, "1->0")) for t in fam)
@@ -81,9 +87,50 @@ COARSE_PARTS = [clo("{0}"), clo("{10}"), clo("{11}")]
 NON_UNIT_TABLE = GeneratorTable(2, {"s": pm(2, "0->1", "1->0"), "a": pm(2, "0->10")})
 
 
+# a letter that fixes {00} but not the rest of the part {0}: a skip that
+# asks only whether the letter is an idempotent on {0} loses s.a|{0} = [00->10]
+PARTIAL_FIX_TABLE = GeneratorTable(2, {"s": pm(2, "0->1", "1->0"), "a": pm(2, "00->00", "1->01")})
+
+
+def reference_family(table, parts, word_len):
+    """(family, zero restrictions met): every (word, part) pair restricted
+    and its parts read off by a scan, with no table or pair skipped."""
+    units = list(table.mapping.values())
+    out = Dedup()
+    expected, zeros = [], 0
+    for w, _ in right_extending_words(units, word_len, table.d):
+        for e in parts:
+            t = restrict(w, e)
+            if t.is_zero():
+                zeros += 1
+                continue
+            pd, pr = reference_part_of(parts, dom(t)), reference_part_of(parts, ran(t))
+            if pd is None or pr is None or pd == pr:
+                continue
+            for candidate in (t, star(t)):
+                rep, _, new = out.add(candidate)
+                if new:
+                    expected.append(rep)
+    return expected, zeros
+
+
+def random_partial_table(rng):
+    """One to three partial letters over two letters, each permuting some
+    cylinders of a random antichain, so fixed cylinders are common."""
+    letters = {}
+    for k in range(rng.randrange(1, 4)):
+        doms = random_antichain(rng, 2, 3, 4)
+        rans = rng.sample(doms, len(doms))
+        kept = rng.randrange(1, len(doms) + 1)
+        letters[f"g{k}"] = PartialMap(2, [
+            Branch(u, v, random_tail(rng, 2, ("trivial", "trivial", "grigorchuk")))
+            for u, v in zip(doms[:kept], rans[:kept])
+        ])
+    return GeneratorTable(2, letters)
+
+
 def test_derive_transporters_matches_word_loop():
-    # every (word, part) pair restricted and its parts read off by a scan,
-    # with no table skipped; the Röver words carry Grigorchuk tails
+    # the Röver words carry Grigorchuk tails
     v2, rover = higman_thompson(2), rover_units()
     cases = [
         (v2.table, atoms(3, 2), 2),
@@ -94,45 +141,37 @@ def test_derive_transporters_matches_word_loop():
         (v2.table, COARSE_PARTS, 2),
         (higman_thompson(3).table, atoms(2, 3), 1),
         (NON_UNIT_TABLE, atoms(2, 2), 2),
+        (PARTIAL_FIX_TABLE, atoms(1, 2), 2),
     ]
     zeros = 0
     for table, parts, word_len in cases:
-        units = list(table.mapping.values())
-        words = [m for m, _ in right_extending_words(units, word_len, table.d)]
-        out = Dedup()
-        expected = []
-        for w in words:
-            for e in parts:
-                t = restrict(w, e)
-                if t.is_zero():
-                    zeros += 1
-                    continue
-                pd, pr = reference_part_of(parts, dom(t)), reference_part_of(parts, ran(t))
-                if pd is None or pr is None or pd == pr:
-                    continue
-                for candidate in (t, star(t)):
-                    rep, _, new = out.add(candidate)
-                    if new:
-                        expected.append(rep)
-        got = derive_transporters(table, parts, word_len=word_len)
+        expected, met = reference_family(table, parts, word_len)
+        zeros += met
         # the empty word alone carries no part out of itself
         assert bool(expected) == (word_len > 0)
-        assert repr(got) == repr(expected)
-    # only the non-unit table restricts to zero
+        assert repr(derived_family(table, parts, word_len=word_len)) == repr(expected)
+    # only the non-unit tables restrict to zero
     assert zeros > 0
+    # partial letters that fix some cylinders of a part and move others
+    rng = random.Random(4701)
+    for _ in range(100):
+        table = random_partial_table(rng)
+        parts = rng.choice([atoms(1, 2), atoms(2, 2), COARSE_PARTS])
+        expected, _ = reference_family(table, parts, 2)
+        assert repr(derived_family(table, parts)) == repr(expected)
 
 
 def test_a_non_partition_is_refused_before_the_family_is_derived():
     # {0} holds {00}; part_lookup needs pairwise-disjoint parts
     parts = [clo("{0}"), clo("{00}"), clo("{1}")]
     table = higman_thompson(2).table
-    for call in (derive_transporters, build_kit):
+    for call in (derived_family, build_kit):
         with pytest.raises(CantorError, match="parts do not form a partition"):
             call(table, parts)
 
 
 def test_verify_separating_sigma():
-    fam = derive_transporters(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
     report = verify_separating(fam, PARTS1, n_orbit=2)
     assert report["ok"]
     # with only two parts there is no way to meet five of them
@@ -150,7 +189,7 @@ def test_verify_separating_flags_part_preserving():
 def test_verify_separating_single_part_partition():
     from cantorfull.clopen import full
 
-    fam = derive_transporters(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
     report = verify_separating(fam, [atoms(0, 2)[0]], n_orbit=2)
     assert not report["condition1"]["ok"]
 
@@ -160,7 +199,7 @@ def test_verify_separating_refines_coarse_parts():
     # family's domains and ranges
     fam = higman_thompson(2)
     parts = [clo("{0}"), clo("{10}"), clo("{11}")]
-    report = verify_separating(derive_transporters(fam.table, parts), parts, n_orbit=3)
+    report = verify_separating(derived_family(fam.table, parts), parts, n_orbit=3)
     assert report["condition4"] == {"ok": True, "failures": []}
     assert report["ok"], report
     empty = verify_separating([], parts, n_orbit=3)
@@ -190,7 +229,7 @@ def test_verify_separating_matches_the_per_atom_reference():
         (higman_thompson(2), COARSE_PARTS),
     ):
         for word_len in (1, 2):
-            family = derive_transporters(fam.table, parts, word_len=word_len)
+            family = derived_family(fam.table, parts, word_len=word_len)
             parts_met = reference_parts_met(family, parts)
             for n_orbit in (2, 3, 5):
                 report = verify_separating(family, parts, n_orbit)
@@ -212,7 +251,7 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
     # condition 4 splits by the domains and ranges of all |A|^2 products, most
     # of them repeated; the report is the one computed by splitting every
     # cell by every product, complementing per cell
-    family = derive_transporters(higman_thompson(2).table, CHAIN9)
+    family = derived_family(higman_thompson(2).table, CHAIN9)
     calls = Counter()
     complement = Clopen.complement
 
@@ -251,7 +290,7 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
 def test_condition_4_composes_only_the_products_that_exist(monkeypatch):
     # a product a.b is nonzero exactly when dom(a) meets ran(b); the chain's
     # 264 elements make 69,696 pairs, of which 5,070 meet
-    family = derive_transporters(higman_thompson(2).table, CHAIN9)
+    family = derived_family(higman_thompson(2).table, CHAIN9)
     report = verify_separating(family, CHAIN9, n_orbit=5)
     meeting = sum(not compose(a, b).is_zero() for a in family for b in family)
     calls = Counter()
@@ -283,7 +322,7 @@ def test_conditions_2_and_3_match_the_part_scan():
     ]
     seen = Counter()
     for parts in partitions:
-        derived = derive_transporters(v2.table, parts)
+        derived = derived_family(v2.table, parts)
         for _ in range(24):
             family = rng.sample(derived, rng.randrange(min(len(derived), 10) + 1))
             for _ in range(rng.randrange(3)):
@@ -333,7 +372,7 @@ def test_initial_sections_match_the_reference_kit(family):
     # Röver's family carries automaton tails
     table = (higman_thompson(2) if family == "v2" else rover_units()).table
     parts = atoms(3, 2)
-    A = derive_transporters(table, parts)
+    A = derived_family(table, parts)
     got = GeneratingKit(table, parts, A).sections
     assert len(got) == len(A)
     assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, A))
@@ -345,7 +384,7 @@ def test_initial_sections_of_a_hand_made_family():
     # the section around [0000->1000] into the part {010}
     table = higman_thompson(2).table
     parts = atoms(3, 2)
-    A = derive_transporters(table, parts)
+    A = derived_family(table, parts)
     straddler = restrict(next(iter(table.mapping.values())), parts[0].union(parts[1]))
     assert reference_part_of(parts, dom(straddler)) is None
     inner = restrict(A[0], cylinder((0, 0, 0, 0), 2))
@@ -435,6 +474,45 @@ def test_a_v2_build_indexes_its_family_once(monkeypatch):
     assert counts["fingerprint"] <= 341 and counts["part lookup"] <= 168, counts
 
 
+def test_a_v2_verify_derives_each_fact_once(monkeypatch, capsys):
+    # the derivation restricts a word to a part only when the word's first
+    # letter does not fix the part, and cfl genkit verify reads the part pairs
+    # off the derivation's record (the parent made 656 restrictions, and its
+    # verify made 648 part lookups)
+    counts = Counter()
+    compose, restrict, part_lookup = kit_module.compose, kit_module.restrict, kit_module.part_lookup
+
+    def counting_compose(f, g):
+        counts["compose"] += 1
+        return compose(f, g)
+
+    def counting_restrict(f, e):
+        counts["compose"] += 1
+        return restrict(f, e)
+
+    def counting_part_lookup(parts):
+        lookup = part_lookup(parts)
+
+        def counted(c):
+            counts["part lookup"] += 1
+            return lookup(c)
+
+        return counted
+
+    monkeypatch.setattr(kit_module, "compose", counting_compose)
+    monkeypatch.setattr(kit_module, "restrict", counting_restrict)
+    monkeypatch.setattr(kit_module, "part_lookup", counting_part_lookup)
+    kit_module._derive(higman_thompson(2).table, atoms(3, 2), 2)
+    assert counts["compose"] <= 500, counts
+    counts.clear()
+    assert cli.main(["genkit", "verify", "--gens", "higman_thompson:2", "--partition", "atoms:3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert counts["part lookup"] <= 280, counts
+    # the record and its plain list give one report
+    family = kit_module._derive(higman_thompson(2).table, atoms(3, 2), 2)
+    assert verify_separating(family, atoms(3, 2), 5) == verify_separating(family.A, atoms(3, 2), 5)
+
+
 @pytest.mark.parametrize("family", ["v2", "rover"])
 def test_sections_read_in_any_order_equal_the_eager_build(family):
     table = (higman_thompson(2) if family == "v2" else rover_units()).table
@@ -475,7 +553,7 @@ def test_desk_instance_passes():
 def test_kit_construction_failure():
     # surrounding any transporter with a 5-section needs three further parts,
     # and the depth-1 partition has only two
-    fam = derive_transporters(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
     with pytest.raises(KitConstructionFailed):
         GeneratingKit(SIGMA_TABLE, PARTS1, fam)
 

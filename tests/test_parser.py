@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cantorfull import completion, tails
+from cantorfull import pmap as pmap_module
 from cantorfull.completion import GeneratorTable, evaluate
 from cantorfull.errors import ParseError
 from cantorfull.parser import Parser, element_to_text, expr_to_text
@@ -65,6 +66,18 @@ def test_element_text_lists_branches_shortest_domain_first():
     assert [b.dom for b in m.branches] == [(0, 0), (0, 1, 0), (0, 1, 1), (1,)]
     assert element_to_text(m) == "[1->00, 00->1:a, 010->011, 011->010]"
     assert repr(m) == "PartialMap(d=2, [[1->00], [00->1:a], [010->011], [011->010]])"
+
+
+def test_printing_reads_the_identity_off_the_table(monkeypatch):
+    # "1" is one branch () -> () without tail factors, told from the table's
+    # shape with no identity map built; a decorated root branch is not "1"
+    swap, ident = pm(2, "0->1", "1->0"), one(2)
+    monkeypatch.setattr(pmap_module, "one", None)
+    assert element_to_text(ident) == "1"
+    assert element_to_text(pm(2, "0->0", "1->1")) == "1"
+    assert element_to_text(pm(2, ("->", word(grigorchuk(), "a")))) == "[~->~:a]"
+    assert element_to_text(swap) == "[0->1, 1->0]"
+    assert element_to_text(zero(2)) == "0"
 
 
 def test_parse_expr_shapes():

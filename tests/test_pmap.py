@@ -15,7 +15,7 @@ from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.errors import AlphabetMismatch, CantorError, IncompatiblePair
 from cantorfull.completion import _letters, depth_clopens
 from cantorfull.families import grigorchuk_units, higman_thompson, rover_units
-from cantorfull.kit import derive_transporters
+from cantorfull.kit import _derive
 from cantorfull.pmap import (
     Branch,
     Dedup,
@@ -1137,7 +1137,7 @@ IMAGE_WALKS = [
     ("rover units", list(rover_units().table.mapping.values()), [clo("{01}"), clo("{1}")], 3),
     (
         "V2 transporters",
-        derive_transporters(higman_thompson(2).table, atoms(3, 2)),
+        _derive(higman_thompson(2).table, atoms(3, 2), 2).A,
         [clo("{000}"), clo("{101}")],
         2,
     ),
