@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import cache
+from functools import cache, lru_cache
 
 from . import certs, dynamics, factor, kit, msec, pmap
 from .clopen import checked_alphabet, depth_cells, is_partition, word_from_text
@@ -45,11 +45,20 @@ def default_registry(d):
     return registry
 
 
+@lru_cache(maxsize=4)
+def _family(spec):
+    """The family of a --gens or gen show spec, built once per process: no
+    handler edits a family's table, so its letters and balls serve every command."""
+    return family_by_name(spec)
+
+
 class Session:
     """Parsed context shared by one invocation.
 
     Output names each tail factor by the first registry name of its
     (machine, state), so printed elements parse back in the same session.
+    A family named by --gens is the one table every command of the process
+    that names it reads; a --gens file is read afresh.
     """
 
     def __init__(self, args):
@@ -58,7 +67,7 @@ class Session:
         gens = getattr(args, "gens", None)
         family = bool(gens) and gens.partition(":")[0] in FAMILY_BUILDERS
         d = checked_alphabet(args.alphabet)
-        self.table = family_by_name(gens).table if family else GeneratorTable(d, {})
+        self.table = _family(gens).table if family else GeneratorTable(d, {})
         self.d = self.table.d
         registry = default_registry(self.d)
         if getattr(args, "machines", None):
@@ -253,7 +262,7 @@ def cmd_gen(session, args):
     if args.action == "list":
         names = sorted(FAMILY_BUILDERS)
         return emit_value(args, "gen list", ", ".join(names), names)
-    fam = family_by_name(_given(args.name, "family name"))
+    fam = _family(_given(args.name, "family name"))
     lines = [f"{name} = {session.text(m)}" for name, m in fam.table.items()]
     payload = {
         "name": fam.name,

@@ -25,11 +25,11 @@ class GeneratorTable:
 
     The table keeps its letters (the generators and their stars, deduped by
     eq, with their expressions), which the completion searches and every
-    DynContext read, and one WordBall over them for as long as it lives.  Both are built on first use, and
-    the ball is grown only to the longest word length a search asks for, so
-    every bi_enumerate and piecewise_member call on the table shares it.
-    They are built afresh when the generators in `mapping` differ from the
-    ones they were built from.
+    DynContext read, one WordBall over them, and one over the generators
+    alone, the unit ball, which the kit derivation and extend_degree read.
+    Each is built on first use and kept while the table lives, a ball grown
+    only to the longest word length a search asks for, and all are built
+    afresh when the generators in `mapping` differ from their own.
     """
 
     def __init__(self, d, mapping=None):
@@ -38,20 +38,30 @@ class GeneratorTable:
         for name, m in self.mapping.items():
             if m.d != d:
                 raise CantorError(f"generator {name} has alphabet {m.d}, not {d}")
-        self._search = None  # (d and generators, letters, ball) of the last search
+        self._search = (None, {})  # (d and generators, {what: built}) of the last search
+
+    def _built(self, what, build):
+        """build(), kept under `what` until the generators change."""
+        key = (self.d, tuple(self.mapping.items()))
+        if self._search[0] != key:
+            self._search = (key, {})
+        if what not in self._search[1]:
+            self._search[1][what] = build()
+        return self._search[1][what]
 
     def _search_words(self):
         """(letters, ball): the eq-deduped letters with their expressions, and
-        the WordBall over them, rebuilt when the generators have changed."""
-        key = (self.d, tuple(self.mapping.items()))
-        if self._search is None or self._search[0] != key:
-            letters = _letters(self)
-            self._search = (key, letters, _pmap.WordBall([m for m, _ in letters], self.d))
-        return self._search[1:]
+        the WordBall over them."""
+        letters = self.letters()
+        return letters, self._built("ball", lambda: _pmap.WordBall([m for m, _ in letters], self.d))
+
+    def unit_ball(self):
+        """The WordBall over the generators, in table order."""
+        return self._built("units", lambda: _pmap.WordBall(self.mapping.values(), self.d))
 
     def letters(self):
         """The (map, GeneratorRef or Star of one) letters, deduped by eq."""
-        return self._search_words()[0]
+        return self._built("letters", lambda: _letters(self))
 
     def __getitem__(self, name):
         try:

@@ -164,6 +164,9 @@ FAMILY_BUILDERS = {
     "depth_aut": depth_aut_units,
 }
 
+# taken at import, so parameters are bound even where a wrapper replaces a builder
+_SIGNATURES = {name: signature(builder) for name, builder in FAMILY_BUILDERS.items()}
+
 
 def family_by_name(spec):
     """Family from a CLI-style spec like "higman_thompson:2" or "grigorchuk".
@@ -177,7 +180,7 @@ def family_by_name(spec):
     builder = FAMILY_BUILDERS[name]
     try:
         args = [int(x) for x in params]
-        bound = signature(builder).bind(*args)
+        bound = _SIGNATURES[name].bind(*args)
     except (TypeError, ValueError):
         raise CantorError(f"bad parameters {params} for family {name!r}") from None
     bound.apply_defaults()

@@ -28,7 +28,7 @@ from .clopen import atoms, cylinder, holders, is_partition, part_lookup
 from .errors import CantorError, KitConstructionFailed, NotInAlt
 from .factor import KitSection, combine_factored, word_product
 from .msec import build, element, embed_subperm, identity_perm, is_even, restrict_msec
-from .pmap import Dedup, WordBall, as_idempotent, compose, dom, eq, image_clopen, image_walks, ran, restrict, star
+from .pmap import Dedup, as_idempotent, compose, dom, eq, image_clopen, image_walks, ran, restrict, star
 
 
 # A transporter family indexed once: pairs[i] is the (domain part, range part)
@@ -58,7 +58,7 @@ def _derive(table, parts, word_len):
         raise CantorError("parts do not form a partition")
     part = part_lookup(parts)
     idems = [as_idempotent(e) for e in parts]
-    ball = WordBall(table.mapping.values(), table.d)
+    ball = table.unit_ball()
     fixes = [[eq(compose(a, idem), idem) for idem in idems] for a in ball.letters]
     out = Dedup()
     met = set()
@@ -211,11 +211,13 @@ def verify_separating(family, parts, n_orbit):
         cells = split_cells(cells, [c for a in family for c in (dom(a), ran(a))])
         bad4 = coarse_cells(cells)
     if bad4:
-        # a.b is zero, and adds no boundary, when dom(a) misses ran(b)
+        # a.b is zero, and adds no boundary, when dom(a) misses ran(b); when both
+        # are whole parts they are one, and a.b runs from dom(b) onto ran(a)
+        whole = set(parts)
         stage2 = []
         for a in family:
             for b in family:
-                if not dom(a).disjoint(ran(b)):
+                if not dom(a).disjoint(ran(b)) and not (dom(a) in whole and ran(b) in whole):
                     m = compose(a, b)
                     stage2 += (dom(m), ran(m))
         cells = split_cells(cells, stage2)

@@ -262,12 +262,12 @@ def extend_degree(s, table, word_len=3, node_budget=certs.DEFAULT_NODE_BUDGET):
     looks for an extra transporter whose image misses the restricted section's
     idempotents; pieces are split into child cylinders, at most SPLIT_DEPTH
     letters below the base, when no word works at their current depth.  The
-    words come from a WordBall, identity first.
+    words come from the table's unit ball, identity first.
     """
     budget = certs.Budget(
         {"word_len": word_len, "split_depth": SPLIT_DEPTH, "node_budget": node_budget}
     )
-    ball = _pmap.WordBall(table.mapping.values(), s.d)
+    ball = table.unit_ball()
     try:
         sections, subdivision = _extend_over_words(s, ball, word_len, budget)
     except certs.GiveUp as stop:

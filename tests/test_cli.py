@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorfull import clopen, pmap, tails
+from cantorfull import cli, clopen, families, pmap, tails
 from cantorfull.cli import Session, build_arg_parser, main
 from cantorfull.completion import depth_clopens
 from cantorfull.parser import Parser
@@ -646,15 +646,59 @@ def test_readme_commands_print_the_same_warm_and_cold(capsys):
     assert len(commands) == 14
 
     def outputs():
-        return [run(capsys, *argv, "--json") for argv in commands]
+        return [run(capsys, *argv, *form) for argv in commands for form in ((), ("--json",))]
 
+    cli._family.cache_clear()
     cold = outputs()
-    # the second round reads the operation, identity and key caches the first filled
+    # later rounds read the family tables, with their balls, and the
+    # operation, identity and key caches the first round filled
     assert outputs() == cold
-    for memo in (pmap.compose, pmap.star, pmap.as_idempotent, tails._minimal_rows):
+    assert outputs() == cold
+    for memo in (cli._family, pmap.compose, pmap.star, pmap.as_idempotent, tails._minimal_rows):
         memo.cache_clear()
     tails._identity_cache.clear()
     assert outputs() == cold
+
+
+def test_verify_builds_its_family_table_and_unit_ball_once_per_process(monkeypatch, capsys):
+    counts = {"higman_thompson": 0, "WordBall": 0}
+    builder = families.FAMILY_BUILDERS["higman_thompson"]
+
+    def counting_builder(*args):
+        counts["higman_thompson"] += 1
+        return builder(*args)
+
+    class CountingBall(pmap.WordBall):
+        def __init__(self, letters, d):
+            counts["WordBall"] += 1
+            super().__init__(letters, d)
+
+    monkeypatch.setitem(families.FAMILY_BUILDERS, "higman_thompson", counting_builder)
+    monkeypatch.setattr(pmap, "WordBall", CountingBall)
+    cli._family.cache_clear()
+    verify = ["genkit", "verify", "--gens", "higman_thompson:2", "--partition", "atoms:3"]
+    first = run(capsys, *verify)
+    assert first[0] == 0
+    for _ in range(49):
+        assert run(capsys, *verify) == first
+    assert counts == {"higman_thompson": 1, "WordBall": 1}
+    cli._family.cache_clear()
+
+
+def test_no_command_edits_a_shared_family_table(capsys):
+    cli._family.cache_clear()
+    table = cli._family("higman_thompson:2").table
+    before = list(table.mapping.items())
+    extra = [
+        ["msec", "extend", "msec({00}; [00->01], [00->10])", *HT2],
+        ["bi", "member", "[0->1,1->0]", *HT2, "--len", "1", "--depth", "1"],
+    ]
+    for argv in readme_commands() + extra:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert cli._family("higman_thompson:2").table is table
+    after = list(table.mapping.items())
+    assert [name for name, _ in after] == [name for name, _ in before]
+    assert all(m is n for (_, m), (_, n) in zip(after, before))
 
 
 def test_idempotent_atoms_evaluate_in_expressions(capsys):

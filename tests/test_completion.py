@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cantorfull import clopen, completion, pmap
+from cantorfull import clopen, completion, kit, pmap
 from cantorfull.clopen import atoms, cylinder, empty, full, normalize
 from cantorfull.completion import (
     ElementLeaf,
@@ -414,6 +414,8 @@ def test_a_table_builds_its_letters_and_ball_once(monkeypatch):
 def test_an_edited_mapping_is_read_afresh():
     table = grigorchuk_units().table
     before = list(bi_enumerate(table, 1, 2, 1))
+    # the kit derivation reads the table's unit ball
+    derived = kit._derive(table, atoms(2, 2), 1).A
     # swaps 00 and 1, which no tree automorphism does on {0}
     x = pm(2, "00->1", "1->00", "01->01")
     assert piecewise_member(x, table, word_len=1, depth=1).is_exhausted()
@@ -422,6 +424,8 @@ def test_an_edited_mapping_is_read_afresh():
     rows = list(bi_enumerate(table, 1, 2, 1))
     assert rows == list(bi_enumerate(fresh, 1, 2, 1)) and rows != before
     assert piecewise_member(x, table, word_len=1, depth=1).is_witness()
+    edited = kit._derive(table, atoms(2, 2), 1).A
+    assert edited == kit._derive(fresh, atoms(2, 2), 1).A and edited != derived
     # a generator replaced under its own name is read afresh too
     table.mapping["a"] = table.mapping["x"]
     fresh = GeneratorTable(2, table.mapping)

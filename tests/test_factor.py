@@ -5,7 +5,7 @@ import pytest
 from cantorfull import factor as factor_module
 from cantorfull.clopen import normalize, union_all
 from cantorfull.completion import GeneratorTable
-from cantorfull.errors import CantorError, NotInAlt
+from cantorfull.errors import AlphabetMismatch, CantorError, NotInAlt
 from cantorfull.factor import (
     KitSection,
     combine_factored,
@@ -13,6 +13,7 @@ from cantorfull.factor import (
     inverse_word,
     word_product,
 )
+from cantorfull.families import higman_thompson
 from cantorfull.msec import (
     alt_perms,
     build,
@@ -320,3 +321,14 @@ def test_extend_degree_exhausts_for_empty_table():
     ident_only = GeneratorTable(2, {"one": one(2)})
     cert = extend_degree(s3, ident_only, word_len=3)
     assert cert.is_exhausted()
+
+
+def test_extend_degree_refuses_a_table_over_another_alphabet():
+    # the words come from the table's unit ball, over the table's alphabet;
+    # its identity already meets the section's pieces, so even an empty
+    # table or a search without letters is refused
+    s3 = build(clo("{00}"), [pm(2, "00->01"), pm(2, "00->10")])
+    for table in (higman_thompson(3).table, GeneratorTable(3, {})):
+        for word_len in (0, 2):
+            with pytest.raises(AlphabetMismatch):
+                extend_degree(s3, table, word_len=word_len)

@@ -40,3 +40,19 @@ def test_tracing_keeps_every_readme_command_output():
     for argv, plain, wrapped in zip(commands, untraced, traced):
         assert wrapped == plain, argv
     assert [code for code, _ in untraced] == [0] * len(commands)
+
+
+def test_bad_family_parameters_are_a_usage_error_under_tracing():
+    # the tracer puts a (*args, **kwargs) wrapper in FAMILY_BUILDERS, which
+    # binds any parameters; the builder's own signature must still refuse them
+    argv = ["gen", "show", "grigorchuk:3"]
+    assert _run(argv) == (cli.EXIT_USAGE, "")
+    tracer = Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        traced = _run(argv)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert traced == (cli.EXIT_USAGE, "")
