@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import cache, lru_cache
+from types import MappingProxyType
 
 from . import certs, dynamics, factor, kit, msec, pmap
 from .clopen import checked_alphabet, depth_cells, is_partition, word_from_text
@@ -47,9 +48,10 @@ def default_registry(d):
 
 @lru_cache(maxsize=4)
 def _family(spec):
-    """The family of a --gens or gen show spec, built once per process: no
-    handler edits a family's table, so its letters and balls serve every command."""
-    return family_by_name(spec)
+    """The family of a spec, built once per process, its mapping read-only."""
+    fam = family_by_name(spec)
+    fam.table.mapping = MappingProxyType(fam.table.mapping)
+    return fam
 
 
 class Session:
@@ -57,8 +59,7 @@ class Session:
 
     Output names each tail factor by the first registry name of its
     (machine, state), so printed elements parse back in the same session.
-    A family named by --gens is the one table every command of the process
-    that names it reads; a --gens file is read afresh.
+    A --gens family's table comes from _family, shared by the process; a file is read afresh.
     """
 
     def __init__(self, args):

@@ -40,28 +40,30 @@ class GeneratorTable:
                 raise CantorError(f"generator {name} has alphabet {m.d}, not {d}")
         self._search = (None, {})  # (d and generators, {what: built}) of the last search
 
-    def _built(self, what, build):
-        """build(), kept under `what` until the generators change."""
+    def _kept(self):
+        """What was built from the generators, emptied when they change."""
         key = (self.d, tuple(self.mapping.items()))
         if self._search[0] != key:
             self._search = (key, {})
-        if what not in self._search[1]:
-            self._search[1][what] = build()
-        return self._search[1][what]
+        return self._search[1]
 
     def _search_words(self):
         """(letters, ball): the eq-deduped letters with their expressions, and
         the WordBall over them."""
-        letters = self.letters()
-        return letters, self._built("ball", lambda: _pmap.WordBall([m for m, _ in letters], self.d))
+        kept = self._kept()
+        if "letters" not in kept:
+            kept["letters"] = _letters(self)
+            kept["ball"] = _pmap.WordBall([m for m, _ in kept["letters"]], self.d)
+        return kept["letters"], kept["ball"]
 
     def unit_ball(self):
         """The WordBall over the generators, in table order."""
-        return self._built("units", lambda: _pmap.WordBall(self.mapping.values(), self.d))
+        kept = self._kept()
+        return kept.get("units") or kept.setdefault("units", _pmap.WordBall(self.mapping.values(), self.d))
 
     def letters(self):
         """The (map, GeneratorRef or Star of one) letters, deduped by eq."""
-        return self._built("letters", lambda: _letters(self))
+        return self._search_words()[0]
 
     def __getitem__(self, name):
         try:

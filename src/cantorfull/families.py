@@ -164,8 +164,7 @@ FAMILY_BUILDERS = {
     "depth_aut": depth_aut_units,
 }
 
-# taken at import, so parameters are bound even where a wrapper replaces a builder
-_SIGNATURES = {name: signature(builder) for name, builder in FAMILY_BUILDERS.items()}
+_SIGNATURES = {name: signature(b) for name, b in FAMILY_BUILDERS.items()}  # at import, before wrappers
 
 
 def family_by_name(spec):

@@ -211,13 +211,12 @@ def verify_separating(family, parts, n_orbit):
         cells = split_cells(cells, [c for a in family for c in (dom(a), ran(a))])
         bad4 = coarse_cells(cells)
     if bad4:
-        # a.b is zero, and adds no boundary, when dom(a) misses ran(b); when both
-        # are whole parts they are one, and a.b runs from dom(b) onto ran(a)
-        whole = set(parts)
+        # a.b adds no boundary when it is zero (dom(a) misses ran(b)) or when dom(a)
+        # is ran(b): it then runs from dom(b) onto ran(a), which stage 1 split by
         stage2 = []
         for a in family:
             for b in family:
-                if not dom(a).disjoint(ran(b)) and not (dom(a) in whole and ran(b) in whole):
+                if not dom(a).disjoint(ran(b)) and dom(a) != ran(b):
                     m = compose(a, b)
                     stage2 += (dom(m), ran(m))
         cells = split_cells(cells, stage2)

@@ -699,6 +699,12 @@ def test_no_command_edits_a_shared_family_table(capsys):
     after = list(table.mapping.items())
     assert [name for name, _ in after] == [name for name, _ in before]
     assert all(m is n for (_, m), (_, n) in zip(after, before))
+    # the shared mapping is read-only; family_by_name's own tables are not
+    with pytest.raises(TypeError):
+        table.mapping["x"] = table.mapping["cyc"]
+    fresh = families.family_by_name("higman_thompson:2").table
+    fresh.mapping["x"] = fresh.mapping["cyc"]
+    assert "x" in fresh and "x" not in table
 
 
 def test_idempotent_atoms_evaluate_in_expressions(capsys):

@@ -288,17 +288,19 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
 
 
 def test_condition_4_composes_only_the_products_that_exist(monkeypatch):
-    # a product a.b is nonzero exactly when dom(a) meets ran(b), and when both
-    # are whole parts it runs from dom(b) onto ran(a), which split the cells
+    # a product a.b is nonzero exactly when dom(a) meets ran(b), and when
+    # dom(a) is ran(b) it runs from dom(b) onto ran(a), which split the cells
     # before any product; the chain's 264 elements make 69,696 pairs, of
-    # which 5,070 meet and 2,433 are not such whole-part pairs
+    # which 5,070 meet and 2,174 have dom(a) other than ran(b)
     family = derived_family(higman_thompson(2).table, CHAIN9)
     report = verify_separating(family, CHAIN9, n_orbit=5)
     meeting = sum(not compose(a, b).is_zero() for a in family for b in family)
-    needed = sum(
-        not compose(a, b).is_zero() and not (dom(a) in CHAIN9 and ran(b) in CHAIN9)
+    needed = sum(not compose(a, b).is_zero() and dom(a) != ran(b) for a in family for b in family)
+    assert all(
+        (dom(compose(a, b)), ran(compose(a, b))) == (dom(b), ran(a))
         for a in family
         for b in family
+        if dom(a) == ran(b)
     )
     calls = Counter()
 

@@ -19,6 +19,9 @@ from workloads import README_COMMANDS  # noqa: E402
 
 
 def _run(argv):
+    # each command builds its family table afresh, as in a fresh process, so
+    # a traced command calls the tracer's wrapped builder
+    cli._family.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--json"])
@@ -37,6 +40,8 @@ def test_tracing_keeps_every_readme_command_output():
         tracer.active = False
         tracer.uninstall()
     assert tracer.calls[tracer.names.index("cli.main")] == len(commands)
+    family_commands = [argv for argv in commands if "higman_thompson:2" in argv]
+    assert tracer.calls[tracer.names.index("families.higman_thompson")] == len(family_commands) == 7
     for argv, plain, wrapped in zip(commands, untraced, traced):
         assert wrapped == plain, argv
     assert [code for code, _ in untraced] == [0] * len(commands)
