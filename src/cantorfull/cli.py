@@ -11,7 +11,6 @@ import json
 import sys
 from dataclasses import replace
 from functools import cache, lru_cache
-from types import MappingProxyType
 
 from . import certs, dynamics, factor, kit, msec, pmap
 from .clopen import checked_alphabet, depth_cells, is_partition, word_from_text
@@ -48,10 +47,8 @@ def default_registry(d):
 
 @lru_cache(maxsize=4)
 def _family(spec):
-    """The family of a spec, built once per process, its mapping read-only."""
-    fam = family_by_name(spec)
-    fam.table.mapping = MappingProxyType(fam.table.mapping)
-    return fam
+    """The family of a spec, built once per process; its table is fixed when built."""
+    return family_by_name(spec)
 
 
 class Session:
@@ -59,7 +56,8 @@ class Session:
 
     Output names each tail factor by the first registry name of its
     (machine, state), so printed elements parse back in the same session.
-    A --gens family's table comes from _family, shared by the process; a file is read afresh.
+    A --gens family's table comes from _family, shared by the process, and
+    like every table is fixed when built; a file is read afresh.
     """
 
     def __init__(self, args):

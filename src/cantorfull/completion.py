@@ -7,11 +7,13 @@ membership is not attempted: ExhaustedAtBound is an honest third answer.
 
 Both searches read their words off the table: a GeneratorTable keeps its
 letters and one WordBall over them while it lives, grown to the longest
-word length asked so far and rebuilt when its generators change.
+word length asked so far; its generators are fixed when it is built.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 from . import certs
 from . import pmap as _pmap
@@ -21,49 +23,47 @@ from .pmap import Dedup, PartialMap, eq, one, restrict, star, zero
 
 
 class GeneratorTable:
-    """Named generators over a single alphabet context.
+    """Named generators over a single alphabet context, fixed when built.
 
-    The table keeps its letters (the generators and their stars, deduped by
-    eq, with their expressions), which the completion searches and every
-    DynContext read, one WordBall over them, and one over the generators
-    alone, the unit ball, which the kit derivation and extend_degree read.
-    Each is built on first use and kept while the table lives, a ball grown
-    only to the longest word length a search asks for, and all are built
-    afresh when the generators in `mapping` differ from their own.
+    The table copies its generators into a read-only mapping, and neither
+    d nor mapping can be rebound.  It keeps its letters (the generators and
+    their stars, deduped by eq, with their expressions), which the
+    completion searches and every DynContext read, one WordBall over them,
+    and one over the generators alone, the unit ball, which the kit
+    derivation and extend_degree read.  Each is built on first use and kept
+    while the table lives, a ball grown only to the longest word length a
+    search asks for.
     """
 
     def __init__(self, d, mapping=None):
-        self.d = d
-        self.mapping = dict(mapping or {})
-        for name, m in self.mapping.items():
+        self._d = d
+        self._mapping = MappingProxyType(dict(mapping or {}))
+        for name, m in self._mapping.items():
             if m.d != d:
                 raise CantorError(f"generator {name} has alphabet {m.d}, not {d}")
-        self._search = (None, {})  # (d and generators, {what: built}) of the last search
 
-    def _kept(self):
-        """What was built from the generators, emptied when they change."""
-        key = (self.d, tuple(self.mapping.items()))
-        if self._search[0] != key:
-            self._search = (key, {})
-        return self._search[1]
+    @property
+    def d(self):
+        return self._d
 
-    def _search_words(self):
-        """(letters, ball): the eq-deduped letters with their expressions, and
-        the WordBall over them."""
-        kept = self._kept()
-        if "letters" not in kept:
-            kept["letters"] = _letters(self)
-            kept["ball"] = _pmap.WordBall([m for m, _ in kept["letters"]], self.d)
-        return kept["letters"], kept["ball"]
+    @property
+    def mapping(self):
+        return self._mapping
 
-    def unit_ball(self):
-        """The WordBall over the generators, in table order."""
-        kept = self._kept()
-        return kept.get("units") or kept.setdefault("units", _pmap.WordBall(self.mapping.values(), self.d))
-
+    @cached_property
     def letters(self):
         """The (map, GeneratorRef or Star of one) letters, deduped by eq."""
-        return self._search_words()[0]
+        return _letters(self)
+
+    @cached_property
+    def _letter_ball(self):
+        """The WordBall over the letters."""
+        return _pmap.WordBall([m for m, _ in self.letters], self.d)
+
+    @cached_property
+    def unit_ball(self):
+        """The WordBall over the generators, in table order."""
+        return _pmap.WordBall(self.mapping.values(), self.d)
 
     def __getitem__(self, name):
         try:
@@ -177,7 +177,7 @@ def _letters(table):
 def _words_up_to(table, word_len):
     """Distinct-by-eq generator words of length <= word_len with expressions,
     read off the table's ball."""
-    letters, ball = table._search_words()
+    letters, ball = table.letters, table._letter_ball
     return [(m, Product(tuple(letters[i][1] for i in word))) for m, word in ball.words(word_len)]
 
 

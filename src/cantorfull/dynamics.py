@@ -47,7 +47,7 @@ class DynContext:
                 raise CantorError(f"generator {name} is not a unit")
         self.table = table
         self.d = table.d
-        letters = table.letters()
+        letters = table.letters
         self.units = tuple(m for m, _ in letters)
         self.names = tuple(x.name if isinstance(x, GeneratorRef) else f"{x.child.name}^-1"
                            for _, x in letters)
@@ -155,8 +155,10 @@ def subshift_code(ctx, parts, point_prefix, words):
     """The finite coding window: the partition part hit by each listed unit.
 
     Entries are part indices, or "too_shallow" when the prefix does not
-    determine the part.
+    determine the part.  A prefix letter outside the alphabet raises
+    LetterOutOfRange, also when no unit is listed.
     """
+    cylinder(point_prefix, ctx.d)
     part = part_lookup(parts)
     out = []
     for w in words:

@@ -31,11 +31,11 @@ from .msec import build, element, embed_subperm, identity_perm, is_even, restric
 from .pmap import Dedup, as_idempotent, compose, dom, eq, image_clopen, image_walks, ran, restrict, star
 
 
-# A transporter family indexed once: pairs[i] is the (domain part, range part)
-# of A[i], star_of[i] the index of the first element eq to star(A[i]), opens
-# the indices of the elements that get a section, in order, and sections a
-# Dedup from each of those to its section index.
-_Family = namedtuple("_Family", "A pairs star_of opens sections")
+# The derived transporter family, indexed once: pairs[i] is the (domain part,
+# range part) of A[i], star_of[i] the index of the first element eq to
+# star(A[i]), and sections a Dedup from each element to its index, which is
+# also the index of its section: every element is separated and eq-distinct.
+_Family = namedtuple("_Family", "A pairs star_of sections")
 
 
 def _derive(table, parts, word_len):
@@ -58,7 +58,7 @@ def _derive(table, parts, word_len):
         raise CantorError("parts do not form a partition")
     part = part_lookup(parts)
     idems = [as_idempotent(e) for e in parts]
-    ball = table.unit_ball()
+    ball = table.unit_ball
     fixes = [[eq(compose(a, idem), idem) for idem in idems] for a in ball.letters]
     out = Dedup()
     met = set()
@@ -85,24 +85,7 @@ def _derive(table, parts, word_len):
             # star(star(t)) is t branch for branch, so a new star(t) has t's index
             star_of.setdefault(ends[0], ends[1])
             star_of.setdefault(ends[1], ends[0])
-    # every element is separated and eq-distinct, so each gets a section
-    return _Family(A, pairs, star_of, range(len(A)), out)
-
-
-def _index_family(family, part):
-    """The _Family of a family given as a plain list: an element gets a
-    section when it is separated and no element before it is eq to it."""
-    A = list(family)
-    pairs = _part_pairs(A, part)
-    out, sections, opens = Dedup(), Dedup(), []
-    for idx, (a, pair) in enumerate(zip(A, pairs)):
-        out.add(a, idx)
-        if _separated(*pair) and sections.add(a, len(opens))[2]:
-            opens.append(idx)
-    hits = [out.find(star(a)) for a in A]
-    if None in hits:
-        raise CantorError(f"family is not symmetric: no star for element {hits.index(None)}")
-    return _Family(A, pairs, {i: hit[1] for i, hit in enumerate(hits)}, opens, sections)
+    return _Family(A, pairs, star_of, out)
 
 
 def _part_pairs(family, part):
@@ -257,10 +240,10 @@ class GeneratingKit:
     """Separating family A and the 5-sections around its transporters.
 
     sections[i] is a (Multisection, t) pair, t the transporter in column 1.
-    The initial sections surround the separated elements of A, in family
-    order; the set T of short products is unbounded in practice, so further
-    sections surround, deduped by eq, exactly the transporters the caller
-    consults, each at its own domain.
+    The initial sections surround the elements of A, in family order; the
+    set T of short products is unbounded in practice, so further sections
+    surround, deduped by eq, exactly the transporters the caller consults,
+    each at its own domain.
 
     A section's index and its spare columns, the family elements whose domain
     holds the base (found through one index of the family's domain words,
@@ -268,8 +251,8 @@ class GeneratingKit:
     transporter, so KitConstructionFailed is raised then; the Multisection
     itself is built on the first read of sections[i].
 
-    family is the _Family record build_kit derives, whose part pairs, star
-    indices and section Dedup the kit keeps, or a plain list, indexed first.
+    family is the _Family record _derive builds, whose part pairs, star
+    indices and section Dedup the kit keeps.
     """
 
     def __init__(self, table, parts, family):
@@ -277,8 +260,6 @@ class GeneratingKit:
         self.parts = list(parts)
         self.d = table.d
         self._part = part_lookup(self.parts)
-        if not isinstance(family, _Family):
-            family = _index_family(family, self._part)
         self.A, self._pair_of, self._star_of = family.A, family.pairs, family.star_of
         self._holding = holders([dom(a) for a in self.A])
         self._spares_at = {}
@@ -286,8 +267,8 @@ class GeneratingKit:
         self._by_base = {}
         self._t_dedup = family.sections
         self._domain_index = None  # built on the first cylinder search
-        for i in family.opens:
-            self._add_section(self.A[i], *self._pair_of[i])
+        for a, pair in zip(self.A, self._pair_of):
+            self._add_section(a, *pair)
 
     def cylinder_steps(self, w, backward):
         """The (family index, branch) pairs, in index order, of the branches
@@ -340,18 +321,13 @@ class GeneratingKit:
 
     def _spare_candidates(self, base, pd):
         """(a, part) for the family elements a, in order, whose domain lies
-        inside the base's part pd and holds the base, and that carry the base
-        into one part; found once per base."""
+        inside the base's part pd and holds the base, with the range part a
+        carries the base into; found once per base."""
         found = self._spares_at.get(base)
         if found is None:
-            found = []
-            for i in self.holding(base, pd):
-                a, a_pr = self.A[i], self._pair_of[i][1]
-                # a separated a carries the nonempty base inside its range part
-                piece = a_pr if a_pr is not None else self._part(image_clopen(a, base))
-                if piece is not None:
-                    found.append((a, piece))
-            self._spares_at[base] = found
+            found = self._spares_at[base] = [
+                (self.A[i], self._pair_of[i][1]) for i in self.holding(base, pd)
+            ]
         return found
 
     def section_for(self, m, pd, pr):

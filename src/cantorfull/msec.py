@@ -267,7 +267,7 @@ def extend_degree(s, table, word_len=3, node_budget=certs.DEFAULT_NODE_BUDGET):
     budget = certs.Budget(
         {"word_len": word_len, "split_depth": SPLIT_DEPTH, "node_budget": node_budget}
     )
-    ball = table.unit_ball()
+    ball = table.unit_ball
     try:
         sections, subdivision = _extend_over_words(s, ball, word_len, budget)
     except certs.GiveUp as stop:

@@ -40,7 +40,6 @@ translates so far with Clopen.leq at each level and re-tests every pair,
 where the library meets in only the fresh translates, read off atom masks.
 """
 
-import random
 from itertools import combinations, product
 
 from cantorfull import certs

@@ -7,21 +7,18 @@ import random
 import time
 from itertools import product
 
-import pytest
-
-from cantorfull import pmap, tails
+from cantorfull import pmap
 from cantorfull.clopen import atoms, cylinder, normalize, union_all
 from cantorfull.dynamics import (
     DynContext,
     expansive_certificate,
     fully_compressible_sample,
-    minimal_certificate,
     orbit_lower_bound,
     rigid_parts,
     split_unit,
 )
 from cantorfull.factor import factor_over_cover, word_product
-from cantorfull.families import grigorchuk_units, higman_thompson
+from cantorfull.families import higman_thompson
 from cantorfull.kit import build_kit, express, verify_separating
 from cantorfull.msec import (
     alt_perms,
@@ -43,7 +40,6 @@ from cantorfull.pmap import (
     eq,
     is_unit,
     join,
-    leq,
     one,
     ran,
     restrict,

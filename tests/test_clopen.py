@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cantorfull import clopen
 from cantorfull.clopen import (
-    Clopen,
     atoms,
     cylinder,
     empty,

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from cantorfull import clopen, completion, kit, pmap
-from cantorfull.clopen import atoms, cylinder, empty, full, normalize
+from cantorfull import clopen, completion, pmap
+from cantorfull.clopen import atoms, cylinder, empty, full
 from cantorfull.completion import (
     ElementLeaf,
     GeneratorRef,
     GeneratorTable,
-    IdempotentLeaf,
     Join,
     Product,
     Restrict,
@@ -25,8 +24,6 @@ from cantorfull.pmap import (
     compose,
     eq,
     is_idempotent,
-    is_unit,
-    join,
     one,
     ran,
     restrict,
@@ -411,25 +408,25 @@ def test_a_table_builds_its_letters_and_ball_once(monkeypatch):
     assert built == ["letters", "ball"] + ["level"] * 4
 
 
-def test_an_edited_mapping_is_read_afresh():
-    table = grigorchuk_units().table
-    before = list(bi_enumerate(table, 1, 2, 1))
-    # the kit derivation reads the table's unit ball
-    derived = kit._derive(table, atoms(2, 2), 1).A
-    # swaps 00 and 1, which no tree automorphism does on {0}
-    x = pm(2, "00->1", "1->00", "01->01")
-    assert piecewise_member(x, table, word_len=1, depth=1).is_exhausted()
-    table.mapping["x"] = x
-    fresh = GeneratorTable(2, table.mapping)
+def test_a_table_is_fixed_when_built():
+    given = dict(grigorchuk_units().table.mapping)
+    table = GeneratorTable(2, given)
     rows = list(bi_enumerate(table, 1, 2, 1))
-    assert rows == list(bi_enumerate(fresh, 1, 2, 1)) and rows != before
-    assert piecewise_member(x, table, word_len=1, depth=1).is_witness()
-    edited = kit._derive(table, atoms(2, 2), 1).A
-    assert edited == kit._derive(fresh, atoms(2, 2), 1).A and edited != derived
-    # a generator replaced under its own name is read afresh too
-    table.mapping["a"] = table.mapping["x"]
-    fresh = GeneratorTable(2, table.mapping)
-    assert list(bi_enumerate(table, 1, 2, 1)) == list(bi_enumerate(fresh, 1, 2, 1))
+    with pytest.raises(TypeError):
+        table.mapping["x"] = table["a"]
+    for attr, value in (("mapping", {}), ("d", 3)):
+        with pytest.raises(AttributeError):
+            setattr(table, attr, value)
+    # editing the dict the table was built from leaves the table as it was
+    given["x"] = pm(2, "00->1", "1->00", "01->01")
+    given["a"] = given["x"]
+    assert "x" not in table and table.d == 2
+    assert list(bi_enumerate(table, 1, 2, 1)) == rows
+
+
+def test_a_generator_over_another_alphabet_is_refused():
+    with pytest.raises(CantorError, match="generator x has alphabet 3, not 2"):
+        GeneratorTable(2, {"a": pm(2, "0->1", "1->0"), "x": one(3)})
 
 
 def test_le_equals_el():

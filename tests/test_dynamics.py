@@ -80,8 +80,8 @@ def identity_ctx():
 def test_ctx_units_and_names_are_the_tables_letters(spec):
     table = family_by_name(spec).table
     ctx = DynContext(table)
-    assert ctx.units == tuple(m for m, _ in table.letters())
-    assert ctx.names == tuple(expr_to_text(x) for _, x in table.letters())
+    assert ctx.units == tuple(m for m, _ in table.letters)
+    assert ctx.names == tuple(expr_to_text(x) for _, x in table.letters)
 
 
 def test_ctx_walks_one_of_two_equal_generators():

@@ -1,7 +1,6 @@
 import pytest
 
 from cantorfull import families
-from cantorfull.clopen import full
 from cantorfull.errors import CantorError
 from cantorfull.families import (
     depth_aut_units,
@@ -12,7 +11,7 @@ from cantorfull.families import (
 )
 from cantorfull.pmap import PartialMap, compose, eq, is_unit, one, star
 
-from oracles import clo, pm
+from oracles import pm
 
 
 def test_higman_thompson_table_members():

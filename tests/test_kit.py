@@ -187,8 +187,6 @@ def test_verify_separating_flags_part_preserving():
 
 
 def test_verify_separating_single_part_partition():
-    from cantorfull.clopen import full
-
     fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
     report = verify_separating(fam, [atoms(0, 2)[0]], n_orbit=2)
     assert not report["condition1"]["ok"]
@@ -382,33 +380,9 @@ def test_initial_sections_match_the_reference_kit(family):
     table = (higman_thompson(2) if family == "v2" else rover_units()).table
     parts = atoms(3, 2)
     A = derived_family(table, parts)
-    got = GeneratingKit(table, parts, A).sections
+    got = build_kit(table, parts).sections
     assert len(got) == len(A)
     assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, A))
-
-
-def test_initial_sections_of_a_hand_made_family():
-    # a zero map, a straddler and its star, an eq-duplicate, and ahead of A
-    # a map from part {000} whose range straddles, which carries the base of
-    # the section around [0000->1000] into the part {010}
-    table = higman_thompson(2).table
-    parts = atoms(3, 2)
-    A = derived_family(table, parts)
-    straddler = restrict(next(iter(table.mapping.values())), parts[0].union(parts[1]))
-    assert reference_part_of(parts, dom(straddler)) is None
-    inner = restrict(A[0], cylinder((0, 0, 0, 0), 2))
-    assert repr(inner) == "PartialMap(d=2, [[0000->1000]])"
-    family = [zero(2), straddler, pm(2, "000->01"), pm(2, "01->000")] + A[:5]
-    family += [PartialMap(2, list(A[2].branches)), star(straddler), inner, star(inner)] + A[5:]
-    got = GeneratingKit(table, parts, family).sections
-    assert len(got) == len(A) + 2
-    assert [repr(f) for f in got[5][0].transporters[1:3]] == [
-        "PartialMap(d=2, [[0000->1000]])",
-        "PartialMap(d=2, [[0000->010]])",
-    ]
-    # the straddler's domain holds the base {000}, but spares come from
-    # elements whose domain lies inside the base's part
-    assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, family))
 
 
 README_EXPRESS = (
@@ -562,7 +536,7 @@ def test_desk_instance_passes():
 def test_kit_construction_failure():
     # surrounding any transporter with a 5-section needs three further parts,
     # and the depth-1 partition has only two
-    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = kit_module._derive(SIGMA_TABLE, PARTS1, word_len=1)
     with pytest.raises(KitConstructionFailed):
         GeneratingKit(SIGMA_TABLE, PARTS1, fam)
 

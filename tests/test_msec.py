@@ -1,9 +1,8 @@
 import random
-from itertools import permutations
 
 import pytest
 
-from cantorfull.clopen import atoms, cylinder, full, normalize
+from cantorfull.clopen import atoms, cylinder, normalize
 from cantorfull.families import higman_thompson, rover_units
 from cantorfull.kit import build_kit
 from cantorfull.errors import (
@@ -15,7 +14,6 @@ from cantorfull.errors import (
     SupportsOverlapElsewhere,
 )
 from cantorfull.msec import (
-    Multisection,
     alt_perms,
     build,
     combine,

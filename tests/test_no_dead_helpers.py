@@ -1,13 +1,15 @@
 """No dead helpers: every function, method or class in the package is named
 somewhere in the package outside its own definition, so a helper whose last
 caller is deleted goes with it; a public name may instead be a listed entry
-point.  Likewise every parameter and every imported name is read."""
+point.  Likewise every parameter and every imported name is read, and
+every name the test modules import is read too."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorfull"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cantorfull"
 
 
 def names_in(node):
@@ -111,11 +113,10 @@ def test_every_parameter_is_read():
 
 
 def test_every_import_is_read():
-    # __init__.py imports names to re-export them, so it is exempt
+    # the package's __init__.py imports names to re-export them, so it is exempt
     unread = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    for path in paths + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         read = {
             sub.id for sub in ast.walk(tree)
@@ -127,5 +128,5 @@ def test_every_import_is_read():
                     # import a.b binds a
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
-                        unread.append(f"{path.name}:{node.lineno} {name}")
+                        unread.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
     assert not unread, f"imported names never read: {unread}"

@@ -46,7 +46,6 @@ from cantorfull.tails import (
     adding_machine,
     depth_perm,
     free_reduce,
-    grigorchuk,
     invert,
     state,
 )
