@@ -279,7 +279,7 @@ def bi_enumerate(table, word_len, join_arity, depth):
 
     def incompatible(a, b):
         x, y, same = pieces[a][0], pieces[b][0], atom_of[a] == atom_of[b]
-        return not (_pmap.compatible(x, y) if same else x.ran_clopen().disjoint(y.ran_clopen()))
+        return not (_pmap.compatible(x, y) if same else _pmap.ran(x).disjoint(_pmap.ran(y)))
 
     undecided = {}  # piece i -> the later pieces undecided with it
 

@@ -156,9 +156,12 @@ def subshift_code(ctx, parts, point_prefix, words):
 
     Entries are part indices, or "too_shallow" when the prefix does not
     determine the part.  A prefix letter outside the alphabet raises
-    LetterOutOfRange, also when no unit is listed.
+    LetterOutOfRange, also when no unit is listed, and parts that are not a
+    partition raise CantorError.
     """
     cylinder(point_prefix, ctx.d)
+    if not is_partition(parts):
+        raise CantorError("subshift code needs a partition")
     part = part_lookup(parts)
     out = []
     for w in words:

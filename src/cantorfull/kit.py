@@ -34,8 +34,9 @@ from .pmap import Dedup, as_idempotent, compose, dom, eq, image_clopen, image_wa
 # The derived transporter family, indexed once: pairs[i] is the (domain part,
 # range part) of A[i], star_of[i] the index of the first element eq to
 # star(A[i]), and sections a Dedup from each element to its index, which is
-# also the index of its section: every element is separated and eq-distinct.
-_Family = namedtuple("_Family", "A pairs star_of sections")
+# also the index of its section: every element is separated and eq-distinct;
+# parts is the checked partition, as a list, and part its lookup.
+_Family = namedtuple("_Family", "A pairs star_of sections parts part")
 
 
 def _derive(table, parts, word_len):
@@ -52,7 +53,7 @@ def _derive(table, parts, word_len):
     some points of part i does not skip it: w|e_i is then m restricted to
     less than e_i, which the loop may not have met.  The loop also learns
     each element's part pair and star index; build_kit and verify_separating
-    read them off the record.
+    read them, the parts and their lookup off the record.
     """
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
@@ -85,12 +86,7 @@ def _derive(table, parts, word_len):
             # star(star(t)) is t branch for branch, so a new star(t) has t's index
             star_of.setdefault(ends[0], ends[1])
             star_of.setdefault(ends[1], ends[0])
-    return _Family(A, pairs, star_of, out)
-
-
-def _part_pairs(family, part):
-    """(part of the domain, part of the range) of each family element."""
-    return [(part(dom(a)), part(ran(a))) for a in family]
+    return _Family(A, pairs, star_of, out, list(parts), part)
 
 
 def _separated(pd, pr):
@@ -135,19 +131,22 @@ def verify_separating(family, parts, n_orbit):
     The depth of the partition bounds the sampled orbit depth and word
     lengths.  Returns a per-condition report with witnesses.
 
-    family is the derivation's _Family record, whose part pairs are read off
-    it, or a plain list, whose part pairs are looked up once.
+    family is the derivation's _Family record, which must be derived over
+    these parts and whose part lookup and part pairs are read off it, or a
+    plain list, whose parts are checked and part pairs looked up once.
     """
-    if not is_partition(parts):
-        raise CantorError("parts do not form a partition")
+    if isinstance(family, _Family):
+        if family.parts != list(parts):
+            raise CantorError("the family was derived over other parts")
+        part, family, pairs = family.part, family.A, family.pairs
+    else:
+        if not is_partition(parts):
+            raise CantorError("parts do not form a partition")
+        part = part_lookup(parts)
+        pairs = [(part(dom(a)), part(ran(a))) for a in family]
     d = parts[0].d
     depth = max(len(w) for p in parts for w in p.antichain)
     report = {"n_orbit": n_orbit, "depth": depth}
-    part = part_lookup(parts)
-    if isinstance(family, _Family):
-        family, pairs = family.A, family.pairs
-    else:
-        pairs = _part_pairs(family, part)
     # (2) and (3) from one part pair per element; only an element whose
     # domain straddles parts is scanned part by part for (3)
     bad2, bad3 = _conditions_2_3(family, pairs, parts, part, n_orbit)
@@ -251,15 +250,15 @@ class GeneratingKit:
     transporter, so KitConstructionFailed is raised then; the Multisection
     itself is built on the first read of sections[i].
 
-    family is the _Family record _derive builds, whose part pairs, star
-    indices and section Dedup the kit keeps.
+    family is the _Family record _derive builds, whose parts, part lookup,
+    part pairs, star indices and section Dedup the kit keeps.
     """
 
-    def __init__(self, table, parts, family):
+    def __init__(self, table, family):
         self.table = table
-        self.parts = list(parts)
+        self.parts = family.parts
         self.d = table.d
-        self._part = part_lookup(self.parts)
+        self._part = family.part
         self.A, self._pair_of, self._star_of = family.A, family.pairs, family.star_of
         self._holding = holders([dom(a) for a in self.A])
         self._spares_at = {}
@@ -353,13 +352,14 @@ def build_kit(table, parts, word_len=2):
 
     The kit gates on separation conditions 2 and 3 (five parts met from each
     part) and computes only those; verify_separating reports all four.  The
-    derivation's record (_Family) is built once: the gate reads its part
-    pairs, and the kit keeps its pairs, star indices and Dedup."""
+    derivation's record (_Family) is built once: the gate reads its parts,
+    part lookup and part pairs, and the kit keeps them with its star indices
+    and Dedup."""
     family = _derive(table, parts, word_len)
-    bad2, bad3 = _conditions_2_3(family.A, family.pairs, parts, part_lookup(parts), n_orbit=5)
+    bad2, bad3 = _conditions_2_3(family.A, family.pairs, family.parts, family.part, n_orbit=5)
     if bad2 or bad3:
         raise KitConstructionFailed((bad2 or bad3)[0], None)
-    return GeneratingKit(table, parts, family)
+    return GeneratingKit(table, family)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ semi-canonical form: branches in lexicographic domain order, tails freely
 reduced, and complete sibling families merged into their parent branch
 whenever the family is verbatim the expansion of a representable parent (for
 trivial tails this is the unique minimal tree-pair form).  Text lists the
-branches shortest domain first.  Semantic equality is decided by
-eq(), never by comparing table shapes.  Dedup buckets maps by fingerprint,
-which keys each tail by its minimal section automaton
-(tails.canonical_key), and confirms every bucket hit with eq.
+branches shortest domain first.  One bisection of a stored table (_meeting)
+finds the branches whose domains meet a word's cylinder; compose, eval_at,
+the image walks, eq and leq (over the two stored tables) and compatible
+(over those and their stars) read tables only through it.  Semantic
+equality is decided by eq(), never by comparing table shapes.  Dedup
+buckets maps by fingerprint, which keys each tail by its minimal section
+automaton (tails.canonical_key), and confirms every bucket hit with eq.
 
 compose, star and as_idempotent are functools.lru_cache memos of at most
 1,024 results each.  A key holds the operands themselves, compared
@@ -49,7 +52,8 @@ _dom_of = attrgetter("dom")
 
 
 class PartialMap:
-    """An element of PHomeo_c(X); the empty table is 0, [~ -> ~ : 1] is 1."""
+    """An element of PHomeo_c(X), built from Branch objects; the empty
+    table is 0, [~ -> ~ : 1] is 1."""
 
     __slots__ = ("d", "branches", "_dom", "_ran", "_all_trivial", "_hash")
 
@@ -86,16 +90,6 @@ class PartialMap:
     def is_zero(self):
         return not self.branches
 
-    def dom_clopen(self):
-        if self._dom is None:
-            self._dom = normalize([b.dom for b in self.branches], self.d)
-        return self._dom
-
-    def ran_clopen(self):
-        if self._ran is None:
-            self._ran = normalize([b.ran for b in self.branches], self.d)
-        return self._ran
-
 
 def _checked_table(d, branches):
     """The branches as a checked table sorted by domain, tails freely reduced.
@@ -105,9 +99,6 @@ def _checked_table(d, branches):
     """
     table = []
     for b in branches:
-        if not isinstance(b, Branch):
-            dom, ran, tail = b
-            b = Branch(tuple(dom), tuple(ran), tail)
         if b.tail.d != d:
             raise AlphabetMismatch(f"tail alphabet {b.tail.d} in context {d}")
         factors = b.tail.factors
@@ -241,33 +232,43 @@ def _check_context(f, g):
         raise AlphabetMismatch(f"alphabet {f.d} vs {g.d}")
 
 
+def _meeting(bs, w):
+    """The branches of the stored table bs whose domains meet the cylinder
+    of w: (b, ()) when b's domain is a prefix of w, else (None, run) with run
+    the branches whose domains extend w, in stored order.
+
+    The domains are an antichain in lexicographic order, so at most the one
+    just before w's insertion point is a prefix of w, and otherwise the
+    domains properly extending w follow it as one run.
+    """
+    i = bisect_right(bs, w, key=_dom_of)
+    if i:
+        b = bs[i - 1]
+        if b.dom == w[: len(b.dom)]:
+            return b, ()
+    k, n, j = len(w), len(bs), i
+    while j < n and bs[j].dom[:k] == w:
+        j += 1
+    return None, bs[i:j]
+
+
 def _compose_branches(fbs, gbranches):
     """The branches of f.g, from f's branches as f stores them and g's
-    branches in any order.
-
-    f's domains are an antichain in lexicographic order, so at most the one
-    just before ran's insertion point is a prefix of ran, and otherwise the
-    domains properly extending ran follow it as one run.
-    """
-    n = len(fbs)
+    branches in any order."""
     out = []
     for gb in gbranches:
         r = gb.ran
-        i = bisect_right(fbs, r, key=_dom_of)
-        fb = fbs[i - 1] if i else None
-        if fb is not None and fb.dom == r[: len(fb.dom)]:
+        fb, run = _meeting(fbs, r)
+        if fb is not None:
             # g lands inside this f branch
             img, s_res = _tails.apply_prefix(fb.tail, r[len(fb.dom) :])
             out.append(Branch(gb.dom, fb.ran + img, _tails.compose(s_res, gb.tail)))
-            continue
         k = len(r)
-        while i < n and fbs[i].dom[:k] == r:
+        for fb in run:
             # only the part of the g branch mapping into [fb.dom] survives
-            fb = fbs[i]
             w0, _ = _tails.apply_prefix(_tails.invert(gb.tail), fb.dom[k:])
             t_res = _tails.apply_prefix(gb.tail, w0)[1]
             out.append(Branch(gb.dom + w0, fb.ran, _tails.compose(fb.tail, t_res)))
-            i += 1
     return out
 
 
@@ -310,11 +311,15 @@ def star(f):
 
 
 def dom(f):
-    return f.dom_clopen()
+    if f._dom is None:
+        f._dom = normalize([b.dom for b in f.branches], f.d)
+    return f._dom
 
 
 def ran(f):
-    return f.ran_clopen()
+    if f._ran is None:
+        f._ran = normalize([b.ran for b in f.branches], f.d)
+    return f._ran
 
 
 def restrict(f, e):
@@ -322,38 +327,24 @@ def restrict(f, e):
     return compose(f, as_idempotent(e))
 
 
-def _sides(m):
-    """m's branches as (dom, ran, tail) triples."""
-    return [(b.dom, b.ran, b.tail) for b in m.branches]
-
-
-def _inverse_sides(m):
-    """The branches of star(m) as (dom, ran, tail) triples, built without
-    the constructor: each branch's sides swapped and its tail inverted."""
-    return [(b.ran, b.dom, _tails.invert(b.tail)) for b in m.branches]
-
-
 def _agree(xbs, ybs):
-    """Whether the maps with these (dom, ran, tail) branches agree wherever
-    their domains meet.
+    """Whether the maps with these stored tables agree wherever their
+    domains meet.
 
-    Two branches with comparable domains are refined to the deeper domain;
-    they agree there iff the refined range prefixes coincide verbatim and
-    the tail quotient acts as the identity.
+    Each branch of x is read against the branches of y that meet its domain,
+    refined to the deeper domain; they agree there iff the refined range
+    prefixes coincide verbatim and the tail quotient acts as the identity.
     """
-    for xdom, xran, xtail in xbs:
-        for ydom, yran, ytail in ybs:
-            if is_prefix(xdom, ydom):
-                img, xtail_at = _tails.apply_prefix(xtail, ydom[len(xdom) :])
-                xran_at, yran_at, ytail_at = xran + img, yran, ytail
-            elif is_prefix(ydom, xdom):
-                img, ytail_at = _tails.apply_prefix(ytail, xdom[len(ydom) :])
-                xran_at, yran_at, xtail_at = xran, yran + img, xtail
-            else:
-                continue
-            if xran_at != yran_at:
+    for xb in xbs:
+        yb, run = _meeting(ybs, xb.dom)
+        if yb is not None:
+            img, ytail = _tails.apply_prefix(yb.tail, xb.dom[len(yb.dom) :])
+            if xb.ran != yb.ran + img or not _tails.equal(xb.tail, ytail):
                 return False
-            if not _tails.equal(xtail_at, ytail_at):
+        k = len(xb.dom)
+        for yb in run:
+            img, xtail = _tails.apply_prefix(xb.tail, yb.dom[k:])
+            if xb.ran + img != yb.ran or not _tails.equal(xtail, yb.tail):
                 return False
     return True
 
@@ -367,16 +358,16 @@ def eq(x, y):
     if x._all_trivial and y._all_trivial:
         # semi-canonical form is canonical for trivial tails
         return False
-    if x.dom_clopen() != y.dom_clopen():
+    if dom(x) != dom(y):
         return False
-    return _agree(_sides(x), _sides(y))
+    return _agree(x.branches, y.branches)
 
 
 def leq(x, y):
     """The natural partial order, x = y restricted to dom(x): dom(x) lies in
     dom(y) and the two tables agree on it."""
     _check_context(x, y)
-    return x.dom_clopen().leq(y.dom_clopen()) and _agree(_sides(x), _sides(y))
+    return dom(x).leq(dom(y)) and _agree(x.branches, y.branches)
 
 
 def is_idempotent(m):
@@ -391,12 +382,12 @@ def is_idempotent(m):
 def compatible(x, y):
     """x and y glue to a partial map: x*y and xy* are idempotents.
 
-    Read off the branch tables without building a map: x and y agree where
-    their domains meet (xy* is idempotent), and x* and y* agree where their
-    ranges meet (x*y is idempotent).
+    Read off the stored tables of x, y and their stars, without composing:
+    x and y agree where their domains meet (xy* is idempotent), and x* and
+    y* agree where their ranges meet (x*y is idempotent).
     """
     _check_context(x, y)
-    return _agree(_sides(x), _sides(y)) and _agree(_inverse_sides(x), _inverse_sides(y))
+    return _agree(x.branches, y.branches) and _agree(star(x).branches, star(y).branches)
 
 
 def disjoint(x, y):
@@ -469,11 +460,11 @@ def eval_at(f, w):
     raises LetterOutOfRange.
     """
     w = tuple(w)
-    for b in f.branches:
-        if is_prefix(b.dom, w):
-            img, res = _tails.apply_prefix(b.tail, w[len(b.dom) :])
-            return EvalResult(IMAGE, b.ran + img, res)
-    if any(is_prefix(w, b.dom) for b in f.branches):
+    b, run = _meeting(f.branches, w)
+    if b is not None:
+        img, res = _tails.apply_prefix(b.tail, w[len(b.dom) :])
+        return EvalResult(IMAGE, b.ran + img, res)
+    if run:
         return EvalResult(TOO_SHALLOW)
     if any(not 0 <= x < f.d for x in w):
         raise LetterOutOfRange(f"letter out of range in {w}")
@@ -484,14 +475,10 @@ def _word_image(f, w):
     """The words whose cylinders make up f([w] & dom f), not normalized: the
     image of w through the branch whose domain is a prefix of w, else the
     ranges of the branches whose domains extend w."""
-    words = []
-    for b in f.branches:
-        if is_prefix(b.dom, w):
-            # domains form an antichain, so no other branch meets [w]
-            return (b.ran + _tails.apply_prefix(b.tail, w[len(b.dom) :])[0],)
-        if is_prefix(w, b.dom):
-            words.append(b.ran)
-    return tuple(words)
+    b, run = _meeting(f.branches, w)
+    if b is not None:
+        return (b.ran + _tails.apply_prefix(b.tail, w[len(b.dom) :])[0],)
+    return tuple(b.ran for b in run)
 
 
 def image_clopen(f, c):

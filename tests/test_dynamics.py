@@ -259,6 +259,16 @@ def test_subshift_code_too_shallow():
     assert subshift_code(ctx, atoms(1, 2), (0,), [deep]) == ["too_shallow"]
 
 
+@pytest.mark.parametrize("words", [[(0,), (0,), (1,)], [(0,)], [(0,), (0, 0), (1,)]])
+def test_subshift_code_refuses_parts_that_are_not_a_partition(words):
+    # a repeated part, a part short of the whole space, and overlapping parts
+    # that both hold the image point of 100 under cyc
+    ctx = v2_ctx()
+    parts = [cylinder(w, 2) for w in words]
+    with pytest.raises(CantorError, match="subshift code needs a partition"):
+        subshift_code(ctx, parts, (1, 0, 0), [ctx.table["cyc"]])
+
+
 # -- minimality --------------------------------------------------------------------
 
 

@@ -412,6 +412,41 @@ def test_readme_express_builds_only_the_sections_it_reads(monkeypatch, capsys):
     assert 0 < len(bases) <= 4 and set(bases) == {"{0000}"}
 
 
+@pytest.mark.parametrize("action", ["verify", "build", "express"])
+def test_a_genkit_command_checks_and_indexes_its_partition_once(monkeypatch, capsys, action):
+    # the derivation's record keeps the checked parts and their lookup, which
+    # build_kit, the kit and verify_separating read (before the record kept
+    # them, verify checked the parts twice and express looked them up thrice)
+    counts = Counter()
+    is_partition, part_lookup = kit_module.is_partition, kit_module.part_lookup
+
+    def counting_is_partition(parts):
+        counts["is_partition"] += 1
+        return is_partition(parts)
+
+    def counting_part_lookup(parts):
+        counts["part_lookup"] += 1
+        return part_lookup(parts)
+
+    for module in (cli, kit_module):
+        monkeypatch.setattr(module, "is_partition", counting_is_partition)
+    monkeypatch.setattr(kit_module, "part_lookup", counting_part_lookup)
+    if action == "express":
+        argv = shlex.split(README_EXPRESS)
+    else:
+        argv = ["genkit", action, "--gens", "higman_thompson:2", "--partition", "atoms:3", "--json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"is_partition": 1, "part_lookup": 1}
+
+
+def test_verify_refuses_a_record_derived_over_other_parts():
+    family = kit_module._derive(higman_thompson(2).table, atoms(3, 2), 2)
+    with pytest.raises(CantorError, match="the family was derived over other parts"):
+        verify_separating(family, atoms(2, 2), 5)
+    assert verify_separating(family, list(atoms(3, 2)), 5)["ok"]
+
+
 @pytest.mark.parametrize(
     "family, parts",
     [("v2", atoms(3, 2)), ("rover", atoms(3, 2)), ("v3", atoms(2, 3))],
@@ -538,7 +573,7 @@ def test_kit_construction_failure():
     # and the depth-1 partition has only two
     fam = kit_module._derive(SIGMA_TABLE, PARTS1, word_len=1)
     with pytest.raises(KitConstructionFailed):
-        GeneratingKit(SIGMA_TABLE, PARTS1, fam)
+        GeneratingKit(SIGMA_TABLE, fam)
 
 
 def desk_three_cycle(fam, words, prefix):

@@ -1320,7 +1320,7 @@ def test_operation_memos_are_bounded():
         for f in maps:
             assert star(f) == fresh_star(f)
         for c in clopens:
-            assert as_idempotent(c) == PartialMap(2, [(w, w, tails.trivial(2)) for w in c.antichain])
+            assert as_idempotent(c) == PartialMap(2, [Branch(w, w, tails.trivial(2)) for w in c.antichain])
         for op in OPERATIONS:
             info = op.cache_info()
             assert info.currsize == info.maxsize == 1024
