@@ -33,6 +33,7 @@ from .families import (
 from .kit import (
     GeneratingKit,
     build_kit,
+    derive_family,
     express,
     verify_separating,
 )

@@ -331,8 +331,8 @@ def cmd_msec(session, args):
 def cmd_genkit(session, args):
     parts = session.partition(args.partition)
     if args.action == "verify":
-        family = kit._derive(session.table, parts, args.len)
-        report = kit.verify_separating(family, parts, args.orbit)
+        family = kit.derive_family(session.table, parts, args.len)
+        report = kit.verify_separating(family, args.orbit)
         ok = report["ok"]
         text = "separating: " + (
             "all conditions pass"

@@ -154,10 +154,12 @@ def _first_unseparated(meets):
 def subshift_code(ctx, parts, point_prefix, words):
     """The finite coding window: the partition part hit by each listed unit.
 
-    Entries are part indices, or "too_shallow" when the prefix does not
-    determine the part.  A prefix letter outside the alphabet raises
-    LetterOutOfRange, also when no unit is listed, and parts that are not a
-    partition raise CantorError.
+    Entries are part indices, "undefined" when the prefix's cylinder misses
+    the unit's domain, or "too_shallow" when the prefix does not determine
+    the part: it ends inside the unit's domain words, or its image straddles
+    parts.  A prefix letter outside the alphabet raises LetterOutOfRange,
+    also when no unit is listed, and parts that are not a partition raise
+    CantorError.
     """
     cylinder(point_prefix, ctx.d)
     if not is_partition(parts):
@@ -167,7 +169,7 @@ def subshift_code(ctx, parts, point_prefix, words):
     for w in words:
         r = eval_at(w, tuple(point_prefix))
         if r.kind != _pmap.IMAGE:
-            out.append("too_shallow")
+            out.append(r.kind)
             continue
         p = part(cylinder(r.prefix, ctx.d))
         out.append("too_shallow" if p is None else p)

@@ -39,10 +39,11 @@ from .pmap import Dedup, as_idempotent, compose, dom, eq, image_clopen, image_wa
 _Family = namedtuple("_Family", "A pairs star_of sections parts part")
 
 
-def _derive(table, parts, word_len):
+def derive_family(table, parts, word_len=2):
     """The separating family's record: part-to-part transporters, the
     restrictions of short unit words to parts whose domain and range land
-    inside single, distinct parts.
+    inside single, different parts.  Parts that are not a partition are
+    refused.
 
     A is symmetric (closed under star) and deduped by eq, in deterministic
     word-then-part order.  Many (word, part) pairs restrict to one table,
@@ -52,8 +53,9 @@ def _derive(table, parts, word_len):
     met one level earlier, so the pair is skipped.  A letter that fixes only
     some points of part i does not skip it: w|e_i is then m restricted to
     less than e_i, which the loop may not have met.  The loop also learns
-    each element's part pair and star index; build_kit and verify_separating
-    read them, the parts and their lookup off the record.
+    each element's part pair and star index.  The record is the only input of
+    verify_separating and of GeneratingKit, which read these, the parts and
+    their lookup off it.
     """
     if not is_partition(parts):
         raise CantorError("parts do not form a partition")
@@ -89,74 +91,42 @@ def _derive(table, parts, word_len):
     return _Family(A, pairs, star_of, out, list(parts), part)
 
 
-def _separated(pd, pr):
-    """Domain and range inside single, different parts."""
-    return pd is not None and pr is not None and pd != pr
+def _condition_3(family, n_orbit):
+    """The failures of separation condition 3 on the record of derive_family:
+    each part has n_orbit - 1 transporters out to pairwise different parts.
+
+    Every element's domain lies inside one part, so a part lies inside an
+    element's domain only when that domain is the whole part, whose image is
+    then the element's range."""
+    targets = [set() for _ in family.parts]
+    for a, (pd, pr) in zip(family.A, family.pairs):
+        if dom(a) == family.parts[pd]:
+            targets[pd].add(pr)
+    return [{"part": i, "targets": sorted(t)} for i, t in enumerate(targets) if len(t) < n_orbit - 1]
 
 
-def _conditions_2_3(family, pairs, parts, part, n_orbit):
-    """The failures of separation conditions 2 and 3, read off the part pair
-    of each family element."""
-    # (2) every element has domain and range inside single, different parts
-    bad2 = [
-        {"element": idx, "dom_part": pd, "ran_part": pr}
-        for idx, (pd, pr) in enumerate(pairs)
-        if not _separated(pd, pr)
-    ]
-    # (3) each part has n_orbit - 1 transporters out to pairwise different
-    # parts.  The parts are nonempty and pairwise disjoint, so a part i lies
-    # inside a domain that lies inside part j only when i == j and the domain
-    # is the whole part, whose image is then the range; only a domain that
-    # straddles parts (or is empty) is scanned part by part.
-    targets = [set() for _ in parts]
-    for a, (pd, pr) in zip(family, pairs):
-        if pd is not None:
-            if dom(a) == parts[pd] and pr not in (None, pd):
-                targets[pd].add(pr)
-            continue
-        for i, e in enumerate(parts):
-            if e.leq(dom(a)):
-                p = part(image_clopen(a, e))
-                if p not in (None, i):
-                    targets[i].add(p)
-    bad3 = [
-        {"part": i, "targets": sorted(t)} for i, t in enumerate(targets) if len(t) < n_orbit - 1
-    ]
-    return bad2, bad3
-
-
-def verify_separating(family, parts, n_orbit):
+def verify_separating(family, n_orbit):
     """Check the four separation conditions for a transporter family.
 
-    The depth of the partition bounds the sampled orbit depth and word
-    lengths.  Returns a per-condition report with witnesses.
-
-    family is the derivation's _Family record, which must be derived over
-    these parts and whose part lookup and part pairs are read off it, or a
-    plain list, whose parts are checked and part pairs looked up once.
+    family is the record derive_family builds; the parts, their lookup and
+    each element's part pair are read off it.  The depth of the partition
+    bounds the sampled orbit depth and word lengths.  Returns a
+    per-condition report with witnesses.
     """
-    if isinstance(family, _Family):
-        if family.parts != list(parts):
-            raise CantorError("the family was derived over other parts")
-        part, family, pairs = family.part, family.A, family.pairs
-    else:
-        if not is_partition(parts):
-            raise CantorError("parts do not form a partition")
-        part = part_lookup(parts)
-        pairs = [(part(dom(a)), part(ran(a))) for a in family]
+    parts, part, A = family.parts, family.part, family.A
     d = parts[0].d
     depth = max(len(w) for p in parts for w in p.antichain)
     report = {"n_orbit": n_orbit, "depth": depth}
-    # (2) and (3) from one part pair per element; only an element whose
-    # domain straddles parts is scanned part by part for (3)
-    bad2, bad3 = _conditions_2_3(family, pairs, parts, part, n_orbit)
-    report["condition2"] = {"ok": not bad2, "failures": bad2}
+    # (2) every element has domain and range inside single, different parts:
+    # derive_family keeps no other element
+    report["condition2"] = {"ok": True, "failures": []}
+    bad3 = _condition_3(family, n_orbit)
     report["condition3"] = {"ok": not bad3, "failures": bad3}
 
     # (1) orbits of depth-bounded cylinders meet at least n_orbit parts; the
     # walks share one index of the family's domains, of its word images and
     # of the normalized images
-    walk = image_walks(family)
+    walk = image_walks(A)
     bad1 = []
     for atom in atoms(depth, d):
         seen_parts = set()
@@ -190,14 +160,14 @@ def verify_separating(family, parts, n_orbit):
     cells = list(parts)
     bad4 = coarse_cells(cells)
     if bad4:
-        cells = split_cells(cells, [c for a in family for c in (dom(a), ran(a))])
+        cells = split_cells(cells, [c for a in A for c in (dom(a), ran(a))])
         bad4 = coarse_cells(cells)
     if bad4:
         # a.b adds no boundary when it is zero (dom(a) misses ran(b)) or when dom(a)
         # is ran(b): it then runs from dom(b) onto ran(a), which stage 1 split by
         stage2 = []
-        for a in family:
-            for b in family:
+        for a in A:
+            for b in A:
                 if not dom(a).disjoint(ran(b)) and dom(a) != ran(b):
                     m = compose(a, b)
                     stage2 += (dom(m), ran(m))
@@ -250,23 +220,22 @@ class GeneratingKit:
     transporter, so KitConstructionFailed is raised then; the Multisection
     itself is built on the first read of sections[i].
 
-    family is the _Family record _derive builds, whose parts, part lookup,
-    part pairs, star indices and section Dedup the kit keeps.
+    kit.family is the record derive_family builds: the kit reads its parts,
+    part lookup, part pairs and star indices, and adds the transporters of
+    later sections to its section Dedup.
     """
 
     def __init__(self, table, family):
         self.table = table
-        self.parts = family.parts
+        self.family = family
         self.d = table.d
-        self._part = family.part
-        self.A, self._pair_of, self._star_of = family.A, family.pairs, family.star_of
+        self.A = family.A
         self._holding = holders([dom(a) for a in self.A])
         self._spares_at = {}
         self.sections = _LazySections()
         self._by_base = {}
-        self._t_dedup = family.sections
         self._domain_index = None  # built on the first cylinder search
-        for a, pair in zip(self.A, self._pair_of):
+        for a, pair in zip(self.A, family.pairs):
             self._add_section(a, *pair)
 
     def cylinder_steps(self, w, backward):
@@ -290,7 +259,7 @@ class GeneratingKit:
     def holding(self, c, p):
         """The indices, in order, of the family elements whose domain lies
         inside the part p (straddles parts, when p is None) and holds c."""
-        return [i for i in self._holding(c) if self._pair_of[i][0] == p]
+        return [i for i in self._holding(c) if self.family.pairs[i][0] == p]
 
     def word_element(self, word):
         """The product of family elements named by the index word."""
@@ -325,17 +294,17 @@ class GeneratingKit:
         found = self._spares_at.get(base)
         if found is None:
             found = self._spares_at[base] = [
-                (self.A[i], self._pair_of[i][1]) for i in self.holding(base, pd)
+                (self.A[i], self.family.pairs[i][1]) for i in self.holding(base, pd)
             ]
         return found
 
     def section_for(self, m, pd, pr):
         """KitSection around m, a transporter from part pd to another part pr:
         its base is dom(m), and its column 1 carries m."""
-        hit = self._t_dedup.find(m)
+        hit = self.family.sections.find(m)
         if hit is None:
             hit = m, self._add_section(m, pd, pr)
-            self._t_dedup.add(*hit)
+            self.family.sections.add(*hit)
         return KitSection(self.sections[hit[1]][0], hit[1])
 
 
@@ -350,15 +319,14 @@ def _index_domains(maps):
 def build_kit(table, parts, word_len=2):
     """Derive a separating family and build the kit.
 
-    The kit gates on separation conditions 2 and 3 (five parts met from each
-    part) and computes only those; verify_separating reports all four.  The
-    derivation's record (_Family) is built once: the gate reads its parts,
-    part lookup and part pairs, and the kit keeps them with its star indices
-    and Dedup."""
-    family = _derive(table, parts, word_len)
-    bad2, bad3 = _conditions_2_3(family.A, family.pairs, family.parts, family.part, n_orbit=5)
-    if bad2 or bad3:
-        raise KitConstructionFailed((bad2 or bad3)[0], None)
+    The kit gates on separation condition 3 (five parts met from each part)
+    and computes only that; condition 2 holds on every derived record, and
+    verify_separating reports all four.  The derivation's record is built
+    once: the gate reads its part pairs, and the kit keeps it."""
+    family = derive_family(table, parts, word_len)
+    bad3 = _condition_3(family, n_orbit=5)
+    if bad3:
+        raise KitConstructionFailed(bad3[0], None)
     return GeneratingKit(table, family)
 
 
@@ -482,7 +450,8 @@ def _factored_for_word(kit, word, c, budget):
     """
     budget.tick()
     m = restrict(kit.word_element(word), c)
-    pd, pr = kit._part(dom(m)), kit._part(ran(m))
+    part = kit.family.part
+    pd, pr = part(dom(m)), part(ran(m))
     if pd is None or pr is None:
         raise GiveUp("word product does not respect the partition")
     if pd != pr and len(word) <= 3:
@@ -490,12 +459,12 @@ def _factored_for_word(kit, word, c, budget):
 
     k = len(word) if pd == pr else 2
     inner = image_clopen(kit.word_element(word[k:]), c)
-    p_inner = kit._part(inner)
+    p_inner = part(inner)
     for a_idx in kit.holding(inner, p_inner):
         a = kit.A[a_idx]
-        if kit._pair_of[a_idx][1] in (pd, pr):
+        if kit.family.pairs[a_idx][1] in (pd, pr):
             continue
-        head = list(word[:k]) + [kit._star_of[a_idx]]
+        head = list(word[:k]) + [kit.family.star_of[a_idx]]
         hfs, h_from, h_to = _factored_for_word(kit, head, image_clopen(a, inner), budget)
         tfs, t_from, t_to = _factored_for_word(kit, [a_idx] + list(word[k:]), c, budget)
         combined = _combine_with_spares(hfs, (h_from, h_to), tfs, (t_from, t_to))

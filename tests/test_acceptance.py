@@ -233,7 +233,7 @@ def test_criterion_07_generating_kit_pipeline():
     fam = higman_thompson(2)
     parts = atoms(3, 2)
     kit = build_kit(fam.table, parts)
-    rep = verify_separating(kit.A, parts, n_orbit=5)
+    rep = verify_separating(kit.family, n_orbit=5)
     assert rep["ok"], rep
     assert len(kit.sections) > 0
 

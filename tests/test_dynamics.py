@@ -257,6 +257,15 @@ def test_subshift_code_too_shallow():
     ctx = v2_ctx()
     deep = ctx.table["s00_01"]
     assert subshift_code(ctx, atoms(1, 2), (0,), [deep]) == ["too_shallow"]
+    # an image that straddles parts: a longer prefix decides it
+    assert subshift_code(ctx, atoms(2, 2), (0,), [one(2)]) == ["too_shallow"]
+
+
+def test_subshift_code_undefined_outside_the_domain():
+    # no longer prefix of 1 meets the domain {0}; the image of 1 under cyc
+    # lies in part 0
+    ctx = v2_ctx()
+    assert subshift_code(ctx, atoms(1, 2), (1,), [pm(2, "0->1"), ctx.table["cyc"]]) == ["undefined", 0]
 
 
 @pytest.mark.parametrize("words", [[(0,), (0,), (1,)], [(0,)], [(0,), (0, 0), (1,)]])

@@ -88,6 +88,19 @@ def test_factor_overlapping_cover():
         assert eq(word_product(word, cov.pieces, 2), target)
 
 
+def test_factor_skips_a_piece_inside_the_earlier_pieces():
+    # the second piece {0000} lies inside the first, the whole base, so the
+    # word names only piece 0: one letter, at one node
+    s = five_section()
+    cov = overlapping_cover(s, [clo("{000}"), clo("{0000}")])
+    pi = (1, 2, 0, 3, 4)
+    target = element(s, pi)
+    cert = factor_over_cover(target, pi, cov)
+    assert cert.is_witness() and cert.nodes_explored == 1
+    assert cert.witness == {"word": [(0, pi)], "pieces": 2}
+    assert eq(word_product(cert.witness["word"], cov.pieces, 2), target)
+
+
 def test_factor_overlapping_cover_verifies_its_construction(monkeypatch):
     s = five_section()
     cov = overlapping_cover(s, [clo("{0000, 00010}"), clo("{0001}")])

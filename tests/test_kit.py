@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from cantorfull.clopen import Clopen, atoms, cylinder, union_all
+from cantorfull.clopen import Clopen, atoms, cylinder
 from cantorfull.completion import GeneratorTable
 from cantorfull.errors import CantorError, KitConstructionFailed, NotInAlt
 from cantorfull.factor import word_product
@@ -20,6 +20,7 @@ from cantorfull.kit import (
 from cantorfull import cli
 from cantorfull import kit as kit_module
 from cantorfull import pmap as pmap_module
+from cantorfull.parser import Parser
 from cantorfull.msec import (
     alt_perms,
     build,
@@ -41,7 +42,6 @@ from cantorfull.pmap import (
     ran,
     restrict,
     star,
-    zero,
 )
 from cantorfull.tails import MealyMachine, apply_prefix, state, trivial
 
@@ -49,7 +49,6 @@ from oracles import (
     clo,
     pm,
     random_antichain,
-    random_pmap,
     random_tail,
     reference_conditions_2_3,
     reference_kit_sections,
@@ -70,12 +69,12 @@ def desk():
 
 
 def derived_family(table, parts, word_len=2):
-    """The derivation's transporter family, as a plain list."""
-    return kit_module._derive(table, parts, word_len).A
+    """The derivation's record of the transporter family."""
+    return kit_module.derive_family(table, parts, word_len)
 
 
 def test_derive_transporters_sigma():
-    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1).A
     assert len(fam) == 2
     assert any(eq(t, pm(2, "0->1")) for t in fam)
     assert any(eq(t, pm(2, "1->0")) for t in fam)
@@ -149,7 +148,7 @@ def test_derive_transporters_matches_word_loop():
         zeros += met
         # the empty word alone carries no part out of itself
         assert bool(expected) == (word_len > 0)
-        assert repr(derived_family(table, parts, word_len=word_len)) == repr(expected)
+        assert repr(derived_family(table, parts, word_len=word_len).A) == repr(expected)
     # only the non-unit tables restrict to zero
     assert zeros > 0
     # partial letters that fix some cylinders of a part and move others
@@ -158,7 +157,7 @@ def test_derive_transporters_matches_word_loop():
         table = random_partial_table(rng)
         parts = rng.choice([atoms(1, 2), atoms(2, 2), COARSE_PARTS])
         expected, _ = reference_family(table, parts, 2)
-        assert repr(derived_family(table, parts)) == repr(expected)
+        assert repr(derived_family(table, parts).A) == repr(expected)
 
 
 def test_a_non_partition_is_refused_before_the_family_is_derived():
@@ -172,23 +171,18 @@ def test_a_non_partition_is_refused_before_the_family_is_derived():
 
 def test_verify_separating_sigma():
     fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
-    report = verify_separating(fam, PARTS1, n_orbit=2)
+    report = verify_separating(fam, n_orbit=2)
     assert report["ok"]
     # with only two parts there is no way to meet five of them
-    report5 = verify_separating(fam, PARTS1, n_orbit=5)
+    report5 = verify_separating(fam, n_orbit=5)
     assert not report5["condition3"]["ok"]
 
 
-def test_verify_separating_flags_part_preserving():
-    fam = [pm(2, "00->01")]  # domain and range both inside part {0}
-    report = verify_separating(fam, PARTS1, n_orbit=2)
-    assert not report["condition2"]["ok"]
-    assert report["condition2"]["failures"][0]["element"] == 0
-
-
 def test_verify_separating_single_part_partition():
-    fam = derived_family(SIGMA_TABLE, PARTS1, word_len=1)
-    report = verify_separating(fam, [atoms(0, 2)[0]], n_orbit=2)
+    # no element carries the one part out of itself
+    fam = derived_family(SIGMA_TABLE, [atoms(0, 2)[0]], word_len=1)
+    assert fam.A == []
+    report = verify_separating(fam, n_orbit=2)
     assert not report["condition1"]["ok"]
 
 
@@ -197,24 +191,32 @@ def test_verify_separating_refines_coarse_parts():
     # family's domains and ranges
     fam = higman_thompson(2)
     parts = [clo("{0}"), clo("{10}"), clo("{11}")]
-    report = verify_separating(derived_family(fam.table, parts), parts, n_orbit=3)
+    report = verify_separating(derived_family(fam.table, parts), n_orbit=3)
     assert report["condition4"] == {"ok": True, "failures": []}
     assert report["ok"], report
-    empty = verify_separating([], parts, n_orbit=3)
+    # the empty word alone derives no element
+    empty = verify_separating(derived_family(fam.table, parts, word_len=0), n_orbit=3)
     assert empty["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
 
 
-def test_verify_separating_refines_by_pairwise_products():
-    # the family's domains and ranges ({0}, {10}, {1}) leave the part {0}
-    # whole; only the product [1->0][0->10], which carries {0} to {00}, splits
-    # it into depth-2 cells
-    parts = [clo("{0}"), clo("{10}"), clo("{11}")]
-    pair = [pm(2, "0->10"), pm(2, "10->0")]
-    fam = pair + [pm(2, "1->0"), pm(2, "0->1")]
-    assert verify_separating(fam, parts, n_orbit=3)["condition4"] == {"ok": True, "failures": []}
-    # [0->10] and its star alone have only idempotent products
-    alone = verify_separating(pair, parts, n_orbit=3)
-    assert alone["condition4"] == {"ok": False, "failures": [{"cell": "{0}"}]}
+def test_verify_separating_refines_by_pairwise_products(monkeypatch):
+    # the 36 elements' domains and ranges leave a cell coarser than the
+    # depth-4 atoms, and the domains and ranges of their pairwise products
+    # split it; condition 4 composes only after the first stage leaves a
+    # coarse cell (the chain tests keep a family whose products do not)
+    parts = Parser(2).parse_partition("{10, 0001}; {001}; {11}; {01}; {0000}")
+    fam = derived_family(higman_thompson(2).table, parts, word_len=1)
+    assert len(fam.A) == 36
+    calls = Counter()
+
+    def counting_compose(f, g):
+        calls["compose"] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(kit_module, "compose", counting_compose)
+    report = verify_separating(fam, n_orbit=3)
+    assert report["depth"] == 4 and calls["compose"] > 0
+    assert report["condition4"] == {"ok": True, "failures": []}
 
 
 def test_verify_separating_matches_the_per_atom_reference():
@@ -228,11 +230,11 @@ def test_verify_separating_matches_the_per_atom_reference():
     ):
         for word_len in (1, 2):
             family = derived_family(fam.table, parts, word_len=word_len)
-            parts_met = reference_parts_met(family, parts)
+            parts_met = reference_parts_met(family.A, parts)
             for n_orbit in (2, 3, 5):
-                report = verify_separating(family, parts, n_orbit)
+                report = verify_separating(family, n_orbit)
                 bad1 = [{"atom": a, "parts_met": met} for a, met in parts_met if len(met) < n_orbit]
-                bad2, bad3 = reference_conditions_2_3(family, parts, n_orbit)
+                bad2, bad3 = reference_conditions_2_3(family.A, parts, n_orbit)
                 assert report["condition1"] == {"ok": not bad1, "failures": bad1}
                 assert report["condition2"] == {"ok": not bad2, "failures": bad2}
                 assert report["condition3"] == {"ok": not bad3, "failures": bad3}
@@ -250,6 +252,7 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
     # of them repeated; the report is the one computed by splitting every
     # cell by every product, complementing per cell
     family = derived_family(higman_thompson(2).table, CHAIN9)
+    A = family.A
     calls = Counter()
     complement = Clopen.complement
 
@@ -258,7 +261,7 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
         return complement(self)
 
     monkeypatch.setattr(Clopen, "complement", counting_complement)
-    report = verify_separating(family, CHAIN9, n_orbit=5)
+    report = verify_separating(family, n_orbit=5)
     first_cells = [
         "{000010}", "{0000110}", "{00000}", "{00010}", "{000110}",
         "{0001110}", "{00100}", "{0010110}", "{001010}", "{00110}",
@@ -279,8 +282,8 @@ def test_condition_4_splits_once_per_distinct_boundary(monkeypatch):
         "condition4": {"ok": False, "failures": [{"cell": c} for c in first_cells]},
         "ok": False,
     }
-    stage1 = {c for a in family for c in (dom(a), ran(a))}
-    products = [compose(a, b) for a in family for b in family]
+    stage1 = {c for a in A for c in (dom(a), ran(a))}
+    products = [compose(a, b) for a in A for b in A]
     stage2 = {c for m in products if not m.is_zero() for c in (dom(m), ran(m))}
     assert 0 < calls["complement"] <= len(stage1) + len(stage2) < len(products)
 
@@ -291,13 +294,14 @@ def test_condition_4_composes_only_the_products_that_exist(monkeypatch):
     # before any product; the chain's 264 elements make 69,696 pairs, of
     # which 5,070 meet and 2,174 have dom(a) other than ran(b)
     family = derived_family(higman_thompson(2).table, CHAIN9)
-    report = verify_separating(family, CHAIN9, n_orbit=5)
-    meeting = sum(not compose(a, b).is_zero() for a in family for b in family)
-    needed = sum(not compose(a, b).is_zero() and dom(a) != ran(b) for a in family for b in family)
+    A = family.A
+    report = verify_separating(family, n_orbit=5)
+    meeting = sum(not compose(a, b).is_zero() for a in A for b in A)
+    needed = sum(not compose(a, b).is_zero() and dom(a) != ran(b) for a in A for b in A)
     assert all(
         (dom(compose(a, b)), ran(compose(a, b))) == (dom(b), ran(a))
-        for a in family
-        for b in family
+        for a in A
+        for b in A
         if dom(a) == ran(b)
     )
     calls = Counter()
@@ -307,19 +311,17 @@ def test_condition_4_composes_only_the_products_that_exist(monkeypatch):
         return compose(f, g)
 
     monkeypatch.setattr(kit_module, "compose", counting_compose)
-    assert verify_separating(family, CHAIN9, n_orbit=5) == report
-    assert 0 < calls["compose"] <= needed < meeting < len(family) ** 2
+    assert verify_separating(family, n_orbit=5) == report
+    assert 0 < calls["compose"] <= needed < meeting < len(A) ** 2
 
 
 def test_conditions_2_and_3_match_the_part_scan():
-    # seeded families over atom and non-atom partitions: derived transporters
-    # (domains that are a whole part), their restrictions to a child cylinder
-    # (domains strictly inside a part), units restricted to two parts
-    # (domains that straddle), zero maps, eq-duplicates and random maps with
-    # automaton tails
+    # seeded derived records over atom and non-atom partitions; the tables mix
+    # V2's units with partial letters (random_partial_table, NON_UNIT_TABLE),
+    # so some elements' domains are a whole part and others lie strictly
+    # inside one
     rng = random.Random(5)
-    v2 = higman_thompson(2)
-    units = list(v2.table.mapping.values())
+    v2 = higman_thompson(2).table
     partitions = [
         atoms(1, 2),
         atoms(2, 2),
@@ -329,45 +331,22 @@ def test_conditions_2_and_3_match_the_part_scan():
     ]
     seen = Counter()
     for parts in partitions:
-        derived = derived_family(v2.table, parts)
-        for _ in range(24):
-            family = rng.sample(derived, rng.randrange(min(len(derived), 10) + 1))
-            for _ in range(rng.randrange(3)):
-                family.append(restrict(rng.choice(units), union_all(rng.sample(parts, 2), 2)))
-            for a in rng.sample(family, min(len(family), 2)):
-                w = rng.choice(dom(a).antichain) + (rng.randrange(2),)
-                family.append(restrict(a, cylinder(w, 2)))
-            family += [random_pmap(rng, 2) for _ in range(rng.randrange(3))]
-            if rng.random() < 0.4:
-                family.append(zero(2))
-            if family and rng.random() < 0.4:
-                family.append(PartialMap(2, list(rng.choice(family).branches)))
-            rng.shuffle(family)
-            n_orbit = rng.choice((2, 3, 5))
+        for _ in range(10):
+            table = rng.choice([v2, NON_UNIT_TABLE, random_partial_table(rng), random_partial_table(rng)])
+            family = derived_family(table, parts, word_len=rng.choice((1, 2)))
+            n_orbit = rng.choice((2, 2, 3, 5))
 
-            report = verify_separating(family, parts, n_orbit)
-            bad2, bad3 = reference_conditions_2_3(family, parts, n_orbit)
+            report = verify_separating(family, n_orbit)
+            bad2, bad3 = reference_conditions_2_3(family.A, parts, n_orbit)
             assert report["condition2"] == {"ok": not bad2, "failures": bad2}
             assert report["condition3"] == {"ok": not bad3, "failures": bad3}
             seen["condition 3 fails" if bad3 else "condition 3 holds"] += 1
-            for a in family:
+            for a in family.A:
                 pd = reference_part_of(parts, dom(a))
-                if a.is_zero():
-                    seen["zero map"] += 1
-                elif pd is None:
-                    # a straddling domain that carries some part out of itself
-                    carried = any(
-                        e.leq(dom(a)) and reference_part_of(parts, image_clopen(a, e)) not in (None, i)
-                        for i, e in enumerate(parts)
-                    )
-                    seen["straddles and carries a part" if carried else "straddles"] += 1
-                else:
-                    seen["a whole part" if dom(a) == parts[pd] else "strictly inside a part"] += 1
-            if any(a is not b and eq(a, b) for a in family for b in family):
-                seen["eq-duplicate"] += 1
+                seen["a whole part" if dom(a) == parts[pd] else "strictly inside a part"] += 1
             if any(len(p.antichain) > 1 for p in parts):
                 seen["non-atom partition"] += 1
-    assert len(seen) == 9 and min(seen.values()) >= 10, seen
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
 
 
 def _initial_tables(sections):
@@ -379,7 +358,7 @@ def test_initial_sections_match_the_reference_kit(family):
     # Röver's family carries automaton tails
     table = (higman_thompson(2) if family == "v2" else rover_units()).table
     parts = atoms(3, 2)
-    A = derived_family(table, parts)
+    A = derived_family(table, parts).A
     got = build_kit(table, parts).sections
     assert len(got) == len(A)
     assert _initial_tables(got) == _initial_tables(reference_kit_sections(parts, A))
@@ -440,13 +419,6 @@ def test_a_genkit_command_checks_and_indexes_its_partition_once(monkeypatch, cap
     assert counts == {"is_partition": 1, "part_lookup": 1}
 
 
-def test_verify_refuses_a_record_derived_over_other_parts():
-    family = kit_module._derive(higman_thompson(2).table, atoms(3, 2), 2)
-    with pytest.raises(CantorError, match="the family was derived over other parts"):
-        verify_separating(family, atoms(2, 2), 5)
-    assert verify_separating(family, list(atoms(3, 2)), 5)["ok"]
-
-
 @pytest.mark.parametrize(
     "family, parts",
     [("v2", atoms(3, 2)), ("rover", atoms(3, 2)), ("v3", atoms(2, 3))],
@@ -456,12 +428,12 @@ def test_a_built_kit_reads_its_stars_and_part_pairs_off_the_derivation(family, p
     kit = build_kit(table, parts)
     for i, a in enumerate(kit.A):
         first = next(j for j, b in enumerate(kit.A) if eq(b, star(a)))
-        assert kit._star_of[i] == first
-        assert kit._pair_of[i] == (reference_part_of(parts, dom(a)), reference_part_of(parts, ran(a)))
+        assert kit.family.star_of[i] == first
+        assert kit.family.pairs[i] == (reference_part_of(parts, dom(a)), reference_part_of(parts, ran(a)))
     # the derivation's Dedup is the section Dedup: a copy of A[i] finds section i
     for i in range(0, len(kit.A), 7):
         copy = PartialMap(kit.d, list(kit.A[i].branches))
-        assert kit.section_for(copy, *kit._pair_of[i]).kit_index == i
+        assert kit.section_for(copy, *kit.family.pairs[i]).kit_index == i
     assert len(kit.sections) == len(kit.A)
 
 
@@ -520,15 +492,12 @@ def test_a_v2_verify_derives_each_fact_once(monkeypatch, capsys):
     monkeypatch.setattr(kit_module, "compose", counting_compose)
     monkeypatch.setattr(kit_module, "restrict", counting_restrict)
     monkeypatch.setattr(kit_module, "part_lookup", counting_part_lookup)
-    kit_module._derive(higman_thompson(2).table, atoms(3, 2), 2)
+    kit_module.derive_family(higman_thompson(2).table, atoms(3, 2), 2)
     assert counts["compose"] <= 500, counts
     counts.clear()
     assert cli.main(["genkit", "verify", "--gens", "higman_thompson:2", "--partition", "atoms:3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert counts["part lookup"] <= 280, counts
-    # the record and its plain list give one report
-    family = kit_module._derive(higman_thompson(2).table, atoms(3, 2), 2)
-    assert verify_separating(family, atoms(3, 2), 5) == verify_separating(family.A, atoms(3, 2), 5)
 
 
 @pytest.mark.parametrize("family", ["v2", "rover"])
@@ -539,7 +508,7 @@ def test_sections_read_in_any_order_equal_the_eager_build(family):
     random.Random(0).shuffle(order)
     read = {i: kit.sections[i] for i in order}
     got = [read[i] for i in range(len(order))]
-    assert _initial_tables(got) == _initial_tables(reference_kit_sections(kit.parts, kit.A))
+    assert _initial_tables(got) == _initial_tables(reference_kit_sections(kit.family.parts, kit.A))
     # a section is built once, and the container reads as a sequence
     assert list(kit.sections) == got
     assert kit.sections[-1] is got[-1] and kit.sections[2:7:2] == got[2:7:2]
@@ -561,7 +530,7 @@ def test_build_kit_names_the_first_part_short_of_targets(family):
 
 def test_desk_instance_passes():
     fam, kit = desk()
-    report = verify_separating(kit.A, kit.parts, n_orbit=5)
+    report = verify_separating(kit.family, n_orbit=5)
     assert report["ok"], report
     assert len(kit.sections) > 0
     for section, _prov in kit.sections[:10]:
@@ -571,7 +540,7 @@ def test_desk_instance_passes():
 def test_kit_construction_failure():
     # surrounding any transporter with a 5-section needs three further parts,
     # and the depth-1 partition has only two
-    fam = kit_module._derive(SIGMA_TABLE, PARTS1, word_len=1)
+    fam = kit_module.derive_family(SIGMA_TABLE, PARTS1, word_len=1)
     with pytest.raises(KitConstructionFailed):
         GeneratingKit(SIGMA_TABLE, fam)
 
